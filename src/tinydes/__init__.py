@@ -11,8 +11,9 @@ from .data import (Dataset, FoldPlan, Standardizer, apply_standardizer,
                    fit_standardizer, invert_standardizer, load_csv, load_idx,
                    make_fold_plan, stratified_split)
 from .errors import (CapacityError, ChecksumError, ClusterError, FormatError,
-                     IoError, ModelCorruptError, SelectionError, ShapeError,
-                     StratificationError, TinyDesError, VoteError)
+                     IoError, ModelCorruptError, NondeterminismError,
+                     SelectionError, ShapeError, StratificationError,
+                     TinyDesError, VoteError)
 from .selection import (CompetenceModel, Dsel, SelectionResult,
                         build_competence_model, build_dsel,
                         des_clustering_predict, double_fault, knora_e, knora_u,
@@ -30,9 +31,9 @@ __all__ = [
     "CapacityError", "ChecksumError", "ClassifierPool", "ClusterError",
     "CompetenceModel", "Dataset", "DecisionTree", "Dsel", "FoldPlan",
     "ForestSpec", "FormatError", "IoError", "KMeansModel", "ModelCorruptError",
-    "PoolConfig", "SelectionError", "SelectionResult", "ShapeError",
-    "Standardizer", "StratificationError", "TinyDesError", "TinyEngine",
-    "VoteError",
+    "NondeterminismError", "PoolConfig", "SelectionError", "SelectionResult",
+    "ShapeError", "Standardizer", "StratificationError", "TinyDesError",
+    "TinyEngine", "VoteError",
     "apply_standardizer", "assign", "build_competence_model", "build_dsel",
     "des_clustering_predict", "double_fault", "emit_static_source",
     "export_tiny", "fit_kmeans", "fit_standardizer", "generate_pool",

@@ -7,7 +7,10 @@ import from the ``TINYDES_BACKEND`` environment variable (``numba`` or
 tie rules and the same arithmetic contract:
 
   * split scores are exact int64 class-count sums divided once in float64,
-    so the two backends pick bit-identical splits;
+    so the two backends pick bit-identical splits. The numba kernel updates
+    per-column counts row by row; the numpy kernel scores all candidate
+    columns at once from the class totals they share (see "Split search");
+    both compute the same integers;
   * tree walks compare float32 values against float32 thresholds;
   * distances square float32 differences and accumulate in float64.
 
@@ -51,49 +54,64 @@ def use_numba() -> bool:
 # Split search: maximize sum_children( sum_c count_c^2 / n_child ).
 # Equivalent to minimizing weighted Gini impurity; counts are exact int64,
 # each child contributes one float64 division, so scores are bit-identical
-# across backends. Candidate columns are scanned ascending and boundaries
-# ascending with strict '>' so ties resolve to the smallest feature id and
-# the smallest threshold.
+# across backends. Ties resolve to the smallest feature id, then the smallest
+# threshold.
+#
+# The numpy kernel scores every candidate column in one vectorized pass. All
+# columns partition the same rows, so they share the class totals T. Walk a
+# column in value order; if the row that ends a prefix has class y and r
+# earlier rows of the prefix also have class y, L_y grows from r to r+1 and
+# sum_c L_c^2 grows by 2r+1. Hence, per prefix,
+#
+#   sum_c L_c^2       = cumsum(2r + 1)
+#   sum_c (T_c-L_c)^2 = sum_c T_c^2 - 2 cumsum(T[y]) + sum_c L_c^2
+#
+# Both are exact int64 identities, so every score equals, bit for bit, the
+# one a per-column class-count loop computes. For r, stably argsort each
+# column's value-ordered labels (a radix sort for uint8/uint16 labels). Class
+# c starts at start_c = cumsum(T)_c - T_c in every column, so the row at
+# class-sorted position k has r = k - start[class]. Memory is a few (m, n)
+# int64 arrays, with no (n, m, classes) one-hot. Prefixes that end inside a
+# run of equal values are masked; the order within such a run never changes
+# which rows lie left of a boundary.
 # ---------------------------------------------------------------------------
 
 
 def _best_split_np(values, labels, n_classes):
     n, m = values.shape
+    if n < 2:
+        return -1, 0.0, -1.0, False
     total = np.bincount(labels, minlength=n_classes).astype(np.int64)
-    best_score = -1.0
-    best_col = -1
-    best_thr = np.float32(0.0)
-    ar = np.arange(1, n, dtype=np.int64)
-    for j in range(m):
-        col = values[:, j]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        boundary = np.nonzero(sv[:-1] != sv[1:])[0]
-        if boundary.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes), dtype=np.int64)
-        onehot[np.arange(n), labels[order]] = 1
-        cum = np.cumsum(onehot, axis=0)
-        sl = np.square(cum[:-1]).sum(axis=1)
-        sr = np.square(total[None, :] - cum[:-1]).sum(axis=1)
-        nl = ar
-        nr = n - nl
-        score = sl / nl + sr / nr
-        bscore = score[boundary]
-        pos = int(np.argmax(bscore))
-        if bscore[pos] > best_score:
-            i = int(boundary[pos])
-            v0 = sv[i]
-            v1 = sv[i + 1]
-            thr = np.float32((np.float64(v0) + np.float64(v1)) * 0.5)
-            if thr >= v1:
-                # f32 midpoint rounded up to the right value; fall back to the
-                # left value so '<= thr' reproduces the scored partition.
-                thr = v0
-            best_score = float(bscore[pos])
-            best_col = j
-            best_thr = thr
-    return best_col, float(best_thr), best_score, best_col >= 0
+    cols = np.arange(m)[:, None]
+    vt = np.ascontiguousarray(values.T)  # one candidate column per row
+    order = np.argsort(vt, axis=1, kind="stable")
+    sv = vt[cols, order]
+    ys = labels.astype(np.min_scalar_type(n_classes - 1))[order]
+    by_class = np.argsort(ys, axis=1, kind="stable")
+    start = np.cumsum(total) - total
+    sl = np.empty((m, n), dtype=np.int64)
+    sl[cols, by_class] = 2 * (np.arange(n) - np.repeat(start, total)) + 1
+    np.cumsum(sl, axis=1, out=sl)
+    sr = np.cumsum((2 * total)[ys], axis=1)
+    np.subtract(int(total @ total), sr, out=sr)
+    sr += sl
+    nl = np.arange(1, n, dtype=np.float64)
+    score = sl[:, :-1] / nl
+    score += sr[:, :-1] / (n - nl)
+    # every real score is positive, so -1 marks non-boundaries
+    score[sv[:, :-1] == sv[:, 1:]] = -1.0
+    # row-major argmax: smallest column first, then smallest threshold
+    j, i = divmod(int(np.argmax(score)), n - 1)
+    if score[j, i] < 0:
+        return -1, 0.0, -1.0, False
+    v0 = sv[j, i]
+    v1 = sv[j, i + 1]
+    thr = np.float32((np.float64(v0) + np.float64(v1)) * 0.5)
+    if thr >= v1:
+        # f32 midpoint rounded up to the right value; fall back to the left
+        # value so '<= thr' reproduces the scored partition.
+        thr = v0
+    return j, float(thr), float(score[j, i]), True
 
 
 if _have_numba:

@@ -18,7 +18,7 @@ from ._rng import derive_seed
 from .cluster import fit_kmeans
 from .data import (Dataset, apply_standardizer, fit_standardizer,
                    load_csv, load_idx, make_fold_plan, stratified_split)
-from .errors import IoError, TinyDesError
+from .errors import IoError, NondeterminismError, TinyDesError
 from .selection import (build_competence_model, build_dsel, des_clustering_batch,
                         knora_e_batch, knora_u_batch, pool_predictions,
                         single_best, static_selection, vote_rows)
@@ -420,8 +420,8 @@ def measure_inference(engine, probes: Dataset, warmup: int = 1, reps: int = 3):
             costs[i] = cost
         if ref_costs is None:
             ref_costs = costs
-        else:
-            assert (costs == ref_costs).all(), "cost metric varied across reps"
+        elif (costs != ref_costs).any():
+            raise NondeterminismError("cost metric varied across reps")
     walls_arr = np.array(walls)
     return {
         "mean_wall_s": float(walls_arr.mean()),

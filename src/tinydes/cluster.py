@@ -97,7 +97,8 @@ def fit_kmeans(points, k: int, seed: int, max_iter: int = 300, tol: float = 1e-4
         inertia = float(dists.sum())
         # float32 centroid rounding allows microscopic upticks; anything larger
         # is a genuine Lloyd violation.
-        assert inertia <= prev_inertia * (1 + 1e-6) + 1e-9, "inertia increased"
+        if inertia > prev_inertia * (1 + 1e-6) + 1e-9:
+            raise ClusterError(f"inertia increased from {prev_inertia!r} to {inertia!r}")
         prev_inertia = inertia
         new_centroids, _ = _kernels.cluster_means(pts, labels, k)
         shift = float(np.sqrt(np.square(new_centroids.astype(np.float64) -

@@ -18,7 +18,7 @@ class StratificationError(TinyDesError):
 
 
 class ClusterError(TinyDesError):
-    """Fewer points than clusters."""
+    """Fewer points than clusters, or a Lloyd step that raised inertia."""
 
 
 class SelectionError(TinyDesError):
@@ -39,6 +39,10 @@ class ChecksumError(TinyDesError):
 
 class CapacityError(TinyDesError):
     """Model exceeds the 16-bit limits of the compact format."""
+
+
+class NondeterminismError(TinyDesError):
+    """A deterministic quantity, such as an engine's cost, varied between runs."""
 
 
 class IoError(TinyDesError):

@@ -152,7 +152,7 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
             emit(LEAF, 0.0, majority)
             return
         cands = rng.sample_sorted(data.n_features, max_features)
-        sub = np.ascontiguousarray(X[idx][:, cands])
+        sub = X[idx[:, None], cands]
         col, thr, score, found = _kernels.best_split(sub, y, n_classes)
         if found:
             parent_score = float(np.square(counts.astype(np.int64)).sum()) / idx.size

@@ -4,7 +4,7 @@ import pytest
 from tinydes.bench import (DatasetSpec, ExperimentConfig, config_from_text,
                            config_to_text, desk_scale_subset, emit_report,
                            measure_inference, run_experiment)
-from tinydes.errors import IoError
+from tinydes.errors import IoError, NondeterminismError
 from tinydes.tinyformat import export_tiny, load_tiny
 
 from conftest import build_pipeline, make_blobs
@@ -206,3 +206,15 @@ class TestMeasureInference:
         probes = make_blobs(n_per_class=5, n_features=2, n_classes=4, seed=1)
         stats = measure_inference(engine, probes, warmup=0, reps=2)
         assert stats["mean_cost"] == 2.0 and stats["std_cost"] == 0.0
+
+    def test_varying_cost_raises_typed_error(self):
+        class DriftingEngine:
+            calls = 0
+
+            def predict(self, x):
+                self.calls += 1
+                return 0, self.calls
+
+        probes = make_blobs(n_per_class=3, n_features=2, n_classes=2, seed=1)
+        with pytest.raises(NondeterminismError, match="varied across reps"):
+            measure_inference(DriftingEngine(), probes, warmup=0, reps=2)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tinydes import cluster
 from tinydes.cluster import KMeansModel, assign, assign_batch, fit_kmeans
 from tinydes.errors import ClusterError, ShapeError
 
@@ -104,6 +105,21 @@ class TestFitKmeans:
             m = fit_kmeans(pts, 4, seed=4, max_iter=it)
             assert m.inertia <= prev * (1 + 1e-6) + 1e-9
             prev = m.inertia
+
+    def test_inertia_increase_raises_typed_error(self, monkeypatch):
+        # the check must survive `python -O`, so it is an exception, not an assert
+        real = cluster._kernels.assign_clusters
+        calls = []
+
+        def growing(pts, centroids):
+            labels, dists = real(pts, centroids)
+            calls.append(None)
+            return labels, dists + 1e3 * len(calls)
+
+        monkeypatch.setattr(cluster._kernels, "assign_clusters", growing)
+        rng = np.random.RandomState(3)
+        with pytest.raises(ClusterError, match="inertia increased"):
+            fit_kmeans(rng.rand(60, 3).astype(np.float32), 3, seed=1)
 
 
 class TestAssign:

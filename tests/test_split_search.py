@@ -1,0 +1,202 @@
+"""Exact split search: the numpy kernel against two independent oracles.
+
+Unlike ``test_kernels.py`` these tests need no numba; they pin the numpy
+kernel, which is the backend that runs wherever numba is absent.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tinydes._kernels import _best_split_np
+from tinydes.data import Dataset, apply_standardizer, fit_standardizer
+from tinydes.trees import ForestSpec, PoolConfig, generate_pool
+
+from test_trees import exhaustive_best_split
+
+NOT_FOUND = (-1, 0.0, -1.0, False)
+
+
+def per_column_best_split(values, labels, n_classes):
+    """Reference: score one column at a time from a cumulative one-hot of its
+    sorted labels, keeping a strictly better column only."""
+    n, m = values.shape
+    total = np.bincount(labels, minlength=n_classes).astype(np.int64)
+    best_score = -1.0
+    best_col = -1
+    best_thr = np.float32(0.0)
+    nl = np.arange(1, n, dtype=np.int64)
+    for j in range(m):
+        col = values[:, j]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        boundary = np.nonzero(sv[:-1] != sv[1:])[0]
+        if boundary.size == 0:
+            continue
+        onehot = np.zeros((n, n_classes), dtype=np.int64)
+        onehot[np.arange(n), labels[order]] = 1
+        cum = np.cumsum(onehot, axis=0)
+        sl = np.square(cum[:-1]).sum(axis=1)
+        sr = np.square(total[None, :] - cum[:-1]).sum(axis=1)
+        bscore = (sl / nl + sr / (n - nl))[boundary]
+        pos = int(np.argmax(bscore))
+        if bscore[pos] > best_score:
+            i = int(boundary[pos])
+            v0, v1 = sv[i], sv[i + 1]
+            thr = np.float32((np.float64(v0) + np.float64(v1)) * 0.5)
+            if thr >= v1:
+                thr = v0
+            best_score = float(bscore[pos])
+            best_col = j
+            best_thr = thr
+    return best_col, float(best_thr), best_score, best_col >= 0
+
+
+def bits(result):
+    """(col, f32 threshold bytes, f64 score bytes, found), for bit-exact compares."""
+    col, thr, score, found = result
+    assert type(col) is int and type(found) is bool
+    return col, np.float32(thr).tobytes(), struct.pack("<d", score), found
+
+
+def from_exhaustive(best):
+    if best is None:
+        return NOT_FOUND
+    score, f, thr = best
+    return f, thr, score, True
+
+
+def pixel_case(seed, n, m=28, n_classes=10):
+    """Standardized 0-255 integer pixels: mostly zero, few distinct values."""
+    rng = np.random.RandomState(seed)
+    labels = rng.randint(0, n_classes, n)
+    ink = rng.rand(n, m) < 0.15 + 0.1 * (labels[:, None] % 3 == np.arange(m)[None, :] % 3)
+    px = np.where(ink, 255 - rng.randint(0, 4, (n, m)) * 40, 0).astype(np.float32)
+    std = px.std(axis=0)
+    values = ((px - px.mean(axis=0)) / np.where(std > 0, std, 1)).astype(np.float32)
+    return values, labels.astype(np.int64), n_classes
+
+
+class TestAgainstPerColumnLoop:
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 99, 100, 257, 999, 2000])
+    def test_pixel_like_inputs(self, n):
+        for seed in range(3):
+            values, labels, c = pixel_case(seed * 1000 + n, n)
+            assert bits(_best_split_np(values, labels, c)) == \
+                bits(per_column_best_split(values, labels, c))
+
+    def test_continuous_inputs(self):
+        rng = np.random.RandomState(8)
+        for n in (5, 60, 700):
+            values = rng.randn(n, 9).astype(np.float32)
+            labels = rng.randint(0, 4, n).astype(np.int64)
+            assert bits(_best_split_np(values, labels, 4)) == \
+                bits(per_column_best_split(values, labels, 4))
+
+    def test_more_than_256_classes(self):
+        rng = np.random.RandomState(5)
+        n, c = 900, 300
+        labels = rng.randint(0, c, n).astype(np.int64)
+        values = (rng.randint(0, 50, (n, 6)) + (labels[:, None] % 7 == 0) * 20).astype(np.float32)
+        got = _best_split_np(values, labels, c)
+        assert got[3]
+        assert bits(got) == bits(per_column_best_split(values, labels, c))
+
+
+class TestAgainstExhaustive:
+    def test_small_pixel_like_inputs(self):
+        for seed in range(6):
+            values, labels, c = pixel_case(seed, 60, m=5, n_classes=4)
+            assert bits(_best_split_np(values, labels, c)) == \
+                bits(from_exhaustive(exhaustive_best_split(values, labels, c)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), m=st.integers(1, 5),
+           n_classes=st.integers(1, 4), n_values=st.integers(1, 6))
+    def test_property_small_integer_matrices(self, data, n, m, n_classes, n_values):
+        cells = data.draw(st.lists(st.integers(0, n_values - 1), min_size=n * m,
+                                   max_size=n * m))
+        labels = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+        values = np.array(cells, dtype=np.float32).reshape(n, m)
+        y = np.array(labels, dtype=np.int64)
+        got = bits(_best_split_np(values, y, n_classes))
+        assert got == bits(from_exhaustive(exhaustive_best_split(values, y, n_classes)))
+        assert got == bits(per_column_best_split(values, y, n_classes))
+
+
+class TestEdgeCases:
+    def test_single_row(self):
+        values = np.array([[1.0, 2.0]], np.float32)
+        assert _best_split_np(values, np.array([0]), 2) == NOT_FOUND
+
+    def test_constant_columns(self):
+        values = np.full((12, 4), 3.5, np.float32)
+        labels = np.arange(12, dtype=np.int64) % 3
+        assert _best_split_np(values, labels, 3) == NOT_FOUND
+
+    def test_constant_columns_skipped(self):
+        values = np.full((8, 3), 2.0, np.float32)
+        values[:, 2] = np.arange(8)
+        labels = (np.arange(8) >= 4).astype(np.int64)
+        assert bits(_best_split_np(values, labels, 2)) == bits((2, 3.5, 8.0, True))
+
+    def test_duplicate_columns_smallest_feature(self):
+        rng = np.random.RandomState(2)
+        labels = rng.randint(0, 2, 50).astype(np.int64)
+        signal = (labels * 3 + rng.randint(0, 3, 50)).astype(np.float32)
+        values = np.stack([rng.randint(0, 2, 50), signal, signal], axis=1).astype(np.float32)
+        got = _best_split_np(values, labels, 2)
+        assert got[0] == 1
+        assert bits(got) == bits(per_column_best_split(values, labels, 2))
+
+    def test_mirrored_labels_smallest_threshold(self):
+        # thresholds 0.5 and 2.5 score the same (1/1 + 5/3); 0.5 must win
+        values = np.array([[0], [1], [2], [3]], np.float32)
+        labels = np.array([0, 1, 1, 0], np.int64)
+        col, thr, score, found = _best_split_np(values, labels, 2)
+        assert (col, thr, found) == (0, 0.5, True)
+        assert score == 1 / 1 + 5 / 3
+
+    def test_midpoint_rounding_up_falls_back_to_left_value(self):
+        # v0 has an odd f32 mantissa, so the exact midpoint rounds to v1
+        v0 = np.nextafter(np.float32(1), np.float32(2))
+        v1 = np.nextafter(v0, np.float32(2))
+        assert np.float32((np.float64(v0) + np.float64(v1)) * 0.5) == v1
+        values = np.array([[v0], [v0], [v1], [v1]], np.float32)
+        labels = np.array([0, 0, 1, 1], np.int64)
+        col, thr, score, found = _best_split_np(values, labels, 2)
+        assert found and col == 0 and np.float32(thr) == v0
+        assert ((values[:, 0] <= np.float32(thr)) == (labels == 0)).all()
+
+
+def tied_dataset():
+    rng = np.random.RandomState(2024)
+    labels = rng.randint(0, 5, 400)
+    X = rng.randint(0, 12, (400, 20)) + 3 * (labels[:, None] == np.arange(20)[None, :] % 5)
+    return Dataset(X.astype(np.float32), labels.astype(np.uint16), 5)
+
+
+def standardized_pixel_dataset():
+    rng = np.random.RandomState(99)
+    labels = rng.randint(0, 10, 600)
+    ink = rng.rand(600, 64) < 0.2 + 0.05 * (labels[:, None] == np.arange(64)[None, :] % 10)
+    px = np.where(ink, rng.randint(1, 256, (600, 64)), 0).astype(np.float32)
+    d = Dataset(px, labels.astype(np.uint16), 10)
+    return Dataset(apply_standardizer(fit_standardizer(d), px), d.labels, 10)
+
+
+class TestGoldenPools:
+    """Pinned pool fingerprints on inputs with many repeated values: a split
+    change that alters any tree, threshold bit or tie decision changes them."""
+
+    @pytest.mark.parametrize("make, fingerprint, n_nodes", [
+        (tied_dataset, 0x4FB4917A, 118),
+        (standardized_pixel_dataset, 0xEB9DA21E, 516),
+    ])
+    def test_fingerprint(self, make, fingerprint, n_nodes):
+        pool = generate_pool(make(), PoolConfig((ForestSpec(6, 7), ForestSpec(4, 3))), seed=5)
+        assert sum(t.n_nodes for t in pool.trees) == n_nodes
+        assert pool.fingerprint() == fingerprint
