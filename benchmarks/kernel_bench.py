@@ -1,5 +1,6 @@
-# Times the numba kernels against the pure-numpy fallbacks on synthetic
-# MNIST-shaped data. Run:  python benchmarks/kernel_bench.py
+# Times the pure-numpy kernels, and the numba kernels beside them when numba
+# is installed, on synthetic MNIST-shaped data.
+# Run:  PYTHONPATH=src python benchmarks/kernel_bench.py
 #
 # Representative results (numba 0.66, numpy 2.2, one desktop core):
 #
@@ -11,6 +12,16 @@
 # (*) Measured with the earlier per-column numpy split loop. On a 2-vCPU
 #     Intel Xeon host with numpy 2.4 and Python 3.11, that loop takes about
 #     310 ms on this input and the current all-columns kernel about 130 ms.
+#
+# Numpy backend alone (2-vCPU Intel Xeon, numpy 2.4, Python 3.11, BLAS and
+# OpenMP pinned to one thread):
+#
+#   best_split      30000x28           145 ms
+#   tree_walk       depth-10, 30000     14 ms
+#   assign_clusters 24000x784, k=5     244 ms
+#   pairwise_sqdist 5592x3000x64       244 ms   one KNORA distance chunk
+#   k_nearest       k=7 of 3000        139 ms   stable argsort top-7: 1295 ms
+#   tiny_infer      5000 probes        352 ms
 
 import time
 
@@ -18,17 +29,19 @@ import numpy as np
 
 from tinydes import _kernels
 from tinydes._kernels import (_assign_clusters_np, _best_split_np,
-                              _tree_walk_np)
+                              _pairwise_sqdist_np, _tree_walk_np)
 from tinydes.data import Dataset
+from tinydes.selection import _k_nearest
 from tinydes.tinyformat import export_tiny, load_tiny
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool
 
-if _kernels.BACKEND != "numba":
-    raise SystemExit("run this with the numba backend available "
-                     "(unset TINYDES_BACKEND)")
+NUMBA = _kernels.BACKEND == "numba"
 
 
-def bench(label, fn, reps=5):
+def bench(label, fn, reps=5, numba_only=False):
+    if numba_only and not NUMBA:
+        print(f"{label:<44} {'skipped (no numba)':>13}")
+        return None
     fn()  # warmup / jit compile
     t0 = time.perf_counter()
     for _ in range(reps):
@@ -46,7 +59,8 @@ y = rng.randint(0, classes, n).astype(np.int64)
 sub = np.ascontiguousarray(X[:, :28])
 
 print("== split search (30000 samples x 28 candidate features) ==")
-bench("best_split numba", lambda: _kernels._best_split_nb(sub, y, classes))
+bench("best_split numba", lambda: _kernels._best_split_nb(sub, y, classes),
+      numba_only=True)
 bench("best_split numpy", lambda: _best_split_np(sub, y, classes))
 
 print("== batch tree walk (one depth-10 tree, 30000 samples) ==")
@@ -54,15 +68,27 @@ data = Dataset(X[:4000], y[:4000].astype(np.uint16), classes)
 pool = generate_pool(data, PoolConfig((ForestSpec(1, 10),)), seed=3)
 tree = pool.trees[0]
 bench("tree_walk numba", lambda: _kernels._tree_walk_nb(
-    tree.feature, tree.threshold, tree.jump, X))
+    tree.feature, tree.threshold, tree.jump, X), numba_only=True)
 bench("tree_walk numpy", lambda: _tree_walk_np(
     tree.feature, tree.threshold, tree.jump, X))
 
 print("== cluster assignment (24000 x 784, k=5) ==")
 C = rng.rand(5, f).astype(np.float32)
 Xa = X[:24000]
-bench("assign_clusters numba", lambda: _kernels._assign_clusters_nb(Xa, C))
+bench("assign_clusters numba", lambda: _kernels._assign_clusters_nb(Xa, C),
+      numba_only=True)
 bench("assign_clusters numpy", lambda: _assign_clusters_np(Xa, C))
+
+# One chunk of crossval-float64's KNORA search: (1 << 24) // 3000 query rows.
+print("== KNORA region search (5592 x 3000 x 64, k=7) ==")
+Qk = rng.randn(5592, 64).astype(np.float32)
+Dk = rng.randn(3000, 64).astype(np.float32)
+d2 = _pairwise_sqdist_np(Qk, Dk)
+bench("pairwise_sqdist numpy", lambda: _pairwise_sqdist_np(Qk, Dk), reps=3)
+bench("k_nearest (k=7)", lambda: _k_nearest(d2, 7), reps=3)
+bench("stable argsort top-7 (full sort)",
+      lambda: np.argsort(d2, axis=1, kind="stable")[:, :7], reps=3)
+del d2
 
 print("== compact-engine inference (5000 probes) ==")
 from tinydes.cluster import fit_kmeans
@@ -86,10 +112,8 @@ def run_engine():
         engine.predict(probes[i])
 
 
-bench("tiny_infer numba (5000 probes)", run_engine, reps=3)
+bench(f"tiny_infer {_kernels.BACKEND} (5000 probes)", run_engine, reps=3)
 
-import os
-
-print()
-print("re-run with TINYDES_BACKEND=numpy to time the fallback engine "
-      f"(current backend: {_kernels.BACKEND}, pid {os.getpid()})")
+if NUMBA:
+    print()
+    print("re-run with TINYDES_BACKEND=numpy to time the fallback engine")

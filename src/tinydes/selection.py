@@ -262,81 +262,97 @@ def pool_predictions(pool: ClassifierPool, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vote_rows(preds: np.ndarray, weights: np.ndarray, n_classes: int) -> np.ndarray:
-    """Row-wise weighted plurality: preds/weights are [n_queries, m] aligned."""
+    """Row-wise weighted plurality: preds/weights are [n_queries, m] aligned.
+
+    One bincount over (row, class) bins; ties go to the smallest class id.
+    Callers pass whole-number weights, so every float64 vote total is exact
+    whatever order the bins are summed in."""
     n = preds.shape[0]
-    votes = np.zeros((n, n_classes), dtype=np.float64)
-    rows = np.arange(n)
-    for col in range(preds.shape[1]):
-        np.add.at(votes, (rows, preds[:, col]), weights[:, col])
-    return np.argmax(votes, axis=1)
+    bins = (np.arange(n, dtype=np.int64)[:, None] * n_classes + preds).ravel()
+    votes = np.bincount(bins, weights=np.ravel(weights), minlength=n * n_classes)
+    return np.argmax(votes.reshape(n, n_classes), axis=1)
+
+
+def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the k smallest distances' columns, near to far, ties to the
+    smaller column: exactly ``np.argsort(d2, axis=1, kind="stable")[:, :k]``.
+
+    argpartition picks some k smallest per row. The pick is the stable one
+    unless a value equal to the row's k-th distance lies outside it, which
+    shows as more than k entries <= that distance (or fewer than k, when
+    the k-th is NaN); only such rows are sorted in full. The picked columns
+    are then ordered by (distance, column)."""
+    if k == 0:
+        return np.empty((d2.shape[0], 0), dtype=np.intp)
+    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    picked = np.take_along_axis(d2, part, axis=1)
+    kth = picked.max(axis=1)
+    redo = np.nonzero((d2 <= kth[:, None]).sum(axis=1) != k)[0]
+    order = np.lexsort((part, picked), axis=1)
+    part = np.take_along_axis(part, order, axis=1)
+    if redo.size:
+        part[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, :k]
+    return part
+
+
+def _knora_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
+                 pool_preds, pool_visits, choose):
+    """Shared driver of the KNORA batch paths: distance chunks, exact
+    regions, then one vote per query over ``choose(region correctness)``,
+    which returns the whole-number vote weight of every classifier per
+    query ([n_chunk, pool_size], 0 = not selected)."""
+    if dsel.n_samples < k:
+        raise SelectionError(f"region size {k} exceeds {dsel.n_samples} selection samples")
+    mat = np.ascontiguousarray(X, dtype=np.float32)
+    if pool_preds is None:
+        pool_preds, pool_visits = pool_predictions(pool, mat)
+    n = mat.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    costs = np.empty(n, dtype=np.int64)
+    chunk = max(1, (1 << 24) // max(1, dsel.n_samples))
+    for s in range(0, n, chunk):
+        rows = slice(s, min(s + chunk, n))
+        d2 = _kernels.pairwise_sqdist(mat[rows], dsel.samples)
+        # region[c, q, i] = classifier c correct on query q's i-th nearest
+        region = dsel.correctness[:, _k_nearest(d2, k)]
+        weights = choose(region)
+        labels[rows] = vote_rows(pool_preds[:, rows].T, weights, pool.n_classes)
+        costs[rows] = np.where(weights.T > 0, pool_visits[:, rows], 0).sum(axis=0)
+    return labels, costs
+
+
+def _knora_u_weights(region: np.ndarray) -> np.ndarray:
+    counts = region.sum(axis=2).T.astype(np.float64)
+    counts[~counts.any(axis=1)] = 1.0
+    return counts
+
+
+def _knora_e_weights(region: np.ndarray) -> np.ndarray:
+    # lead[c, q] = how many of q's nearest neighbours c gets right before its
+    # first miss. The largest region with a local oracle has max(lead) samples
+    # and its oracles are the classifiers that reach it; when that size is 0,
+    # every classifier does, which is the whole-pool fallback.
+    lead = np.logical_and.accumulate(region, axis=2).sum(axis=2)
+    return (lead == lead.max(axis=0)).T.astype(np.float64)
 
 
 def knora_u_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
                   pool_preds=None, pool_visits=None):
-    """Vectorized KNORA-U over a query matrix. Returns (labels, costs)."""
-    if dsel.n_samples < k:
-        raise SelectionError(f"region size {k} exceeds {dsel.n_samples} selection samples")
-    mat = np.ascontiguousarray(X, dtype=np.float32)
-    if pool_preds is None:
-        pool_preds, pool_visits = pool_predictions(pool, mat)
-    n = mat.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    costs = np.empty(n, dtype=np.int64)
-    chunk = max(1, (1 << 24) // max(1, dsel.n_samples))
-    for s in range(0, n, chunk):
-        rows = np.arange(s, min(s + chunk, n))
-        d2 = _kernels.pairwise_sqdist(mat[rows], dsel.samples)
-        part = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        # counts[c, q] = correct region samples of classifier c for query q
-        counts = dsel.correctness[:, part].sum(axis=2)
-        any_sel = counts > 0
-        none = ~any_sel.any(axis=0)
-        weights = counts.T.astype(np.float64)
-        weights[none, :] = 1.0
-        used = any_sel.T
-        used[none, :] = True
-        for qi, q in enumerate(rows):
-            w = weights[qi][used[qi]]
-            ids = np.nonzero(used[qi])[0]
-            votes = np.zeros(pool.n_classes, dtype=np.float64)
-            np.add.at(votes, pool_preds[ids, q], w)
-            labels[q] = np.argmax(votes)
-            costs[q] = pool_visits[ids, q].sum()
-    return labels, costs
+    """Vectorized KNORA-U over a query matrix. Returns (labels, costs).
+
+    Same regions, weights and tie rules as ``knora_u``: regions are the k
+    nearest with ties to the smaller selection index (``_k_nearest``), and
+    votes are whole numbers, so labels and costs equal the per-query ones."""
+    return _knora_batch(dsel, pool, X, k, pool_preds, pool_visits, _knora_u_weights)
 
 
 def knora_e_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
                   pool_preds=None, pool_visits=None):
-    """Vectorized KNORA-E over a query matrix. Returns (labels, costs)."""
-    if dsel.n_samples < k:
-        raise SelectionError(f"region size {k} exceeds {dsel.n_samples} selection samples")
-    mat = np.ascontiguousarray(X, dtype=np.float32)
-    if pool_preds is None:
-        pool_preds, pool_visits = pool_predictions(pool, mat)
-    n = mat.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    costs = np.empty(n, dtype=np.int64)
-    chunk = max(1, (1 << 24) // max(1, dsel.n_samples))
-    for s in range(0, n, chunk):
-        rows = np.arange(s, min(s + chunk, n))
-        d2 = _kernels.pairwise_sqdist(mat[rows], dsel.samples)
-        part = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        # prefix[c, q, size-1] = classifier c correct on the size nearest
-        prefix = np.logical_and.accumulate(dsel.correctness[:, part], axis=2)
-        for qi, q in enumerate(rows):
-            ids = np.empty(0, dtype=np.int64)
-            for size in range(k, 0, -1):
-                hits = np.nonzero(prefix[:, qi, size - 1])[0]
-                if hits.size > 0:
-                    ids = hits
-                    break
-            if ids.size == 0:
-                ids = np.arange(pool.pool_size)
-            votes = np.zeros(pool.n_classes, dtype=np.float64)
-            np.add.at(votes, pool_preds[ids, q], 1.0)
-            labels[q] = np.argmax(votes)
-            costs[q] = pool_visits[ids, q].sum()
-    return labels, costs
+    """Vectorized KNORA-E over a query matrix. Returns (labels, costs).
+
+    Same regions and tie rules as ``knora_e`` (see ``knora_u_batch``); the
+    selected local oracles each vote 1, so the totals are exact."""
+    return _knora_batch(dsel, pool, X, k, pool_preds, pool_visits, _knora_e_weights)
 
 
 def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, X,
@@ -350,19 +366,8 @@ def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, X,
         for cid in ref:
             pool_preds[cid], pool_visits[cid] = predict_batch(pool.trees[cid], mat)
     clusters = assign_batch(cm.kmeans, mat)
-    n = mat.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    costs = np.full(n, cm.kmeans.k, dtype=np.int64)
-    for c in range(cm.kmeans.k):
-        rows = np.nonzero(clusters == c)[0]
-        if rows.size == 0:
-            continue
-        ens = cm.per_cluster_ensemble[c].astype(np.int64)
-        preds = pool_preds[np.ix_(ens, rows)]
-        votes = np.zeros((rows.size, pool.n_classes), dtype=np.float64)
-        cols = np.arange(rows.size)
-        for t in range(ens.size):
-            np.add.at(votes, (cols, preds[t]), 1.0)
-        labels[rows] = np.argmax(votes, axis=1)
-        costs[rows] += pool_visits[np.ix_(ens, rows)].sum(axis=0)
+    ens = cm.per_cluster_ensemble[clusters].astype(np.int64)  # [n, J]
+    cols = np.arange(mat.shape[0])[:, None]
+    labels = vote_rows(pool_preds[ens, cols], np.ones(ens.shape), pool.n_classes)
+    costs = cm.kmeans.k + pool_visits[ens, cols].sum(axis=1)
     return labels, costs

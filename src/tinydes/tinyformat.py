@@ -39,7 +39,15 @@ VERSION = 1
 HEADER = struct.Struct("<4sIIHHHHI")
 DIR_ENTRY = struct.Struct("<IH")
 NODE_DTYPE = np.dtype([("feature", "<i2"), ("threshold", "<f4"), ("right_jump", "<u2")])
-assert NODE_DTYPE.itemsize == 8
+
+
+def _check_node_layout(dtype: np.dtype) -> None:
+    """Node records are packed 8-byte structs; any other size breaks offsets."""
+    if dtype.itemsize != 8:
+        raise FormatError(f"node record is {dtype.itemsize} bytes, the format needs 8")
+
+
+_check_node_layout(NODE_DTYPE)
 
 
 def _pad_to4(n: int) -> int:

@@ -1,8 +1,12 @@
 import itertools
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tinydes import _kernels
 from tinydes.cluster import KMeansModel, fit_kmeans
 from tinydes.data import Dataset, apply_standardizer
 from tinydes.errors import SelectionError, VoteError
@@ -11,8 +15,11 @@ from tinydes.selection import (CompetenceModel, Dsel, build_competence_model,
                                des_clustering_batch, des_clustering_predict,
                                double_fault, knora_e, knora_e_batch, knora_u,
                                knora_u_batch, majority_vote, oracle_accuracy,
-                               pool_predictions, single_best, static_selection)
-from tinydes.trees import ClassifierPool, DecisionTree
+                               pool_predictions, single_best, static_selection,
+                               vote_rows)
+from tinydes.selection import _k_nearest
+from tinydes.trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
+                           generate_pool)
 
 from conftest import make_blobs
 
@@ -373,7 +380,6 @@ class TestOracle:
         preds, _ = pool_predictions(pool, std)
         accs["single_best"] = (preds[best] == target).mean()
         sel = static_selection(dsel, 0.5)
-        from tinydes.selection import vote_rows
         lab = vote_rows(preds[sel].T, np.ones((test.n_samples, sel.size)), pool.n_classes)
         accs["static"] = (lab == target).mean()
         lab, _ = knora_u_batch(dsel, pool, std, 5)
@@ -444,3 +450,108 @@ class TestBatchEquivalence:
             mean = costs.mean()
             assert mean > prev
             prev = mean
+
+
+def tie_heavy_case(seed=2024):
+    """Integer-valued DSEL whose rows each appear three times, and integer
+    queries on the same small grid, so many distances tie at the k-th
+    neighbour. Returns (dsel, pool, queries)."""
+    rng = np.random.RandomState(seed)
+    n_classes = 4
+    train_x = rng.randint(0, 4, size=(200, 3)).astype(np.float32)
+    train_y = ((train_x[:, 0] + train_x[:, 1] + rng.randint(0, 2, 200))
+               % n_classes).astype(np.uint16)
+    pool = generate_pool(Dataset(train_x, train_y, n_classes),
+                         PoolConfig((ForestSpec(5, 4), ForestSpec(4, 2))), seed=seed)
+    base = rng.randint(0, 3, size=(20, 3)).astype(np.float32)
+    samples = np.repeat(base, 3, axis=0)[rng.permutation(60)]
+    labels = ((samples[:, 0] + samples[:, 1]) % n_classes).astype(np.uint16)
+    flip = rng.rand(60) < 0.25
+    labels[flip] = rng.randint(0, n_classes, int(flip.sum()))
+    dsel = Dsel(samples, labels, correctness_matrix(pool, samples, labels))
+    queries = rng.randint(0, 3, size=(90, 3)).astype(np.float32)
+    return dsel, pool, queries
+
+
+class TestKNearest:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), m=st.integers(1, 15),
+           n_values=st.integers(1, 4))
+    def test_equals_stable_argsort(self, data, n, m, n_values):
+        cells = data.draw(st.lists(st.integers(0, n_values - 1), min_size=n * m,
+                                   max_size=n * m))
+        d2 = np.array(cells, dtype=np.float64).reshape(n, m)
+        k = data.draw(st.integers(1, m))
+        expect = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(_k_nearest(d2, k), expect)
+
+    def test_nan_and_inf_rows(self):
+        d2 = np.array([[np.nan, 1.0, np.nan, 0.0, np.inf],
+                       [np.inf, np.inf, 2.0, np.nan, np.inf]])
+        for k in range(1, 6):
+            expect = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(_k_nearest(d2, k), expect)
+
+    def test_zero_k(self):
+        assert _k_nearest(np.ones((3, 4)), 0).shape == (3, 0)
+
+
+class TestKnoraBatchTies:
+    def test_batch_matches_per_query_with_ties(self):
+        dsel, pool, queries = tie_heavy_case()
+        d2 = _kernels.pairwise_sqdist(queries, dsel.samples)
+        for k in (1, 2, 4, 7, dsel.n_samples):
+            kth = np.sort(d2, axis=1)[:, k - 1]
+            if k < dsel.n_samples:
+                # ties straddle the k-th neighbour: those rows take the
+                # full-sort branch of _k_nearest
+                assert ((d2 <= kth[:, None]).sum(axis=1) > k).any()
+            for batch_fn, single_fn in ((knora_u_batch, knora_u), (knora_e_batch, knora_e)):
+                labels, costs = batch_fn(dsel, pool, queries, k)
+                for i in range(queries.shape[0]):
+                    res = single_fn(dsel, pool, queries[i], k)
+                    assert (labels[i], costs[i]) == (res.label, res.cost), (batch_fn, k, i)
+
+    @pytest.mark.parametrize("batch_fn", [knora_u_batch, knora_e_batch])
+    def test_zero_queries(self, batch_fn):
+        dsel, pool, queries = tie_heavy_case()
+        labels, costs = batch_fn(dsel, pool, queries[:0], 7)
+        assert labels.shape == (0,) and costs.shape == (0,)
+
+    # crc32 of the little-endian int64 labels and costs, recorded from the
+    # batch paths that sorted every distance row and looped over queries
+    @pytest.mark.parametrize("batch_fn, k, label_crc, cost_crc", [
+        (knora_u_batch, 1, 0x0069B21D, 0x047B3ADD),
+        (knora_u_batch, 4, 0x5AD3CDE5, 0x8B36B8E8),
+        (knora_u_batch, 7, 0x4E0373E6, 0x8D0A84B4),
+        (knora_u_batch, 60, 0x69B28637, 0xE6710BDC),
+        (knora_e_batch, 1, 0x0069B21D, 0x047B3ADD),
+        (knora_e_batch, 4, 0x56216DF0, 0xCE3D1136),
+        (knora_e_batch, 7, 0x56216DF0, 0xCE3D1136),
+        (knora_e_batch, 60, 0x56216DF0, 0xCE3D1136),
+    ])
+    def test_golden(self, batch_fn, k, label_crc, cost_crc):
+        dsel, pool, queries = tie_heavy_case()
+        labels, costs = batch_fn(dsel, pool, queries, k)
+        assert zlib.crc32(labels.astype("<i8").tobytes()) == label_crc
+        assert zlib.crc32(costs.astype("<i8").tobytes()) == cost_crc
+
+
+class TestVoteRows:
+    def test_ties_and_zero_weights(self):
+        preds = np.array([[2, 1, 0], [3, 3, 1], [0, 1, 2]])
+        weights = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+        # row 0: classes 1 and 2 tie -> 1; row 1: 3 vs 1 tie -> 1; row 2: none -> 0
+        np.testing.assert_array_equal(vote_rows(preds, weights, 4), [1, 1, 0])
+
+    def test_matches_majority_vote(self):
+        rng = np.random.RandomState(3)
+        preds = rng.randint(0, 5, size=(40, 7))
+        weights = rng.randint(0, 4, size=(40, 7)).astype(np.float64)
+        weights[:, 0] += 1.0
+        labels = vote_rows(preds, weights, 5)
+        for i in range(preds.shape[0]):
+            assert labels[i] == majority_vote(preds[i], weights[i])[0]
+
+    def test_empty(self):
+        assert vote_rows(np.empty((0, 3), np.int64), np.empty((0, 3)), 4).shape == (0,)

@@ -12,8 +12,8 @@ from tinydes.errors import (CapacityError, ChecksumError, FormatError,
                             ModelCorruptError, ShapeError, TinyDesError)
 from tinydes.selection import (CompetenceModel, build_competence_model,
                                des_clustering_predict)
-from tinydes.tinyformat import (emit_static_source, export_tiny, load_tiny,
-                                tiny_predict)
+from tinydes.tinyformat import (_check_node_layout, emit_static_source,
+                                export_tiny, load_tiny, tiny_predict)
 from tinydes.trees import ClassifierPool, DecisionTree
 
 from conftest import build_pipeline, make_blobs
@@ -319,3 +319,9 @@ class TestEmitStaticSource:
         # manifest counts the 24-byte header and 6-byte directory entries;
         # the source stores offsets as wider integers. Allow that slack.
         assert abs(emitted - rom) <= 24 + 2 * e.pool_size + 3
+
+
+def test_node_layout_check_raises_typed_error():
+    _check_node_layout(np.dtype([("a", "<i2"), ("b", "<f4"), ("c", "<u2")]))
+    with pytest.raises(FormatError, match="9 bytes"):
+        _check_node_layout(np.dtype([("a", "<i2"), ("b", "<f4"), ("c", "<u2"), ("d", "u1")]))
