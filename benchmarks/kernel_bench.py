@@ -11,17 +11,21 @@
 #
 # (*) Measured with the earlier per-column numpy split loop. On a 2-vCPU
 #     Intel Xeon host with numpy 2.4 and Python 3.11, that loop takes about
-#     310 ms on this input and the current all-columns kernel about 130 ms.
+#     310 ms on this input, the all-columns kernel sorting float values about
+#     150 ms, and the current kernel sorting rank codes about 66 ms.
 #
 # Numpy backend alone (2-vCPU Intel Xeon, numpy 2.4, Python 3.11, BLAS and
 # OpenMP pinned to one thread):
 #
-#   best_split      30000x28           145 ms
-#   tree_walk       depth-10, 30000     14 ms
-#   assign_clusters 24000x784, k=5     244 ms
-#   pairwise_sqdist 5592x3000x64       244 ms   one KNORA distance chunk
-#   k_nearest       k=7 of 3000        139 ms   stable argsort top-7: 1295 ms
-#   tiny_infer      5000 probes        352 ms
+#   best_split      30000x28, uint16 keys    66 ms   float-value sort: 150 ms
+#   best_split      30000x28 pixels, uint8   53 ms   float-value sort: 128 ms
+#   rank_codes      1250x784 pixels          43 ms   once per pool
+#   sample_sorted_rows  128 x (28 of 784)   0.36 ms  128 per-node draws: 4.6 ms
+#   tree_walk       depth-10, 30000          22 ms
+#   assign_clusters 24000x784, k=5          291 ms
+#   pairwise_sqdist 5592x3000x64            268 ms   one KNORA distance chunk
+#   k_nearest       k=7 of 3000             179 ms   stable argsort top-7: 1467 ms
+#   tiny_infer      5000 probes             389 ms
 
 import time
 
@@ -29,7 +33,8 @@ import numpy as np
 
 from tinydes import _kernels
 from tinydes._kernels import (_assign_clusters_np, _best_split_np,
-                              _pairwise_sqdist_np, _tree_walk_np)
+                              _pairwise_sqdist_np, _tree_walk_np, rank_codes)
+from tinydes._rng import SplitMix64
 from tinydes.data import Dataset
 from tinydes.selection import _k_nearest
 from tinydes.tinyformat import export_tiny, load_tiny
@@ -57,11 +62,24 @@ n, f, classes = 30000, 784, 10
 X = rng.rand(n, f).astype(np.float32)
 y = rng.randint(0, classes, n).astype(np.int64)
 sub = np.ascontiguousarray(X[:, :28])
+keys = rank_codes(sub)
 
 print("== split search (30000 samples x 28 candidate features) ==")
 bench("best_split numba", lambda: _kernels._best_split_nb(sub, y, classes),
       numba_only=True)
-bench("best_split numpy", lambda: _best_split_np(sub, y, classes))
+bench("best_split numpy (uint16 keys)", lambda: _best_split_np(sub, y, classes, keys))
+px = rng.randint(0, 256, (30000, 28)).astype(np.float32)
+px_keys = rank_codes(px)
+bench("best_split numpy, pixels (uint8 keys)",
+      lambda: _best_split_np(px, y, classes, px_keys))
+
+# One pixels784 pool's training rows, and one block of train_tree's
+# candidate feature subsets.
+print("== pool set-up (1250 x 784 pixels; 128 subsets of 28 of 784) ==")
+pool_px = rng.randint(0, 256, (1250, 784)).astype(np.float32)
+bench("rank_codes", lambda: rank_codes(pool_px))
+stream = SplitMix64(5)
+bench("sample_sorted_rows", lambda: stream.sample_sorted_rows(784, 28, 128))
 
 print("== batch tree walk (one depth-10 tree, 30000 samples) ==")
 data = Dataset(X[:4000], y[:4000].astype(np.uint16), classes)

@@ -9,8 +9,8 @@ tie rules and the same arithmetic contract:
   * split scores are exact int64 class-count sums divided once in float64,
     so the two backends pick bit-identical splits. The numba kernel updates
     per-column counts row by row; the numpy kernel scores all candidate
-    columns at once from the class totals they share (see "Split search");
-    both compute the same integers;
+    columns at once from the class totals they share, in the order of
+    integer rank codes (see "Split search"); both compute the same integers;
   * tree walks compare float32 values against float32 thresholds;
   * distances square float32 differences and accumulate in float64.
 
@@ -57,35 +57,63 @@ def use_numba() -> bool:
 # across backends. Ties resolve to the smallest feature id, then the smallest
 # threshold.
 #
-# The numpy kernel scores every candidate column in one vectorized pass. All
-# columns partition the same rows, so they share the class totals T. Walk a
-# column in value order; if the row that ends a prefix has class y and r
-# earlier rows of the prefix also have class y, L_y grows from r to r+1 and
-# sum_c L_c^2 grows by 2r+1. Hence, per prefix,
+# The numpy kernel orders rows by integer keys, not by the float values.
+# ``rank_codes`` gives each column's dense ranks: equal values share a code
+# and codes order like the values, in the smallest unsigned dtype that holds
+# them (uint8 for pixel columns, uint16 up to 65 536 distinct values), which
+# numpy's stable argsort radix-sorts. Keys tie exactly where float32 values
+# compare equal (-0.0 == 0.0), and both sorts are stable, so the permutation
+# is the one a stable argsort of the values gives: every sorted label, count
+# and score is unchanged, and so is the order within runs of equal values.
+# Any keys that tie exactly where the values do and otherwise order like
+# them give the same bits; ``train_tree`` passes the pool's codes restricted
+# to a node's rows. Boundaries are masked on the sorted keys; the threshold's
+# two values are read from ``values`` through the same permutation.
+#
+# It scores every candidate column in one vectorized pass. All columns
+# partition the same rows, so they share the class totals T. Walk a column
+# in key order; if the row that ends a prefix has class y and r earlier rows
+# of the prefix also have class y, L_y grows from r to r+1 and sum_c L_c^2
+# grows by 2r+1. Hence, per prefix,
 #
 #   sum_c L_c^2       = cumsum(2r + 1)
 #   sum_c (T_c-L_c)^2 = sum_c T_c^2 - 2 cumsum(T[y]) + sum_c L_c^2
 #
 # Both are exact int64 identities, so every score equals, bit for bit, the
 # one a per-column class-count loop computes. For r, stably argsort each
-# column's value-ordered labels (a radix sort for uint8/uint16 labels). Class
+# column's key-ordered labels (a radix sort for uint8/uint16 labels). Class
 # c starts at start_c = cumsum(T)_c - T_c in every column, so the row at
 # class-sorted position k has r = k - start[class]. Memory is a few (m, n)
 # int64 arrays, with no (n, m, classes) one-hot. Prefixes that end inside a
-# run of equal values are masked; the order within such a run never changes
-# which rows lie left of a boundary.
+# run of equal keys are masked.
 # ---------------------------------------------------------------------------
 
 
-def _best_split_np(values, labels, n_classes):
+def rank_codes(X):
+    """Per-column dense ranks of the 2-D matrix ``X``.
+
+    Equal values share a code, and codes order like the values. The dtype is
+    the smallest unsigned type that holds the largest code.
+    """
+    xt = np.ascontiguousarray(np.asarray(X).T)
+    order = np.argsort(xt, axis=1)
+    sv = np.sort(xt, axis=1)  # equals xt along order: only tie order differs
+    ranks = np.zeros(xt.shape, dtype=np.int64)
+    np.cumsum(sv[:, 1:] != sv[:, :-1], axis=1, out=ranks[:, 1:])
+    codes = np.empty(xt.shape, dtype=np.min_scalar_type(int(ranks[:, -1].max())))
+    np.put_along_axis(codes, order, ranks, axis=1)
+    return np.ascontiguousarray(codes.T)
+
+
+def _best_split_np(values, labels, n_classes, keys):
     n, m = values.shape
     if n < 2:
         return -1, 0.0, -1.0, False
     total = np.bincount(labels, minlength=n_classes).astype(np.int64)
     cols = np.arange(m)[:, None]
-    vt = np.ascontiguousarray(values.T)  # one candidate column per row
-    order = np.argsort(vt, axis=1, kind="stable")
-    sv = vt[cols, order]
+    kt = np.ascontiguousarray(keys.T)  # one candidate column per row
+    order = np.argsort(kt, axis=1, kind="stable")
+    sk = kt[cols, order]
     ys = labels.astype(np.min_scalar_type(n_classes - 1))[order]
     by_class = np.argsort(ys, axis=1, kind="stable")
     start = np.cumsum(total) - total
@@ -99,13 +127,13 @@ def _best_split_np(values, labels, n_classes):
     score = sl[:, :-1] / nl
     score += sr[:, :-1] / (n - nl)
     # every real score is positive, so -1 marks non-boundaries
-    score[sv[:, :-1] == sv[:, 1:]] = -1.0
+    score[sk[:, :-1] == sk[:, 1:]] = -1.0
     # row-major argmax: smallest column first, then smallest threshold
     j, i = divmod(int(np.argmax(score)), n - 1)
     if score[j, i] < 0:
         return -1, 0.0, -1.0, False
-    v0 = sv[j, i]
-    v1 = sv[j, i + 1]
+    v0 = values[order[j, i], j]
+    v1 = values[order[j, i + 1], j]
     thr = np.float32((np.float64(v0) + np.float64(v1)) * 0.5)
     if thr >= v1:
         # f32 midpoint rounded up to the right value; fall back to the left
@@ -157,7 +185,8 @@ if _have_numba:
                     best_thr = thr
         return best_col, best_thr, best_score, best_col >= 0
 
-    def _best_split_dispatch(values, labels, n_classes):
+    def _best_split_dispatch(values, labels, n_classes, keys):
+        # the numba kernel sorts the values itself; keys only serve numpy
         col, thr, score, ok = _best_split_nb(values, labels, n_classes)
         return int(col), float(thr), float(score), bool(ok)
 

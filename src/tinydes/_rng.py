@@ -3,9 +3,18 @@
 All sampling (bootstraps, feature subsets, shuffles, k-means++ draws) goes
 through this generator so that the numba and numpy kernel backends consume
 byte-identical random streams. Integer arithmetic only; no numpy RNG state.
+
+The bulk draws are defined by the scalar ones: ``next_block(n)`` equals n
+``next()`` calls, row r of ``sample_sorted_rows`` is the r-th of that many
+sequential partial Fisher-Yates draws with one ``bounded`` call per pick,
+and ``shuffle`` is the classic Fisher-Yates loop with one ``bounded(i + 1)``
+per position, from the top. Both take all their bounds from one
+``next_block`` and leave the stream where the scalar loops would.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -45,8 +54,6 @@ class SplitMix64:
 
     def next_block(self, n: int):
         """n consecutive outputs as a uint64 array; identical to n next() calls."""
-        import numpy as np
-
         start = self.state
         self.state = (self.state + n * _GOLDEN) & MASK64
         steps = np.arange(1, n + 1, dtype=np.uint64)
@@ -65,21 +72,35 @@ class SplitMix64:
         return (self.next() >> 11) * (1.0 / (1 << 53))
 
     def shuffle(self, seq) -> None:
-        """In-place Fisher-Yates. Works on lists and 1-D numpy arrays."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.bounded(i + 1)
-            tmp = seq[i]
-            seq[i] = seq[j]
-            seq[j] = tmp
+        """In-place Fisher-Yates. Works on lists and 1-D numpy arrays.
 
-    def sample_sorted(self, n: int, m: int) -> list[int]:
-        """m distinct indices from range(n), returned ascending."""
+        Position i, from the top down, swaps with ``bounded(i + 1)``; the
+        bounds come from one block."""
+        n = len(seq)
+        if n < 2:
+            return
+        bounds = self.next_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        items = seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
+        for i, j in zip(range(n - 1, 0, -1), bounds.tolist()):
+            items[i], items[j] = items[j], items[i]
+        seq[:] = items
+
+    def sample_sorted_rows(self, n: int, m: int, count: int) -> np.ndarray:
+        """``count`` rows of m distinct indices from range(n), each ascending.
+
+        Row r equals the r-th of ``count`` sequential partial Fisher-Yates
+        draws: pick i swaps position i with ``i + bounded(n - i)``. When
+        m >= n every row is range(n) and nothing is drawn."""
         if m >= n:
-            return list(range(n))
-        idx = list(range(n))
+            return np.tile(np.arange(n, dtype=np.int64), (count, 1))
+        raw = self.next_block(count * m).reshape(count, m)
+        pick = (raw % np.arange(n, n - m, -1, dtype=np.uint64)).astype(np.int64)
+        pick += np.arange(m)
+        idx = np.tile(np.arange(n, dtype=np.int64), (count, 1))
+        rows = np.arange(count)
         for i in range(m):
-            j = i + self.bounded(n - i)
-            idx[i], idx[j] = idx[j], idx[i]
-        picked = idx[:m]
-        picked.sort()
-        return picked
+            j = pick[:, i]
+            held = idx[:, i].copy()
+            idx[:, i] = idx[rows, j]
+            idx[rows, j] = held
+        return np.sort(idx[:, :m], axis=1)

@@ -17,7 +17,8 @@ import numpy as np
 from ._rng import derive_seed
 from .cluster import fit_kmeans
 from .data import (Dataset, apply_standardizer, fit_standardizer,
-                   load_csv, load_idx, make_fold_plan, stratified_split)
+                   load_csv, load_idx, make_fold_plan, stratified_indices,
+                   stratified_split)
 from .errors import IoError, NondeterminismError, TinyDesError
 from .selection import (build_competence_model, build_dsel, des_clustering_batch,
                         knora_e_batch, knora_u_batch, pool_predictions,
@@ -230,8 +231,7 @@ def desk_scale_subset(d: Dataset, limit: int, seed: int) -> Dataset:
     """Class-stratified subset of about `limit` samples."""
     if d.n_samples <= limit:
         return d
-    part, _ = stratified_split(d, limit / d.n_samples, seed)
-    return part
+    return d.subset(stratified_indices(d, limit / d.n_samples, seed))
 
 
 def _method_key(method: str, params: str) -> str:

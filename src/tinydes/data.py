@@ -10,9 +10,11 @@ import csv
 import gzip
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from ._rng import SplitMix64, derive_seed
 from .errors import FormatError, IoError, ShapeError, StratificationError
 
@@ -53,6 +55,12 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def rank_codes(self) -> np.ndarray:
+        """Per-feature dense ranks of ``features`` (see ``_kernels.rank_codes``),
+        the split-search sort keys. Computed once; features are read-only."""
+        return _kernels.rank_codes(self.features)
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -238,9 +246,9 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def stratified_split(d: Dataset, fraction: float, seed: int):
-    """Split into two class-stratified parts; the first receives
-    round-half-up(fraction * class_count) samples of each class."""
+def stratified_indices(d: Dataset, fraction: float, seed: int) -> np.ndarray:
+    """Ascending row indices of the first part of :func:`stratified_split`:
+    round-half-up(fraction * class_count) seeded picks of each class."""
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     first_sel = []
@@ -255,7 +263,13 @@ def stratified_split(d: Dataset, fraction: float, seed: int):
         perm = idx.copy()
         rng.shuffle(perm)
         first_sel.append(perm[:take])
-    first = np.sort(np.concatenate(first_sel)) if first_sel else np.empty(0, dtype=np.int64)
+    return np.sort(np.concatenate(first_sel)) if first_sel else np.empty(0, dtype=np.int64)
+
+
+def stratified_split(d: Dataset, fraction: float, seed: int):
+    """Split into two class-stratified parts; the first receives
+    round-half-up(fraction * class_count) samples of each class."""
+    first = stratified_indices(d, fraction, seed)
     mask = np.zeros(d.n_samples, dtype=bool)
     mask[first] = True
     second = np.nonzero(~mask)[0]

@@ -20,6 +20,7 @@ from .errors import CapacityError, ModelCorruptError
 from .data import Dataset
 
 LEAF = -1
+_CAND_BLOCK = 128  # candidate feature subsets drawn per block
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,20 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
     if idx0.size == 0:
         raise ValueError("sample_indices must be non-empty")
     X = data.features
+    # flat views: a node's candidate cells are gathered by one 1-D take,
+    # which is several times faster than 2-D fancy indexing at large nodes
+    x_flat = X.reshape(-1)
+    codes_flat = data.rank_codes.reshape(-1)
     y_all = data.labels.astype(np.int64)
     n_classes = data.n_classes
     rng = SplitMix64(rng_seed)
+
+    def candidate_rows():
+        # rows drawn past the last node are never used; the stream is private
+        while True:
+            yield from rng.sample_sorted_rows(data.n_features, max_features, _CAND_BLOCK)
+
+    candidates = candidate_rows()
 
     feat_out: list[int] = []
     thr_out: list[float] = []
@@ -151,9 +163,10 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
         if depth >= max_depth or counts[majority] == idx.size:
             emit(LEAF, 0.0, majority)
             return
-        cands = rng.sample_sorted(data.n_features, max_features)
-        sub = X[idx[:, None], cands]
-        col, thr, score, found = _kernels.best_split(sub, y, n_classes)
+        cands = next(candidates)
+        cells = cands[:, None] + idx * data.n_features  # one candidate per row
+        col, thr, score, found = _kernels.best_split(x_flat.take(cells).T, y, n_classes,
+                                                     codes_flat.take(cells).T)
         if found:
             parent_score = float(np.square(counts.astype(np.int64)).sum()) / idx.size
             if score <= parent_score:
@@ -161,7 +174,7 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
         if not found:
             emit(LEAF, 0.0, majority)
             return
-        feature = cands[col]
+        feature = int(cands[col])
         mask = X[idx, feature] <= np.float32(thr)
         left, right = idx[mask], idx[~mask]
         pos = emit(feature, thr, 0)

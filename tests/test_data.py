@@ -1,12 +1,17 @@
 import gzip
+import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinydes.data import (Dataset, Standardizer, apply_standardizer,
                           fit_standardizer, invert_standardizer, load_csv,
-                          load_idx, make_fold_plan, stratified_split)
+                          load_idx, make_fold_plan, stratified_indices,
+                          stratified_split)
 from tinydes.errors import FormatError, ShapeError, StratificationError
 
 
@@ -273,3 +278,105 @@ class TestDatasetInvariants:
         d = Dataset(np.zeros((2, 1), np.float32), np.array([0, 1], np.uint16), 2)
         with pytest.raises(ValueError):
             d.features[0, 0] = 1.0
+
+
+def row_id_dataset(labels, n_classes):
+    """One feature holding the row index, so a part's features name its rows."""
+    n = len(labels)
+    return Dataset(np.arange(n, dtype=np.float32).reshape(n, 1),
+                   np.asarray(labels, np.uint16), n_classes)
+
+
+@st.composite
+def class_layouts(draw, min_count):
+    """Labels with every present class at least ``min_count`` strong, some
+    classes absent, in a drawn order."""
+    counts = draw(st.lists(st.one_of(st.just(0), st.integers(min_count, 40)),
+                           min_size=1, max_size=5).filter(any))
+    labels = [c for c, k in enumerate(counts) for _ in range(k)]
+    return draw(st.permutations(labels)), len(counts)
+
+
+def row_ids(part):
+    return part.features[:, 0].astype(np.int64)
+
+
+class TestSplitProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(layout=class_layouts(2), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**64 - 1))
+    def test_stratified_split_invariants(self, layout, fraction, seed):
+        labels, n_classes = layout
+        d = row_id_dataset(labels, n_classes)
+        n = len(labels)
+        ia = stratified_indices(d, fraction, seed)
+        ib = np.setdiff1d(np.arange(n), ia)
+        assert (np.diff(ia) > 0).all() and ia.dtype == np.int64
+        counts = np.bincount(d.labels, minlength=n_classes)
+        taken = np.bincount(d.labels[ia], minlength=n_classes)
+        for cls, cnt in enumerate(counts.tolist()):
+            assert taken[cls] == min(math.floor(fraction * cnt + 0.5), cnt)
+        if ia.size == 0 or ib.size == 0:
+            with pytest.raises(ShapeError):  # a Dataset has at least one row
+                stratified_split(d, fraction, seed)
+            return
+        a, b = stratified_split(d, fraction, seed)
+        np.testing.assert_array_equal(row_ids(a), ia)
+        np.testing.assert_array_equal(row_ids(b), ib)
+        np.testing.assert_array_equal(a.labels, d.labels[ia])
+        np.testing.assert_array_equal(b.labels, d.labels[ib])
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), n_splits=st.integers(2, 6), n_repeats=st.integers(1, 3),
+           seed=st.integers(0, 2**64 - 1))
+    def test_fold_plan_invariants(self, data, n_splits, n_repeats, seed):
+        labels, n_classes = data.draw(class_layouts(n_splits))
+        d = row_id_dataset(labels, n_classes)
+        plan = make_fold_plan(d, n_splits, n_repeats, seed)
+        counts = np.bincount(d.labels, minlength=n_classes)
+        n = len(labels)
+        for r in range(n_repeats):
+            a = plan.assignments[r]
+            assert a.max() < n_splits
+            sizes = np.bincount(a, minlength=n_splits)
+            assert sizes.sum() == n and sizes.max() - sizes.min() <= 1
+            assert (np.abs(sizes - n / n_splits) < 1).all()
+            for f in range(n_splits):
+                train, test = plan.train_test_indices(r, f)
+                assert np.union1d(train, test).tolist() == list(range(n))
+                assert train.size + test.size == n
+                per_class = np.bincount(d.labels[test], minlength=n_classes)
+                assert (np.abs(per_class - counts / n_splits) < 1).all()
+
+
+def labelled_rows(n, n_classes, seed):
+    rng = np.random.RandomState(seed)
+    labels = rng.randint(0, n_classes, n)
+    labels[:2 * n_classes] = np.arange(2 * n_classes) % n_classes
+    return row_id_dataset(labels, n_classes)
+
+
+def crc(a):
+    return zlib.crc32(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+
+
+class TestGoldenIndices:
+    """crc32 pins of split and fold-plan indices, recorded before the shuffle
+    drew its bounds in one block: any change to a seeded permutation shows."""
+
+    @pytest.mark.parametrize("n, n_classes, seed, fraction, split_seed, first, second", [
+        (37, 3, 1, 0.4, 7, 0x7C8FD986, 0x685486FB),
+        (600, 5, 2, 0.5, 11, 0xC3B4EC89, 0xDEF45A95),
+        (5000, 10, 3, 0.3, 12345, 0x56D48A04, 0x19517EAD),
+    ])
+    def test_stratified_split(self, n, n_classes, seed, fraction, split_seed, first, second):
+        a, b = stratified_split(labelled_rows(n, n_classes, seed), fraction, split_seed)
+        assert (crc(row_ids(a)), crc(row_ids(b))) == (first, second)
+
+    @pytest.mark.parametrize("n, n_classes, seed, n_splits, n_repeats, plan_seed, pin", [
+        (83, 4, 4, 4, 3, 5, 0xD15ED54F),
+        (600, 5, 5, 5, 2, 21, 0xDA78A478),
+        (5000, 10, 6, 2, 1, 9, 0xCE31F4B4),
+    ])
+    def test_fold_plan(self, n, n_classes, seed, n_splits, n_repeats, plan_seed, pin):
+        plan = make_fold_plan(labelled_rows(n, n_classes, seed), n_splits, n_repeats, plan_seed)
+        assert crc(plan.assignments) == pin

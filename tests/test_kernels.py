@@ -6,7 +6,8 @@ import pytest
 from tinydes import _kernels
 from tinydes._kernels import (_assign_clusters_np, _best_split_np,
                               _both_wrong_counts_np, _cluster_means_np,
-                              _pairwise_sqdist_np, _tiny_infer_np, _tree_walk_np)
+                              _pairwise_sqdist_np, _tiny_infer_np, _tree_walk_np,
+                              rank_codes)
 from tinydes.data import Dataset
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool
 
@@ -26,7 +27,7 @@ class TestBestSplit:
         for seed in range(20):
             X, y, classes = random_case(seed, n=150, f=6)
             a = _kernels._best_split_nb(X, y, classes)
-            b = _best_split_np(X, y, classes)
+            b = _best_split_np(X, y, classes, rank_codes(X))
             assert (int(a[0]), bool(a[3])) == (b[0], b[3])
             assert float(a[1]) == b[1]
             assert float(a[2]) == b[2]
@@ -35,7 +36,7 @@ class TestBestSplit:
         X = np.ones((10, 3), np.float32)
         y = np.arange(10, dtype=np.int64) % 2
         a = _kernels._best_split_nb(X, y, 2)
-        b = _best_split_np(X, y, 2)
+        b = _best_split_np(X, y, 2, rank_codes(X))
         assert not a[3] and not b[3]
 
 

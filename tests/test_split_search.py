@@ -1,7 +1,9 @@
 """Exact split search: the numpy kernel against two independent oracles.
 
 Unlike ``test_kernels.py`` these tests need no numba; they pin the numpy
-kernel, which is the backend that runs wherever numba is absent.
+kernel, which is the backend that runs wherever numba is absent. The kernel
+sorts rows by integer keys; ``split`` passes the values' rank codes, as
+``train_tree`` does, and the oracles sort the float values themselves.
 """
 
 import struct
@@ -11,13 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinydes._kernels import _best_split_np
+from tinydes._kernels import _best_split_np, rank_codes
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool
 
 from test_trees import exhaustive_best_split
 
 NOT_FOUND = (-1, 0.0, -1.0, False)
+
+
+def split(values, labels, n_classes):
+    return _best_split_np(values, labels, n_classes, rank_codes(values))
 
 
 def per_column_best_split(values, labels, n_classes):
@@ -85,7 +91,7 @@ class TestAgainstPerColumnLoop:
     def test_pixel_like_inputs(self, n):
         for seed in range(3):
             values, labels, c = pixel_case(seed * 1000 + n, n)
-            assert bits(_best_split_np(values, labels, c)) == \
+            assert bits(split(values, labels, c)) == \
                 bits(per_column_best_split(values, labels, c))
 
     def test_continuous_inputs(self):
@@ -93,7 +99,7 @@ class TestAgainstPerColumnLoop:
         for n in (5, 60, 700):
             values = rng.randn(n, 9).astype(np.float32)
             labels = rng.randint(0, 4, n).astype(np.int64)
-            assert bits(_best_split_np(values, labels, 4)) == \
+            assert bits(split(values, labels, 4)) == \
                 bits(per_column_best_split(values, labels, 4))
 
     def test_more_than_256_classes(self):
@@ -101,7 +107,7 @@ class TestAgainstPerColumnLoop:
         n, c = 900, 300
         labels = rng.randint(0, c, n).astype(np.int64)
         values = (rng.randint(0, 50, (n, 6)) + (labels[:, None] % 7 == 0) * 20).astype(np.float32)
-        got = _best_split_np(values, labels, c)
+        got = split(values, labels, c)
         assert got[3]
         assert bits(got) == bits(per_column_best_split(values, labels, c))
 
@@ -110,7 +116,7 @@ class TestAgainstExhaustive:
     def test_small_pixel_like_inputs(self):
         for seed in range(6):
             values, labels, c = pixel_case(seed, 60, m=5, n_classes=4)
-            assert bits(_best_split_np(values, labels, c)) == \
+            assert bits(split(values, labels, c)) == \
                 bits(from_exhaustive(exhaustive_best_split(values, labels, c)))
 
     @settings(max_examples=150, deadline=None)
@@ -122,33 +128,87 @@ class TestAgainstExhaustive:
         labels = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
         values = np.array(cells, dtype=np.float32).reshape(n, m)
         y = np.array(labels, dtype=np.int64)
-        got = bits(_best_split_np(values, y, n_classes))
+        got = bits(split(values, y, n_classes))
         assert got == bits(from_exhaustive(exhaustive_best_split(values, y, n_classes)))
         assert got == bits(per_column_best_split(values, y, n_classes))
+
+
+class TestKeys:
+    """Any keys that order strictly like the values give the same bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60), m=st.integers(1, 5),
+           n_classes=st.integers(1, 4), n_values=st.integers(1, 8))
+    def test_order_consistent_keys_same_bits(self, data, n, m, n_classes, n_values):
+        cells = data.draw(st.lists(st.integers(0, n_values - 1), min_size=n * m,
+                                   max_size=n * m))
+        labels = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+        values = (np.array(cells, dtype=np.float32).reshape(n, m) - 2) * np.float32(0.37)
+        y = np.array(labels, dtype=np.int64)
+        codes = rank_codes(values)
+        spread = codes.astype(np.uint32) * 3 + 7
+        got = bits(_best_split_np(values, y, n_classes, codes))
+        assert got == bits(_best_split_np(values, y, n_classes, spread))
+        assert got == bits(per_column_best_split(values, y, n_classes))
+
+    def test_pool_wide_codes_of_node_rows(self):
+        # train_tree passes codes ranked over all rows, not just the node's
+        values, labels, c = pixel_case(4, 900)
+        codes = rank_codes(values)
+        node = np.arange(0, 900, 3)
+        assert bits(_best_split_np(values[node], labels[node], c, codes[node])) == \
+            bits(per_column_best_split(values[node], labels[node], c))
+
+
+class TestRankCodes:
+    def test_dense_ranks_per_column(self):
+        values = np.array([[2.5, 7], [-1, 7], [2.5, -3], [9, 0]], np.float32)
+        np.testing.assert_array_equal(rank_codes(values), [[1, 2], [0, 2], [1, 0], [2, 1]])
+
+    def test_signed_zeros_share_a_code(self):
+        values = np.array([[0.0], [-0.0], [1.0], [-0.0], [-1.0]], np.float32)
+        assert rank_codes(values)[:, 0].tolist() == [1, 1, 2, 1, 0]
+
+    @pytest.mark.parametrize("distinct, dtype", [(1, np.uint8), (256, np.uint8),
+                                                 (257, np.uint16), (65536, np.uint16),
+                                                 (65537, np.uint32)])
+    def test_smallest_dtype(self, distinct, dtype):
+        col = np.arange(distinct, dtype=np.float32)[::-1] - 1000
+        values = np.stack([col, np.zeros_like(col)], axis=1)
+        codes = rank_codes(values)
+        assert codes.dtype == dtype
+        assert codes[:, 0].tolist() == list(range(distinct))[::-1]
+        assert not codes[:, 1].any()
+
+    def test_dataset_caches_codes(self):
+        d = Dataset(np.array([[3, 1], [1, 1], [2, 0]], np.float32),
+                    np.array([0, 1, 0], np.uint16), 2)
+        assert d.rank_codes is d.rank_codes
+        np.testing.assert_array_equal(d.rank_codes, [[2, 1], [0, 1], [1, 0]])
 
 
 class TestEdgeCases:
     def test_single_row(self):
         values = np.array([[1.0, 2.0]], np.float32)
-        assert _best_split_np(values, np.array([0]), 2) == NOT_FOUND
+        assert split(values, np.array([0]), 2) == NOT_FOUND
 
     def test_constant_columns(self):
         values = np.full((12, 4), 3.5, np.float32)
         labels = np.arange(12, dtype=np.int64) % 3
-        assert _best_split_np(values, labels, 3) == NOT_FOUND
+        assert split(values, labels, 3) == NOT_FOUND
 
     def test_constant_columns_skipped(self):
         values = np.full((8, 3), 2.0, np.float32)
         values[:, 2] = np.arange(8)
         labels = (np.arange(8) >= 4).astype(np.int64)
-        assert bits(_best_split_np(values, labels, 2)) == bits((2, 3.5, 8.0, True))
+        assert bits(split(values, labels, 2)) == bits((2, 3.5, 8.0, True))
 
     def test_duplicate_columns_smallest_feature(self):
         rng = np.random.RandomState(2)
         labels = rng.randint(0, 2, 50).astype(np.int64)
         signal = (labels * 3 + rng.randint(0, 3, 50)).astype(np.float32)
         values = np.stack([rng.randint(0, 2, 50), signal, signal], axis=1).astype(np.float32)
-        got = _best_split_np(values, labels, 2)
+        got = split(values, labels, 2)
         assert got[0] == 1
         assert bits(got) == bits(per_column_best_split(values, labels, 2))
 
@@ -156,7 +216,7 @@ class TestEdgeCases:
         # thresholds 0.5 and 2.5 score the same (1/1 + 5/3); 0.5 must win
         values = np.array([[0], [1], [2], [3]], np.float32)
         labels = np.array([0, 1, 1, 0], np.int64)
-        col, thr, score, found = _best_split_np(values, labels, 2)
+        col, thr, score, found = split(values, labels, 2)
         assert (col, thr, found) == (0, 0.5, True)
         assert score == 1 / 1 + 5 / 3
 
@@ -167,7 +227,7 @@ class TestEdgeCases:
         assert np.float32((np.float64(v0) + np.float64(v1)) * 0.5) == v1
         values = np.array([[v0], [v0], [v1], [v1]], np.float32)
         labels = np.array([0, 0, 1, 1], np.int64)
-        col, thr, score, found = _best_split_np(values, labels, 2)
+        col, thr, score, found = split(values, labels, 2)
         assert found and col == 0 and np.float32(thr) == v0
         assert ((values[:, 0] <= np.float32(thr)) == (labels == 0)).all()
 
