@@ -7,7 +7,6 @@
 #   best_split      30000x28           numba  88 ms    numpy 300 ms (*)
 #   tree_walk       depth-10, 30000    numba   2 ms    numpy   8 ms
 #   assign_clusters 24000x784, k=5     numba  53 ms    numpy 208 ms
-#   tiny_infer      5000 probes        numba  42 ms
 #
 # (*) Measured with the earlier per-column numpy split loop. On a 2-vCPU
 #     Intel Xeon host with numpy 2.4 and Python 3.11, that loop takes about
@@ -25,7 +24,8 @@
 #   assign_clusters 24000x784, k=5          291 ms
 #   pairwise_sqdist 5592x3000x64            268 ms   one KNORA distance chunk
 #   k_nearest       k=7 of 3000             179 ms   stable argsort top-7: 1467 ms
-#   tiny_infer      5000 probes             389 ms
+#   load_tiny       31 KB model, J=5       0.13 ms
+#   tiny_infer      5000 probes             169 ms   numpy-scalar walk: 281 ms
 
 import time
 
@@ -108,7 +108,6 @@ bench("stable argsort top-7 (full sort)",
       lambda: np.argsort(d2, axis=1, kind="stable")[:, :7], reps=3)
 del d2
 
-print("== compact-engine inference (5000 probes) ==")
 from tinydes.cluster import fit_kmeans
 from tinydes.data import fit_standardizer, apply_standardizer
 from tinydes.selection import build_competence_model, build_dsel
@@ -123,6 +122,7 @@ cm = build_competence_model(dsel, km, 8, 5)
 blob, _ = export_tiny(s, cm, pool)
 engine = load_tiny(blob)
 probes = X[:5000]
+print(f"== compact engine ({len(blob)}-byte model; 5000 probes) ==")
 
 
 def run_engine():
@@ -130,8 +130,5 @@ def run_engine():
         engine.predict(probes[i])
 
 
-bench(f"tiny_infer {_kernels.BACKEND} (5000 probes)", run_engine, reps=3)
-
-if NUMBA:
-    print()
-    print("re-run with TINYDES_BACKEND=numpy to time the fallback engine")
+bench("load_tiny", lambda: load_tiny(blob), reps=50)
+bench("tiny_infer (5000 probes)", run_engine, reps=3)

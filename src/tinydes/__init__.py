@@ -1,5 +1,5 @@
 """Clustering-based dynamic ensemble selection with a compact binary model
-format and a fixed-memory inference engine.
+format, a Python inference engine and a fixed-memory C89 emitter.
 
 Numeric hot paths run numba-jitted by default; set ``TINYDES_BACKEND=numpy``
 before import for the pure-numpy fallback.

@@ -1,10 +1,11 @@
 """Hot numeric kernels with two interchangeable backends.
 
-Every kernel exists twice: a numba ``@njit`` version (``*_nb``) and a
-vectorized numpy version (``*_np``). The active backend is chosen once at
-import from the ``TINYDES_BACKEND`` environment variable (``numba`` or
-``numpy``; default numba when importable). Both backends follow the same
-tie rules and the same arithmetic contract:
+Every batch kernel exists twice: a numba ``@njit`` version (``*_nb``) and a
+vectorized numpy version (``*_np``). The engine's per-probe ``tiny_infer``
+exists once, in plain Python (see "Compact-engine inference"). The active
+backend is chosen once at import from the ``TINYDES_BACKEND`` environment
+variable (``numba`` or ``numpy``; default numba when importable). Both
+backends follow the same tie rules and the same arithmetic contract:
 
   * split scores are exact int64 class-count sums divided once in float64,
     so the two backends pick bit-identical splits. The numba kernel updates
@@ -426,100 +427,41 @@ else:
 
 
 # ---------------------------------------------------------------------------
-# Compact-engine inference over the flat model arrays. The numba version
-# writes only into caller-provided scratch; it allocates nothing.
+# Compact-engine inference, one probe at a time. The per-probe cost is Python
+# overhead, not arithmetic, so the walk reads Python lists that ``load_tiny``
+# builds once: a Python float holds a float32 value exactly, so each
+# comparison is float32's, and no numpy scalar is indexed per node. A kernel
+# over Python lists has no numba twin.
 # ---------------------------------------------------------------------------
 
 
-def _tiny_infer_np(x, mean, inv_std, centroids, ensembles, dir_off, dir_cnt,
-                   feat, thr, jump, sx, votes):
-    np.subtract(x, mean, out=sx)
-    np.multiply(sx, inv_std, out=sx)
-    k = centroids.shape[0]
-    best = np.inf
-    bid = 0
-    with np.errstate(over="ignore"):  # f32 squares may saturate to inf, like numba
-        for c in range(k):
-            d = sx - centroids[c]
-            acc = float(np.square(d).sum(dtype=np.float64))
-            if acc < best:
-                best = acc
-                bid = c
-    votes[:] = 0
+def tiny_infer(x, mean, inv_std, centroids, roots, feat, thr, jump, sx, votes):
+    """Standardize ``x`` into ``sx``, pick the nearest centroid, walk that
+    cluster's trees and vote into ``votes``; returns (label, cost).
+
+    ``roots[c]`` lists the first node of each tree of cluster c. ``feat``,
+    ``thr`` and ``jump`` are the node columns as lists: a node is a leaf when
+    its feature is negative, and its jump is then the class; otherwise the
+    right child sits ``jump`` nodes after its tree's first node. Distances
+    are float32 squares summed in float64, ties to the smallest cluster (a
+    NaN probe goes to cluster 0); votes tie to the smallest class. Cost =
+    nodes visited + k.
+    """
+    with np.errstate(over="ignore"):  # f32 values may saturate to inf, as in C
+        np.subtract(x, mean, out=sx)
+        np.multiply(sx, inv_std, out=sx)
+        cluster = np.square(sx - centroids).sum(axis=1, dtype=np.float64).argmin()
+    xs = sx.tolist()
+    for c in range(len(votes)):
+        votes[c] = 0
     visits = 0
-    for t in ensembles[bid]:
-        base = int(dir_off[t])
-        pos = 0
-        while True:
+    trees = roots[cluster]
+    for base in trees:
+        pos = base
+        f = feat[pos]
+        while f >= 0:
+            pos = pos + 1 if xs[f] <= thr[pos] else base + jump[pos]
+            f = feat[pos]
             visits += 1
-            f = feat[base + pos]
-            if f < 0:
-                votes[jump[base + pos]] += 1
-                break
-            if sx[f] <= thr[base + pos]:
-                pos += 1
-            else:
-                pos = int(jump[base + pos])
-    lab = 0
-    bestv = -1
-    for c in range(votes.shape[0]):
-        if votes[c] > bestv:
-            bestv = int(votes[c])
-            lab = c
-    return lab, visits + k
-
-
-if _have_numba:
-
-    @njit(cache=True)
-    def _tiny_infer_nb(x, mean, inv_std, centroids, ensembles, dir_off, dir_cnt,
-                       feat, thr, jump, sx, votes):  # pragma: no cover - jitted
-        nf = x.shape[0]
-        for i in range(nf):
-            c0 = x[i] - mean[i]
-            sx[i] = c0 * inv_std[i]
-        k = centroids.shape[0]
-        best = np.inf
-        bid = 0
-        for c in range(k):
-            acc = 0.0
-            for i in range(nf):
-                d = sx[i] - centroids[c, i]
-                acc += d * d
-            if acc < best:
-                best = acc
-                bid = c
-        nc = votes.shape[0]
-        for c in range(nc):
-            votes[c] = 0
-        visits = 0
-        nj = ensembles.shape[1]
-        for jj in range(nj):
-            t = ensembles[bid, jj]
-            base = np.int64(dir_off[t])
-            pos = np.int64(0)
-            while True:
-                visits += 1
-                f = feat[base + pos]
-                if f < 0:
-                    votes[jump[base + pos]] += 1
-                    break
-                if sx[f] <= thr[base + pos]:
-                    pos += 1
-                else:
-                    pos = np.int64(jump[base + pos])
-        lab = 0
-        bestv = -1
-        for c in range(nc):
-            if votes[c] > bestv:
-                bestv = np.int64(votes[c])
-                lab = c
-        return lab, visits + k
-
-    def _tiny_infer_dispatch(*args):
-        lab, cost = _tiny_infer_nb(*args)
-        return int(lab), int(cost)
-
-    tiny_infer = _tiny_infer_dispatch
-else:
-    tiny_infer = _tiny_infer_np
+        votes[jump[pos]] += 1
+    return votes.index(max(votes)), visits + len(trees) + centroids.shape[0]

@@ -400,7 +400,8 @@ def measure_inference(engine, probes: Dataset, warmup: int = 1, reps: int = 3):
     """Per-probe wall-clock and deterministic cost for a loaded tiny engine.
 
     Runs `warmup` untimed passes, then `reps` timed passes. The cost metric
-    must be identical across reps; wall-clock of course is not.
+    must be identical across reps; wall-clock of course is not. Wall-clock
+    mean, std, p50 and p99 are over every timed probe of every rep.
     """
     if probes.n_samples == 0:
         raise IoError("no probes to measure")
@@ -423,9 +424,12 @@ def measure_inference(engine, probes: Dataset, warmup: int = 1, reps: int = 3):
         elif (costs != ref_costs).any():
             raise NondeterminismError("cost metric varied across reps")
     walls_arr = np.array(walls)
+    p50, p99 = np.percentile(walls_arr, [50, 99])
     return {
         "mean_wall_s": float(walls_arr.mean()),
         "std_wall_s": float(walls_arr.std()),
+        "p50_wall_s": float(p50),
+        "p99_wall_s": float(p99),
         "mean_cost": float(ref_costs.mean()),
         "std_cost": float(ref_costs.std()),
         "n_probes": n,

@@ -270,6 +270,10 @@ def stratified_split(d: Dataset, fraction: float, seed: int):
     """Split into two class-stratified parts; the first receives
     round-half-up(fraction * class_count) samples of each class."""
     first = stratified_indices(d, fraction, seed)
+    if first.size in (0, d.n_samples):
+        counts = np.bincount(d.labels, minlength=d.n_classes).tolist()
+        raise StratificationError(
+            f"fraction {fraction} of class counts {counts} leaves a part with no samples")
     mask = np.zeros(d.n_samples, dtype=bool)
     mask[first] = True
     second = np.nonzero(~mask)[0]

@@ -1,4 +1,4 @@
-"""Compact flat-binary model (.tdes), fixed-memory interpreter, C89 emitter.
+"""Compact flat-binary model (.tdes), its Python engine, C89 emitter.
 
 File layout, little-endian throughout (see docs/FORMAT.md for a worked hex
 example):
@@ -137,7 +137,15 @@ def export_tiny(s: Standardizer, cm: CompetenceModel, pool: ClassifierPool):
 
 @dataclass
 class TinyEngine:
-    """Loaded model view plus preallocated scratch; one engine per thread."""
+    """Loaded model view plus preallocated scratch; one engine per thread.
+
+    The numpy arrays hold the model's sections, which ``emit_static_source``
+    and ``inspect`` read. ``load_tiny`` also derives, once, the tables that
+    each probe walks, as Python lists: ``walk_feature``, ``walk_threshold``
+    (each float32 as the Python float of equal value) and ``walk_jump`` per
+    node record, and ``cluster_roots``, the first node of each of a
+    cluster's J trees. A probe then indexes no numpy scalar.
+    """
 
     n_features: int
     n_classes: int
@@ -149,12 +157,15 @@ class TinyEngine:
     centroids: np.ndarray
     ensembles: np.ndarray
     dir_offset: np.ndarray
-    dir_count: np.ndarray
     node_feature: np.ndarray
     node_threshold: np.ndarray
     node_jump: np.ndarray
+    walk_feature: list
+    walk_threshold: list
+    walk_jump: list
+    cluster_roots: list
     scratch_x: np.ndarray
-    scratch_votes: np.ndarray
+    scratch_votes: list
 
     def predict(self, raw_x):
         return tiny_predict(self, raw_x)
@@ -221,27 +232,53 @@ def load_tiny(data: bytes) -> TinyEngine:
     jump = np.ascontiguousarray(nodes["right_jump"])
     if not np.isfinite(thr).all():
         raise ModelCorruptError("non-finite node threshold")
-    for t in range(pool_size):
-        lo, cnt = int(dir_off[t]), int(dir_cnt[t])
-        tf = feat[lo : lo + cnt]
-        tj = jump[lo : lo + cnt].astype(np.int64)
-        internal = tf >= 0
-        if (tf[internal] >= nf).any():
-            raise ModelCorruptError(f"tree {t}: feature index out of range")
-        pos_idx = np.nonzero(internal)[0]
-        if ((tj[pos_idx] <= pos_idx) | (tj[pos_idx] >= cnt)).any():
-            raise ModelCorruptError(f"tree {t}: right-child jump violates preorder")
-        if (tj[~internal] >= n_classes).any():
-            raise ModelCorruptError(f"tree {t}: leaf class out of range")
+    _check_trees(feat, jump, dir_off, dir_cnt, nf, n_classes)
 
     return TinyEngine(
         n_features=nf, n_classes=n_classes, pool_size=pool_size, k=k, j=j,
         mean=mean, inv_std=inv_std, centroids=centroids, ensembles=ensembles,
-        dir_offset=dir_off, dir_count=dir_cnt,
-        node_feature=feat, node_threshold=thr, node_jump=jump,
+        dir_offset=dir_off, node_feature=feat, node_threshold=thr, node_jump=jump,
+        walk_feature=feat.tolist(), walk_threshold=thr.tolist(), walk_jump=jump.tolist(),
+        cluster_roots=dir_off[ensembles].tolist(),
         scratch_x=np.empty(nf, dtype=np.float32),
-        scratch_votes=np.zeros(n_classes, dtype=np.uint16),
+        scratch_votes=[0] * n_classes,
     )
+
+
+def _check_trees(feat, jump, dir_off, dir_cnt, nf, n_classes) -> None:
+    """Raise for the first tree, in directory order, with a faulty node: an
+    internal node's feature >= nf, else a right-child jump outside
+    (position in the tree, node count), else a leaf class >= n_classes.
+
+    Directory ranges may overlap or leave gaps, so each fault is taken as a
+    maximum over each tree's node range: one ``maximum.reduceat`` per column
+    over the (start, end) bounds, in memory proportional to the node pool,
+    whatever the ranges add up to. An internal node g of the tree at ``off``
+    needs g - off < jump, that is g + 1 - jump <= off.
+    """
+    n = feat.shape[0]
+    internal = feat >= 0
+    # one spare entry per column: a tree may end at n, and reduceat needs index n
+    code = np.zeros(n + 1, dtype=np.int8)  # 2: feature out of range, 1: leaf class
+    back = np.zeros(n + 1, dtype=np.int64)  # g + 1 - jump at internal nodes
+    fwd = np.zeros(n + 1, dtype=np.int64)  # jump at internal nodes
+    np.multiply(feat >= nf, 2, out=code[:-1])
+    code[:-1] += (jump >= n_classes) & ~internal
+    np.subtract(np.arange(1, n + 1), jump, out=back[:-1])
+    back[:-1] *= internal
+    np.multiply(jump, internal, out=fwd[:-1])
+    # even segments are the trees; odd ones, from a tree's end to the next
+    # tree's start, are discarded
+    bounds = np.column_stack((dir_off, dir_off + dir_cnt)).ravel()
+    code, back, fwd = (np.maximum.reduceat(a, bounds)[::2] for a in (code, back, fwd))
+    bad_jump = (back > dir_off) | (fwd >= dir_cnt)
+    failing = np.flatnonzero(code | bad_jump)
+    if failing.size:
+        t = failing[0]
+        what = ("feature index out of range" if code[t] == 2
+                else "right-child jump violates preorder" if bad_jump[t]
+                else "leaf class out of range")
+        raise ModelCorruptError(f"tree {t}: {what}")
 
 
 def tiny_predict(e: TinyEngine, raw_x) -> tuple[int, int]:
@@ -250,13 +287,11 @@ def tiny_predict(e: TinyEngine, raw_x) -> tuple[int, int]:
     vec = np.asarray(raw_x, dtype=np.float32).ravel()
     if vec.shape[0] != e.n_features:
         raise ShapeError(f"expected {e.n_features} features, got {vec.shape[0]}")
-    label, cost = _kernels.tiny_infer(
-        vec, e.mean, e.inv_std, e.centroids, e.ensembles,
-        e.dir_offset, e.dir_count,
-        e.node_feature, e.node_threshold, e.node_jump,
+    return _kernels.tiny_infer(
+        vec, e.mean, e.inv_std, e.centroids, e.cluster_roots,
+        e.walk_feature, e.walk_threshold, e.walk_jump,
         e.scratch_x, e.scratch_votes,
     )
-    return int(label), int(cost)
 
 
 # ---------------------------------------------------------------------------

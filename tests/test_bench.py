@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from tinydes import bench
 from tinydes.bench import (DatasetSpec, ExperimentConfig, config_from_text,
                            config_to_text, desk_scale_subset, emit_report,
                            measure_inference, run_experiment)
+from tinydes.data import Dataset
 from tinydes.errors import IoError, NondeterminismError
 from tinydes.tinyformat import export_tiny, load_tiny
 
@@ -198,6 +202,24 @@ class TestMeasureInference:
         assert stats["n_probes"] == probes.n_samples
         assert stats["mean_cost"] > 0
         assert stats["mean_wall_s"] > 0
+        assert 0 < stats["p50_wall_s"] <= stats["p99_wall_s"]
+
+    def test_wall_percentiles(self, monkeypatch):
+        # probe i takes i + 1 us on a fake clock; reps pool their samples
+        clock = [0.0]
+
+        class SteppingEngine:
+            def predict(self, x):
+                clock[0] += (int(x[0]) + 1) * 1e-6
+                return 0, 1
+
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        probes = Dataset(np.arange(100, dtype=np.float32).reshape(100, 1),
+                         np.zeros(100, np.uint16), 1)
+        stats = measure_inference(SteppingEngine(), probes, warmup=0, reps=2)
+        assert stats["p50_wall_s"] == pytest.approx(50.5e-6)
+        assert stats["p99_wall_s"] == pytest.approx(99.01e-6)
+        assert stats["mean_wall_s"] == pytest.approx(50.5e-6)
 
     def test_single_leaf_cost(self):
         from test_tinyformat import minimal_model

@@ -88,6 +88,7 @@ class TestBenchInfer:
         assert rc == 0
         out = capsys.readouterr().out
         assert "mean cost per probe" in out
+        assert "p50 / p99 per probe" in out
 
 
 class TestCrossval:

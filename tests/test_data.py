@@ -188,6 +188,14 @@ class TestStratifiedSplit:
         assert seen.shape[0] == 37
         assert {tuple(r) for r in seen} == {tuple(r) for r in feats}
 
+    @pytest.mark.parametrize("fraction, empty", [(0.125, "first"), (0.875, "second")])
+    def test_empty_part_raises_typed_error(self, fraction, empty):
+        # one class of 2 rows: round-half-up(0.25) = 0 and (1.75) = 2 rows go first
+        d = Dataset(np.zeros((2, 1), np.float32), np.array([0, 0], np.uint16), 1)
+        with pytest.raises(StratificationError,
+                           match=rf"^fraction {fraction} of class counts \[2\] leaves a part"):
+            stratified_split(d, fraction, 0)
+
     def test_singleton_class_rejected(self):
         d = Dataset(np.zeros((3, 1), np.float32), np.array([0, 0, 1], np.uint16), 2)
         with pytest.raises(StratificationError):
@@ -316,7 +324,7 @@ class TestSplitProperties:
         for cls, cnt in enumerate(counts.tolist()):
             assert taken[cls] == min(math.floor(fraction * cnt + 0.5), cnt)
         if ia.size == 0 or ib.size == 0:
-            with pytest.raises(ShapeError):  # a Dataset has at least one row
+            with pytest.raises(StratificationError, match="leaves a part with no samples"):
                 stratified_split(d, fraction, seed)
             return
         a, b = stratified_split(d, fraction, seed)

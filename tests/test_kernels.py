@@ -6,8 +6,7 @@ import pytest
 from tinydes import _kernels
 from tinydes._kernels import (_assign_clusters_np, _best_split_np,
                               _both_wrong_counts_np, _cluster_means_np,
-                              _pairwise_sqdist_np, _tiny_infer_np, _tree_walk_np,
-                              rank_codes)
+                              _pairwise_sqdist_np, _tree_walk_np, rank_codes)
 from tinydes.data import Dataset
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool
 
@@ -94,25 +93,3 @@ class TestBothWrongCounts:
         b = _both_wrong_counts_np(w)
         np.testing.assert_array_equal(a, b)
 
-
-class TestTinyInfer:
-    def test_label_and_cost_equal(self):
-        from conftest import build_pipeline, make_blobs
-        from tinydes.tinyformat import export_tiny, load_tiny
-
-        data = make_blobs(n_per_class=60, n_features=6, n_classes=3, seed=12)
-        p = build_pipeline(data, forests=((4, 4), (3, 2)), k=2, n_acc=4, j=2, seed=3)
-        e = load_tiny(export_tiny(p["standardizer"], p["cm"], p["pool"])[0])
-        rng = np.random.RandomState(8)
-        votes_np = np.zeros_like(e.scratch_votes)
-        sx_np = np.empty_like(e.scratch_x)
-        for _ in range(200):
-            x = rng.randn(6).astype(np.float32) * 2
-            la = _kernels.tiny_infer(x, e.mean, e.inv_std, e.centroids, e.ensembles,
-                                     e.dir_offset, e.dir_count, e.node_feature,
-                                     e.node_threshold, e.node_jump,
-                                     e.scratch_x, e.scratch_votes)
-            lb = _tiny_infer_np(x, e.mean, e.inv_std, e.centroids, e.ensembles,
-                                e.dir_offset, e.dir_count, e.node_feature,
-                                e.node_threshold, e.node_jump, sx_np, votes_np)
-            assert (int(la[0]), int(la[1])) == (int(lb[0]), int(lb[1]))

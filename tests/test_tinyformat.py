@@ -5,6 +5,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinydes.cluster import KMeansModel
 from tinydes.data import Standardizer, apply_standardizer
@@ -12,8 +14,9 @@ from tinydes.errors import (CapacityError, ChecksumError, FormatError,
                             ModelCorruptError, ShapeError, TinyDesError)
 from tinydes.selection import (CompetenceModel, build_competence_model,
                                des_clustering_predict)
-from tinydes.tinyformat import (_check_node_layout, emit_static_source,
-                                export_tiny, load_tiny, tiny_predict)
+from tinydes.tinyformat import (HEADER, NODE_DTYPE, _check_node_layout,
+                                emit_static_source, export_tiny, load_tiny,
+                                tiny_predict)
 from tinydes.trees import ClassifierPool, DecisionTree
 
 from conftest import build_pipeline, make_blobs
@@ -188,6 +191,227 @@ class TestLoad:
                 pass  # typed rejection is the contract
 
 
+DIRECTORY_DTYPE = np.dtype([("off", "<u4"), ("cnt", "<u2")])
+
+
+def three_tree_model():
+    """Two features, three classes, identity standardizer, one cluster whose
+    ensemble holds three trees of 5, 3 and 1 nodes (nodes 0-4, 5-7, 8)."""
+    s = Standardizer(np.zeros(2, np.float32), np.ones(2, np.float32))
+    shapes = (([0, 1, -1, -1, -1], [0.0, 0.5, 0, 0, 0], [4, 3, 0, 1, 2]),
+              ([1, -1, -1], [-1.0, 0, 0], [2, 2, 0]),
+              ([-1], [0], [1]))
+    trees = tuple(DecisionTree(np.array(f, np.int16), np.array(t, np.float32),
+                               np.array(j, np.uint16), 2, 3) for f, t, j in shapes)
+    pool = ClassifierPool(trees, ("A", "A", "A"), 0)
+    km = KMeansModel(np.zeros((1, 2), np.float32), 1, 0.0, 0)
+    cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16), 3, 3)
+    return s, cm, pool
+
+
+def sections(blob):
+    """Copies of the directory and node sections, and where they start."""
+    _, _, nf, _, pool_size, k, j, n_nodes = HEADER.unpack_from(blob, 0)
+    start = HEADER.size + 8 * nf + 4 * k * nf + 2 * k * j
+    directory = np.frombuffer(blob, DIRECTORY_DTYPE, pool_size, start).copy()
+    nodes = np.frombuffer(blob, NODE_DTYPE, n_nodes, start + 6 * pool_size).copy()
+    return directory, nodes, start
+
+
+def with_sections(blob, directory, nodes):
+    """``blob`` with new directory and node sections of the same sizes, and
+    a recomputed crc."""
+    _, _, start = sections(blob)
+    end = start + directory.nbytes + nodes.nbytes
+    body = blob[:start] + directory.tobytes() + nodes.tobytes() + blob[end:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def loop_oracle(blob):
+    """The per-tree validation loop that ``load_tiny`` ran before its checks
+    were vectorized, from the directory checks on. Returns the (type,
+    message) it raises, or None when the model is accepted."""
+    _, _, nf, n_classes, pool_size, _, _, n_nodes = HEADER.unpack_from(blob, 0)
+    directory, nodes, _ = sections(blob)
+    dir_off = directory["off"].astype(np.int64)
+    dir_cnt = directory["cnt"].astype(np.int64)
+    if (dir_cnt < 1).any():
+        return ModelCorruptError, "empty tree in directory"
+    if ((dir_off + dir_cnt) > n_nodes).any():
+        return ModelCorruptError, "tree directory points past the node pool"
+    feat, jump = nodes["feature"], nodes["right_jump"]
+    if not np.isfinite(nodes["threshold"]).all():
+        return ModelCorruptError, "non-finite node threshold"
+    for t in range(pool_size):
+        lo, cnt = int(dir_off[t]), int(dir_cnt[t])
+        tf = feat[lo : lo + cnt]
+        tj = jump[lo : lo + cnt].astype(np.int64)
+        internal = tf >= 0
+        if (tf[internal] >= nf).any():
+            return ModelCorruptError, f"tree {t}: feature index out of range"
+        pos_idx = np.nonzero(internal)[0]
+        if ((tj[pos_idx] <= pos_idx) | (tj[pos_idx] >= cnt)).any():
+            return ModelCorruptError, f"tree {t}: right-child jump violates preorder"
+        if (tj[~internal] >= n_classes).any():
+            return ModelCorruptError, f"tree {t}: leaf class out of range"
+    return None
+
+
+def load_outcome(blob):
+    try:
+        load_tiny(blob)
+    except TinyDesError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def directory_pool(blob):
+    """A pool holding, per directory entry, the trees its node range spells
+    out, overlaps and all: the reference reading of any accepted model."""
+    e = load_tiny(blob)
+    directory, nodes, _ = sections(blob)
+    trees = tuple(DecisionTree(nodes["feature"][o : o + c], nodes["threshold"][o : o + c],
+                               nodes["right_jump"][o : o + c], 0, e.n_classes)
+                  for o, c in directory.tolist())
+    km = KMeansModel(e.centroids, e.k, 0.0, 0)
+    cm = CompetenceModel(km, np.ones((e.k, e.pool_size)), e.ensembles, e.j, e.j)
+    return e, cm, ClassifierPool(trees, ("A",) * len(trees), 0)
+
+
+class TestNodeChecks:
+    """Each node fault, with the exact message, and the vectorized checks
+    against the per-tree loop on fuzzed node and directory sections."""
+
+    def corrupt(self, node=None, field=None, value=None, entry=None, off_cnt=None):
+        blob, _ = export_tiny(*three_tree_model())
+        directory, nodes, _ = sections(blob)
+        if node is not None:
+            nodes[field][node] = value
+        if entry is not None:
+            directory[entry] = off_cnt
+        return with_sections(blob, directory, nodes)
+
+    def expect(self, blob, message):
+        with pytest.raises(ModelCorruptError) as info:
+            load_tiny(blob)
+        assert str(info.value) == message
+        assert loop_oracle(blob) == (ModelCorruptError, message)
+
+    def test_feature_index_out_of_range(self):
+        self.expect(self.corrupt(node=5, field="feature", value=2),
+                    "tree 1: feature index out of range")
+
+    @pytest.mark.parametrize("node, jump, tree", [(1, 0, 0), (1, 1, 0), (5, 0, 1)])
+    def test_backward_or_self_jump(self, node, jump, tree):
+        self.expect(self.corrupt(node=node, field="right_jump", value=jump),
+                    f"tree {tree}: right-child jump violates preorder")
+
+    def test_leaf_class_out_of_range(self):
+        self.expect(self.corrupt(node=8, field="right_jump", value=3),
+                    "tree 2: leaf class out of range")
+
+    def test_zero_count_directory_entry(self):
+        self.expect(self.corrupt(entry=1, off_cnt=(5, 0)), "empty tree in directory")
+
+    def test_directory_past_node_pool(self):
+        self.expect(self.corrupt(entry=2, off_cnt=(8, 2)),
+                    "tree directory points past the node pool")
+
+    def test_first_tree_and_first_fault_win(self):
+        blob = self.corrupt(node=8, field="right_jump", value=9)  # tree 2 leaf
+        directory, nodes, _ = sections(blob)
+        nodes["right_jump"][0] = 9  # tree 0: jump past its end
+        nodes["feature"][2] = 7  # tree 0: a leaf turned into a bad internal node
+        self.expect(with_sections(blob, directory, nodes), "tree 0: feature index out of range")
+
+    @pytest.mark.parametrize("directory", [
+        [(0, 5), (1, 4), (8, 1)],  # node 1's right child: node 3 in tree 0, node 4 in tree 1
+        [(0, 5), (0, 5), (5, 3)],
+        [(8, 1), (5, 3), (0, 5)],
+        [(0, 5), (8, 1), (8, 1)],  # nodes 5-7 belong to no tree
+    ])
+    def test_overlapping_and_gapped_directories(self, directory):
+        blob, _ = export_tiny(*three_tree_model())
+        table, nodes, _ = sections(blob)
+        table[:] = directory
+        blob = with_sections(blob, table, nodes)
+        assert load_outcome(blob) is None and loop_oracle(blob) is None
+        e, cm, pool = directory_pool(blob)
+        for x in [(a, b) for a in (-1.0, 0.0, 2.0) for b in (-2.0, 0.5, 1.0)]:
+            ref = des_clustering_predict(cm, pool, np.array(x, np.float32))
+            assert e.predict(x) == (ref.label, ref.cost)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(["feature", "right_jump"]),
+                                    st.integers(-2, 9)), max_size=4),
+           bad_threshold=st.tuples(st.sampled_from(range(36)),  # a node, one time in four
+                                   st.sampled_from([np.nan, np.inf, -np.inf])),
+           entries=st.lists(st.tuples(st.integers(0, 2),
+                                      st.integers(0, 8).flatmap(lambda off: st.tuples(
+                                          st.just(off), st.integers(1, 9 - off)))
+                                      | st.tuples(st.integers(0, 10), st.integers(0, 10))),
+                            max_size=3))
+    def test_vectorized_checks_match_loop(self, edits, bad_threshold, entries):
+        blob, _ = export_tiny(*three_tree_model())
+        directory, nodes, _ = sections(blob)
+        for node, field, value in edits:
+            nodes[field][node] = value if field == "feature" else value & 0xFFFF
+        if bad_threshold[0] < nodes.shape[0]:
+            nodes["threshold"][bad_threshold[0]] = bad_threshold[1]
+        for entry, off_cnt in entries:
+            directory[entry] = off_cnt  # overlaps, gaps and bad ranges alike
+        blob = with_sections(blob, directory, nodes)
+        outcome = load_outcome(blob)
+        assert outcome == loop_oracle(blob)
+        if outcome is None:
+            e, cm, pool = directory_pool(blob)
+            for x in [(a, b) for a in (-1.0, 0.0, 0.5, 2.0) for b in (-1.0, 0.5, np.nan)]:
+                ref = des_clustering_predict(cm, pool, np.array(x, np.float32))
+                assert e.predict(x) == (ref.label, ref.cost)
+
+
+def random_tree(rng, nf, n_classes, depth):
+    """A random preorder tree whose thresholds are multiples of 1/4."""
+    feat, thr, jump = [], [], []
+
+    def grow(d):
+        pos = len(feat)
+        if d == 0 or rng.rand() < 0.25:
+            feat.append(-1)
+            thr.append(0.0)
+            jump.append(rng.randint(n_classes))
+            return
+        feat.append(rng.randint(nf))
+        thr.append(rng.randint(-8, 9) / 4)
+        jump.append(0)
+        grow(d - 1)
+        jump[pos] = len(feat)
+        grow(d - 1)
+
+    grow(depth)
+    return DecisionTree(np.array(feat, np.int16), np.array(thr, np.float32),
+                        np.array(jump, np.uint16), depth, n_classes)
+
+
+def pinned_probes():
+    """300 Gaussian probes for the ``trained`` model, then rows with +-inf,
+    NaN and values whose float32 squares overflow."""
+    rng = np.random.RandomState(29)
+    probes = rng.randn(300, 8).astype(np.float32) * 3
+    special = []
+    for value in (np.inf, -np.inf, np.nan, 1e20, -1e20, 3e38):
+        for col in (0, 3, 7):
+            x = probes[col].copy()
+            x[col] = value
+            special.append(x)
+    return np.vstack([probes, special])
+
+
+# crc32 of the (label, cost) pairs, as little-endian int32, that the engine
+# gave on ``pinned_probes`` while it still walked the numpy node arrays
+PINNED_ANSWERS_CRC = 0xAC45ABDD
+
+
 class TestTinyPredict:
     def test_single_leaf_cost(self):
         s, cm, pool = minimal_model()
@@ -217,6 +441,47 @@ class TestTinyPredict:
             if lab != ref.label or cost != ref.cost:
                 mismatches += 1
         assert mismatches == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nf=st.integers(1, 4), n_classes=st.integers(1, 4),
+           k=st.integers(1, 3), j=st.integers(1, 4), pool_size=st.integers(1, 5))
+    def test_edge_probes_match_reference(self, seed, nf, n_classes, k, j, pool_size):
+        rng = np.random.RandomState(seed)
+        trees = tuple(random_tree(rng, nf, n_classes, 4) for _ in range(pool_size))
+        pool = ClassifierPool(trees, ("A",) * pool_size, 0)
+        # every probe below standardizes exactly: dyadic means, power-of-two scales
+        s = Standardizer(rng.randint(-4, 5, nf) / 2, 2.0 ** rng.randint(-2, 3, nf))
+        centroids = (rng.randint(-8, 9, (k, nf)) / 4).astype(np.float32)
+        ensembles = np.sort(rng.randint(0, pool_size, (k, j)), axis=1).astype(np.uint16)
+        cm = CompetenceModel(KMeansModel(centroids, k, 0.0, 0), np.ones((k, pool_size)),
+                             ensembles, j, j)
+        engine = load_tiny(export_tiny(s, cm, pool)[0])
+        grid = np.unique(np.concatenate([t.threshold for t in trees] + [centroids.ravel()]))
+        exact = [rng.choice(grid, nf).astype(np.float32) for _ in range(12)]  # on thresholds
+        exact += [(centroids[a] + centroids[b]) / 2  # equidistant from two centroids
+                  for a in range(k) for b in range(a + 1, k)]
+        probes = [z / s.inv_std + s.mean for z in exact]
+        for z, x in zip(exact, probes):
+            np.testing.assert_array_equal(apply_standardizer(s, x), z)
+        for value in (np.inf, -np.inf, np.nan, 1e20, -1e20, 3e38):
+            x = probes[0].copy()
+            x[rng.randint(nf)] = value
+            probes.append(x)
+        with np.errstate(over="ignore"):
+            for x in probes:
+                ref = des_clustering_predict(cm, pool, apply_standardizer(s, x))
+                assert engine.predict(x) == (ref.label, ref.cost)
+
+    def test_pinned_answers(self, trained):
+        p = trained
+        engine = load_tiny(export_tiny(p["standardizer"], p["cm"], p["pool"])[0])
+        answers = [engine.predict(x) for x in pinned_probes()]
+        assert zlib.crc32(np.array(answers, dtype="<i4").tobytes()) == PINNED_ANSWERS_CRC
+        with np.errstate(over="ignore"):
+            for x, got in zip(pinned_probes(), answers):
+                ref = des_clustering_predict(p["cm"], p["pool"],
+                                             apply_standardizer(p["standardizer"], x))
+                assert got == (ref.label, ref.cost)
 
     def test_scratch_reuse_no_model_reallocation(self, trained):
         p = trained
