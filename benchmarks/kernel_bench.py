@@ -22,8 +22,10 @@
 #   sample_sorted_rows  128 x (28 of 784)   0.36 ms  128 per-node draws: 4.6 ms
 #   tree_walk       depth-10, 30000          22 ms
 #   assign_clusters 24000x784, k=5          291 ms
-#   pairwise_sqdist 5592x3000x64            268 ms   one KNORA distance chunk
+#   pairwise_sqdist 5592x3000x64            180 ms   one KNORA distance chunk;
+#                                                    four-temporary form: 250 ms
 #   k_nearest       k=7 of 3000             179 ms   stable argsort top-7: 1467 ms
+#   knora_regions   6000 queries, k=7       354 ms   one float64 fold, 2 chunks
 #   load_tiny       31 KB model, J=5       0.13 ms
 #   tiny_infer      5000 probes             169 ms   numpy-scalar walk: 281 ms
 
@@ -36,7 +38,7 @@ from tinydes._kernels import (_assign_clusters_np, _best_split_np,
                               _pairwise_sqdist_np, _tree_walk_np, rank_codes)
 from tinydes._rng import SplitMix64
 from tinydes.data import Dataset
-from tinydes.selection import _k_nearest
+from tinydes.selection import Dsel, _k_nearest, knora_regions
 from tinydes.tinyformat import export_tiny, load_tiny
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool
 
@@ -97,7 +99,8 @@ bench("assign_clusters numba", lambda: _kernels._assign_clusters_nb(Xa, C),
       numba_only=True)
 bench("assign_clusters numpy", lambda: _assign_clusters_np(Xa, C))
 
-# One chunk of crossval-float64's KNORA search: (1 << 24) // 3000 query rows.
+# One chunk of crossval-float64's KNORA search: (1 << 24) // 3000 query rows;
+# knora_regions runs one fold's 6000 test rows, in two chunks.
 print("== KNORA region search (5592 x 3000 x 64, k=7) ==")
 Qk = rng.randn(5592, 64).astype(np.float32)
 Dk = rng.randn(3000, 64).astype(np.float32)
@@ -107,6 +110,9 @@ bench("k_nearest (k=7)", lambda: _k_nearest(d2, 7), reps=3)
 bench("stable argsort top-7 (full sort)",
       lambda: np.argsort(d2, axis=1, kind="stable")[:, :7], reps=3)
 del d2
+Qf = rng.randn(6000, 64).astype(np.float32)
+dsel_k = Dsel(Dk, np.zeros(3000, np.uint16), np.zeros((1, 3000), bool))
+bench("knora_regions (6000 queries, k=7)", lambda: knora_regions(dsel_k, Qf, 7), reps=3)
 
 from tinydes.cluster import fit_kmeans
 from tinydes.data import fit_standardizer, apply_standardizer

@@ -16,9 +16,8 @@ from .errors import (CapacityError, ChecksumError, ClusterError, FormatError,
                      TinyDesError, VoteError)
 from .selection import (CompetenceModel, Dsel, SelectionResult,
                         build_competence_model, build_dsel,
-                        des_clustering_predict, double_fault, knora_e, knora_u,
-                        majority_vote, oracle_accuracy, single_best,
-                        static_selection)
+                        des_clustering_predict, double_fault, majority_vote,
+                        oracle_accuracy, single_best, static_selection)
 from .tinyformat import (TinyEngine, emit_static_source, export_tiny,
                          load_tiny, tiny_predict)
 from .trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
@@ -37,7 +36,7 @@ __all__ = [
     "apply_standardizer", "assign", "build_competence_model", "build_dsel",
     "des_clustering_predict", "double_fault", "emit_static_source",
     "export_tiny", "fit_kmeans", "fit_standardizer", "generate_pool",
-    "invert_standardizer", "knora_e", "knora_u", "load_csv", "load_idx",
+    "invert_standardizer", "load_csv", "load_idx",
     "load_tiny", "majority_vote", "make_fold_plan", "oracle_accuracy",
     "predict_tree", "single_best", "static_selection", "stratified_split",
     "tiny_predict", "train_tree",

@@ -364,11 +364,14 @@ else:
 
 
 def _pairwise_sqdist_np(Q, D):
+    # qq - 2 Q.D + dd, evaluated in the product's buffer. Bit-identical to
+    # the expression: scaling by -2 is exact and qq + (-x) is qq - x.
     Qd = Q.astype(np.float64)
     Dd = D.astype(np.float64)
-    qq = np.square(Qd).sum(axis=1)[:, None]
-    dd = np.square(Dd).sum(axis=1)[None, :]
-    out = qq - 2.0 * (Qd @ Dd.T) + dd
+    out = Qd @ Dd.T
+    out *= -2.0
+    out += np.square(Qd).sum(axis=1)[:, None]
+    out += np.square(Dd).sum(axis=1)[None, :]
     np.maximum(out, 0.0, out=out)
     return out
 

@@ -21,16 +21,18 @@ from .data import (Dataset, apply_standardizer, fit_standardizer,
                    stratified_split)
 from .errors import IoError, NondeterminismError, TinyDesError
 from .selection import (build_competence_model, build_dsel, des_clustering_batch,
-                        knora_e_batch, knora_u_batch, pool_predictions,
-                        single_best, static_selection, vote_rows)
+                        knora_e_batch, knora_regions, knora_u_batch,
+                        pool_predictions, single_best, static_selection,
+                        vote_rows)
 from .tinyformat import export_tiny
 from .trees import ForestSpec, PoolConfig, generate_pool
 
 METHOD_ORDER = ["single_best", "static_selection", "knora_u", "knora_e",
                 "des_clustering", "oracle"]
 
-# KNORA methods pay a full query-to-DSEL distance matrix per fold, which is
-# out of budget for the full-size image datasets; they stay opt-in there.
+# KNORA-U and KNORA-E share one query-to-DSEL distance matrix per fold,
+# which is still out of budget for the full-size image datasets; they stay
+# opt-in there.
 DEFAULT_FULL_METHODS = ["single_best", "static_selection", "des_clustering", "oracle"]
 DESK_SCALE_LIMIT = 5000
 
@@ -282,6 +284,18 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
         wall = (time.perf_counter() - t0) / max(1, n_test)
         outcomes[key] = _FoldOutcome(acc, cost, wall, model_bytes)
 
+    # KNORA-U and KNORA-E share one region search, made by whichever runs
+    # first; a search that fails caches nothing, so each fails alike.
+    region_cache = []
+
+    def _knora(batch_fn):
+        if not region_cache:
+            region_cache.append(knora_regions(dsel, test_std, cfg.k_neighbors))
+        labels, costs = batch_fn(dsel, pool, test_std, cfg.k_neighbors, preds, visits,
+                                 region_cache[0])
+        return (float((labels == target).mean()), float(costs.mean()),
+                pool.node_bytes() + std_bytes + dsel_bytes)
+
     for method in cfg.methods:
         if method == "single_best":
             def _sb():
@@ -300,19 +314,9 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
                 return acc, cost, size
             run(method, f"pct={cfg.pct_static:g}", _st)
         elif method == "knora_u":
-            def _ku():
-                labels, costs = knora_u_batch(dsel, pool, test_std, cfg.k_neighbors,
-                                              preds, visits)
-                return (float((labels == target).mean()), float(costs.mean()),
-                        pool.node_bytes() + std_bytes + dsel_bytes)
-            run(method, f"k={cfg.k_neighbors}", _ku)
+            run(method, f"k={cfg.k_neighbors}", lambda: _knora(knora_u_batch))
         elif method == "knora_e":
-            def _ke():
-                labels, costs = knora_e_batch(dsel, pool, test_std, cfg.k_neighbors,
-                                              preds, visits)
-                return (float((labels == target).mean()), float(costs.mean()),
-                        pool.node_bytes() + std_bytes + dsel_bytes)
-            run(method, f"k={cfg.k_neighbors}", _ke)
+            run(method, f"k={cfg.k_neighbors}", lambda: _knora(knora_e_batch))
         elif method == "des_clustering":
             km_cache = []
             n_acc = min(cfg.resolve_n_acc(), pool.pool_size)

@@ -227,11 +227,13 @@ def fit_standardizer(train: Dataset) -> Standardizer:
 
 
 def apply_standardizer(s: Standardizer, x) -> np.ndarray:
-    """(x - mean) * inv_std in float32; accepts a vector or a matrix."""
+    """(x - mean) * inv_std in float32; accepts a vector or a matrix. Finite
+    values whose result leaves float32 saturate to +-inf, as in the engine."""
     arr = np.asarray(x, dtype=np.float32)
     if arr.shape[-1] != s.n_features:
         raise ShapeError(f"expected {s.n_features} features, got {arr.shape[-1]}")
-    return (arr - s.mean) * s.inv_std
+    with np.errstate(over="ignore"):
+        return (arr - s.mean) * s.inv_std
 
 
 def invert_standardizer(s: Standardizer, z) -> np.ndarray:

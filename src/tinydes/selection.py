@@ -92,64 +92,6 @@ def static_selection(dsel: Dsel, pct: float) -> np.ndarray:
     return np.sort(order[:m])
 
 
-def _region_indices(dsel: Dsel, x: np.ndarray, k: int) -> np.ndarray:
-    """k nearest selection samples, ordered near to far, ties to smaller index."""
-    if dsel.n_samples < k:
-        raise SelectionError(f"region size {k} exceeds {dsel.n_samples} selection samples")
-    q = x.reshape(1, -1)
-    d2 = _kernels.pairwise_sqdist(q, dsel.samples)[0]
-    order = np.lexsort((np.arange(d2.shape[0]), d2))
-    return order[:k]
-
-
-def _vote(weights_per_classifier, classifier_ids, pool, x, n_classes):
-    """Aggregate weighted votes of the given classifiers' predictions on x."""
-    votes = np.zeros(n_classes, dtype=np.float64)
-    cost = 0
-    for cid, w in zip(classifier_ids, weights_per_classifier):
-        label, visits = predict_tree(pool.trees[cid], x)
-        votes[label] += w
-        cost += visits
-    return votes, cost
-
-
-def knora_u(dsel: Dsel, pool: ClassifierPool, x, k: int) -> SelectionResult:
-    """Union rule: every classifier correct on >= 1 region sample votes with
-    weight equal to its number of correct region samples. If nobody qualifies,
-    the whole pool votes with weight 1."""
-    vec = np.asarray(x, dtype=np.float32).ravel()
-    region = _region_indices(dsel, vec, k)
-    counts = dsel.correctness[:, region].sum(axis=1)
-    selected = np.nonzero(counts > 0)[0]
-    if selected.size == 0:
-        selected = np.arange(pool.pool_size)
-        weights = np.ones(pool.pool_size, dtype=np.float64)
-    else:
-        weights = counts[selected].astype(np.float64)
-    votes, cost = _vote(weights, selected, pool, vec, pool.n_classes)
-    return SelectionResult(int(np.argmax(votes)), votes, selected, cost)
-
-
-def knora_e(dsel: Dsel, pool: ClassifierPool, x, k: int) -> SelectionResult:
-    """Eliminate rule: select local oracles (correct on the whole region),
-    shrinking the region by dropping the farthest neighbor until some
-    classifier qualifies; if the region empties, the whole pool votes."""
-    vec = np.asarray(x, dtype=np.float32).ravel()
-    region = _region_indices(dsel, vec, k)
-    selected = np.empty(0, dtype=np.int64)
-    for size in range(k, 0, -1):
-        perfect = dsel.correctness[:, region[:size]].all(axis=1)
-        hits = np.nonzero(perfect)[0]
-        if hits.size > 0:
-            selected = hits
-            break
-    if selected.size == 0:
-        selected = np.arange(pool.pool_size)
-    weights = np.ones(selected.size, dtype=np.float64)
-    votes, cost = _vote(weights, selected, pool, vec, pool.n_classes)
-    return SelectionResult(int(np.argmax(votes)), votes, selected, cost)
-
-
 def double_fault(dsel: Dsel, a: int, b: int, region) -> float:
     """Fraction of region samples both classifiers get wrong; lower = more diverse."""
     idx = np.asarray(region, dtype=np.int64)
@@ -245,8 +187,9 @@ def majority_vote(predictions, weights=None) -> tuple[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation paths used by the benchmark harness. Semantics match the
-# per-query operations above; equivalence is covered by tests.
+# Batched evaluation paths used by the benchmark harness. The clustering path
+# matches ``des_clustering_predict``; the KNORA paths are checked against a
+# per-query oracle kept with the tests.
 # ---------------------------------------------------------------------------
 
 
@@ -295,29 +238,47 @@ def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
     return part
 
 
-def _knora_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
-                 pool_preds, pool_visits, choose):
-    """Shared driver of the KNORA batch paths: distance chunks, exact
-    regions, then one vote per query over ``choose(region correctness)``,
-    which returns the whole-number vote weight of every classifier per
-    query ([n_chunk, pool_size], 0 = not selected)."""
+# Cells of one query-to-selection-set distance block: bounds the float64
+# matrix that ``knora_regions`` holds at once to 128 MiB.
+REGION_CHUNK_CELLS = 1 << 24
+
+
+def knora_regions(dsel: Dsel, X, k: int) -> np.ndarray:
+    """intp [n_queries, k]: each query's k nearest selection samples, near to
+    far, ties to the smaller index (exactly a stable argsort's first k).
+
+    Distances are computed a block of rows at a time and never kept; both
+    KNORA rules read the same regions, so a caller running both computes
+    them once and passes them to each."""
     if dsel.n_samples < k:
         raise SelectionError(f"region size {k} exceeds {dsel.n_samples} selection samples")
     mat = np.ascontiguousarray(X, dtype=np.float32)
+    n = mat.shape[0]
+    regions = np.empty((n, k), dtype=np.intp)
+    chunk = max(1, REGION_CHUNK_CELLS // max(1, dsel.n_samples))
+    for s in range(0, n, chunk):
+        d2 = _kernels.pairwise_sqdist(mat[s:s + chunk], dsel.samples)
+        regions[s:s + chunk] = _k_nearest(d2, k)
+    return regions
+
+
+def _knora_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
+                 pool_preds, pool_visits, regions, choose):
+    """Shared driver of the KNORA batch paths: one vote per query over
+    ``choose(region correctness)``, which returns the whole-number vote
+    weight of every classifier per query ([n_queries, pool_size], 0 = not
+    selected)."""
+    mat = np.ascontiguousarray(X, dtype=np.float32)
+    if regions is None:
+        regions = knora_regions(dsel, mat, k)
+    elif regions.shape != (mat.shape[0], k):
+        raise ShapeError(f"regions shape {regions.shape} != {(mat.shape[0], k)}")
     if pool_preds is None:
         pool_preds, pool_visits = pool_predictions(pool, mat)
-    n = mat.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    costs = np.empty(n, dtype=np.int64)
-    chunk = max(1, (1 << 24) // max(1, dsel.n_samples))
-    for s in range(0, n, chunk):
-        rows = slice(s, min(s + chunk, n))
-        d2 = _kernels.pairwise_sqdist(mat[rows], dsel.samples)
-        # region[c, q, i] = classifier c correct on query q's i-th nearest
-        region = dsel.correctness[:, _k_nearest(d2, k)]
-        weights = choose(region)
-        labels[rows] = vote_rows(pool_preds[:, rows].T, weights, pool.n_classes)
-        costs[rows] = np.where(weights.T > 0, pool_visits[:, rows], 0).sum(axis=0)
+    # region[c, q, i] = classifier c correct on query q's i-th nearest
+    weights = choose(dsel.correctness[:, regions])
+    labels = vote_rows(pool_preds.T, weights, pool.n_classes)
+    costs = np.where(weights.T > 0, pool_visits, 0).sum(axis=0)
     return labels, costs
 
 
@@ -337,22 +298,28 @@ def _knora_e_weights(region: np.ndarray) -> np.ndarray:
 
 
 def knora_u_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
-                  pool_preds=None, pool_visits=None):
-    """Vectorized KNORA-U over a query matrix. Returns (labels, costs).
+                  pool_preds=None, pool_visits=None, regions=None):
+    """KNORA-U (union rule) over a query matrix. Returns (labels, costs).
 
-    Same regions, weights and tie rules as ``knora_u``: regions are the k
-    nearest with ties to the smaller selection index (``_k_nearest``), and
-    votes are whole numbers, so labels and costs equal the per-query ones."""
-    return _knora_batch(dsel, pool, X, k, pool_preds, pool_visits, _knora_u_weights)
+    Every classifier correct on at least one of a query's k nearest
+    selection samples votes with weight equal to its number of correct
+    region samples; if none qualifies, the whole pool votes with weight 1.
+    Votes are whole numbers, so totals are exact and ties go to the smaller
+    class id. ``regions`` takes precomputed ``knora_regions(dsel, X, k)``."""
+    return _knora_batch(dsel, pool, X, k, pool_preds, pool_visits, regions,
+                        _knora_u_weights)
 
 
 def knora_e_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
-                  pool_preds=None, pool_visits=None):
-    """Vectorized KNORA-E over a query matrix. Returns (labels, costs).
+                  pool_preds=None, pool_visits=None, regions=None):
+    """KNORA-E (eliminate rule) over a query matrix. Returns (labels, costs).
 
-    Same regions and tie rules as ``knora_e`` (see ``knora_u_batch``); the
-    selected local oracles each vote 1, so the totals are exact."""
-    return _knora_batch(dsel, pool, X, k, pool_preds, pool_visits, _knora_e_weights)
+    The local oracles, classifiers correct on the whole region, each vote 1.
+    While there are none, the region drops its farthest sample; if it
+    empties, the whole pool votes. Ties go to the smaller class id.
+    ``regions`` is as in ``knora_u_batch``."""
+    return _knora_batch(dsel, pool, X, k, pool_preds, pool_visits, regions,
+                        _knora_e_weights)
 
 
 def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, X,

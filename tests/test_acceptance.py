@@ -16,8 +16,9 @@ from tinydes.cluster import fit_kmeans
 from tinydes.data import apply_standardizer
 from tinydes.errors import TinyDesError
 from tinydes.selection import (build_competence_model, correctness_matrix,
-                               des_clustering_predict, knora_e,
-                               oracle_accuracy, static_selection)
+                               des_clustering_predict, knora_e_batch,
+                               oracle_accuracy, pool_predictions,
+                               static_selection)
 from tinydes.tinyformat import emit_static_source, export_tiny, load_tiny, tiny_predict
 from tinydes.trees import ClassifierPool, DecisionTree
 
@@ -240,6 +241,19 @@ class TestCriterion8KnoraESemantics:
                              np.array([c], np.uint16), 0, 4) for c in classes)
             return ClassifierPool(trees, tuple("A" * len(trees)), 0)
 
+        def knora_e_one(dsel, classes, k):
+            """One-row knora_e_batch call at query 0.0: (label, cost, selected
+            classifiers). Its second run gives classifier c 2**c visits, so the
+            cost spells out the selected set in binary."""
+            pool = leaf_pool(classes)
+            x = np.zeros((1, 1), np.float32)
+            labels, costs = knora_e_batch(dsel, pool, x, k)
+            preds, _ = pool_predictions(pool, x)
+            bits = (1 << np.arange(pool.pool_size, dtype=np.int64))[:, None]
+            _, mask = knora_e_batch(dsel, pool, x, k, preds, bits)
+            chosen = [c for c in range(pool.pool_size) if int(mask[0]) >> c & 1]
+            return int(labels[0]), int(costs[0]), chosen
+
         samples = np.arange(5, dtype=np.float32).reshape(5, 1)  # query 0 orders 0..4
         ok = True
         details = []
@@ -248,23 +262,20 @@ class TestCriterion8KnoraESemantics:
         corr = np.zeros((3, 5), bool)
         corr[1] = True
         dsel = dsel_from_correctness(corr, samples=samples)
-        res = knora_e(dsel, leaf_pool([0, 2, 1]), [0.0], k=5)
-        ok &= list(res.ensemble_used) == [1] and res.label == 2
+        ok &= knora_e_one(dsel, [0, 2, 1], k=5) == (2, 1, [1])
         details.append("oracle-exists")
 
         # shrink once: classifier 0 fails only the farthest of 3 neighbors
         corr = np.array([[1, 1, 0, 0, 0],
                          [0, 1, 1, 0, 0]], bool)
         dsel = dsel_from_correctness(corr, samples=samples)
-        res = knora_e(dsel, leaf_pool([3, 1]), [0.0], k=3)
-        ok &= list(res.ensemble_used) == [0] and res.label == 3
+        ok &= knora_e_one(dsel, [3, 1], k=3) == (3, 1, [0])
         details.append("shrink-once")
 
         # shrink to empty: nobody ever correct -> whole pool majority
         corr = np.zeros((4, 5), bool)
         dsel = dsel_from_correctness(corr, samples=samples)
-        res = knora_e(dsel, leaf_pool([2, 0, 2, 1]), [0.0], k=5)
-        ok &= list(res.ensemble_used) == [0, 1, 2, 3] and res.label == 2
+        ok &= knora_e_one(dsel, [2, 0, 2, 1], k=5) == (2, 4, [0, 1, 2, 3])
         details.append("shrink-to-empty->whole-pool")
 
         record_criterion("C8 KNORA-E selection semantics", ok, ", ".join(details))

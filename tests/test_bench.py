@@ -1,9 +1,10 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tinydes import bench
+from tinydes import _kernels, bench
 from tinydes.bench import (DatasetSpec, ExperimentConfig, config_from_text,
                            config_to_text, desk_scale_subset, emit_report,
                            measure_inference, run_experiment)
@@ -139,6 +140,59 @@ class TestRunExperiment:
         assert sub.n_samples == 90
         assert np.bincount(sub.labels).tolist() == [30, 30, 30]
         assert desk_scale_subset(data, 5000, seed=1) is data
+
+
+def count_distance_calls(monkeypatch):
+    calls = []
+    real = _kernels.pairwise_sqdist
+
+    def counting(Q, D):
+        calls.append(Q.shape[0])
+        return real(Q, D)
+
+    monkeypatch.setattr(_kernels, "pairwise_sqdist", counting)
+    return calls
+
+
+class TestSharedKnoraRegions:
+    @pytest.fixture(scope="class")
+    def fold_data(self):
+        data = make_blobs(n_per_class=40, n_features=6, n_classes=3, seed=3)
+        idx = np.arange(data.n_samples)
+        return data.subset(idx[idx % 4 != 0]), data.subset(idx[idx % 4 == 0])
+
+    @pytest.mark.parametrize("methods, searches", [
+        (("knora_u", "knora_e"), 1),
+        (("knora_e", "knora_u"), 1),
+        (("knora_u",), 1),
+        (("knora_e",), 1),
+        (("single_best", "static_selection", "des_clustering", "oracle"), 0),
+    ])
+    def test_one_distance_search_per_fold(self, monkeypatch, tmp_path, fold_data,
+                                          methods, searches):
+        cfg = small_config("unused.csv", tmp_path, methods=methods)
+        calls = count_distance_calls(monkeypatch)
+        outcomes, _ = bench._evaluate_fold(cfg, *fold_data, 11)
+        assert len(calls) == searches
+        for key, oc in outcomes.items():
+            assert not oc.error, key
+            alone, _ = bench._evaluate_fold(
+                small_config("unused.csv", tmp_path, methods=(key.partition("|")[0],)),
+                *fold_data, 11)
+            assert (oc.accuracy, oc.mean_cost) == (alone[key].accuracy, alone[key].mean_cost)
+
+    def test_region_failure_fails_both_methods(self, monkeypatch, csv_path, tmp_path):
+        cfg = small_config(csv_path, tmp_path, methods=("knora_u", "knora_e", "oracle"),
+                           k_neighbors=1000)
+        calls = count_distance_calls(monkeypatch)
+        rows = {r.method: r for r in run_experiment(cfg).rows}
+        assert calls == []
+        assert rows["oracle"].status == "ok"
+        for method in ("knora_u", "knora_e"):
+            assert rows[method].status == "failed"
+            assert rows[method].params == "k=1000"
+            assert re.fullmatch(r"SelectionError: region size 1000 exceeds \d+ selection samples",
+                                rows[method].error)
 
 
 class TestEmitReport:

@@ -1,6 +1,7 @@
 import gzip
 import math
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -148,6 +149,16 @@ class TestStandardizer:
         back = invert_standardizer(s, apply_standardizer(s, feats))
         scale = np.maximum(np.abs(feats), 1.0)
         assert (np.abs(back - feats) / scale).max() < 1e-5
+
+    def test_overflow_saturates_without_warning(self):
+        # finite inputs whose standardized value leaves float32 become +-inf
+        # silently, as the engine's do; the subtraction can overflow too
+        s = Standardizer(np.array([0.0, -3e38], np.float32), np.array([4.0, 1.0], np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_standardizer(s, np.array([[3e38, 3e38], [-3e38, 0.0]], np.float32))
+        want = np.array([[np.inf, np.inf], [-np.inf, 3e38]], np.float32)
+        np.testing.assert_array_equal(out, want)
 
     def test_inv_std_positive(self):
         with pytest.raises(ShapeError):

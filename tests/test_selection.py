@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from tinydes import _kernels
 from tinydes.cluster import KMeansModel, fit_kmeans
 from tinydes.data import Dataset, apply_standardizer
-from tinydes.errors import SelectionError, VoteError
+from tinydes import selection
+from tinydes.errors import SelectionError, ShapeError, VoteError
 from tinydes.selection import (CompetenceModel, Dsel, build_competence_model,
                                build_dsel, correctness_matrix,
                                des_clustering_batch, des_clustering_predict,
-                               double_fault, knora_e, knora_e_batch, knora_u,
+                               double_fault, knora_e_batch, knora_regions,
                                knora_u_batch, majority_vote, oracle_accuracy,
                                pool_predictions, single_best, static_selection,
                                vote_rows)
@@ -22,6 +23,7 @@ from tinydes.trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
                            generate_pool)
 
 from conftest import make_blobs
+from knora_oracle import knora_e, knora_u
 
 
 def leaf_tree(cls, n_classes=4):
@@ -162,8 +164,12 @@ class TestKnoraU:
         pool = constant_pool([0, 1], n_classes=2)
         with pytest.raises(SelectionError):
             knora_u(dsel, pool, [0.0], k=4)
-        with pytest.raises(SelectionError):
-            knora_u_batch(dsel, pool, np.zeros((2, 1), np.float32), 4)
+        queries = np.zeros((2, 1), np.float32)
+        for call in (lambda: knora_u_batch(dsel, pool, queries, 4),
+                     lambda: knora_e_batch(dsel, pool, queries, 4),
+                     lambda: knora_regions(dsel, queries, 4)):
+            with pytest.raises(SelectionError, match="region size 4 exceeds 3 selection samples"):
+                call()
 
 
 class TestKnoraE:
@@ -535,6 +541,45 @@ class TestKnoraBatchTies:
         labels, costs = batch_fn(dsel, pool, queries, k)
         assert zlib.crc32(labels.astype("<i8").tobytes()) == label_crc
         assert zlib.crc32(costs.astype("<i8").tobytes()) == cost_crc
+
+
+class TestKnoraRegions:
+    # REGION_CHUNK_CELLS of 60 * 7 gives 7-row blocks over the 60-sample
+    # selection set (13 blocks for 90 queries); 1 gives one row per block.
+    @pytest.mark.parametrize("cells, blocks", [(None, [90]), (60 * 7, [7] * 12 + [6]),
+                                               (1, [1] * 90)])
+    @pytest.mark.parametrize("k", [1, 4, 7, 60])
+    def test_equals_stable_argsort_top_k(self, monkeypatch, cells, blocks, k):
+        dsel, _, queries = tie_heavy_case()
+        d2 = _kernels.pairwise_sqdist(queries, dsel.samples)
+        expect = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        seen = []
+        real = _kernels.pairwise_sqdist
+
+        def counting(Q, D):
+            seen.append(Q.shape[0])
+            return real(Q, D)
+
+        monkeypatch.setattr(_kernels, "pairwise_sqdist", counting)
+        if cells is not None:
+            monkeypatch.setattr(selection, "REGION_CHUNK_CELLS", cells)
+        got = knora_regions(dsel, queries, k)
+        assert seen == blocks
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("batch_fn", [knora_u_batch, knora_e_batch])
+    def test_precomputed_regions(self, batch_fn):
+        dsel, pool, queries = tie_heavy_case()
+        regions = knora_regions(dsel, queries, 7)
+        own = batch_fn(dsel, pool, queries, 7)
+        shared = batch_fn(dsel, pool, queries, 7, None, None, regions)
+        for a, b in zip(own, shared):
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ShapeError, match="regions shape"):
+            batch_fn(dsel, pool, queries, 6, None, None, regions)
+        with pytest.raises(ShapeError, match="regions shape"):
+            batch_fn(dsel, pool, queries[:-1], 7, None, None, regions)
 
 
 class TestVoteRows:

@@ -467,21 +467,19 @@ class TestTinyPredict:
             x = probes[0].copy()
             x[rng.randint(nf)] = value
             probes.append(x)
-        with np.errstate(over="ignore"):
-            for x in probes:
-                ref = des_clustering_predict(cm, pool, apply_standardizer(s, x))
-                assert engine.predict(x) == (ref.label, ref.cost)
+        for x in probes:
+            ref = des_clustering_predict(cm, pool, apply_standardizer(s, x))
+            assert engine.predict(x) == (ref.label, ref.cost)
 
     def test_pinned_answers(self, trained):
         p = trained
         engine = load_tiny(export_tiny(p["standardizer"], p["cm"], p["pool"])[0])
         answers = [engine.predict(x) for x in pinned_probes()]
         assert zlib.crc32(np.array(answers, dtype="<i4").tobytes()) == PINNED_ANSWERS_CRC
-        with np.errstate(over="ignore"):
-            for x, got in zip(pinned_probes(), answers):
-                ref = des_clustering_predict(p["cm"], p["pool"],
-                                             apply_standardizer(p["standardizer"], x))
-                assert got == (ref.label, ref.cost)
+        for x, got in zip(pinned_probes(), answers):
+            ref = des_clustering_predict(p["cm"], p["pool"],
+                                         apply_standardizer(p["standardizer"], x))
+            assert got == (ref.label, ref.cost)
 
     def test_scratch_reuse_no_model_reallocation(self, trained):
         p = trained
