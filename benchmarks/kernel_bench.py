@@ -4,14 +4,13 @@
 #
 # Representative results (numba 0.66, numpy 2.2, one desktop core):
 #
-#   best_split      30000x28           numba  88 ms    numpy 300 ms (*)
 #   tree_walk       depth-10, 30000    numba   2 ms    numpy   8 ms
 #   assign_clusters 24000x784, k=5     numba  53 ms    numpy 208 ms
 #
-# (*) Measured with the earlier per-column numpy split loop. On a 2-vCPU
-#     Intel Xeon host with numpy 2.4 and Python 3.11, that loop takes about
-#     310 ms on this input, the all-columns kernel sorting float values about
-#     150 ms, and the current kernel sorting rank codes about 66 ms.
+# Split search has a numpy kernel only. On a 2-vCPU Intel Xeon host with
+# numpy 2.4 and Python 3.11, the earlier per-column numpy loop took about
+# 310 ms on the 30000x28 input below, the all-columns kernel sorting float
+# values about 150 ms, and the kernel sorting rank codes about 66 ms.
 #
 # Numpy backend alone (2-vCPU Intel Xeon, numpy 2.4, Python 3.11, BLAS and
 # OpenMP pinned to one thread):
@@ -34,8 +33,8 @@ import time
 import numpy as np
 
 from tinydes import _kernels
-from tinydes._kernels import (_assign_clusters_np, _best_split_np,
-                              _pairwise_sqdist_np, _tree_walk_np, rank_codes)
+from tinydes._kernels import (_assign_clusters_np, _pairwise_sqdist_np, _tree_walk_np,
+                              best_split, rank_codes)
 from tinydes._rng import SplitMix64
 from tinydes.data import Dataset
 from tinydes.selection import Dsel, _k_nearest, knora_regions
@@ -64,16 +63,14 @@ n, f, classes = 30000, 784, 10
 X = rng.rand(n, f).astype(np.float32)
 y = rng.randint(0, classes, n).astype(np.int64)
 sub = np.ascontiguousarray(X[:, :28])
-keys = rank_codes(sub)
+keys = rank_codes(sub)  # (n, m) view of C-contiguous (m, n) codes, as train_tree gathers
+totals = np.bincount(y, minlength=classes)
 
 print("== split search (30000 samples x 28 candidate features) ==")
-bench("best_split numba", lambda: _kernels._best_split_nb(sub, y, classes),
-      numba_only=True)
-bench("best_split numpy (uint16 keys)", lambda: _best_split_np(sub, y, classes, keys))
+bench("best_split (uint16 keys)", lambda: best_split(keys, y, classes, totals))
 px = rng.randint(0, 256, (30000, 28)).astype(np.float32)
 px_keys = rank_codes(px)
-bench("best_split numpy, pixels (uint8 keys)",
-      lambda: _best_split_np(px, y, classes, px_keys))
+bench("best_split, pixels (uint8 keys)", lambda: best_split(px_keys, y, classes, totals))
 
 # One pixels784 pool's training rows, and one block of train_tree's
 # candidate feature subsets.

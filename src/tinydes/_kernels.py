@@ -1,17 +1,16 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels.
 
-Every batch kernel exists twice: a numba ``@njit`` version (``*_nb``) and a
-vectorized numpy version (``*_np``). The engine's per-probe ``tiny_infer``
-exists once, in plain Python (see "Compact-engine inference"). The active
-backend is chosen once at import from the ``TINYDES_BACKEND`` environment
-variable (``numba`` or ``numpy``; default numba when importable). Both
-backends follow the same tie rules and the same arithmetic contract:
+Split search has one kernel, in numpy. Every other batch kernel exists
+twice: a numba ``@njit`` version (``*_nb``) and a vectorized numpy version
+(``*_np``). The engine's per-probe ``tiny_infer`` exists once, in plain
+Python (see "Compact-engine inference"). The active backend is chosen once
+at import from the ``TINYDES_BACKEND`` environment variable (``numba`` or
+``numpy``; default numba when importable). Both backends follow the same tie
+rules and the same arithmetic contract:
 
-  * split scores are exact int64 class-count sums divided once in float64,
-    so the two backends pick bit-identical splits. The numba kernel updates
-    per-column counts row by row; the numpy kernel scores all candidate
-    columns at once from the class totals they share, in the order of
-    integer rank codes (see "Split search"); both compute the same integers;
+  * split scores are exact int64 class-count sums divided once in float64;
+    the kernel scores all candidate columns at once from the class totals
+    they share, in the order of integer rank codes (see "Split search");
   * tree walks compare float32 values against float32 thresholds;
   * distances square float32 differences and accumulate in float64.
 
@@ -19,7 +18,8 @@ float64 accumulation order differs between backends (sequential vs numpy
 pairwise), so distance values may differ in the last ulps; every consumer
 breaks ties by explicit index rules, never by accumulation order.
 
-``benchmarks/kernel_bench.py`` times the two backends side by side.
+``benchmarks/kernel_bench.py`` times the kernels, and each numba kernel
+beside its numpy twin when numba is installed.
 """
 
 from __future__ import annotations
@@ -53,23 +53,22 @@ def use_numba() -> bool:
 
 # ---------------------------------------------------------------------------
 # Split search: maximize sum_children( sum_c count_c^2 / n_child ).
-# Equivalent to minimizing weighted Gini impurity; counts are exact int64,
-# each child contributes one float64 division, so scores are bit-identical
-# across backends. Ties resolve to the smallest feature id, then the smallest
-# threshold.
+# Equivalent to minimizing weighted Gini impurity; counts are exact int64 and
+# each child contributes one float64 division. Ties resolve to the smallest
+# feature id, then the smallest threshold.
 #
-# The numpy kernel orders rows by integer keys, not by the float values.
-# ``rank_codes`` gives each column's dense ranks: equal values share a code
-# and codes order like the values, in the smallest unsigned dtype that holds
-# them (uint8 for pixel columns, uint16 up to 65 536 distinct values), which
-# numpy's stable argsort radix-sorts. Keys tie exactly where float32 values
-# compare equal (-0.0 == 0.0), and both sorts are stable, so the permutation
-# is the one a stable argsort of the values gives: every sorted label, count
-# and score is unchanged, and so is the order within runs of equal values.
-# Any keys that tie exactly where the values do and otherwise order like
-# them give the same bits; ``train_tree`` passes the pool's codes restricted
-# to a node's rows. Boundaries are masked on the sorted keys; the threshold's
-# two values are read from ``values`` through the same permutation.
+# The kernel reads integer keys only, never the float values. ``rank_codes``
+# gives each column's dense ranks: equal values share a code and codes order
+# like the values, in the smallest unsigned dtype that holds them (uint8 for
+# pixel columns, uint16 up to 65 536 distinct values), which numpy's stable
+# argsort radix-sorts. Keys tie exactly where float32 values compare equal
+# (-0.0 == 0.0), and the sort is stable, so the permutation is the one a
+# stable argsort of the values gives: every sorted label, count and score is
+# the one a value sort gives. Any keys that tie exactly where the values do
+# and otherwise order like them give the same bits; ``train_tree`` passes
+# the pool's codes restricted to a node's rows. The kernel returns the node
+# positions of the two rows around the cut, and ``split_threshold`` turns
+# their two values into the threshold.
 #
 # It scores every candidate column in one vectorized pass. All columns
 # partition the same rows, so they share the class totals T. Walk a column
@@ -94,7 +93,9 @@ def rank_codes(X):
     """Per-column dense ranks of the 2-D matrix ``X``.
 
     Equal values share a code, and codes order like the values. The dtype is
-    the smallest unsigned type that holds the largest code.
+    the smallest unsigned type that holds the largest code. The result is the
+    transpose of a C-contiguous (features, samples) array, so ``.T`` gives
+    each feature's codes as one contiguous row.
     """
     xt = np.ascontiguousarray(np.asarray(X).T)
     order = np.argsort(xt, axis=1)
@@ -103,14 +104,22 @@ def rank_codes(X):
     np.cumsum(sv[:, 1:] != sv[:, :-1], axis=1, out=ranks[:, 1:])
     codes = np.empty(xt.shape, dtype=np.min_scalar_type(int(ranks[:, -1].max())))
     np.put_along_axis(codes, order, ranks, axis=1)
-    return np.ascontiguousarray(codes.T)
+    return codes.T
 
 
-def _best_split_np(values, labels, n_classes, keys):
-    n, m = values.shape
+def best_split(keys, labels, n_classes, totals):
+    """Best split of a node over its (n, m) candidate ``keys``.
+
+    ``labels`` are the node's class ids and ``totals`` their class counts.
+    Returns ``(col, (p0, p1), score, found)``: p0 and p1 are the node
+    positions of the last row left of the cut and the first row right of it
+    in column ``col``'s key order. Pass ``keys`` as the transpose of a
+    C-contiguous (m, n) array to avoid a copy.
+    """
+    n, m = keys.shape
     if n < 2:
-        return -1, 0.0, -1.0, False
-    total = np.bincount(labels, minlength=n_classes).astype(np.int64)
+        return -1, (-1, -1), -1.0, False
+    total = np.asarray(totals, dtype=np.int64)
     cols = np.arange(m)[:, None]
     kt = np.ascontiguousarray(keys.T)  # one candidate column per row
     order = np.argsort(kt, axis=1, kind="stable")
@@ -119,7 +128,7 @@ def _best_split_np(values, labels, n_classes, keys):
     by_class = np.argsort(ys, axis=1, kind="stable")
     start = np.cumsum(total) - total
     sl = np.empty((m, n), dtype=np.int64)
-    sl[cols, by_class] = 2 * (np.arange(n) - np.repeat(start, total)) + 1
+    sl[cols, by_class] = np.arange(1, 2 * n, 2) - np.repeat(2 * start, total)
     np.cumsum(sl, axis=1, out=sl)
     sr = np.cumsum((2 * total)[ys], axis=1)
     np.subtract(int(total @ total), sr, out=sr)
@@ -128,72 +137,22 @@ def _best_split_np(values, labels, n_classes, keys):
     score = sl[:, :-1] / nl
     score += sr[:, :-1] / (n - nl)
     # every real score is positive, so -1 marks non-boundaries
-    score[sk[:, :-1] == sk[:, 1:]] = -1.0
+    np.putmask(score, sk[:, :-1] == sk[:, 1:], -1.0)
     # row-major argmax: smallest column first, then smallest threshold
     j, i = divmod(int(np.argmax(score)), n - 1)
     if score[j, i] < 0:
-        return -1, 0.0, -1.0, False
-    v0 = values[order[j, i], j]
-    v1 = values[order[j, i + 1], j]
+        return -1, (-1, -1), -1.0, False
+    return j, (int(order[j, i]), int(order[j, i + 1])), float(score[j, i]), True
+
+
+def split_threshold(v0, v1) -> float:
+    """float32 threshold between adjacent distinct values ``v0 < v1``: their
+    midpoint, or ``v0`` when the midpoint rounds up to ``v1``, so that
+    ``<= threshold`` keeps exactly the values up to ``v0``."""
+    v0 = np.float32(v0)
+    v1 = np.float32(v1)
     thr = np.float32((np.float64(v0) + np.float64(v1)) * 0.5)
-    if thr >= v1:
-        # f32 midpoint rounded up to the right value; fall back to the left
-        # value so '<= thr' reproduces the scored partition.
-        thr = v0
-    return j, float(thr), float(score[j, i]), True
-
-
-if _have_numba:
-
-    @njit(cache=True)
-    def _best_split_nb(values, labels, n_classes):  # pragma: no cover - jitted
-        n, m = values.shape
-        total = np.zeros(n_classes, dtype=np.int64)
-        for i in range(n):
-            total[labels[i]] += 1
-        s_total = np.int64(0)
-        for c in range(n_classes):
-            s_total += total[c] * total[c]
-        best_score = -1.0
-        best_col = -1
-        best_thr = np.float32(0.0)
-        for j in range(m):
-            col = values[:, j].copy()
-            order = np.argsort(col)
-            cl = np.zeros(n_classes, dtype=np.int64)
-            cr = total.copy()
-            sl = np.int64(0)
-            sr = s_total
-            for i in range(n - 1):
-                y = labels[order[i]]
-                sl += 2 * cl[y] + 1
-                cl[y] += 1
-                sr -= 2 * cr[y] - 1
-                cr[y] -= 1
-                v0 = col[order[i]]
-                v1 = col[order[i + 1]]
-                if v0 == v1:
-                    continue
-                nl = i + 1
-                nr = n - nl
-                score = sl / nl + sr / nr
-                if score > best_score:
-                    thr = np.float32((np.float64(v0) + np.float64(v1)) * 0.5)
-                    if thr >= v1:
-                        thr = v0
-                    best_score = score
-                    best_col = j
-                    best_thr = thr
-        return best_col, best_thr, best_score, best_col >= 0
-
-    def _best_split_dispatch(values, labels, n_classes, keys):
-        # the numba kernel sorts the values itself; keys only serve numpy
-        col, thr, score, ok = _best_split_nb(values, labels, n_classes)
-        return int(col), float(thr), float(score), bool(ok)
-
-    best_split = _best_split_dispatch
-else:
-    best_split = _best_split_np
+    return float(v0 if thr >= v1 else thr)
 
 
 # ---------------------------------------------------------------------------

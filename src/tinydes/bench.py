@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import derive_seed
-from .cluster import fit_kmeans
+from .cluster import assign_batch, fit_kmeans
 from .data import (Dataset, apply_standardizer, fit_standardizer,
                    load_csv, load_idx, make_fold_plan, stratified_indices,
                    stratified_split)
@@ -318,15 +318,19 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
         elif method == "knora_e":
             run(method, f"k={cfg.k_neighbors}", lambda: _knora(knora_e_batch))
         elif method == "des_clustering":
+            # one k-means and one cluster assignment per fold serve every J
             km_cache = []
             n_acc = min(cfg.resolve_n_acc(), pool.pool_size)
             for j in cfg.j_values:
                 def _dc(j=j):
                     if not km_cache:
-                        km_cache.append(fit_kmeans(dsel.samples, cfg.k_clusters,
-                                                   derive_seed(fold_seed, 3)))
-                    cm = build_competence_model(dsel, km_cache[0], n_acc, j)
-                    labels, costs = des_clustering_batch(cm, pool, test_std, preds, visits)
+                        km = fit_kmeans(dsel.samples, cfg.k_clusters, derive_seed(fold_seed, 3))
+                        km_cache.append((km, assign_batch(km, dsel.samples),
+                                         assign_batch(km, test_std)))
+                    km, member_of, clusters = km_cache[0]
+                    cm = build_competence_model(dsel, km, n_acc, j, member_of)
+                    labels, costs = des_clustering_batch(cm, pool, test_std, preds, visits,
+                                                         clusters)
                     blob, _ = export_tiny(s, cm, pool)
                     return (float((labels == target).mean()), float(costs.mean()),
                             len(blob))

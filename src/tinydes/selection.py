@@ -108,16 +108,28 @@ def _rank_top(scores: np.ndarray, take: int) -> np.ndarray:
     return order[:take]
 
 
-def build_competence_model(dsel: Dsel, kmeans: KMeansModel, n_acc: int, j: int) -> CompetenceModel:
+def _cluster_ids(kmeans: KMeansModel, X, clusters) -> np.ndarray:
+    """``assign_batch(kmeans, X)``, or the precomputed ``clusters`` checked
+    for shape."""
+    if clusters is None:
+        return assign_batch(kmeans, X)
+    if clusters.shape != (X.shape[0],):
+        raise ShapeError(f"cluster ids shape {clusters.shape} != {(X.shape[0],)}")
+    return clusters
+
+
+def build_competence_model(dsel: Dsel, kmeans: KMeansModel, n_acc: int, j: int,
+                           member_of=None) -> CompetenceModel:
     """Per cluster: shortlist the n_acc most accurate classifiers, then keep
     the j with the smallest mean pairwise double-fault within the shortlist
     (ties: higher accuracy, then smaller index). Clusters with no selection
-    samples fall back to global accuracy/diversity."""
+    samples fall back to global accuracy/diversity. ``member_of`` takes
+    precomputed ``assign_batch(kmeans, dsel.samples)``."""
     pool_size = dsel.pool_size
     if not (1 <= j <= n_acc <= pool_size):
         raise SelectionError(f"need 1 <= J({j}) <= N_acc({n_acc}) <= pool({pool_size})")
     k = kmeans.k
-    member_of = assign_batch(kmeans, dsel.samples)
+    member_of = _cluster_ids(kmeans, dsel.samples, member_of)
     accuracy = np.empty((k, pool_size), dtype=np.float64)
     ensembles = np.empty((k, j), dtype=np.uint16)
     global_acc = dsel.correctness.mean(axis=1)
@@ -323,8 +335,9 @@ def knora_e_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
 
 
 def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, X,
-                         pool_preds=None, pool_visits=None):
-    """Vectorized clustering-method prediction. Returns (labels, costs)."""
+                         pool_preds=None, pool_visits=None, clusters=None):
+    """Vectorized clustering-method prediction. Returns (labels, costs).
+    ``clusters`` takes precomputed ``assign_batch(cm.kmeans, X)``."""
     mat = np.ascontiguousarray(X, dtype=np.float32)
     if pool_preds is None:
         ref = np.unique(cm.per_cluster_ensemble)
@@ -332,7 +345,7 @@ def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, X,
         pool_visits = np.zeros_like(pool_preds)
         for cid in ref:
             pool_preds[cid], pool_visits[cid] = predict_batch(pool.trees[cid], mat)
-    clusters = assign_batch(cm.kmeans, mat)
+    clusters = _cluster_ids(cm.kmeans, mat, clusters)
     ens = cm.per_cluster_ensemble[clusters].astype(np.int64)  # [n, J]
     cols = np.arange(mat.shape[0])[:, None]
     labels = vote_rows(pool_preds[ens, cols], np.ones(ens.shape), pool.n_classes)

@@ -131,11 +131,10 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
     if idx0.size == 0:
         raise ValueError("sample_indices must be non-empty")
     X = data.features
-    # flat views: a node's candidate cells are gathered by one 1-D take,
-    # which is several times faster than 2-D fancy indexing at large nodes
-    x_flat = X.reshape(-1)
-    codes_flat = data.rank_codes.reshape(-1)
-    y_all = data.labels.astype(np.int64)
+    # feature-major codes: a node's candidate cells are one 1-D take into
+    # contiguous feature rows, several times faster than 2-D fancy indexing
+    n_samples = data.n_samples
+    codes_flat = data.rank_codes.T.reshape(-1)
     n_classes = data.n_classes
     rng = SplitMix64(rng_seed)
 
@@ -156,33 +155,31 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
         jump_out.append(j)
         return len(feat_out) - 1
 
-    def grow(idx: np.ndarray, depth: int) -> None:
-        y = y_all[idx]
-        counts = np.bincount(y, minlength=n_classes)
+    def grow(idx: np.ndarray, y: np.ndarray, counts: np.ndarray, depth: int) -> None:
         majority = _majority(counts)
         if depth >= max_depth or counts[majority] == idx.size:
             emit(LEAF, 0.0, majority)
             return
         cands = next(candidates)
-        cells = cands[:, None] + idx * data.n_features  # one candidate per row
-        col, thr, score, found = _kernels.best_split(x_flat.take(cells).T, y, n_classes,
-                                                     codes_flat.take(cells).T)
-        if found:
-            parent_score = float(np.square(counts.astype(np.int64)).sum()) / idx.size
-            if score <= parent_score:
-                found = False
+        kt = codes_flat.take(cands[:, None] * n_samples + idx)  # one candidate per row
+        col, (p0, p1), score, found = _kernels.best_split(kt.T, y, n_classes, counts)
+        if found and score <= float(counts @ counts) / idx.size:
+            found = False
         if not found:
             emit(LEAF, 0.0, majority)
             return
         feature = int(cands[col])
-        mask = X[idx, feature] <= np.float32(thr)
-        left, right = idx[mask], idx[~mask]
+        thr = _kernels.split_threshold(X[idx[p0], feature], X[idx[p1], feature])
+        mask = kt[col] <= kt[col, p0]
+        y_left = y[mask]
+        left_counts = np.bincount(y_left, minlength=n_classes)
         pos = emit(feature, thr, 0)
-        grow(left, depth + 1)
+        grow(idx[mask], y_left, left_counts, depth + 1)
         jump_out[pos] = len(feat_out)
-        grow(right, depth + 1)
+        grow(idx[~mask], y[~mask], counts - left_counts, depth + 1)
 
-    grow(idx0, 0)
+    y0 = data.labels[idx0].astype(np.int64)
+    grow(idx0, y0, np.bincount(y0, minlength=n_classes), 0)
     if len(feat_out) > 65535:
         raise CapacityError(f"tree grew {len(feat_out)} nodes; the 16-bit node index caps at 65535")
     return DecisionTree(

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,8 +115,8 @@ class TestRunExperiment:
         p1 = emit_report(run_experiment(cfg1), tmp_path / "a")
         p2 = emit_report(run_experiment(cfg2), tmp_path / "b")
         for name in ("results.csv", "folds.csv", "accuracy_table.txt", "cost_table.txt"):
-            a = open(p1[name], "rb").read()
-            b = open(p2[name], "rb").read()
+            a = Path(p1[name]).read_bytes()
+            b = Path(p2[name]).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
     def test_seed_isolation_across_dataset_lists(self, csv_path, tmp_path):
@@ -154,13 +155,14 @@ def count_distance_calls(monkeypatch):
     return calls
 
 
-class TestSharedKnoraRegions:
-    @pytest.fixture(scope="class")
-    def fold_data(self):
-        data = make_blobs(n_per_class=40, n_features=6, n_classes=3, seed=3)
-        idx = np.arange(data.n_samples)
-        return data.subset(idx[idx % 4 != 0]), data.subset(idx[idx % 4 == 0])
+@pytest.fixture(scope="module")
+def fold_data():
+    data = make_blobs(n_per_class=40, n_features=6, n_classes=3, seed=3)
+    idx = np.arange(data.n_samples)
+    return data.subset(idx[idx % 4 != 0]), data.subset(idx[idx % 4 == 0])
 
+
+class TestSharedKnoraRegions:
     @pytest.mark.parametrize("methods, searches", [
         (("knora_u", "knora_e"), 1),
         (("knora_e", "knora_u"), 1),
@@ -195,6 +197,53 @@ class TestSharedKnoraRegions:
                                 rows[method].error)
 
 
+class TestClusterIdsOncePerFold:
+    def test_one_assignment_serves_every_j(self, monkeypatch, tmp_path, fold_data):
+        real = _kernels.assign_clusters
+        calls = []
+
+        def counting(X, C):
+            calls.append(X.shape[0])
+            return real(X, C)
+
+        monkeypatch.setattr(_kernels, "assign_clusters", counting)
+        per_j_count = []
+        for j_values in ((2,), (2, 4), (2, 4, 5)):
+            calls.clear()
+            bench._evaluate_fold(small_config("unused.csv", tmp_path, methods=("des_clustering",),
+                                              j_values=j_values), *fold_data, 11)
+            per_j_count.append(len(calls))
+        assert per_j_count[0] == per_j_count[1] == per_j_count[2]
+
+    def test_answers_equal_per_j_calls(self, monkeypatch, tmp_path, fold_data):
+        # each J's call with the fold's cluster ids against one computing its own
+        real_cm, real_dc = bench.build_competence_model, bench.des_clustering_batch
+        seen = []
+
+        def cm_spy(dsel, km, n_acc, j, member_of):
+            got = real_cm(dsel, km, n_acc, j, member_of)
+            ref = real_cm(dsel, km, n_acc, j)
+            np.testing.assert_array_equal(got.per_cluster_ensemble, ref.per_cluster_ensemble)
+            np.testing.assert_array_equal(got.per_cluster_accuracy, ref.per_cluster_accuracy)
+            seen.append(j)
+            return got
+
+        def dc_spy(cm, pool, X, preds, visits, clusters):
+            got = real_dc(cm, pool, X, preds, visits, clusters)
+            for a, b in zip(got, real_dc(cm, pool, X, preds, visits)):
+                np.testing.assert_array_equal(a, b)
+            seen.append(-cm.j)
+            return got
+
+        monkeypatch.setattr(bench, "build_competence_model", cm_spy)
+        monkeypatch.setattr(bench, "des_clustering_batch", dc_spy)
+        cfg = small_config("unused.csv", tmp_path, methods=("des_clustering",),
+                           j_values=(2, 4, 5))
+        outcomes, _ = bench._evaluate_fold(cfg, *fold_data, 11)
+        assert seen == [2, -2, 4, -4, 5, -5]
+        assert not any(oc.error for oc in outcomes.values())
+
+
 class TestEmitReport:
     def test_aggregation_recompute(self, table, tmp_path):
         t, cfg, out = table
@@ -219,7 +268,7 @@ class TestEmitReport:
     def test_table_layout_order(self, table, tmp_path):
         t, cfg, out = table
         paths = emit_report(t, out)
-        text = open(paths["accuracy_table.txt"]).read()
+        text = Path(paths["accuracy_table.txt"]).read_text()
         order = ["Single Best", "Static Selection", "KNORA-U", "KNORA-E",
                  "DES-Clustering_2", "DES-Clustering_4", "Oracle"]
         positions = [text.index(name) for name in order]
@@ -243,7 +292,7 @@ class TestEmitReport:
         p1 = emit_report(t, d1)
         p2 = emit_report(t, d2)
         for name in p1:
-            assert open(p1[name], "rb").read() == open(p2[name], "rb").read()
+            assert Path(p1[name]).read_bytes() == Path(p2[name]).read_bytes()
 
 
 class TestMeasureInference:

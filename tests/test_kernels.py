@@ -1,12 +1,12 @@
-"""Differential tests: every numba kernel against its numpy fallback."""
+"""Differential tests: every numba kernel against its numpy fallback (split
+search has a numpy kernel only; see ``test_split_search.py``)."""
 
 import numpy as np
 import pytest
 
 from tinydes import _kernels
-from tinydes._kernels import (_assign_clusters_np, _best_split_np,
-                              _both_wrong_counts_np, _cluster_means_np,
-                              _pairwise_sqdist_np, _tree_walk_np, rank_codes)
+from tinydes._kernels import (_assign_clusters_np, _both_wrong_counts_np,
+                              _cluster_means_np, _pairwise_sqdist_np, _tree_walk_np)
 from tinydes.data import Dataset
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool
 
@@ -19,24 +19,6 @@ def random_case(seed, n=400, f=9, classes=5):
     X = (rng.randint(0, 40, (n, f)) / 4.0).astype(np.float32)
     y = rng.randint(0, classes, n).astype(np.int64)
     return X, y, classes
-
-
-class TestBestSplit:
-    def test_exact_equality(self):
-        for seed in range(20):
-            X, y, classes = random_case(seed, n=150, f=6)
-            a = _kernels._best_split_nb(X, y, classes)
-            b = _best_split_np(X, y, classes, rank_codes(X))
-            assert (int(a[0]), bool(a[3])) == (b[0], b[3])
-            assert float(a[1]) == b[1]
-            assert float(a[2]) == b[2]
-
-    def test_constant_columns(self):
-        X = np.ones((10, 3), np.float32)
-        y = np.arange(10, dtype=np.int64) % 2
-        a = _kernels._best_split_nb(X, y, 2)
-        b = _best_split_np(X, y, 2, rank_codes(X))
-        assert not a[3] and not b[3]
 
 
 class TestTreeWalk:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinydes import _kernels
-from tinydes.cluster import KMeansModel, fit_kmeans
+from tinydes.cluster import KMeansModel, assign_batch, fit_kmeans
 from tinydes.data import Dataset, apply_standardizer
 from tinydes import selection
 from tinydes.errors import SelectionError, ShapeError, VoteError
@@ -445,6 +445,23 @@ class TestBatchEquivalence:
         for i in range(0, dsel.n_samples, 3):
             res = des_clustering_predict(cm, pool, dsel.samples[i])
             assert labels[i] == res.label and costs[i] == res.cost
+
+    def test_precomputed_cluster_ids(self, pipeline):
+        dsel, pool, km = pipeline["dsel"], pipeline["pool"], pipeline["kmeans"]
+        probes = dsel.samples[:40]
+        member_of = assign_batch(km, dsel.samples)
+        cm = build_competence_model(dsel, km, 6, 3)
+        shared = build_competence_model(dsel, km, 6, 3, member_of)
+        np.testing.assert_array_equal(cm.per_cluster_ensemble, shared.per_cluster_ensemble)
+        np.testing.assert_array_equal(cm.per_cluster_accuracy, shared.per_cluster_accuracy)
+        own = des_clustering_batch(cm, pool, probes)
+        given = des_clustering_batch(cm, pool, probes, None, None, assign_batch(km, probes))
+        for a, b in zip(own, given):
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ShapeError, match="cluster ids shape"):
+            build_competence_model(dsel, km, 6, 3, member_of[:-1])
+        with pytest.raises(ShapeError, match="cluster ids shape"):
+            des_clustering_batch(cm, pool, probes, None, None, member_of)
 
     def test_cost_monotone_in_j(self, pipeline):
         dsel, pool, km = pipeline["dsel"], pipeline["pool"], pipeline["kmeans"]

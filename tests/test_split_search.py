@@ -1,9 +1,11 @@
-"""Exact split search: the numpy kernel against two independent oracles.
+"""Exact split search: the kernel against independent oracles.
 
-Unlike ``test_kernels.py`` these tests need no numba; they pin the numpy
-kernel, which is the backend that runs wherever numba is absent. The kernel
-sorts rows by integer keys; ``split`` passes the values' rank codes, as
-``train_tree`` does, and the oracles sort the float values themselves.
+The kernel sorts rows by integer keys and never reads a float value; it
+returns the two rows around the cut. ``split`` passes the values' rank
+codes, as ``train_tree`` does, and turns those two rows' values into the
+threshold with ``split_threshold``. The per-column and exhaustive oracles
+sort the float values themselves, and ``split_oracle.value_best_split`` is
+the kernel that read the values alongside the keys.
 """
 
 import struct
@@ -13,17 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinydes._kernels import _best_split_np, rank_codes
+from tinydes._kernels import best_split, rank_codes, split_threshold
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool
 
+from split_oracle import value_best_split
 from test_trees import exhaustive_best_split
 
 NOT_FOUND = (-1, 0.0, -1.0, False)
 
 
-def split(values, labels, n_classes):
-    return _best_split_np(values, labels, n_classes, rank_codes(values))
+def split(values, labels, n_classes, keys=None):
+    """(col, threshold, score, found) as ``train_tree`` derives them."""
+    keys = rank_codes(values) if keys is None else keys
+    totals = np.bincount(labels, minlength=n_classes)
+    col, (p0, p1), score, found = best_split(keys, labels, n_classes, totals)
+    if not found:
+        return NOT_FOUND
+    return col, split_threshold(values[p0, col], values[p1, col]), score, True
 
 
 def per_column_best_split(values, labels, n_classes):
@@ -147,8 +156,8 @@ class TestKeys:
         y = np.array(labels, dtype=np.int64)
         codes = rank_codes(values)
         spread = codes.astype(np.uint32) * 3 + 7
-        got = bits(_best_split_np(values, y, n_classes, codes))
-        assert got == bits(_best_split_np(values, y, n_classes, spread))
+        got = bits(split(values, y, n_classes, codes))
+        assert got == bits(split(values, y, n_classes, spread))
         assert got == bits(per_column_best_split(values, y, n_classes))
 
     def test_pool_wide_codes_of_node_rows(self):
@@ -156,14 +165,61 @@ class TestKeys:
         values, labels, c = pixel_case(4, 900)
         codes = rank_codes(values)
         node = np.arange(0, 900, 3)
-        assert bits(_best_split_np(values[node], labels[node], c, codes[node])) == \
+        assert bits(split(values[node], labels[node], c, codes[node])) == \
             bits(per_column_best_split(values[node], labels[node], c))
+
+
+_V0 = np.nextafter(np.float32(1), np.float32(2))  # odd mantissa: midpoint rounds up
+# -0.0 and 0.0 tie; (_V0, next) and (3, next) are adjacent float32 pairs, the
+# first falling back to its left value; +-1e-45 are the smallest subnormals
+PALETTE = np.array([-0.0, 0.0, _V0, np.nextafter(_V0, np.float32(2)), 3.0,
+                    np.nextafter(np.float32(3), np.float32(4)), -1.5, 1e-45, -1e-45],
+                   np.float32)
+
+
+class TestAgainstValueOracle:
+    """The code kernel plus ``split_threshold`` against the value-reading
+    kernel, on nodes drawn with repeats from a pool, as bootstraps are."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_pool=st.integers(1, 12), m=st.integers(1, 4),
+           n_classes=st.integers(1, 4), wide=st.booleans())
+    def test_same_bits_and_partition(self, data, n_pool, m, n_classes, wide):
+        cells = data.draw(st.lists(st.integers(0, PALETTE.size - 1), min_size=n_pool * m,
+                                   max_size=n_pool * m))
+        pool = PALETTE[np.array(cells)].reshape(n_pool, m)
+        constant = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        pool[:, np.array(constant)] = pool[0, np.array(constant)]
+        pool_labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1),
+                                                  min_size=n_pool, max_size=n_pool)))
+        idx = np.array(data.draw(st.lists(st.integers(0, n_pool - 1), min_size=1,
+                                          max_size=30)))
+        # filler rows with 300 distinct values push every code to uint16
+        filler = np.zeros((300 if wide else 0, m), np.float32)
+        filler[:, 0] = 10 + np.arange(filler.shape[0])
+        codes = rank_codes(np.concatenate([pool, filler]))[:n_pool]
+        assert codes.dtype == (np.uint16 if wide else np.uint8)
+        values, y = pool[idx], pool_labels[idx]
+        kt = np.ascontiguousarray(codes.T[:, idx])  # train_tree's gather
+        col, (p0, p1), score, found = best_split(kt.T, y, n_classes,
+                                                 np.bincount(y, minlength=n_classes))
+        thr = split_threshold(values[p0, col], values[p1, col]) if found else 0.0
+        got = (col, thr, score, found) if found else NOT_FOUND
+        assert bits(got) == bits(value_best_split(values, y, n_classes, kt.T))
+        assert bits(got) == bits(per_column_best_split(values, y, n_classes))
+        if found:
+            np.testing.assert_array_equal(kt[col] <= kt[col, p0],
+                                          values[:, col] <= np.float32(thr))
 
 
 class TestRankCodes:
     def test_dense_ranks_per_column(self):
         values = np.array([[2.5, 7], [-1, 7], [2.5, -3], [9, 0]], np.float32)
         np.testing.assert_array_equal(rank_codes(values), [[1, 2], [0, 2], [1, 0], [2, 1]])
+
+    def test_feature_major_layout(self):
+        codes = rank_codes(np.arange(12, dtype=np.float32).reshape(4, 3))
+        assert codes.shape == (4, 3) and codes.T.flags.c_contiguous
 
     def test_signed_zeros_share_a_code(self):
         values = np.array([[0.0], [-0.0], [1.0], [-0.0], [-1.0]], np.float32)
