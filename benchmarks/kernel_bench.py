@@ -1,19 +1,13 @@
-# Times the pure-numpy kernels, and the numba kernels beside them when numba
-# is installed, on synthetic MNIST-shaped data.
+# Times the numpy kernels on synthetic MNIST-shaped data.
 # Run:  PYTHONPATH=src python benchmarks/kernel_bench.py
 #
-# Representative results (numba 0.66, numpy 2.2, one desktop core):
+# Every figure below is a raw wall time from one session, with no
+# calibration unit, and the rows were recorded in different sessions: the
+# same host has moved 2-3x between sessions. Figures do not compare across
+# sessions, so time both sides of a change in the same session.
 #
-#   tree_walk       depth-10, 30000    numba   2 ms    numpy   8 ms
-#   assign_clusters 24000x784, k=5     numba  53 ms    numpy 208 ms
-#
-# Split search has a numpy kernel only. On a 2-vCPU Intel Xeon host with
-# numpy 2.4 and Python 3.11, the earlier per-column numpy loop took about
-# 310 ms on the 30000x28 input below, the all-columns kernel sorting float
-# values about 150 ms, and the kernel sorting rank codes about 66 ms.
-#
-# Numpy backend alone (2-vCPU Intel Xeon, numpy 2.4, Python 3.11, BLAS and
-# OpenMP pinned to one thread):
+# 2-vCPU Intel Xeon, numpy 2.4, Python 3.11, BLAS and OpenMP pinned to one
+# thread:
 #
 #   best_split      30000x28, uint16 keys    66 ms   float-value sort: 150 ms
 #   best_split      30000x28 pixels, uint8   53 ms   float-value sort: 128 ms
@@ -32,23 +26,17 @@ import time
 
 import numpy as np
 
-from tinydes import _kernels
-from tinydes._kernels import (_assign_clusters_np, _pairwise_sqdist_np, _tree_walk_np,
-                              best_split, rank_codes)
+from tinydes._kernels import (assign_clusters, best_split, pairwise_sqdist, rank_codes,
+                              tree_walk)
 from tinydes._rng import SplitMix64
 from tinydes.data import Dataset
 from tinydes.selection import Dsel, _k_nearest, knora_regions
 from tinydes.tinyformat import export_tiny, load_tiny
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool
 
-NUMBA = _kernels.BACKEND == "numba"
 
-
-def bench(label, fn, reps=5, numba_only=False):
-    if numba_only and not NUMBA:
-        print(f"{label:<44} {'skipped (no numba)':>13}")
-        return None
-    fn()  # warmup / jit compile
+def bench(label, fn, reps=5):
+    fn()  # warmup
     t0 = time.perf_counter()
     for _ in range(reps):
         fn()
@@ -84,25 +72,20 @@ print("== batch tree walk (one depth-10 tree, 30000 samples) ==")
 data = Dataset(X[:4000], y[:4000].astype(np.uint16), classes)
 pool = generate_pool(data, PoolConfig((ForestSpec(1, 10),)), seed=3)
 tree = pool.trees[0]
-bench("tree_walk numba", lambda: _kernels._tree_walk_nb(
-    tree.feature, tree.threshold, tree.jump, X), numba_only=True)
-bench("tree_walk numpy", lambda: _tree_walk_np(
-    tree.feature, tree.threshold, tree.jump, X))
+bench("tree_walk", lambda: tree_walk(tree.feature, tree.threshold, tree.jump, X))
 
 print("== cluster assignment (24000 x 784, k=5) ==")
 C = rng.rand(5, f).astype(np.float32)
 Xa = X[:24000]
-bench("assign_clusters numba", lambda: _kernels._assign_clusters_nb(Xa, C),
-      numba_only=True)
-bench("assign_clusters numpy", lambda: _assign_clusters_np(Xa, C))
+bench("assign_clusters", lambda: assign_clusters(Xa, C))
 
 # One chunk of crossval-float64's KNORA search: (1 << 24) // 3000 query rows;
 # knora_regions runs one fold's 6000 test rows, in two chunks.
 print("== KNORA region search (5592 x 3000 x 64, k=7) ==")
 Qk = rng.randn(5592, 64).astype(np.float32)
 Dk = rng.randn(3000, 64).astype(np.float32)
-d2 = _pairwise_sqdist_np(Qk, Dk)
-bench("pairwise_sqdist numpy", lambda: _pairwise_sqdist_np(Qk, Dk), reps=3)
+d2 = pairwise_sqdist(Qk, Dk)
+bench("pairwise_sqdist", lambda: pairwise_sqdist(Qk, Dk), reps=3)
 bench("k_nearest (k=7)", lambda: _k_nearest(d2, 7), reps=3)
 bench("stable argsort top-7 (full sort)",
       lambda: np.argsort(d2, axis=1, kind="stable")[:, :7], reps=3)

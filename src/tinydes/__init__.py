@@ -1,15 +1,14 @@
 """Clustering-based dynamic ensemble selection with a compact binary model
 format, a Python inference engine and a fixed-memory C89 emitter.
 
-Numeric hot paths run numba-jitted by default; set ``TINYDES_BACKEND=numpy``
-before import for the pure-numpy fallback.
+Numeric hot paths are vectorized numpy kernels; ``BACKEND`` names them.
 """
 
 from ._kernels import BACKEND
 from .cluster import KMeansModel, assign, fit_kmeans
 from .data import (Dataset, FoldPlan, Standardizer, apply_standardizer,
-                   fit_standardizer, invert_standardizer, load_csv, load_idx,
-                   make_fold_plan, stratified_split)
+                   fit_standardizer, load_csv, load_idx, make_fold_plan,
+                   stratified_split)
 from .errors import (CapacityError, ChecksumError, ClusterError, FormatError,
                      IoError, ModelCorruptError, NondeterminismError,
                      SelectionError, ShapeError, StratificationError,
@@ -36,7 +35,7 @@ __all__ = [
     "apply_standardizer", "assign", "build_competence_model", "build_dsel",
     "des_clustering_predict", "double_fault", "emit_static_source",
     "export_tiny", "fit_kmeans", "fit_standardizer", "generate_pool",
-    "invert_standardizer", "load_csv", "load_idx",
+    "load_csv", "load_idx",
     "load_tiny", "majority_vote", "make_fold_plan", "oracle_accuracy",
     "predict_tree", "single_best", "static_selection", "stratified_split",
     "tiny_predict", "train_tree",

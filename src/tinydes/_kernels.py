@@ -1,12 +1,9 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, one numpy kernel per rule.
 
-Split search has one kernel, in numpy. Every other batch kernel exists
-twice: a numba ``@njit`` version (``*_nb``) and a vectorized numpy version
-(``*_np``). The engine's per-probe ``tiny_infer`` exists once, in plain
-Python (see "Compact-engine inference"). The active backend is chosen once
-at import from the ``TINYDES_BACKEND`` environment variable (``numba`` or
-``numpy``; default numba when importable). Both backends follow the same tie
-rules and the same arithmetic contract:
+Split search, tree walks, cluster assignment and means, KNORA distances and
+double-fault counts are vectorized numpy; the engine's per-probe
+``tiny_infer`` is plain Python (see "Compact-engine inference"). They share
+one arithmetic contract:
 
   * split scores are exact int64 class-count sums divided once in float64;
     the kernel scores all candidate columns at once from the class totals
@@ -14,41 +11,15 @@ rules and the same arithmetic contract:
   * tree walks compare float32 values against float32 thresholds;
   * distances square float32 differences and accumulate in float64.
 
-float64 accumulation order differs between backends (sequential vs numpy
-pairwise), so distance values may differ in the last ulps; every consumer
-breaks ties by explicit index rules, never by accumulation order.
-
-``benchmarks/kernel_bench.py`` times the kernels, and each numba kernel
-beside its numpy twin when numba is installed.
+Every consumer breaks distance ties by explicit index rules, never by
+accumulation order. ``benchmarks/kernel_bench.py`` times the kernels.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("TINYDES_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise ValueError(f"TINYDES_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-
-_want_numba = _env != "numpy"
-_have_numba = False
-if _want_numba:
-    try:
-        from numba import njit, prange
-
-        _have_numba = True
-    except ImportError:
-        if _env == "numba":
-            raise
-        _have_numba = False
-
-BACKEND = "numba" if _have_numba else "numpy"
-
-
-def use_numba() -> bool:
-    return BACKEND == "numba"
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +133,7 @@ def split_threshold(v0, v1) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _tree_walk_np(feat, thr, jump, X):
+def tree_walk(feat, thr, jump, X):
     n = X.shape[0]
     nn = feat.shape[0]
     pos = np.zeros(n, dtype=np.int64)
@@ -194,46 +165,13 @@ def _tree_walk_np(feat, thr, jump, X):
     return labels, visits
 
 
-if _have_numba:
-
-    @njit(cache=True, parallel=True)
-    def _tree_walk_nb(feat, thr, jump, X):  # pragma: no cover - jitted
-        n = X.shape[0]
-        nn = feat.shape[0]
-        labels = np.empty(n, dtype=np.int64)
-        visits = np.empty(n, dtype=np.int64)
-        for r in prange(n):
-            pos = 0
-            steps = 0
-            lab = np.int64(-1)
-            while steps <= nn:
-                steps += 1
-                f = feat[pos]
-                if f < 0:
-                    lab = np.int64(jump[pos])
-                    break
-                if X[r, f] <= thr[pos]:
-                    pos = pos + 1
-                else:
-                    pos = np.int64(jump[pos])
-                if pos >= nn:
-                    break
-            labels[r] = lab
-            visits[r] = steps
-        return labels, visits
-
-    tree_walk = _tree_walk_nb
-else:
-    tree_walk = _tree_walk_np
-
-
 # ---------------------------------------------------------------------------
 # Squared-L2 cluster assignment: float32 differences/squares, float64
 # accumulation, ties to the smallest cluster id.
 # ---------------------------------------------------------------------------
 
 
-def _assign_clusters_np(X, C):
+def assign_clusters(X, C):
     n = X.shape[0]
     k = C.shape[0]
     labels = np.empty(n, dtype=np.int64)
@@ -252,35 +190,7 @@ def _assign_clusters_np(X, C):
     return labels, dists
 
 
-if _have_numba:
-
-    @njit(cache=True, parallel=True)
-    def _assign_clusters_nb(X, C):  # pragma: no cover - jitted
-        n, nf = X.shape
-        k = C.shape[0]
-        labels = np.empty(n, dtype=np.int64)
-        dists = np.empty(n, dtype=np.float64)
-        for r in prange(n):
-            best = np.inf
-            bid = 0
-            for c in range(k):
-                acc = 0.0
-                for i in range(nf):
-                    d = X[r, i] - C[c, i]
-                    acc += d * d
-                if acc < best:
-                    best = acc
-                    bid = c
-            labels[r] = bid
-            dists[r] = best
-        return labels, dists
-
-    assign_clusters = _assign_clusters_nb
-else:
-    assign_clusters = _assign_clusters_np
-
-
-def _cluster_means_np(X, labels, k):
+def cluster_means(X, labels, k):
     nf = X.shape[1]
     out = np.zeros((k, nf), dtype=np.float32)
     counts = np.zeros(k, dtype=np.int64)
@@ -293,36 +203,12 @@ def _cluster_means_np(X, labels, k):
     return out, counts
 
 
-if _have_numba:
-
-    @njit(cache=True)
-    def _cluster_means_nb(X, labels, k):  # pragma: no cover - jitted
-        n, nf = X.shape
-        sums = np.zeros((k, nf), dtype=np.float64)
-        counts = np.zeros(k, dtype=np.int64)
-        for r in range(n):
-            c = labels[r]
-            counts[c] += 1
-            for i in range(nf):
-                sums[c, i] += X[r, i]
-        out = np.zeros((k, nf), dtype=np.float32)
-        for c in range(k):
-            if counts[c] > 0:
-                for i in range(nf):
-                    out[c, i] = np.float32(sums[c, i] / counts[c])
-        return out, counts
-
-    cluster_means = _cluster_means_nb
-else:
-    cluster_means = _cluster_means_np
-
-
 # ---------------------------------------------------------------------------
 # Dense query-to-reference squared distances (KNORA region search).
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_sqdist_np(Q, D):
+def pairwise_sqdist(Q, D):
     # qq - 2 Q.D + dd, evaluated in the product's buffer. Bit-identical to
     # the expression: scaling by -2 is exact and qq + (-x) is qq - x.
     Qd = Q.astype(np.float64)
@@ -335,65 +221,22 @@ def _pairwise_sqdist_np(Q, D):
     return out
 
 
-if _have_numba:
-
-    @njit(cache=True, parallel=True)
-    def _pairwise_sqdist_nb(Q, D):  # pragma: no cover - jitted
-        nq, nf = Q.shape
-        nd = D.shape[0]
-        out = np.empty((nq, nd), dtype=np.float64)
-        for r in prange(nq):
-            for s in range(nd):
-                acc = 0.0
-                for i in range(nf):
-                    d = Q[r, i] - D[s, i]
-                    acc += d * d
-                out[r, s] = acc
-        return out
-
-    pairwise_sqdist = _pairwise_sqdist_nb
-else:
-    pairwise_sqdist = _pairwise_sqdist_np
-
-
 # ---------------------------------------------------------------------------
 # Double-fault pair counts: for each classifier pair, how many evaluation
-# samples both get wrong. Exact integer counts in both backends.
+# samples both get wrong, as exact integer counts.
 # ---------------------------------------------------------------------------
 
 
-def _both_wrong_counts_np(wrong):
+def both_wrong_counts(wrong):
     w = wrong.astype(np.int64)
     return w @ w.T
-
-
-if _have_numba:
-
-    @njit(cache=True)
-    def _both_wrong_counts_nb(wrong):  # pragma: no cover - jitted
-        p, m = wrong.shape
-        out = np.zeros((p, p), dtype=np.int64)
-        for a in range(p):
-            for b in range(a, p):
-                cnt = np.int64(0)
-                for s in range(m):
-                    if wrong[a, s] and wrong[b, s]:
-                        cnt += 1
-                out[a, b] = cnt
-                out[b, a] = cnt
-        return out
-
-    both_wrong_counts = _both_wrong_counts_nb
-else:
-    both_wrong_counts = _both_wrong_counts_np
 
 
 # ---------------------------------------------------------------------------
 # Compact-engine inference, one probe at a time. The per-probe cost is Python
 # overhead, not arithmetic, so the walk reads Python lists that ``load_tiny``
 # builds once: a Python float holds a float32 value exactly, so each
-# comparison is float32's, and no numpy scalar is indexed per node. A kernel
-# over Python lists has no numba twin.
+# comparison is float32's, and no numpy scalar is indexed per node.
 # ---------------------------------------------------------------------------
 
 

@@ -1,8 +1,8 @@
 """Seeded splitmix64 stream shared by every randomized step.
 
 All sampling (bootstraps, feature subsets, shuffles, k-means++ draws) goes
-through this generator so that the numba and numpy kernel backends consume
-byte-identical random streams. Integer arithmetic only; no numpy RNG state.
+through this generator, so a seed fixes every random draw on every platform.
+Integer arithmetic only; no numpy RNG state.
 
 The bulk draws are defined by the scalar ones: ``next_block(n)`` equals n
 ``next()`` calls, row r of ``sample_sorted_rows`` is the r-th of that many

@@ -249,19 +249,30 @@ class _FoldOutcome:
     error: str = ""
 
 
+def fit_pool(train: Dataset, dsel_fraction: float, pool_config: PoolConfig,
+             seed: int):
+    """Split ``train`` into pool-training rows and a DSEL, standardize on the
+    pool rows, grow the pool and build the DSEL.
+
+    Returns (standardizer, pool, dsel). The ``train`` command and every
+    crossval fold fit through here, so a seed gives both the same pool.
+    """
+    pool_train, dsel_part = stratified_split(train, 1.0 - dsel_fraction,
+                                             derive_seed(seed, 1))
+    s = fit_standardizer(pool_train)
+    std_train = Dataset(apply_standardizer(s, pool_train.features), pool_train.labels,
+                        train.n_classes)
+    pool = generate_pool(std_train, pool_config, derive_seed(seed, 2))
+    return s, pool, build_dsel(pool, dsel_part, s)
+
+
 def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
                    fold_seed: int):
     """Train one pool and run every configured method on it.
 
     Returns (per-method outcomes dict, pool fingerprint).
     """
-    pool_train, dsel_part = stratified_split(train, 1.0 - cfg.dsel_fraction,
-                                             derive_seed(fold_seed, 1))
-    s = fit_standardizer(pool_train)
-    std_train = Dataset(apply_standardizer(s, pool_train.features), pool_train.labels,
-                        train.n_classes)
-    pool = generate_pool(std_train, cfg.pool_config(), derive_seed(fold_seed, 2))
-    dsel = build_dsel(pool, dsel_part, s)
+    s, pool, dsel = fit_pool(train, cfg.dsel_fraction, cfg.pool_config(), fold_seed)
     test_std = np.ascontiguousarray(apply_standardizer(s, test.features), dtype=np.float32)
     target = test.labels.astype(np.int64)
     n_test = test.n_samples

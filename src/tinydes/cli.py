@@ -13,14 +13,13 @@ from pathlib import Path
 
 from ._rng import derive_seed
 from .bench import (DEFAULT_FULL_METHODS, METHOD_ORDER, DatasetSpec,
-                    ExperimentConfig, config_from_text, emit_report,
+                    ExperimentConfig, config_from_text, emit_report, fit_pool,
                     measure_inference, run_experiment)
 from .cluster import fit_kmeans
-from .data import fit_standardizer, stratified_split, apply_standardizer, Dataset
 from .errors import TinyDesError
-from .selection import build_competence_model, build_dsel
+from .selection import build_competence_model
 from .tinyformat import emit_static_source, export_tiny, load_tiny
-from .trees import generate_pool
+from .trees import PoolConfig
 
 
 def _add_dataset_flags(p):
@@ -52,13 +51,7 @@ def cmd_train(args) -> int:
     data = _spec_from_flags(args).load()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pool_train, dsel_part = stratified_split(data, 1.0 - args.dsel_fraction,
-                                             derive_seed(args.seed, 1))
-    s = fit_standardizer(pool_train)
-    std_train = Dataset(apply_standardizer(s, pool_train.features), pool_train.labels,
-                        data.n_classes)
-    pool = generate_pool(std_train, seed=derive_seed(args.seed, 2))
-    dsel = build_dsel(pool, dsel_part, s)
+    s, pool, dsel = fit_pool(data, args.dsel_fraction, PoolConfig(), args.seed)
     km = fit_kmeans(dsel.samples, args.clusters, derive_seed(args.seed, 3))
     n_acc = args.n_acc or -(-pool.pool_size // 2)
     for j in _parse_int_list(args.j):

@@ -236,14 +236,6 @@ def apply_standardizer(s: Standardizer, x) -> np.ndarray:
         return (arr - s.mean) * s.inv_std
 
 
-def invert_standardizer(s: Standardizer, z) -> np.ndarray:
-    """Inverse of :func:`apply_standardizer` (used by round-trip checks)."""
-    arr = np.asarray(z, dtype=np.float32)
-    if arr.shape[-1] != s.n_features:
-        raise ShapeError(f"expected {s.n_features} features, got {arr.shape[-1]}")
-    return arr / s.inv_std + s.mean
-
-
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 

@@ -1,3 +1,5 @@
+import zlib
+
 import pytest
 
 from tinydes.cli import main
@@ -23,6 +25,14 @@ def model_dir(csv_path, tmp_path_factory):
 
 
 class TestTrain:
+    def test_model_bytes_pinned(self, model_dir):
+        # crc32 of each file without its trailer, which is itself the crc32
+        # of what precedes it: the crc32 of a whole file is a constant
+        want = {2: (524, 0xD9DF08CF), 3: (764, 0x71CF5101)}
+        for j, (size, crc) in want.items():
+            blob = (model_dir / f"model_j{j}.tdes").read_bytes()
+            assert (len(blob), zlib.crc32(blob[:-4])) == (size, crc)
+
     def test_writes_models_and_manifests(self, model_dir):
         for j in (2, 3):
             blob = (model_dir / f"model_j{j}.tdes").read_bytes()

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinydes.data import (Dataset, Standardizer, apply_standardizer,
-                          fit_standardizer, invert_standardizer, load_csv,
-                          load_idx, make_fold_plan, stratified_indices,
-                          stratified_split)
+                          fit_standardizer, load_csv, load_idx, make_fold_plan,
+                          stratified_indices, stratified_split)
 from tinydes.errors import FormatError, ShapeError, StratificationError
 
 
@@ -140,15 +139,6 @@ class TestStandardizer:
         s = Standardizer(np.array([3.0], np.float32), np.array([1.0], np.float32))
         with pytest.raises(ShapeError):
             apply_standardizer(s, [1.0, 2.0])
-
-    def test_round_trip(self):
-        rng = np.random.RandomState(5)
-        feats = (rng.rand(200, 7) * 100).astype(np.float32)
-        d = Dataset(feats, rng.randint(0, 3, 200).astype(np.uint16), 3)
-        s = fit_standardizer(d)
-        back = invert_standardizer(s, apply_standardizer(s, feats))
-        scale = np.maximum(np.abs(feats), 1.0)
-        assert (np.abs(back - feats) / scale).max() < 1e-5
 
     def test_overflow_saturates_without_warning(self):
         # finite inputs whose standardized value leaves float32 become +-inf

@@ -1,11 +1,11 @@
-"""Bit pin of the numpy distance kernel against the expression it evaluates
+"""Bit pin of the distance kernel against the expression it evaluates
 in place."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinydes._kernels import _pairwise_sqdist_np
+from tinydes._kernels import pairwise_sqdist
 
 
 def expanded_oracle(Q, D):
@@ -20,7 +20,7 @@ def expanded_oracle(Q, D):
 
 
 def assert_same_bits(Q, D):
-    got = _pairwise_sqdist_np(Q, D)
+    got = pairwise_sqdist(Q, D)
     want = expanded_oracle(Q, D)
     assert got.dtype == np.float64 and got.shape == want.shape == (Q.shape[0], D.shape[0])
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -48,7 +48,7 @@ def test_identical_rows_clamp():
     residue = np.diag(qq[:, None] - 2.0 * (Qd @ Qd.T) + qq[None, :])
     assert (residue < 0).any()
     assert_same_bits(Q, Q)
-    assert (np.diag(_pairwise_sqdist_np(Q, Q))[residue < 0] == 0.0).all()
+    assert (np.diag(pairwise_sqdist(Q, Q))[residue < 0] == 0.0).all()
 
 
 def test_empty_queries():
