@@ -14,13 +14,18 @@
 #   rank_codes      1250x784 pixels          43 ms   once per pool
 #   sample_sorted_rows  128 x (28 of 784)   0.36 ms  128 per-node draws: 4.6 ms
 #   tree_walk       depth-10, 30000          22 ms
-#   assign_clusters 24000x784, k=5          291 ms
+#   assign_clusters 24000x784, k=5          204 ms   fresh temporaries per
+#                                                    cluster: 380 ms
 #   pairwise_sqdist 5592x3000x64            180 ms   one KNORA distance chunk;
 #                                                    four-temporary form: 250 ms
 #   k_nearest       k=7 of 3000             179 ms   stable argsort top-7: 1467 ms
 #   knora_regions   6000 queries, k=7       354 ms   one float64 fold, 2 chunks
 #   load_tiny       31 KB model, J=5       0.13 ms
-#   tiny_infer      5000 probes             169 ms   numpy-scalar walk: 281 ms
+#   tiny_infer      5000 probes             148 ms   per-probe tolist() of
+#                                                    the features: 239 ms
+#
+# The assign_clusters and tiny_infer rows were timed back to back with the
+# previous kernel on the same host, two runs of each, averaged.
 
 import time
 

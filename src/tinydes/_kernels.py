@@ -177,13 +177,17 @@ def assign_clusters(X, C):
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
     step = max(1, (1 << 22) // max(1, X.shape[1]))
+    # one difference buffer per call, reused for every block and cluster
+    buf = np.empty((min(n, step), X.shape[1]), dtype=np.result_type(X, C))
     with np.errstate(over="ignore"):
         for s in range(0, n, step):
             xb = X[s : s + step]
+            d = buf[: xb.shape[0]]
             dm = np.empty((xb.shape[0], k), dtype=np.float64)
             for c in range(k):
-                d = xb - C[c]
-                dm[:, c] = np.square(d).sum(axis=1, dtype=np.float64)
+                np.subtract(xb, C[c], out=d)
+                np.square(d, out=d)
+                dm[:, c] = d.sum(axis=1, dtype=np.float64)
             lb = np.argmin(dm, axis=1)
             labels[s : s + step] = lb
             dists[s : s + step] = dm[np.arange(xb.shape[0]), lb]
@@ -234,31 +238,36 @@ def both_wrong_counts(wrong):
 
 # ---------------------------------------------------------------------------
 # Compact-engine inference, one probe at a time. The per-probe cost is Python
-# overhead, not arithmetic, so the walk reads Python lists that ``load_tiny``
-# builds once: a Python float holds a float32 value exactly, so each
-# comparison is float32's, and no numpy scalar is indexed per node.
+# overhead, not arithmetic. numpy writes into buffers that ``load_tiny``
+# allocates once, the node columns are Python lists built once, and the walk
+# reads each feature it visits through a memoryview of the probe buffer, so
+# no per-probe list of all features is built. Indexing the view or a list
+# gives the Python float equal to the float32 value, so each comparison is
+# float32's, and no numpy scalar is indexed per node.
 # ---------------------------------------------------------------------------
 
 
-def tiny_infer(x, mean, inv_std, centroids, roots, feat, thr, jump, sx, votes):
+def tiny_infer(x, mean, inv_std, centroids, roots, feat, thr, jump, sx, xs, diff, votes):
     """Standardize ``x`` into ``sx``, pick the nearest centroid, walk that
     cluster's trees and vote into ``votes``; returns (label, cost).
 
-    ``roots[c]`` lists the first node of each tree of cluster c. ``feat``,
-    ``thr`` and ``jump`` are the node columns as lists: a node is a leaf when
-    its feature is negative, and its jump is then the class; otherwise the
-    right child sits ``jump`` nodes after its tree's first node. Distances
-    are float32 squares summed in float64, ties to the smallest cluster (a
-    NaN probe goes to cluster 0); votes tie to the smallest class. Cost =
-    nodes visited + k.
+    ``xs`` is a memoryview of ``sx``, through which the walk reads features,
+    and ``diff`` is a float32 (k, n_features) buffer for the centroid
+    differences. ``roots[c]`` lists the first node of each tree of cluster
+    c. ``feat``, ``thr`` and ``jump`` are the node columns as lists: a node
+    is a leaf when its feature is negative, and its jump is then the class;
+    otherwise the right child sits ``jump`` nodes after its tree's first
+    node. Distances are float32 squares summed in float64, ties to the
+    smallest cluster (a NaN probe goes to cluster 0); votes tie to the
+    smallest class. Cost = nodes visited + k.
     """
     with np.errstate(over="ignore"):  # f32 values may saturate to inf, as in C
         np.subtract(x, mean, out=sx)
         np.multiply(sx, inv_std, out=sx)
-        cluster = np.square(sx - centroids).sum(axis=1, dtype=np.float64).argmin()
-    xs = sx.tolist()
-    for c in range(len(votes)):
-        votes[c] = 0
+        np.subtract(sx, centroids, out=diff)
+        np.square(diff, out=diff)
+        cluster = diff.sum(axis=1, dtype=np.float64).argmin()
+    votes[:] = [0] * len(votes)
     visits = 0
     trees = roots[cluster]
     for base in trees:

@@ -420,7 +420,9 @@ def measure_inference(engine, probes: Dataset, warmup: int = 1, reps: int = 3):
 
     Runs `warmup` untimed passes, then `reps` timed passes. The cost metric
     must be identical across reps; wall-clock of course is not. Wall-clock
-    mean, std, p50 and p99 are over every timed probe of every rep.
+    mean, std, p50 and p99 are over every timed probe of every rep, and
+    ``probes_per_s`` is the number of timed probes over the sum of their
+    wall times.
     """
     if probes.n_samples == 0:
         raise IoError("no probes to measure")
@@ -449,6 +451,7 @@ def measure_inference(engine, probes: Dataset, warmup: int = 1, reps: int = 3):
         "std_wall_s": float(walls_arr.std()),
         "p50_wall_s": float(p50),
         "p99_wall_s": float(p99),
+        "probes_per_s": float(walls_arr.size / walls_arr.sum()),
         "mean_cost": float(ref_costs.mean()),
         "std_cost": float(ref_costs.std()),
         "n_probes": n,

@@ -133,6 +133,7 @@ def cmd_bench_infer(args) -> int:
           f"(std {stats['std_wall_s'] * 1e6:.2f})")
     print(f"p50 / p99 per probe: {stats['p50_wall_s'] * 1e6:.2f} / "
           f"{stats['p99_wall_s'] * 1e6:.2f} us")
+    print(f"throughput         : {stats['probes_per_s']:.0f} probes/s")
     print(f"mean cost per probe: {stats['mean_cost']:.2f} node visits + centroid units "
           f"(std {stats['std_cost']:.2f})")
     return 0

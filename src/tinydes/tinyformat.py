@@ -144,7 +144,11 @@ class TinyEngine:
     each probe walks, as Python lists: ``walk_feature``, ``walk_threshold``
     (each float32 as the Python float of equal value) and ``walk_jump`` per
     node record, and ``cluster_roots``, the first node of each of a
-    cluster's J trees. A probe then indexes no numpy scalar.
+    cluster's J trees. A probe standardizes into ``scratch_x`` and writes
+    its centroid differences into ``scratch_diff``; the walk reads the
+    features it needs through ``scratch_view``, a memoryview of
+    ``scratch_x``. A probe then indexes no numpy scalar and copies no
+    feature list.
     """
 
     n_features: int
@@ -165,6 +169,8 @@ class TinyEngine:
     walk_jump: list
     cluster_roots: list
     scratch_x: np.ndarray
+    scratch_view: memoryview
+    scratch_diff: np.ndarray
     scratch_votes: list
 
     def predict(self, raw_x):
@@ -234,13 +240,15 @@ def load_tiny(data: bytes) -> TinyEngine:
         raise ModelCorruptError("non-finite node threshold")
     _check_trees(feat, jump, dir_off, dir_cnt, nf, n_classes)
 
+    scratch_x = np.empty(nf, dtype=np.float32)
     return TinyEngine(
         n_features=nf, n_classes=n_classes, pool_size=pool_size, k=k, j=j,
         mean=mean, inv_std=inv_std, centroids=centroids, ensembles=ensembles,
         dir_offset=dir_off, node_feature=feat, node_threshold=thr, node_jump=jump,
         walk_feature=feat.tolist(), walk_threshold=thr.tolist(), walk_jump=jump.tolist(),
         cluster_roots=dir_off[ensembles].tolist(),
-        scratch_x=np.empty(nf, dtype=np.float32),
+        scratch_x=scratch_x, scratch_view=memoryview(scratch_x),
+        scratch_diff=np.empty((k, nf), dtype=np.float32),
         scratch_votes=[0] * n_classes,
     )
 
@@ -290,7 +298,7 @@ def tiny_predict(e: TinyEngine, raw_x) -> tuple[int, int]:
     return _kernels.tiny_infer(
         vec, e.mean, e.inv_std, e.centroids, e.cluster_roots,
         e.walk_feature, e.walk_threshold, e.walk_jump,
-        e.scratch_x, e.scratch_votes,
+        e.scratch_x, e.scratch_view, e.scratch_diff, e.scratch_votes,
     )
 
 

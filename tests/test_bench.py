@@ -306,6 +306,7 @@ class TestMeasureInference:
         assert stats["mean_cost"] > 0
         assert stats["mean_wall_s"] > 0
         assert 0 < stats["p50_wall_s"] <= stats["p99_wall_s"]
+        assert stats["probes_per_s"] > 0
 
     def test_wall_percentiles(self, monkeypatch):
         # probe i takes i + 1 us on a fake clock; reps pool their samples
@@ -323,6 +324,8 @@ class TestMeasureInference:
         assert stats["p50_wall_s"] == pytest.approx(50.5e-6)
         assert stats["p99_wall_s"] == pytest.approx(99.01e-6)
         assert stats["mean_wall_s"] == pytest.approx(50.5e-6)
+        # 200 timed probes over 2 * 5050 us of wall time
+        assert stats["probes_per_s"] == pytest.approx(200 / 10100e-6)
 
     def test_single_leaf_cost(self):
         from test_tinyformat import minimal_model

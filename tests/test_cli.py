@@ -1,3 +1,4 @@
+import re
 import zlib
 
 import pytest
@@ -99,6 +100,7 @@ class TestBenchInfer:
         out = capsys.readouterr().out
         assert "mean cost per probe" in out
         assert "p50 / p99 per probe" in out
+        assert re.search(r"throughput +: [1-9][0-9]* probes/s", out)
 
 
 class TestCrossval:

@@ -1,11 +1,13 @@
-"""Bit pin of the distance kernel against the expression it evaluates
+"""Bit pins of the distance kernels against the expressions they evaluate
 in place."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinydes._kernels import pairwise_sqdist
+import pytest
+
+from tinydes._kernels import assign_clusters, pairwise_sqdist
 
 
 def expanded_oracle(Q, D):
@@ -65,3 +67,41 @@ def test_small_integer_matrices(data, n, m, f):
     D = np.array(data.draw(st.lists(cells, min_size=m * f, max_size=m * f)),
                  np.float32).reshape(m, f)
     assert_same_bits(Q, D)
+
+
+def assign_oracle(X, C):
+    """Nearest centroid with fresh temporaries per cluster and block."""
+    n, k = X.shape[0], C.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    dists = np.empty(n, dtype=np.float64)
+    step = max(1, (1 << 22) // max(1, X.shape[1]))
+    with np.errstate(over="ignore"):
+        for s in range(0, n, step):
+            xb = X[s : s + step]
+            dm = np.empty((xb.shape[0], k), dtype=np.float64)
+            for c in range(k):
+                dm[:, c] = np.square(xb - C[c]).sum(axis=1, dtype=np.float64)
+            lb = np.argmin(dm, axis=1)
+            labels[s : s + step] = lb
+            dists[s : s + step] = dm[np.arange(xb.shape[0]), lb]
+    return labels, dists
+
+
+@pytest.mark.parametrize("rows, features, scale", [
+    (1, 784, 1.0),  # one row
+    ((1 << 22) // 1000 + 7, 1000, 1.0),  # one full block and a 7-row tail
+    (40, 16, 1e20),  # float32 squares overflow to inf
+    (40, 16, 3e38),  # float32 differences overflow to inf
+    (0, 5, 1.0),
+])
+def test_assign_clusters_matches_fresh_temporaries(rows, features, scale):
+    rng = np.random.RandomState(rows + features)
+    X = np.clip(rng.randn(rows, features) * scale, -3e38, 3e38).astype(np.float32)
+    C = np.clip(rng.randn(5, features) * scale, -3e38, 3e38).astype(np.float32)
+    C[3] = C[1]  # a tie, to the smaller id
+    labels, dists = assign_clusters(X, C)
+    want_labels, want_dists = assign_oracle(X, C)
+    np.testing.assert_array_equal(labels, want_labels)
+    np.testing.assert_array_equal(dists.view(np.uint64), want_dists.view(np.uint64))
+    if scale > 1.0:
+        assert np.isinf(dists).any()

@@ -463,9 +463,18 @@ class TestTinyPredict:
         probes = [z / s.inv_std + s.mean for z in exact]
         for z, x in zip(exact, probes):
             np.testing.assert_array_equal(apply_standardizer(s, x), z)
-        for value in (np.inf, -np.inf, np.nan, 1e20, -1e20, 3e38):
+        # besides the extremes: -0.0, a float32 subnormal, and one float32 ulp
+        # either side of the raw value that standardizes onto a root's threshold
+        edges = [(rng.randint(nf), value)
+                 for value in (np.inf, -np.inf, np.nan, 1e20, -1e20, 3e38, -0.0, 1e-45)]
+        for t in trees:
+            f = int(t.feature[0])
+            if f >= 0:
+                at = t.threshold[0] / s.inv_std[f] + s.mean[f]
+                edges += [(f, np.nextafter(at, np.float32(side))) for side in (-np.inf, np.inf)]
+        for col, value in edges:
             x = probes[0].copy()
-            x[rng.randint(nf)] = value
+            x[col] = value
             probes.append(x)
         for x in probes:
             ref = des_clustering_predict(cm, pool, apply_standardizer(s, x))
@@ -484,13 +493,30 @@ class TestTinyPredict:
     def test_scratch_reuse_no_model_reallocation(self, trained):
         p = trained
         engine = load_tiny(export_tiny(p["standardizer"], p["cm"], p["pool"])[0])
-        sx_id = id(engine.scratch_x)
-        votes_id = id(engine.scratch_votes)
-        x = np.zeros(8, np.float32)
-        for _ in range(50):
+        scratch = ("scratch_x", "scratch_view", "scratch_diff", "scratch_votes")
+        ids = [id(getattr(engine, name)) for name in scratch]
+        assert engine.scratch_view.obj is engine.scratch_x
+        assert engine.scratch_diff.shape == (engine.k, engine.n_features)
+        assert engine.scratch_diff.dtype == np.float32
+        rng = np.random.RandomState(4)
+        for x in rng.randn(50, 8).astype(np.float32):
             engine.predict(x)
-        assert id(engine.scratch_x) == sx_id
-        assert id(engine.scratch_votes) == votes_id
+            assert engine.scratch_view.tolist() == engine.scratch_x.tolist()
+        assert [id(getattr(engine, name)) for name in scratch] == ids
+
+    def test_answers_do_not_depend_on_probe_order(self, trained):
+        # two engines take the same probes, shuffled and interleaved: an
+        # answer that read state left in the scratch buffers by an earlier
+        # probe would differ from the reference
+        p = trained
+        models = [build_competence_model(p["dsel"], p["kmeans"], 5, j) for j in (1, 3)]
+        engines = [load_tiny(export_tiny(p["standardizer"], cm, p["pool"])[0]) for cm in models]
+        probes = pinned_probes()
+        order = np.random.RandomState(17).permutation(len(models) * len(probes))
+        for m, i in zip(order % len(models), order // len(models)):
+            ref = des_clustering_predict(models[m], p["pool"],
+                                         apply_standardizer(p["standardizer"], probes[i]))
+            assert engines[m].predict(probes[i]) == (ref.label, ref.cost)
 
     def test_mean_cost_grows_with_j(self, trained):
         p = trained
