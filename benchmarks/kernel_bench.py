@@ -16,26 +16,33 @@
 #   tree_walk       depth-10, 30000          22 ms
 #   assign_clusters 24000x784, k=5          204 ms   fresh temporaries per
 #                                                    cluster: 380 ms
-#   pairwise_sqdist 5592x3000x64            180 ms   one KNORA distance chunk;
-#                                                    four-temporary form: 250 ms
-#   k_nearest       k=7 of 3000             179 ms   stable argsort top-7: 1467 ms
-#   knora_regions   6000 queries, k=7       354 ms   one float64 fold, 2 chunks
+#   pairwise_sqdist 349x3000x64             6.1 ms   one KNORA distance block
+#   k_nearest       k=7 of 3000, 349 rows   6.1 ms   stable argsort top-7: 85 ms
+#   knora_regions   6000 queries, k=7       197 ms   one float64 fold, 18 blocks
+#                                                    of 2^20 cells; 2 blocks of
+#                                                    2^24 cells: 304 ms
+#   load_csv        12000x64 floats          94 ms   csv.reader and float() per
+#                                                    cell: 352 ms
 #   load_tiny       31 KB model, J=5       0.13 ms
 #   tiny_infer      5000 probes             148 ms   per-probe tolist() of
 #                                                    the features: 239 ms
 #
 # The assign_clusters and tiny_infer rows were timed back to back with the
-# previous kernel on the same host, two runs of each, averaged.
+# previous kernel on the same host, two runs of each, averaged. The
+# knora_regions and load_csv rows are medians of six runs of each form,
+# alternated in one process.
 
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from tinydes._kernels import (assign_clusters, best_split, pairwise_sqdist, rank_codes,
                               tree_walk)
 from tinydes._rng import SplitMix64
-from tinydes.data import Dataset
-from tinydes.selection import Dsel, _k_nearest, knora_regions
+from tinydes.data import Dataset, load_csv
+from tinydes.selection import REGION_CHUNK_CELLS, Dsel, _k_nearest, knora_regions
 from tinydes.tinyformat import export_tiny, load_tiny
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool
 
@@ -84,10 +91,11 @@ C = rng.rand(5, f).astype(np.float32)
 Xa = X[:24000]
 bench("assign_clusters", lambda: assign_clusters(Xa, C))
 
-# One chunk of crossval-float64's KNORA search: (1 << 24) // 3000 query rows;
-# knora_regions runs one fold's 6000 test rows, in two chunks.
-print("== KNORA region search (5592 x 3000 x 64, k=7) ==")
-Qk = rng.randn(5592, 64).astype(np.float32)
+# One block of crossval-float64's KNORA search: REGION_CHUNK_CELLS // 3000
+# query rows; knora_regions runs one fold's 6000 test rows, in 18 blocks.
+block = REGION_CHUNK_CELLS // 3000
+print(f"== KNORA region search ({block} x 3000 x 64, k=7) ==")
+Qk = rng.randn(block, 64).astype(np.float32)
 Dk = rng.randn(3000, 64).astype(np.float32)
 d2 = pairwise_sqdist(Qk, Dk)
 bench("pairwise_sqdist", lambda: pairwise_sqdist(Qk, Dk), reps=3)
@@ -98,6 +106,16 @@ del d2
 Qf = rng.randn(6000, 64).astype(np.float32)
 dsel_k = Dsel(Dk, np.zeros(3000, np.uint16), np.zeros((1, 3000), bool))
 bench("knora_regions (6000 queries, k=7)", lambda: knora_regions(dsel_k, Qf, 7), reps=3)
+
+# crossval-float64's input: 12 000 rows of 64 float32 features written with
+# %.9g, plus a header and an integer label column.
+print("== CSV ingestion (12000 x 64 floats) ==")
+with tempfile.TemporaryDirectory() as tmp:
+    csv_path = Path(tmp) / "float64.csv"
+    Xc = rng.randn(12000, 64).astype(np.float32)
+    csv_path.write_text(",".join(f"f{j}" for j in range(64)) + ",label\n" + "".join(
+        ",".join("%.9g" % v for v in row) + f",{i % 10}\n" for i, row in enumerate(Xc.tolist())))
+    bench("load_csv", lambda: load_csv(csv_path, "label"), reps=3)
 
 from tinydes.cluster import fit_kmeans
 from tinydes.data import fit_standardizer, apply_standardizer

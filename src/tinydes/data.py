@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import gzip
+import io
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -114,11 +116,25 @@ class FoldPlan:
                 yield r, f, train, test
 
 
+IDX_READ_CHUNK = 1 << 20
+
+
 def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated IDX file: expected {n} bytes for {what}, got {len(buf)}")
-    return buf
+    """Exactly ``n`` bytes of ``f``. They are read a chunk at a time, so a
+    forged header that declares more than the file holds (up to 2^96 bytes)
+    fails on the bytes present instead of requesting a buffer of its size;
+    this serves plain and gzip files alike."""
+    parts = []
+    left = n
+    while left:
+        part = f.read(min(left, IDX_READ_CHUNK))
+        if not part:
+            break
+        parts.append(part)
+        left -= len(part)
+    if left:
+        raise FormatError(f"truncated IDX file: expected {n} bytes for {what}, got {n - left}")
+    return b"".join(parts)
 
 
 def _open_maybe_gz(path):
@@ -156,31 +172,56 @@ def load_csv(path, label_column) -> Dataset:
     """Load a rectangular numeric CSV; labels re-encoded to contiguous ids.
 
     ``label_column`` is a header name or a 0-based column index. An optional
-    header row is detected by non-numeric cells in the first row.
+    header row is detected by non-numeric cells in the first row. Rows are
+    split as ``csv.reader`` splits them and feature cells are read as
+    ``float()`` reads them; a text without quotes goes through numpy's C
+    reader, which gives the same values (see ``_parse_plain``).
     """
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            rows = [row for row in csv.reader(f) if row]
+            text = f.read()
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
-    if not rows:
-        raise FormatError(f"empty CSV file: {path}")
+    parsed = _parse_plain(text, label_column)
+    if parsed is None:
+        parsed = _parse_rows([row for row in csv.reader(io.StringIO(text, newline="")) if row],
+                             path, label_column)
+    header, label_idx, feats, raw_labels = parsed
+    values = sorted(set(raw_labels), key=_label_key)
+    mapping = {v: i for i, v in enumerate(values)}
+    labels = np.array([mapping[v] for v in raw_labels], dtype=np.uint16)
+    names = None
+    if header is not None:
+        names = [h for j, h in enumerate(header) if j != label_idx]
+    return Dataset(feats, labels, len(values), names, list(values))
 
-    def _numeric(cell: str) -> bool:
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
 
-    header = None
-    if not all(_numeric(c) for c in rows[0]):
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise FormatError(f"CSV has a header but no data rows: {path}")
+def _numeric(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
 
-    width = len(rows[0])
+
+def _label_key(value: str):
+    """Numeric labels by value, then the rest by name. A label that reads as
+    NaN sorts by name, since NaN compares unequal to every key."""
+    try:
+        number = float(value)
+    except ValueError:
+        return (math.inf, value)
+    return (math.inf, value) if math.isnan(number) else (number, value)
+
+
+def _header(first_row: list[str]) -> list[str] | None:
+    """The stripped names of a first row with a non-numeric cell, else None."""
+    if all(_numeric(c) for c in first_row):
+        return None
+    return [c.strip() for c in first_row]
+
+
+def _label_index(header, width: int, label_column) -> int:
     if isinstance(label_column, str):
         if header is None or label_column not in header:
             raise FormatError(f"label column {label_column!r} not found in CSV header")
@@ -191,7 +232,23 @@ def load_csv(path, label_column) -> Dataset:
             label_idx += width
     if not (0 <= label_idx < width):
         raise FormatError(f"label column index {label_column} out of range for {width} columns")
+    return label_idx
 
+
+def _parse_rows(rows: list[list[str]], path, label_column):
+    """(header, label index, float32 features, label strings) from the
+    non-empty rows of ``csv.reader``, one cell at a time: the reader of every
+    text ``_parse_plain`` refuses, and the one that raises the typed errors
+    with their row and column."""
+    if not rows:
+        raise FormatError(f"empty CSV file: {path}")
+    header = _header(rows[0])
+    if header is not None:
+        rows = rows[1:]
+        if not rows:
+            raise FormatError(f"CSV has a header but no data rows: {path}")
+    width = len(rows[0])
+    label_idx = _label_index(header, width, label_column)
     feats = np.empty((len(rows), width - 1), dtype=np.float32)
     raw_labels = []
     for i, row in enumerate(rows):
@@ -207,13 +264,51 @@ def load_csv(path, label_column) -> Dataset:
             except ValueError:
                 raise FormatError(f"non-numeric feature cell {cell!r} at row {i}, column {j}") from None
             col += 1
-    values = sorted(set(raw_labels), key=lambda v: (float(v) if _numeric(v) else float("inf"), v))
-    mapping = {v: i for i, v in enumerate(values)}
-    labels = np.array([mapping[v] for v in raw_labels], dtype=np.uint16)
-    names = None
+    return header, label_idx, feats, raw_labels
+
+
+# Quotes, and the ASCII separators that numpy's float parser skips as
+# whitespace and ``float()`` rejects. One ``in`` scan per character is far
+# cheaper than a regular expression over the text.
+_NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+
+
+def _parse_plain(text: str, label_column):
+    """What ``_parse_rows`` returns, read by numpy's C reader, or None where
+    that reader could read the text differently: quotes, the separators
+    above, a line longer than ``csv``'s field limit, or any text numpy
+    refuses (ragged rows, cells ``float()`` accepts and numpy does not, such
+    as ``1_0``). Without quotes, ``csv.reader``'s rows are the text's lines
+    split at commas, with CR LF, CR and LF each ending a line and empty
+    lines skipped. float64 cells stored as float32 round as ``float()``
+    stored into float32 does."""
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [line for line in text.split("\n") if line]
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = _header(lines[0].split(","))
     if header is not None:
-        names = [h for j, h in enumerate(header) if j != label_idx]
-    return Dataset(feats, labels, len(values), names, list(values))
+        lines = lines[1:]
+        if not lines:
+            return None
+    width = lines[0].count(",") + 1
+    label_idx = _label_index(header, width, label_column)
+    raw_labels = []
+
+    def label(cell: str) -> float:
+        raw_labels.append(cell.strip())
+        return 0.0
+
+    try:
+        table = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+                           converters={label_idx: label})
+    except ValueError:
+        return None
+    feats = np.delete(table, label_idx, axis=1).astype(np.float32)
+    return header, label_idx, feats, raw_labels
 
 
 def fit_standardizer(train: Dataset) -> Standardizer:

@@ -1,18 +1,27 @@
+import csv
 import gzip
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csv_oracle
+import tinydes
+from tinydes import data
 from tinydes.data import (Dataset, Standardizer, apply_standardizer,
                           fit_standardizer, load_csv, load_idx, make_fold_plan,
                           stratified_indices, stratified_split)
-from tinydes.errors import FormatError, ShapeError, StratificationError
+from tinydes.errors import FormatError, IoError, ShapeError, StratificationError
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows, cols, name="t"):
@@ -69,6 +78,33 @@ class TestLoadIdx:
         d = load_idx(str(img) + ".gz", str(lab) + ".gz")
         assert d.n_samples == 1 and d.labels[0] == 3
 
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_forged_header_raises_format_error(self, tmp_path, gz):
+        # 2^32-1 images of 2^32-1 x 2^32-1 pixels: the declared size is
+        # checked against the bytes present, chunk by chunk, before any
+        # buffer of that size is requested
+        img, lab = write_idx_pair(tmp_path, [1] * 4, [0], 2, 2)
+        img.write_bytes(struct.pack(">IIII", 0x803, *[0xFFFFFFFF] * 3) + bytes(4))
+        if gz:
+            img = img.with_name(img.name + ".gz")
+            img.write_bytes(gzip.compress(struct.pack(">IIII", 0x803, *[0xFFFFFFFF] * 3)
+                                          + bytes(4)))
+        with pytest.raises(FormatError) as exc:
+            load_idx(img, lab)
+        assert str(exc.value) == (f"truncated IDX file: expected {0xFFFFFFFF ** 3} bytes "
+                                  "for pixel data, got 4")
+
+    def test_read_spans_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "IDX_READ_CHUNK", 3)
+        img, lab = write_idx_pair(tmp_path, list(range(40)), list(range(10)), 2, 2)
+        d = load_idx(img, lab)
+        np.testing.assert_array_equal(d.features.ravel(), np.arange(40))
+        np.testing.assert_array_equal(d.labels, np.arange(10))
+        lab.write_bytes(struct.pack(">II", 0x801, 10) + bytes(range(9)))
+        with pytest.raises(FormatError) as exc:
+            load_idx(img, lab)
+        assert str(exc.value) == "truncated IDX file: expected 10 bytes for label data, got 9"
+
 
 class TestLoadCsv:
     def test_label_reencoding(self, tmp_path):
@@ -108,6 +144,191 @@ class TestLoadCsv:
         p.write_text("a,b,y\n1,oops,0\n2,3,1\n")
         with pytest.raises(FormatError):
             load_csv(p, "y")
+
+    @pytest.mark.parametrize("text, label, kind, message", [
+        ("", 0, FormatError, "empty CSV file: {path}"),
+        ("\n\r\n\r", 0, FormatError, "empty CSV file: {path}"),
+        ("a,b,y\n", "y", FormatError, "CSV has a header but no data rows: {path}"),
+        ("a,b,y\n\n", 2, FormatError, "CSV has a header but no data rows: {path}"),
+        ("a,b,y\n1,2,0\n", "z", FormatError, "label column 'z' not found in CSV header"),
+        ("1,2,0\n", "y", FormatError, "label column 'y' not found in CSV header"),
+        ("1,2,0\n", 3, FormatError, "label column index 3 out of range for 3 columns"),
+        ("1,2,0\n", -4, FormatError, "label column index -4 out of range for 3 columns"),
+        ("a,y\n1,2,0\n", -5, FormatError, "label column index -5 out of range for 3 columns"),
+        ("1,2,0\n3,4\n", 2, FormatError, "ragged CSV: row 1 has 2 cells, expected 3"),
+        ("a,b,y\n1,2,0\n3,4,1,\n", "y", FormatError, "ragged CSV: row 1 has 4 cells, expected 3"),
+        ("a,b,y\n1,oops,0\n", "y", FormatError,
+         "non-numeric feature cell 'oops' at row 0, column 1"),
+        ("a,b,y\n1,,0\n", "y", FormatError, "non-numeric feature cell '' at row 0, column 1"),
+        ("a,b,y\n2,1_0,0\n3,1x,1\n", "y", FormatError,
+         "non-numeric feature cell '1x' at row 1, column 1"),
+        ("a,b,y\n1,nan,0\n", "y", FormatError, "features contain NaN or Inf"),
+        ("a,b,y\n1,-1e400,0\n", "y", FormatError, "features contain NaN or Inf"),
+    ])
+    @pytest.mark.parametrize("reader", ["default", "rows"])
+    def test_error_messages(self, tmp_path, monkeypatch, text, label, kind, message, reader):
+        # the same message whichever reader parses the text
+        if reader == "rows":
+            monkeypatch.setattr(data, "_parse_plain", lambda text, label_column: None)
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(kind) as exc:
+            load_csv(p, label)
+        assert str(exc.value) == message.format(path=p)
+
+    @pytest.mark.parametrize("make", [lambda p: p / "missing.csv", lambda p: p])
+    def test_io_error_message(self, tmp_path, make):
+        p = make(tmp_path)
+        with pytest.raises(OSError) as cause:
+            open(p, newline="", encoding="utf-8").close()
+        with pytest.raises(IoError) as exc:
+            load_csv(p, 0)
+        assert str(exc.value) == f"cannot open {p}: {cause.value}"
+
+    @pytest.mark.parametrize("text, plain", [
+        ("a,b,label\n1,2,0\n3,4,1\n", True),
+        ("\n\r\n1,2,0\r3,4,1\r\n \t1e400 ,nan,x\n", True),
+        ("a,b,label\n1,2,0\n3,4,1,\n", False),  # ragged
+        ('"a",b,label\n1,2,0\n', False),  # quotes
+        ("a,b,label\n1_0,2,0\n", False),  # float() syntax numpy rejects
+        ("a,b,label\n1\x1c,2,0\n", False),  # whitespace to numpy only
+        ("a,b,label\n" + "1" * 140000 + ",2,0\n", False),  # past csv's field limit
+    ])
+    def test_reader_choice(self, tmp_path, monkeypatch, text, plain):
+        results = []
+        real = data._parse_plain
+
+        def spy(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(data, "_parse_plain", spy)
+        p = tmp_path / "c.csv"
+        p.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                load_csv(p, 2)
+            except (FormatError, csv.Error):
+                pass
+        assert (results[0] is not None) == plain
+
+    def test_label_ids_do_not_depend_on_hash_seed(self, tmp_path):
+        # NaN compares unequal to every key, so a NaN sort key would leave
+        # the order to set iteration, which follows PYTHONHASHSEED
+        p = tmp_path / "nan.csv"
+        p.write_text("".join(f"{i},{v}\n" for i, v in enumerate(["2", "nan", "1", "0", "3",
+                                                                    "NaN", "b", "a"])))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(tinydes.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+        script = ("import json, sys; from tinydes.data import load_csv; "
+                  "d = load_csv(sys.argv[1], 1); "
+                  "print(json.dumps([d.label_values, d.labels.tolist()]))")
+        outs = set()
+        for seed in range(1, 7):
+            env["PYTHONHASHSEED"] = str(seed)
+            out = subprocess.run([sys.executable, "-c", script, str(p)], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert out.returncode == 0, out.stderr
+            outs.add(out.stdout)
+        assert len(outs) == 1
+        assert json.loads(outs.pop()) == [["0", "1", "2", "3", "NaN", "a", "b", "nan"],
+                                          [2, 7, 1, 0, 3, 4, 6, 5]]
+
+
+# Cells for the differential test: float() and numpy agree on the first
+# group; the second holds syntax only one of them reads, text, quotes and
+# values past float32's range.
+NUMERIC_CELLS = ["0", "1", "2", "-2.5", "+7", ".5", "5.", "1e5", "-0.0", "0.0", " 3 ", "4\t",
+                 "\t-6e-3 ", "3.4028235e38", "-3.4028234e38", "1e-46", "7e-45"]
+ODD_CELLS = ["1_0", "nan", "NaN", "-inf", "Infinity", "1e39", "-1e39", "1e400", "0x10", "1d5",
+             "٣", "\x1c1", "1\x1f", " 1", "", " ", "a", "label", "#1", '"1"', '"a,b"',
+             '"q""q"', '"1\r\n2"', 'b"c', "\x0b8", "9\x0c"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+BLANK_LINES = ["", " ", "\t", "  "]
+
+
+def sometimes(percent):
+    return st.integers(0, 99).map(lambda x: x < percent)
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, label column): a small CSV, mostly well formed, drawn with the
+    syntax either reader could treat differently."""
+    odd = draw(sometimes(40))
+    width = draw(st.integers(1 if odd else 2, 4))
+    numbers = st.one_of(st.sampled_from(NUMERIC_CELLS),
+                        st.floats(width=32, allow_nan=False, allow_infinity=False)
+                        .map(lambda v: "%.9g" % v),
+                        st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    cell = st.one_of(numbers, numbers, st.sampled_from(ODD_CELLS)) if odd else numbers
+    name = st.sampled_from(["a", "b", " c ", "label", "y"])
+    if odd:
+        name = st.one_of(name, st.sampled_from(["1", "nan", "", '"q"']))
+    names = [draw(name) for _ in range(width)]
+    at = draw(st.integers(0, width - 1))  # the label's column
+    header = draw(st.booleans())
+    rows = [names] if header else []
+    for _ in range(draw(st.integers(0 if odd else 1, 5))):
+        row = [draw(cell) for _ in range(width - 1)]
+        row.insert(at, draw(st.sampled_from(["0", "1", "2", "nan", "NaN", "a", " b", "inf"])))
+        if odd and draw(sometimes(10)):
+            row = row[:-1] if draw(st.booleans()) else row + [draw(cell)]
+        rows.append(row)
+    if odd and draw(sometimes(20)):
+        rows = [row + [""] for row in rows]  # trailing commas
+    text = ""
+    for row in rows:
+        while draw(sometimes(20)):
+            text += draw(st.sampled_from(BLANK_LINES)) + draw(st.sampled_from(LINE_ENDS))
+        text += ",".join(row) + draw(st.sampled_from(LINE_ENDS))
+    if rows and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    labels = [at, at - width] + ([names[at]] if header else [])
+    if odd:
+        labels += [width, -width - 1, "z"]
+    return text, draw(st.sampled_from(labels))
+
+
+def csv_outcome(loader, path, label):
+    """What ``loader`` gives for the file: its dataset, with features as
+    uint32 bits and NaN-valued label names apart, or its exception."""
+    try:
+        d = loader(path, label)
+    except Exception as exc:  # RuntimeWarning too: it is an error in this suite
+        return ("raise", type(exc), str(exc))
+    per_row = [d.label_values[i] for i in d.labels.tolist()]
+    order = d.label_values
+    if any(v.lower().lstrip("+-") == "nan" for v in order):
+        order = sorted(order)  # the old key put NaN labels in hash-seed order
+    return ("ok", d.features.shape, d.features.view(np.uint32).tobytes(), per_row, order,
+            d.n_classes, d.feature_names)
+
+
+class TestLoadCsvMatchesRowReader:
+    @settings(max_examples=400, deadline=None)
+    @given(case=csv_texts())
+    def test_same_result_or_error(self, tmp_path_factory, case):
+        text, label = case
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert csv_outcome(load_csv, path, label) == csv_outcome(csv_oracle.load_csv, path, label)
+
+    def test_workload_shape_bits(self, tmp_path):
+        # 64 float32 columns written with %.9g, as the benchmark's CSV is
+        rng = np.random.default_rng(5)
+        feats = (rng.standard_normal((300, 64)) * 10.0 ** rng.integers(-8, 9, (300, 64)))
+        feats = feats.astype(np.float32)
+        lines = [",".join(f"f{j}" for j in range(64)) + ",label"]
+        lines += [",".join("%.9g" % v for v in row) + f",{i % 3}"
+                  for i, row in enumerate(feats.tolist())]
+        p = tmp_path / "w.csv"
+        p.write_text("\n".join(lines) + "\n")
+        d = load_csv(p, "label")
+        np.testing.assert_array_equal(d.features.view(np.uint32), feats.view(np.uint32))
+        assert csv_outcome(load_csv, p, "label") == csv_outcome(csv_oracle.load_csv, p, "label")
 
 
 class TestStandardizer:
