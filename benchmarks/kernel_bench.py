@@ -13,7 +13,9 @@
 #   best_split      30000x28 pixels, uint8   53 ms   float-value sort: 128 ms
 #   rank_codes      1250x784 pixels          43 ms   once per pool
 #   sample_sorted_rows  128 x (28 of 784)   0.36 ms  128 per-node draws: 4.6 ms
-#   tree_walk       depth-10, 30000          22 ms
+#   tree_walk       one 2^16-pair block      21 ms   45-tree pool, 784 features
+#   pool_predictions  45 trees x 30000     343 ms   every (tree, row) pair, in
+#                                                    2^16-pair blocks
 #   assign_clusters 24000x784, k=5          204 ms   fresh temporaries per
 #                                                    cluster: 380 ms
 #   pairwise_sqdist 349x3000x64             6.1 ms   one KNORA distance block
@@ -30,7 +32,9 @@
 # The assign_clusters and tiny_infer rows were timed back to back with the
 # previous kernel on the same host, two runs of each, averaged. The
 # knora_regions and load_csv rows are medians of six runs of each form,
-# alternated in one process.
+# alternated in one process. pool_predictions against one walk per tree on
+# the same pool, three alternated processes each: medians 251 and 483 ms,
+# with the host's speed varying 1.7x between those runs.
 
 import tempfile
 import time
@@ -42,7 +46,8 @@ from tinydes._kernels import (assign_clusters, best_split, pairwise_sqdist, rank
                               tree_walk)
 from tinydes._rng import SplitMix64
 from tinydes.data import Dataset, load_csv
-from tinydes.selection import REGION_CHUNK_CELLS, Dsel, _k_nearest, knora_regions
+from tinydes.selection import (REGION_CHUNK_CELLS, WALK_BLOCK_PAIRS, Dsel, _k_nearest,
+                               knora_regions, pool_predictions)
 from tinydes.tinyformat import export_tiny, load_tiny
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool
 
@@ -80,11 +85,18 @@ bench("rank_codes", lambda: rank_codes(pool_px))
 stream = SplitMix64(5)
 bench("sample_sorted_rows", lambda: stream.sample_sorted_rows(784, 28, 128))
 
-print("== batch tree walk (one depth-10 tree, 30000 samples) ==")
+# One default pool (25 trees of depth 10, 20 of depth 5) walked over every
+# (tree, row) pair: one block of pairs, and all of them as pool_predictions
+# walks them, block by block.
+print("== pool tree walk (45 trees, 30000 samples) ==")
 data = Dataset(X[:4000], y[:4000].astype(np.uint16), classes)
-pool = generate_pool(data, PoolConfig((ForestSpec(1, 10),)), seed=3)
-tree = pool.trees[0]
-bench("tree_walk", lambda: tree_walk(tree.feature, tree.threshold, tree.jump, X))
+pool = generate_pool(data, PoolConfig(), seed=3)
+nodes = pool.nodes
+pairs = np.arange(WALK_BLOCK_PAIRS)
+roots, rows = nodes.first[pairs // n], pairs % n
+bench("tree_walk (one block of 2^16 pairs)",
+      lambda: tree_walk(nodes.feature, nodes.threshold, nodes.jump, roots, rows, X))
+bench("pool_predictions (45 x 30000 pairs)", lambda: pool_predictions(pool, X), reps=3)
 
 print("== cluster assignment (24000 x 784, k=5) ==")
 C = rng.rand(5, f).astype(np.float32)

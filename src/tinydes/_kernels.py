@@ -93,15 +93,15 @@ def best_split(keys, labels, n_classes, totals):
     total = np.asarray(totals, dtype=np.int64)
     cols = np.arange(m)[:, None]
     kt = np.ascontiguousarray(keys.T)  # one candidate column per row
-    order = np.argsort(kt, axis=1, kind="stable")
+    order = kt.argsort(axis=1, kind="stable")
     sk = kt[cols, order]
     ys = labels.astype(np.min_scalar_type(n_classes - 1))[order]
-    by_class = np.argsort(ys, axis=1, kind="stable")
-    start = np.cumsum(total) - total
+    by_class = ys.argsort(axis=1, kind="stable")
+    start = total.cumsum() - total
     sl = np.empty((m, n), dtype=np.int64)
-    sl[cols, by_class] = np.arange(1, 2 * n, 2) - np.repeat(2 * start, total)
-    np.cumsum(sl, axis=1, out=sl)
-    sr = np.cumsum((2 * total)[ys], axis=1)
+    sl[cols, by_class] = np.arange(1, 2 * n, 2) - (2 * start).repeat(total)
+    sl.cumsum(axis=1, out=sl)
+    sr = (2 * total)[ys].cumsum(axis=1)
     np.subtract(int(total @ total), sr, out=sr)
     sr += sl
     nl = np.arange(1, n, dtype=np.float64)
@@ -110,7 +110,7 @@ def best_split(keys, labels, n_classes, totals):
     # every real score is positive, so -1 marks non-boundaries
     np.putmask(score, sk[:, :-1] == sk[:, 1:], -1.0)
     # row-major argmax: smallest column first, then smallest threshold
-    j, i = divmod(int(np.argmax(score)), n - 1)
+    j, i = divmod(int(score.argmax()), n - 1)
     if score[j, i] < 0:
         return -1, (-1, -1), -1.0, False
     return j, (int(order[j, i]), int(order[j, i + 1])), float(score[j, i]), True
@@ -127,42 +127,36 @@ def split_threshold(v0, v1) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Flat-tree walk. Nodes are preorder; left child is pos+1, right child is
-# jump[pos]; leaves store the class id in jump. Returns -1 labels on
-# structural corruption instead of trapping; wrappers raise.
+# Flat-tree walk of a whole pool. The node columns are every tree's preorder
+# nodes end to end, as ``.tdes`` stores them: a node is a leaf when its
+# feature is negative, and its jump is then the class id; otherwise its left
+# child is the next node and its right child sits ``jump`` nodes after its
+# tree's first node. One call walks any (tree, row) pairs at once, each from
+# its tree's first node. Every step moves each pair one node down; a leaf
+# steps to itself, so the walk steps until every pair is at a leaf, and
+# visits count the nodes on each path. The columns must be valid:
+# ``ClassifierPool.nodes`` checks once that children lie inside their tree
+# and after their parent, which ends every walk, and callers check that
+# every feature id is below the input width.
 # ---------------------------------------------------------------------------
 
 
-def tree_walk(feat, thr, jump, X):
-    n = X.shape[0]
-    nn = feat.shape[0]
-    pos = np.zeros(n, dtype=np.int64)
-    labels = np.full(n, -1, dtype=np.int64)
-    visits = np.ones(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    rows = np.arange(n)
-    for _ in range(nn + 1):
-        f = feat[pos[active]]
-        leaf = f < 0
-        act_rows = rows[active]
-        leaf_rows = act_rows[leaf]
-        labels[leaf_rows] = jump[pos[leaf_rows]]
-        active[leaf_rows] = False
-        if not active.any():
-            break
-        act_rows = act_rows[~leaf]
-        p = pos[act_rows]
-        goleft = X[act_rows, feat[p]] <= thr[p]
-        nxt = np.where(goleft, p + 1, jump[p].astype(np.int64))
-        bad = nxt >= nn
-        if bad.any():
-            labels[act_rows[bad]] = -1
-            active[act_rows[bad]] = False
-            act_rows = act_rows[~bad]
-            nxt = nxt[~bad]
-        pos[act_rows] = nxt
-        visits[act_rows] += 1
-    return labels, visits
+def tree_walk(feat, thr, jump, roots, rows, X):
+    """(labels, visits) of each pair: the tree whose first node is
+    ``roots[i]`` applied to row ``rows[i]`` of the C-contiguous ``X``."""
+    flat = X.reshape(-1)
+    leaf = feat < 0
+    col = np.maximum(feat, 0)  # leaves read column 0 and stay put
+    cell = rows * X.shape[1]
+    pos = roots.copy()
+    visits = np.ones(pos.shape[0], dtype=np.int64)
+    while True:
+        internal = ~leaf[pos]
+        if not internal.any():
+            return jump[pos], visits
+        go_left = flat.take(cell + col[pos]) <= thr[pos]
+        pos = np.where(internal, np.where(go_left, pos + 1, roots + jump[pos]), pos)
+        visits += internal
 
 
 # ---------------------------------------------------------------------------

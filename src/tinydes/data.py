@@ -182,6 +182,8 @@ def load_csv(path, label_column) -> Dataset:
             text = f.read()
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"CSV is not UTF-8: {path}: {exc}") from None
     parsed = _parse_plain(text, label_column)
     if parsed is None:
         parsed = _parse_rows([row for row in csv.reader(io.StringIO(text, newline="")) if row],
@@ -232,6 +234,8 @@ def _label_index(header, width: int, label_column) -> int:
             label_idx += width
     if not (0 <= label_idx < width):
         raise FormatError(f"label column index {label_column} out of range for {width} columns")
+    if header is not None and len(header) != width:
+        raise FormatError(f"CSV header has {len(header)} names, data rows have {width} cells")
     return label_idx
 
 

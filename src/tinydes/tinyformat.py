@@ -75,21 +75,19 @@ def export_tiny(s: Standardizer, cm: CompetenceModel, pool: ClassifierPool):
         raise CapacityError("class/cluster/ensemble count exceeds the u16 limit")
     remap = {int(old): new for new, old in enumerate(referenced)}
 
-    node_records = []
-    dir_entries = []
-    offset = 0
-    for old in referenced:
-        tree = pool.trees[int(old)]
-        if tree.n_nodes > 65535:
-            raise CapacityError(f"tree {int(old)} has {tree.n_nodes} nodes; u16 limit is 65535")
-        rec = np.empty(tree.n_nodes, dtype=NODE_DTYPE)
-        rec["feature"] = tree.feature
-        rec["threshold"] = tree.threshold
-        rec["right_jump"] = tree.jump
-        node_records.append(rec)
-        dir_entries.append((offset, tree.n_nodes))
-        offset += tree.n_nodes
-    n_nodes_total = offset
+    # the retained trees' node ranges, cut from the pool's flat columns
+    nodes = pool.nodes
+    count = nodes.count[referenced]
+    for old, cnt in zip(referenced.tolist(), count.tolist()):
+        if cnt > 65535:
+            raise CapacityError(f"tree {old} has {cnt} nodes; u16 limit is 65535")
+    offsets = count.cumsum() - count
+    n_nodes_total = int(count.sum())
+    take = (nodes.first[referenced] - offsets).repeat(count) + np.arange(n_nodes_total)
+    records = np.empty(n_nodes_total, dtype=NODE_DTYPE)
+    records["feature"] = nodes.feature[take]
+    records["threshold"] = nodes.threshold[take]
+    records["right_jump"] = nodes.jump[take]
 
     parts = [HEADER.pack(MAGIC, VERSION, nf, n_classes, referenced.size, k, j, n_nodes_total)]
     parts.append(s.mean.astype("<f4").tobytes())
@@ -97,9 +95,8 @@ def export_tiny(s: Standardizer, cm: CompetenceModel, pool: ClassifierPool):
     parts.append(cm.kmeans.centroids.astype("<f4").tobytes())
     ens = np.vectorize(remap.__getitem__, otypes=[np.uint16])(cm.per_cluster_ensemble)
     parts.append(ens.astype("<u2").tobytes())
-    for off, cnt in dir_entries:
-        parts.append(DIR_ENTRY.pack(off, cnt))
-    parts.append(b"".join(rec.tobytes() for rec in node_records))
+    parts += [DIR_ENTRY.pack(off, cnt) for off, cnt in zip(offsets.tolist(), count.tolist())]
+    parts.append(records.tobytes())
     body = b"".join(parts)
     padding = _pad_to4(len(body))
     body += b"\x00" * padding

@@ -2,15 +2,20 @@
 
 Node layout: ``feature[i] < 0`` marks a leaf whose class id sits in
 ``jump[i]``. Internal nodes send ``x[feature] <= threshold`` to node ``i+1``
-and everything else to node ``jump[i]`` (an absolute index within the tree).
-This is the exact record the compact binary format stores, so the training
-graph and the embedded interpreter walk identical structures.
+and everything else to node ``jump[i]`` (an index within the tree). This is
+the exact record the compact binary format stores, so the training graph
+and the embedded interpreter walk identical structures. A pool lays its
+trees' nodes end to end once, as the format's node section does
+(``ClassifierPool.nodes``); batch prediction walks every (tree, row) pair
+over those columns at once, and ``predict_tree`` walks one sample through
+one tree.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,30 +50,6 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    def validate(self) -> None:
-        """Full traversal check of the preorder/jump invariants."""
-        n = self.n_nodes
-        seen = np.zeros(n, dtype=bool)
-        stack = [(0, 0)]
-        max_depth = 0
-        while stack:
-            pos, d = stack.pop()
-            if not (0 <= pos < n) or seen[pos]:
-                raise ModelCorruptError(f"node index {pos} out of range or revisited")
-            seen[pos] = True
-            max_depth = max(max_depth, d)
-            if self.feature[pos] < 0:
-                continue
-            right = int(self.jump[pos])
-            if not (pos < right < n):
-                raise ModelCorruptError(f"node {pos}: right child {right} violates preorder")
-            stack.append((right, d + 1))
-            stack.append((pos + 1, d + 1))
-        if not seen.all():
-            raise ModelCorruptError("unreachable nodes in tree")
-        if max_depth > self.depth:
-            raise ModelCorruptError(f"observed depth {max_depth} exceeds recorded {self.depth}")
-
 
 @dataclass(frozen=True)
 class ForestSpec:
@@ -84,6 +65,20 @@ class PoolConfig:
     @property
     def pool_size(self) -> int:
         return sum(f.n_trees for f in self.forests)
+
+
+@dataclass(frozen=True)
+class PoolNodes:
+    """A pool's node columns end to end, with jumps relative to each tree's
+    first node, as the ``.tdes`` node section stores them. Every internal
+    node's children lie inside its own tree and after it."""
+
+    feature: np.ndarray  # intp [n_nodes]; negative at leaves
+    threshold: np.ndarray  # float32 [n_nodes]
+    jump: np.ndarray  # intp [n_nodes]; right child - first, or class id at leaves
+    first: np.ndarray  # intp [pool_size]; each tree's first node
+    count: np.ndarray  # intp [pool_size]; each tree's node count
+    width: int  # 1 + the largest feature id: the narrowest input the pool reads
 
 
 @dataclass(frozen=True)
@@ -112,10 +107,29 @@ class ClassifierPool:
     def node_bytes(self) -> int:
         return 8 * sum(t.n_nodes for t in self.trees)
 
+    @cached_property
+    def nodes(self) -> PoolNodes:
+        """Every tree's nodes end to end, built and checked on first use."""
+        count = np.array([t.n_nodes for t in self.trees], dtype=np.intp)
+        if count.size == 0 or count.min() < 1:
+            raise ModelCorruptError("pool has no trees or a tree with no nodes")
+        first = count.cumsum() - count
+        feat = np.concatenate([t.feature for t in self.trees]).astype(np.intp)
+        thr = np.concatenate([t.threshold for t in self.trees])
+        jump = np.concatenate([t.jump for t in self.trees]).astype(np.intp)
+        owner = np.arange(count.size).repeat(count)
+        local = np.arange(feat.size) - first[owner]
+        bad = np.flatnonzero((feat >= 0) & ((jump <= local) | (jump >= count[owner])))
+        if bad.size:
+            i = bad[0]
+            raise ModelCorruptError(
+                f"tree {owner[i]} node {local[i]}: right child {jump[i]} violates preorder")
+        return PoolNodes(feat, thr, jump, first, count, int(feat.max()) + 1)
+
 
 def _majority(counts: np.ndarray) -> int:
     # ties resolve to the smallest class id
-    return int(np.argmax(counts))
+    return int(counts.argmax())
 
 
 def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
@@ -176,7 +190,7 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
         pos = emit(feature, thr, 0)
         grow(idx[mask], y_left, left_counts, depth + 1)
         jump_out[pos] = len(feat_out)
-        grow(idx[~mask], y[~mask], counts - left_counts, depth + 1)
+        grow(idx[right := ~mask], y[right], counts - left_counts, depth + 1)
 
     y0 = data.labels[idx0].astype(np.int64)
     grow(idx0, y0, np.bincount(y0, minlength=n_classes), 0)
@@ -210,15 +224,6 @@ def predict_tree(t: DecisionTree, x) -> tuple[int, int]:
         if not (pos < nxt < n):
             raise ModelCorruptError(f"node {pos} jumps to invalid index {nxt}")
         pos = nxt
-
-
-def predict_batch(t: DecisionTree, X) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel-backed bulk version of :func:`predict_tree`."""
-    mat = np.ascontiguousarray(X, dtype=np.float32)
-    labels, visits = _kernels.tree_walk(t.feature, t.threshold, t.jump, mat)
-    if (labels < 0).any():
-        raise ModelCorruptError("tree walk hit an out-of-range node")
-    return labels, visits
 
 
 def bootstrap_indices(rng: SplitMix64, n: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from tinydes.cluster import fit_kmeans
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer, stratified_split
 from tinydes.selection import build_competence_model, build_dsel
-from tinydes.trees import ForestSpec, PoolConfig, generate_pool
+from tinydes.trees import ForestSpec, PoolConfig, generate_pool, predict_tree
 
 
 def make_blobs(n_per_class=120, n_features=12, n_classes=4, seed=0, spread=1.0):
@@ -37,6 +37,14 @@ def build_pipeline(data, forests=((6, 6), (4, 3)), k=3, n_acc=6, j=3, seed=17,
     cm = build_competence_model(dsel, km, min(n_acc, pool.pool_size), j)
     return {"data": data, "pool_train": pool_train, "dsel_part": dsel_part,
             "standardizer": s, "pool": pool, "dsel": dsel, "kmeans": km, "cm": cm}
+
+
+def per_tree_predictions(pool, X):
+    """(labels, visits), [pool_size, n] each, from one ``predict_tree`` walk
+    per (classifier, sample) pair: the reference for the pool walk."""
+    pairs = [[predict_tree(t, x) for x in X] for t in pool.trees]
+    out = np.array(pairs, dtype=np.int64).reshape(pool.pool_size, len(X), 2)
+    return out[..., 0], out[..., 1]
 
 
 @pytest.fixture(scope="session")

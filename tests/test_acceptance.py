@@ -15,14 +15,15 @@ from tinydes.bench import DatasetSpec, ExperimentConfig, run_experiment
 from tinydes.cluster import fit_kmeans
 from tinydes.data import apply_standardizer
 from tinydes.errors import TinyDesError
-from tinydes.selection import (build_competence_model, correctness_matrix,
+from tinydes.selection import (build_competence_model,
                                des_clustering_predict, knora_e_batch,
                                oracle_accuracy, pool_predictions,
                                static_selection)
 from tinydes.tinyformat import emit_static_source, export_tiny, load_tiny, tiny_predict
 from tinydes.trees import ClassifierPool, DecisionTree
 
-from conftest import build_pipeline, make_blobs, mnist_paths, record_criterion, record_skip
+from conftest import (build_pipeline, make_blobs, mnist_paths, per_tree_predictions,
+                      record_criterion, record_skip)
 from test_selection import brute_force_competence, dsel_from_correctness
 from test_tinyformat import HAVE_CC, compile_and_run
 
@@ -181,9 +182,8 @@ class TestCriterion5OracleDominance:
         p = build_pipeline(data, forests=((3, 4), (2, 2)), k=2, n_acc=4, j=2, seed=9)
         test = make_blobs(n_per_class=30, n_features=5, n_classes=4, seed=22)
         orc = oracle_accuracy(p["pool"], test, p["standardizer"])
-        corr = correctness_matrix(p["pool"],
-                                  apply_standardizer(p["standardizer"], test.features),
-                                  test.labels)
+        std = apply_standardizer(p["standardizer"], test.features)
+        corr = per_tree_predictions(p["pool"], std)[0] == test.labels
         equivalent = orc == pytest.approx(float(corr.any(axis=0).mean()), abs=0)
         record_criterion(
             "C5 oracle dominance and equivalence",

@@ -12,7 +12,7 @@ from tinydes.data import Dataset, apply_standardizer
 from tinydes import selection
 from tinydes.errors import SelectionError, ShapeError, VoteError
 from tinydes.selection import (CompetenceModel, Dsel, build_competence_model,
-                               build_dsel, correctness_matrix,
+                               build_dsel,
                                des_clustering_batch, des_clustering_predict,
                                double_fault, knora_e_batch, knora_regions,
                                knora_u_batch, majority_vote, oracle_accuracy,
@@ -22,7 +22,7 @@ from tinydes.selection import _k_nearest
 from tinydes.trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
                            generate_pool)
 
-from conftest import make_blobs
+from conftest import make_blobs, per_tree_predictions
 from knora_oracle import knora_e, knora_u
 
 
@@ -73,7 +73,7 @@ class TestBuildDsel:
 
     def test_correctness_reproducible_and_matches_oracle(self, pipeline):
         dsel, pool = pipeline["dsel"], pipeline["pool"]
-        again = correctness_matrix(pool, dsel.samples, dsel.labels)
+        again = per_tree_predictions(pool, dsel.samples)[0] == dsel.labels
         np.testing.assert_array_equal(dsel.correctness, again)
         # column-any over correctness == oracle accuracy on the same samples
         raw = pipeline["dsel_part"]
@@ -377,7 +377,7 @@ class TestOracle:
         test = make_blobs(n_per_class=40, seed=123)
         orc = oracle_accuracy(pool, test, s)
         std = apply_standardizer(s, test.features)
-        corr = correctness_matrix(pool, std, test.labels)
+        corr = per_tree_predictions(pool, std)[0] == test.labels
         assert orc == pytest.approx(corr.any(axis=0).mean())
 
         target = test.labels.astype(np.int64)
@@ -491,7 +491,7 @@ def tie_heavy_case(seed=2024):
     labels = ((samples[:, 0] + samples[:, 1]) % n_classes).astype(np.uint16)
     flip = rng.rand(60) < 0.25
     labels[flip] = rng.randint(0, n_classes, int(flip.sum()))
-    dsel = Dsel(samples, labels, correctness_matrix(pool, samples, labels))
+    dsel = Dsel(samples, labels, per_tree_predictions(pool, samples)[0] == labels)
     queries = rng.randint(0, 3, size=(90, 3)).astype(np.float32)
     return dsel, pool, queries
 

@@ -4,9 +4,9 @@ import pytest
 from tinydes._rng import SplitMix64, derive_seed
 from tinydes.data import Dataset
 from tinydes.errors import ModelCorruptError
-from tinydes.trees import (DecisionTree, ForestSpec, PoolConfig,
-                           bootstrap_indices, generate_pool, predict_batch,
-                           predict_tree, train_tree)
+from tinydes.selection import pool_predictions
+from tinydes.trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
+                           bootstrap_indices, generate_pool, predict_tree, train_tree)
 
 from conftest import make_blobs
 
@@ -36,6 +36,29 @@ def exhaustive_best_split(X, y, n_classes):
             if best is None or score > best[0]:
                 best = (score, f, float(thr))
     return best
+
+
+def validate_tree(t: DecisionTree) -> None:
+    """Full traversal check of the preorder/jump invariants: every node is
+    reached once, right children come after their parent inside the tree,
+    and no path is deeper than the recorded depth."""
+    n = t.n_nodes
+    seen = np.zeros(n, dtype=bool)
+    stack = [(0, 0)]
+    max_depth = 0
+    while stack:
+        pos, d = stack.pop()
+        assert 0 <= pos < n and not seen[pos], f"node index {pos} out of range or revisited"
+        seen[pos] = True
+        max_depth = max(max_depth, d)
+        if t.feature[pos] < 0:
+            continue
+        right = int(t.jump[pos])
+        assert pos < right < n, f"node {pos}: right child {right} violates preorder"
+        stack.append((right, d + 1))
+        stack.append((pos + 1, d + 1))
+    assert seen.all(), "unreachable nodes in tree"
+    assert max_depth <= t.depth, f"observed depth {max_depth} exceeds recorded {t.depth}"
 
 
 def recursive_predict(tree: DecisionTree, x, pos=0):
@@ -84,7 +107,7 @@ class TestTrainTree:
         data = make_blobs(n_per_class=60, n_features=6, n_classes=3, seed=2)
         for depth in (1, 2, 4, 7):
             t = train_tree(data, np.arange(data.n_samples), depth, 3, rng_seed=depth)
-            t.validate()
+            validate_tree(t)
             assert observed_depth(t) <= depth
 
     def test_root_split_matches_exhaustive_search(self):
@@ -109,11 +132,11 @@ class TestTrainTree:
     def test_brute_force_prediction_equivalence(self):
         data = make_blobs(n_per_class=50, n_features=5, n_classes=3, seed=4)
         t = train_tree(data, np.arange(data.n_samples), 6, 2, rng_seed=9)
-        labels, visits = predict_batch(t, data.features)
+        labels, visits = pool_predictions(ClassifierPool((t,), ("A",), 0), data.features)
         for i in range(data.n_samples):
-            assert labels[i] == recursive_predict(t, data.features[i])
+            assert labels[0, i] == recursive_predict(t, data.features[i])
             lab, vis = predict_tree(t, data.features[i])
-            assert (lab, vis) == (labels[i], visits[i])
+            assert (lab, vis) == (labels[0, i], visits[0, i])
 
 
 def observed_depth(t: DecisionTree) -> int:
@@ -173,7 +196,7 @@ class TestGeneratePool:
     def test_all_trees_structurally_valid(self, blob_data):
         pool = generate_pool(blob_data, PoolConfig((ForestSpec(5, 6), ForestSpec(5, 3))), seed=6)
         for t in pool.trees:
-            t.validate()
+            validate_tree(t)
 
 
 class TestBootstrap:
