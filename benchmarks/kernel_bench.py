@@ -9,10 +9,22 @@
 # 2-vCPU Intel Xeon, numpy 2.4, Python 3.11, BLAS and OpenMP pinned to one
 # thread:
 #
-#   best_split      30000x28, uint16 keys    66 ms   float-value sort: 150 ms
-#   best_split      30000x28 pixels, uint8   53 ms   float-value sort: 128 ms
+#   best_split      30000x28, uint16 keys    52 ms   radix argsort: 60 ms;
+#                                                    float-value sort: 150 ms
+#   best_split      30000x28 pixels, uint8   51 ms   radix argsort: 52 ms;
+#                                                    float-value sort: 128 ms
+#   best_split      n=10, uint8, m=28        68 us   radix argsort: 85 us
+#                   n=10, uint16, m=8        48 us   radix argsort: 52 us
+#                   n=26, uint8, m=28        86 us   radix argsort: 95 us
+#                   n=26, uint16, m=8        57 us   radix argsort: 63 us
+#                   n=60, uint8, m=28       109 us   radix argsort: 126 us
+#                   n=60, uint16, m=8        66 us   radix argsort: 64 us
+#                   n=300, uint8, m=28      292 us   radix argsort: 384 us
+#                   n=300, uint16, m=8      124 us   radix argsort: 135 us
 #   rank_codes      1250x784 pixels          43 ms   once per pool
 #   sample_sorted_rows  128 x (28 of 784)   0.36 ms  128 per-node draws: 4.6 ms
+#   generate_pool   1250x784 pixel fold     705 ms   recursive train_tree and
+#                                                    radix argsort: 847 ms
 #   tree_walk       one 2^16-pair block      21 ms   45-tree pool, 784 features
 #   pool_predictions  45 trees x 30000     343 ms   every (tree, row) pair, in
 #                                                    2^16-pair blocks
@@ -29,7 +41,12 @@
 #   tiny_infer      5000 probes             148 ms   per-probe tolist() of
 #                                                    the features: 239 ms
 #
-# The assign_clusters and tiny_infer rows were timed back to back with the
+# The best_split and generate_pool rows are medians of ten runs of each
+# form, alternated in one process against the radix-argsort kernel and the
+# recursive train_tree (the pools' fingerprints were equal); a best_split
+# run is 2000 calls on one node, and the 30000-row rows are medians of
+# eight runs of five calls. The
+# assign_clusters and tiny_infer rows were timed back to back with the
 # previous kernel on the same host, two runs of each, averaged. The
 # knora_regions and load_csv rows are medians of six runs of each form,
 # alternated in one process. pool_predictions against one walk per tree on
@@ -45,7 +62,7 @@ import numpy as np
 from tinydes._kernels import (assign_clusters, best_split, pairwise_sqdist, rank_codes,
                               tree_walk)
 from tinydes._rng import SplitMix64
-from tinydes.data import Dataset, load_csv
+from tinydes.data import Dataset, apply_standardizer, fit_standardizer, load_csv
 from tinydes.selection import (REGION_CHUNK_CELLS, WALK_BLOCK_PAIRS, Dsel, _k_nearest,
                                knora_regions, pool_predictions)
 from tinydes.tinyformat import export_tiny, load_tiny
@@ -58,8 +75,21 @@ def bench(label, fn, reps=5):
     for _ in range(reps):
         fn()
     dt = (time.perf_counter() - t0) / reps
-    print(f"{label:<44} {dt * 1e3:10.2f} ms")
+    if dt < 1e-3:
+        print(f"{label:<44} {dt * 1e6:10.1f} us")
+    else:
+        print(f"{label:<44} {dt * 1e3:10.2f} ms")
     return dt
+
+
+def pixel_fold(rng, n, f, classes):
+    """Standardized MNIST-like rows: mostly zero pixels, class-dependent ink."""
+    labels = rng.randint(0, classes, n)
+    template = rng.rand(classes, f) < 0.2
+    ink = rng.rand(n, f) < np.where(template[labels], 0.6, 0.05)
+    px = np.where(ink, rng.randint(1, 256, (n, f)), 0).astype(np.float32)
+    d = Dataset(px, labels.astype(np.uint16), classes)
+    return Dataset(apply_standardizer(fit_standardizer(d), px), d.labels, classes)
 
 
 rng = np.random.RandomState(0)
@@ -77,13 +107,31 @@ px = rng.randint(0, 256, (30000, 28)).astype(np.float32)
 px_keys = rank_codes(px)
 bench("best_split, pixels (uint8 keys)", lambda: best_split(px_keys, y, classes, totals))
 
-# One pixels784 pool's training rows, and one block of train_tree's
-# candidate feature subsets.
+# Small nodes, where most split searches fall: pixel codes (mostly the zero
+# code) at pixels784's 28 candidates, continuous codes at float64's 8.
+print("== split search, small nodes ==")
+srng = np.random.RandomState(1)  # leaves rng's stream to the rows below
+for n_rows in (10, 26, 60, 300):
+    yn = y[:n_rows].astype(np.uint8)
+    tn = np.bincount(yn, minlength=classes)
+    k8 = np.where(srng.rand(28, n_rows) < 0.7, 0, srng.randint(1, 256, (28, n_rows)))
+    k8 = k8.astype(np.uint8)
+    k16 = srng.randint(0, 3000, (8, n_rows)).astype(np.uint16)
+    bench(f"best_split n={n_rows}, uint8 keys, m=28",
+          lambda: best_split(k8.T, yn, classes, tn), reps=2000)
+    bench(f"best_split n={n_rows}, uint16 keys, m=8",
+          lambda: best_split(k16.T, yn, classes, tn), reps=2000)
+
+# One pixels784 pool's training rows, one block of train_tree's candidate
+# feature subsets, and the default 45-tree pool grown on a pixel-like fold
+# of that shape.
 print("== pool set-up (1250 x 784 pixels; 128 subsets of 28 of 784) ==")
 pool_px = rng.randint(0, 256, (1250, 784)).astype(np.float32)
 bench("rank_codes", lambda: rank_codes(pool_px))
 stream = SplitMix64(5)
 bench("sample_sorted_rows", lambda: stream.sample_sorted_rows(784, 28, 128))
+fold = pixel_fold(srng, 1250, 784, classes)
+bench("generate_pool (45 trees, pixel fold)", lambda: generate_pool(fold, seed=7), reps=3)
 
 # One default pool (25 trees of depth 10, 20 of depth 5) walked over every
 # (tree, row) pair: one block of pairs, and all of them as pool_predictions
@@ -130,7 +178,6 @@ with tempfile.TemporaryDirectory() as tmp:
     bench("load_csv", lambda: load_csv(csv_path, "label"), reps=3)
 
 from tinydes.cluster import fit_kmeans
-from tinydes.data import fit_standardizer, apply_standardizer
 from tinydes.selection import build_competence_model, build_dsel
 
 small = Dataset(X[:2000], y[:2000].astype(np.uint16), classes)

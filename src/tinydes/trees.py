@@ -26,6 +26,20 @@ from .data import Dataset
 
 LEAF = -1
 _CAND_BLOCK = 128  # candidate feature subsets drawn per block
+_MAX_FEATURES = 1 << 15  # feature ids must fit the int16 node field
+
+
+def _field(values, dtype, what: str) -> np.ndarray:
+    """``values`` as a contiguous ``dtype`` array; a value the dtype cannot
+    hold raises ``CapacityError`` instead of wrapping."""
+    a = np.asarray(values)
+    if a.size:
+        info = np.iinfo(dtype)
+        lo, hi = a.min(), a.max()
+        if lo < info.min or hi > info.max:
+            bad = lo if lo < info.min else hi
+            raise CapacityError(f"{what} {bad} outside the {info.dtype} node field")
+    return np.ascontiguousarray(a, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -37,9 +51,9 @@ class DecisionTree:
     n_classes: int
 
     def __post_init__(self):
-        f = np.ascontiguousarray(self.feature, dtype=np.int16)
+        f = _field(self.feature, np.int16, "feature id")
         t = np.ascontiguousarray(self.threshold, dtype=np.float32)
-        j = np.ascontiguousarray(self.jump, dtype=np.uint16)
+        j = _field(self.jump, np.uint16, "jump")
         for arr in (f, t, j):
             arr.flags.writeable = False
         object.__setattr__(self, "feature", f)
@@ -71,7 +85,8 @@ class PoolConfig:
 class PoolNodes:
     """A pool's node columns end to end, with jumps relative to each tree's
     first node, as the ``.tdes`` node section stores them. Every internal
-    node's children lie inside its own tree and after it."""
+    node's children lie inside its own tree and after it, and every leaf's
+    class is below the pool's ``n_classes``."""
 
     feature: np.ndarray  # intp [n_nodes]; negative at leaves
     threshold: np.ndarray  # float32 [n_nodes]
@@ -119,11 +134,14 @@ class ClassifierPool:
         jump = np.concatenate([t.jump for t in self.trees]).astype(np.intp)
         owner = np.arange(count.size).repeat(count)
         local = np.arange(feat.size) - first[owner]
-        bad = np.flatnonzero((feat >= 0) & ((jump <= local) | (jump >= count[owner])))
+        internal = feat >= 0
+        bad = np.flatnonzero(np.where(internal, (jump <= local) | (jump >= count[owner]),
+                                      jump >= self.n_classes))
         if bad.size:
             i = bad[0]
-            raise ModelCorruptError(
-                f"tree {owner[i]} node {local[i]}: right child {jump[i]} violates preorder")
+            what = (f"right child {jump[i]} violates preorder" if internal[i]
+                    else f"leaf class {jump[i]} is not below n_classes {self.n_classes}")
+            raise ModelCorruptError(f"tree {owner[i]} node {local[i]}: {what}")
         return PoolNodes(feat, thr, jump, first, count, int(feat.max()) + 1)
 
 
@@ -140,11 +158,19 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
     seeded stream; the split maximizing the exact Gini score is taken, with
     ties toward the smaller feature id and threshold. Growth stops at
     ``max_depth``, node purity, or when no split reduces impurity.
+
+    Nodes grow from an explicit stack in preorder: a split pushes its right
+    child, then its left, and the right child patches its parent's jump when
+    it is emitted. Each split records its feature and the two rows around
+    the cut; one ``split_threshold`` call turns them all into thresholds
+    once the tree is grown.
     """
     idx0 = np.asarray(sample_indices, dtype=np.int64)
     if idx0.size == 0:
         raise ValueError("sample_indices must be non-empty")
-    X = data.features
+    if data.n_features > _MAX_FEATURES:
+        raise CapacityError(f"{data.n_features} features; the int16 feature id caps "
+                            f"at {_MAX_FEATURES - 1}")
     # feature-major codes: a node's candidate cells are one 1-D take into
     # contiguous feature rows, several times faster than 2-D fancy indexing
     n_samples = data.n_samples
@@ -153,56 +179,54 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
     rng = SplitMix64(rng_seed)
 
     def candidate_rows():
-        # rows drawn past the last node are never used; the stream is private
+        # (features, first flat code cell of each); rows drawn past the last
+        # node are never used, and the stream is private
         while True:
-            yield from rng.sample_sorted_rows(data.n_features, max_features, _CAND_BLOCK)
+            rows = rng.sample_sorted_rows(data.n_features, max_features, _CAND_BLOCK)
+            yield from zip(rows, rows * n_samples)
 
     candidates = candidate_rows()
 
-    feat_out: list[int] = []
-    thr_out: list[float] = []
-    jump_out: list[int] = []
-
-    def emit(f: int, t: float, j: int) -> int:
-        feat_out.append(f)
-        thr_out.append(t)
-        jump_out.append(j)
-        return len(feat_out) - 1
-
-    def grow(idx: np.ndarray, y: np.ndarray, counts: np.ndarray, depth: int) -> None:
+    feature: list[int] = []
+    jump: list[int] = []
+    splits: list[tuple[int, int, int, int]] = []  # (node, feature, row p0, row p1)
+    y0 = data.labels[idx0].astype(np.min_scalar_type(n_classes - 1))
+    # (rows, labels, class counts, depth, parent whose jump this node sets)
+    stack = [(idx0, y0, np.bincount(y0, minlength=n_classes), 0, -1)]
+    while stack:
+        idx, y, counts, depth, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            jump[parent] = node
         majority = _majority(counts)
-        if depth >= max_depth or counts[majority] == idx.size:
-            emit(LEAF, 0.0, majority)
-            return
-        cands = next(candidates)
-        kt = codes_flat.take(cands[:, None] * n_samples + idx)  # one candidate per row
-        col, (p0, p1), score, found = _kernels.best_split(kt.T, y, n_classes, counts)
-        if found and score <= float(counts @ counts) / idx.size:
-            found = False
-        if not found:
-            emit(LEAF, 0.0, majority)
-            return
-        feature = int(cands[col])
-        thr = _kernels.split_threshold(X[idx[p0], feature], X[idx[p1], feature])
-        mask = kt[col] <= kt[col, p0]
-        y_left = y[mask]
-        left_counts = np.bincount(y_left, minlength=n_classes)
-        pos = emit(feature, thr, 0)
-        grow(idx[mask], y_left, left_counts, depth + 1)
-        jump_out[pos] = len(feat_out)
-        grow(idx[right := ~mask], y[right], counts - left_counts, depth + 1)
-
-    y0 = data.labels[idx0].astype(np.int64)
-    grow(idx0, y0, np.bincount(y0, minlength=n_classes), 0)
-    if len(feat_out) > 65535:
-        raise CapacityError(f"tree grew {len(feat_out)} nodes; the 16-bit node index caps at 65535")
-    return DecisionTree(
-        np.array(feat_out, dtype=np.int16),
-        np.array(thr_out, dtype=np.float32),
-        np.array(jump_out, dtype=np.uint16),
-        depth=max_depth,
-        n_classes=n_classes,
-    )
+        if depth < max_depth and counts[majority] < idx.size:
+            cands, cells = next(candidates)
+            kt = codes_flat.take(cells[:, None] + idx)  # one candidate per row
+            total_sq = int(counts @ counts)
+            col, (p0, p1), score, found = _kernels.best_split(kt.T, y, n_classes, counts,
+                                                              total_sq)
+            if found and score > total_sq / idx.size:
+                f = int(cands[col])
+                feature.append(f)
+                jump.append(0)
+                splits.append((node, f, idx[p0], idx[p1]))
+                mask = kt[col] <= kt[col, p0]
+                right = ~mask
+                y_left = y[mask]
+                left_counts = np.bincount(y_left, minlength=n_classes)
+                stack.append((idx[right], y[right], counts - left_counts, depth + 1, node))
+                stack.append((idx[mask], y_left, left_counts, depth + 1, -1))
+                continue
+        feature.append(LEAF)
+        jump.append(majority)
+    if len(feature) > 65535:
+        raise CapacityError(f"tree grew {len(feature)} nodes; the 16-bit node index caps at 65535")
+    threshold = np.zeros(len(feature), dtype=np.float32)
+    if splits:
+        nodes, feats, r0, r1 = np.array(splits, dtype=np.int64).T
+        X = data.features
+        threshold[nodes] = _kernels.split_threshold(X[r0, feats], X[r1, feats])
+    return DecisionTree(feature, threshold, jump, depth=max_depth, n_classes=n_classes)
 
 
 def predict_tree(t: DecisionTree, x) -> tuple[int, int]:

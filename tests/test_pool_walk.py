@@ -129,6 +129,20 @@ class TestCorruptPoolRaises:
             pool_predictions(pool, np.zeros((3, width), np.float32))
         assert pool_predictions(pool, np.zeros((3, 3), np.float32))[0].shape == (2, 3)
 
+    def test_leaf_class_not_below_n_classes(self):
+        # a class-4 vote among 3 classes would land in the next row's vote
+        # bins, or past the last row's
+        pool = pool_of(*(tree([-1], [0], [c], n_classes=3) for c in (4, 1, 1)))
+        rows = np.zeros((3, 1), np.float32)
+        match = "^tree 0 node 0: leaf class 4 is not below n_classes 3$"
+        with pytest.raises(ModelCorruptError, match=match):
+            pool_predictions(pool, rows)
+        dsel = selection.Dsel(rows[:2], np.zeros(2, np.uint16), np.zeros((3, 2), bool))
+        with pytest.raises(ModelCorruptError, match=match):
+            selection.knora_u_batch(dsel, pool, rows, 1)
+        with pytest.raises(ModelCorruptError, match="^tree 1 node 0: leaf class 3 is not"):
+            pool_predictions(pool_of(stump(), tree([-1], [0], [3])), rows)
+
     def test_tree_with_no_nodes(self):
         pool = pool_of(stump(), tree([], [], []))
         with pytest.raises(ModelCorruptError, match="no nodes"):

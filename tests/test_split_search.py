@@ -9,12 +9,14 @@ the kernel that read the values alongside the keys.
 """
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tinydes import _kernels
 from tinydes._kernels import best_split, rank_codes, split_threshold
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool
@@ -210,6 +212,57 @@ class TestAgainstValueOracle:
         if found:
             np.testing.assert_array_equal(kt[col] <= kt[col, p0],
                                           values[:, col] <= np.float32(thr))
+
+
+def radix_path():
+    """Every key dtype takes the stable-argsort (radix) path."""
+    return mock.patch.dict(_kernels.COMPOSITE_KEY_BITS, clear=True)
+
+
+class TestSortPaths:
+    """uint8/uint16 keys sort as int32 below ``SMALL_NODE_ROWS`` rows and as
+    int32 composites above it while those fit; other nodes keep the keys' own
+    stable argsort. Each path against the value-reading kernel."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.one_of(st.integers(2, 2 * _kernels.SMALL_NODE_ROWS), st.integers(2, 300)),
+           m=st.integers(1, 28), n_classes=st.integers(1, 12), n_values=st.integers(1, 400),
+           wide=st.booleans(), radix=st.booleans(), row_major=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_value_oracle(self, n, m, n_classes, n_values, wide, radix,
+                                       row_major, seed):
+        rng = np.random.RandomState(seed)
+        cells = rng.randint(0, n_values, (n, m))
+        cells[:, rng.rand(m) < 0.2] = rng.randint(0, n_values)  # constant columns
+        # heavy ties when n_values is small; zeros get either sign
+        values = ((cells - n_values // 2) * np.float32(0.37)).astype(np.float32)
+        values[values == 0] *= rng.choice(np.array([-1, 1], np.float32), (values == 0).sum())
+        labels = rng.randint(0, n_classes, n)
+        codes = rank_codes(values)
+        if wide:
+            codes = np.ascontiguousarray(codes.T, dtype=np.uint16).T
+        assert codes.dtype in ((np.uint16,) if wide else (np.uint8, np.uint16))
+        if row_major:  # not the transpose of a C-contiguous (m, n) array
+            codes = np.ascontiguousarray(codes)
+        with radix_path() if radix else mock.patch.dict({}):
+            got = split(values, labels, n_classes, codes)
+        assert bits(got) == bits(value_best_split(values, labels, n_classes, codes))
+
+    @pytest.mark.parametrize("n, n_classes", [
+        (32768, 2),  # uint16 keys and 15 position bits: the last node that fits
+        (32769, 2),
+        (16384, 65537),  # 17 label bits and 14 position bits fit
+        (16385, 65537),
+    ])
+    def test_int32_fit_limit(self, n, n_classes):
+        rng = np.random.RandomState(n)
+        values = np.stack([rng.permutation(n), rng.randint(0, 3, n)], axis=1).astype(np.float32)
+        labels = rng.randint(0, 4, n) * (n_classes // 4)
+        codes = np.ascontiguousarray(rank_codes(values).T, dtype=np.uint16).T
+        got = bits(split(values, labels, n_classes, codes))
+        assert got == bits(value_best_split(values, labels, n_classes, codes))
+        with radix_path():
+            assert bits(split(values, labels, n_classes, codes)) == got
 
 
 class TestRankCodes:

@@ -1,14 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tinydes import _kernels
 from tinydes._rng import SplitMix64, derive_seed
 from tinydes.data import Dataset
-from tinydes.errors import ModelCorruptError
+from tinydes.errors import CapacityError, ModelCorruptError
 from tinydes.selection import pool_predictions
 from tinydes.trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
                            bootstrap_indices, generate_pool, predict_tree, train_tree)
 
 from conftest import make_blobs
+from tree_oracle import train_tree as recursive_train_tree
 
 
 def dataset_1d(values, labels):
@@ -103,6 +109,13 @@ class TestTrainTree:
         t = train_tree(d, [0, 1, 2], max_depth=3, max_features=1, rng_seed=0)
         assert t.n_nodes == 1 and t.jump[0] == 0
 
+    def test_zero_gain_split_not_taken(self):
+        # 1|2 leaves both children with one row of each class: its score, 2,
+        # equals the parent's, so the node stays a leaf
+        d = dataset_1d([1, 1, 2, 2], [0, 1, 0, 1])
+        t = train_tree(d, [0, 1, 2, 3], max_depth=3, max_features=1, rng_seed=0)
+        assert t.n_nodes == 1 and t.jump[0] == 0
+
     def test_depth_bound_and_structure(self):
         data = make_blobs(n_per_class=60, n_features=6, n_classes=3, seed=2)
         for depth in (1, 2, 4, 7):
@@ -137,6 +150,84 @@ class TestTrainTree:
             assert labels[0, i] == recursive_predict(t, data.features[i])
             lab, vis = predict_tree(t, data.features[i])
             assert (lab, vis) == (labels[0, i], visits[0, i])
+
+
+_V0 = np.nextafter(np.float32(1), np.float32(2))  # odd mantissa: midpoint rounds up
+# -0.0 and 0.0 tie; (_V0, next) and (3, next) are adjacent float32 pairs, the
+# first falling back to its left value; +-1e-45 are the smallest subnormals
+PALETTE = np.array([-0.0, 0.0, _V0, np.nextafter(_V0, np.float32(2)), 3.0,
+                    np.nextafter(np.float32(3), np.float32(4)), -1.5, 1e-45, -1e-45],
+                   np.float32)
+
+
+def same_tree(a: DecisionTree, b: DecisionTree) -> None:
+    np.testing.assert_array_equal(a.feature, b.feature)
+    np.testing.assert_array_equal(a.threshold.view(np.uint32), b.threshold.view(np.uint32))
+    np.testing.assert_array_equal(a.jump, b.jump)
+    assert (a.depth, a.n_classes) == (b.depth, b.n_classes)
+
+
+class TestAgainstRecursiveOracle:
+    """The stack-grown tree against the recursive ``train_tree`` it replaced
+    (``tests/tree_oracle.py``, with that version's kernels): the same
+    feature, threshold-bit and jump arrays."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_base=st.integers(1, 12), n_rows=st.integers(1, 40),
+           nf=st.integers(1, 6), n_classes=st.integers(1, 12), depth=st.integers(0, 10),
+           wide=st.booleans(), seed=st.integers(0, 2**64 - 1))
+    def test_same_arrays(self, data, n_base, n_rows, nf, n_classes, depth, wide, seed):
+        cells = data.draw(st.lists(st.integers(0, PALETTE.size - 1), min_size=n_base * nf,
+                                   max_size=n_base * nf))
+        # rows copied from a few base rows repeat whole
+        copies = data.draw(st.lists(st.integers(0, n_base - 1), min_size=n_rows,
+                                    max_size=n_rows))
+        X = PALETTE[np.array(cells)].reshape(n_base, nf)[np.array(copies)]
+        y = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows))
+        if wide:  # 300 distinct filler values push every code to uint16
+            filler = np.zeros((300, nf), np.float32)
+            filler[:, 0] = 10 + np.arange(300)
+            X = np.concatenate([X, filler])
+            y = y + [i % n_classes for i in range(300)]
+        d = Dataset(X, np.array(y, np.uint16), n_classes)
+        assert d.rank_codes.dtype == (np.uint16 if wide else np.uint8)
+        idx = data.draw(st.lists(st.integers(0, d.n_samples - 1), min_size=1, max_size=60))
+        max_features = data.draw(st.integers(1, nf))
+        same_tree(train_tree(d, idx, depth, max_features, seed),
+                  recursive_train_tree(d, idx, depth, max_features, seed))
+
+    def test_default_pool_trees(self, blob_data):
+        # generate_pool's bootstraps and seeds, depths 10 and 5
+        pool = generate_pool(blob_data, PoolConfig((ForestSpec(2, 10), ForestSpec(2, 5))), seed=4)
+        for i, (t, depth) in enumerate(zip(pool.trees, (10, 10, 5, 5))):
+            stream = SplitMix64(derive_seed(4, i))
+            boot = bootstrap_indices(stream, blob_data.n_samples)
+            same_tree(t, recursive_train_tree(blob_data, boot, depth, 3, stream.next()))
+
+
+class TestNodeFieldCapacity:
+    def test_feature_and_jump_out_of_range(self):
+        # int16 would wrap 40000 to -25536, a leaf; uint16 70000 to 4464
+        with pytest.raises(CapacityError, match="feature id 40000"):
+            DecisionTree([40000, -1, -1], [0.5, 0, 0], [2, 0, 1], 1, 2)
+        with pytest.raises(CapacityError, match="jump 70000"):
+            DecisionTree([0, -1, -1], [0.5, 0, 0], [2, 0, 70000], 1, 2)
+        with pytest.raises(CapacityError, match="jump -1"):
+            DecisionTree([0, -1, -1], [0.5, 0, 0], [2, -1, 1], 1, 2)
+        t = DecisionTree([32767, -32768, -1], [0.5, 0, 0], [2, 65535, 1], 1, 65536)
+        assert t.feature.tolist() == [32767, -32768, -1] and t.jump[1] == 65535
+
+    def test_too_many_features_raise_before_growth(self):
+        d = Dataset(np.eye(2, 32769, 32768, dtype=np.float32), np.array([0, 1], np.uint16), 2)
+        with mock.patch.object(_kernels, "best_split", side_effect=AssertionError):
+            with pytest.raises(CapacityError, match="32769 features"):
+                train_tree(d, [0, 1], 3, 1, 0)
+
+    def test_largest_feature_id(self):
+        # 32768 features: the last one's id, 32767, is the int16 maximum
+        d = Dataset(np.eye(2, 32768, 32767, dtype=np.float32), np.array([0, 1], np.uint16), 2)
+        t = train_tree(d, [0, 1], 1, 32768, 0)
+        assert t.feature.tolist() == [32767, -1, -1]
 
 
 def observed_depth(t: DecisionTree) -> int:
