@@ -100,12 +100,13 @@ y = rng.randint(0, classes, n).astype(np.int64)
 sub = np.ascontiguousarray(X[:, :28])
 keys = rank_codes(sub)  # (n, m) view of C-contiguous (m, n) codes, as train_tree gathers
 totals = np.bincount(y, minlength=classes)
+total_sq = int(totals @ totals)
 
 print("== split search (30000 samples x 28 candidate features) ==")
-bench("best_split (uint16 keys)", lambda: best_split(keys, y, classes, totals))
+bench("best_split (uint16 keys)", lambda: best_split(keys, y, classes, totals, total_sq))
 px = rng.randint(0, 256, (30000, 28)).astype(np.float32)
 px_keys = rank_codes(px)
-bench("best_split, pixels (uint8 keys)", lambda: best_split(px_keys, y, classes, totals))
+bench("best_split, pixels (uint8 keys)", lambda: best_split(px_keys, y, classes, totals, total_sq))
 
 # Small nodes, where most split searches fall: pixel codes (mostly the zero
 # code) at pixels784's 28 candidates, continuous codes at float64's 8.
@@ -114,13 +115,14 @@ srng = np.random.RandomState(1)  # leaves rng's stream to the rows below
 for n_rows in (10, 26, 60, 300):
     yn = y[:n_rows].astype(np.uint8)
     tn = np.bincount(yn, minlength=classes)
+    tn_sq = int(tn @ tn)
     k8 = np.where(srng.rand(28, n_rows) < 0.7, 0, srng.randint(1, 256, (28, n_rows)))
     k8 = k8.astype(np.uint8)
     k16 = srng.randint(0, 3000, (8, n_rows)).astype(np.uint16)
     bench(f"best_split n={n_rows}, uint8 keys, m=28",
-          lambda: best_split(k8.T, yn, classes, tn), reps=2000)
+          lambda: best_split(k8.T, yn, classes, tn, tn_sq), reps=2000)
     bench(f"best_split n={n_rows}, uint16 keys, m=8",
-          lambda: best_split(k16.T, yn, classes, tn), reps=2000)
+          lambda: best_split(k16.T, yn, classes, tn, tn_sq), reps=2000)
 
 # One pixels784 pool's training rows, one block of train_tree's candidate
 # feature subsets, and the default 45-tree pool grown on a pixel-like fold

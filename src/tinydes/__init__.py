@@ -12,11 +12,10 @@ from .data import (Dataset, FoldPlan, Standardizer, apply_standardizer,
 from .errors import (CapacityError, ChecksumError, ClusterError, FormatError,
                      IoError, ModelCorruptError, NondeterminismError,
                      SelectionError, ShapeError, StratificationError,
-                     TinyDesError, VoteError)
+                     TinyDesError)
 from .selection import (CompetenceModel, Dsel, SelectionResult,
                         build_competence_model, build_dsel,
-                        des_clustering_predict, double_fault, majority_vote,
-                        oracle_accuracy, single_best, static_selection)
+                        des_clustering_predict, single_best, static_selection)
 from .tinyformat import (TinyEngine, emit_static_source, export_tiny,
                          load_tiny, tiny_predict)
 from .trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
@@ -31,12 +30,10 @@ __all__ = [
     "ForestSpec", "FormatError", "IoError", "KMeansModel", "ModelCorruptError",
     "NondeterminismError", "PoolConfig", "SelectionError", "SelectionResult",
     "ShapeError", "Standardizer", "StratificationError", "TinyDesError",
-    "TinyEngine", "VoteError",
-    "apply_standardizer", "assign", "build_competence_model", "build_dsel",
-    "des_clustering_predict", "double_fault", "emit_static_source",
+    "TinyEngine", "apply_standardizer", "assign", "build_competence_model",
+    "build_dsel", "des_clustering_predict", "emit_static_source",
     "export_tiny", "fit_kmeans", "fit_standardizer", "generate_pool",
-    "load_csv", "load_idx",
-    "load_tiny", "majority_vote", "make_fold_plan", "oracle_accuracy",
-    "predict_tree", "single_best", "static_selection", "stratified_split",
-    "tiny_predict", "train_tree",
+    "load_csv", "load_idx", "load_tiny", "make_fold_plan", "predict_tree",
+    "single_best", "static_selection", "stratified_split", "tiny_predict",
+    "train_tree",
 ]

@@ -112,11 +112,11 @@ COMPOSITE_KEY_BITS = {np.dtype(np.uint8): 8, np.dtype(np.uint16): 16}
 SMALL_NODE_ROWS = 32
 
 
-def best_split(keys, labels, n_classes, totals, total_sq=None):
+def best_split(keys, labels, n_classes, totals, total_sq):
     """Best split of a node over its (n, m) candidate ``keys``.
 
-    ``labels`` are the node's class ids and ``totals`` their int64 class
-    counts; ``total_sq`` is ``totals @ totals`` when the caller has it.
+    ``labels`` are the node's class ids, ``totals`` their int64 class
+    counts and ``total_sq`` the int ``totals @ totals``.
     Returns ``(col, (p0, p1), score, found)``: p0 and p1 are the node
     positions of the last row left of the cut and the first row right of it
     in column ``col``'s key order. Pass ``keys`` as the transpose of a
@@ -126,8 +126,6 @@ def best_split(keys, labels, n_classes, totals, total_sq=None):
     if n < 2:
         return -1, (-1, -1), -1.0, False
     total = totals if totals.dtype == np.int64 else totals.astype(np.int64)
-    if total_sq is None:
-        total_sq = int(total @ total)
     off = np.arange(0, m * n, n)[:, None]  # each column's first flat cell
     b = (n - 1).bit_length()  # position bits of a composite key
     key_bits = COMPOSITE_KEY_BITS.get(keys.dtype)

@@ -53,7 +53,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     s, pool, dsel = fit_pool(data, args.dsel_fraction, PoolConfig(), args.seed)
     km = fit_kmeans(dsel.samples, args.clusters, derive_seed(args.seed, 3))
-    n_acc = args.n_acc or -(-pool.pool_size // 2)
+    n_acc = -(-pool.pool_size // 2) if args.n_acc is None else args.n_acc
     for j in _parse_int_list(args.j):
         cm = build_competence_model(dsel, km, n_acc, j)
         blob, manifest = export_tiny(s, cm, pool)

@@ -25,10 +25,6 @@ class SelectionError(TinyDesError):
     """Invalid selection parameters (empty ensemble, empty region, J > N_acc)."""
 
 
-class VoteError(TinyDesError):
-    """Degenerate vote: all weights zero."""
-
-
 class ModelCorruptError(TinyDesError):
     """Structurally invalid model: out-of-range node or ensemble indices."""
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .cluster import KMeansModel, assign, assign_batch
 from .data import Dataset, Standardizer, apply_standardizer
-from .errors import ModelCorruptError, SelectionError, ShapeError, VoteError
+from .errors import ModelCorruptError, SelectionError, ShapeError
 from .trees import ClassifierPool, predict_tree
 
 
@@ -81,30 +81,10 @@ def static_selection(dsel: Dsel, pct: float) -> np.ndarray:
     return np.sort(order[:m])
 
 
-def double_fault(dsel: Dsel, a: int, b: int, region) -> float:
-    """Fraction of region samples both classifiers get wrong; lower = more diverse."""
-    idx = np.asarray(region, dtype=np.int64)
-    if idx.size == 0:
-        raise SelectionError("empty region")
-    wrong_a = ~dsel.correctness[a, idx]
-    wrong_b = ~dsel.correctness[b, idx]
-    return float((wrong_a & wrong_b).mean())
-
-
 def _rank_top(scores: np.ndarray, take: int) -> np.ndarray:
     """Indices of the `take` largest scores; ties to smaller index."""
     order = np.lexsort((np.arange(scores.shape[0]), -scores))
     return order[:take]
-
-
-def _cluster_ids(kmeans: KMeansModel, X, clusters) -> np.ndarray:
-    """``assign_batch(kmeans, X)``, or the precomputed ``clusters`` checked
-    for shape."""
-    if clusters is None:
-        return assign_batch(kmeans, X)
-    if clusters.shape != (X.shape[0],):
-        raise ShapeError(f"cluster ids shape {clusters.shape} != {(X.shape[0],)}")
-    return clusters
 
 
 def build_competence_model(dsel: Dsel, kmeans: KMeansModel, n_acc: int, j: int,
@@ -118,7 +98,10 @@ def build_competence_model(dsel: Dsel, kmeans: KMeansModel, n_acc: int, j: int,
     if not (1 <= j <= n_acc <= pool_size):
         raise SelectionError(f"need 1 <= J({j}) <= N_acc({n_acc}) <= pool({pool_size})")
     k = kmeans.k
-    member_of = _cluster_ids(kmeans, dsel.samples, member_of)
+    if member_of is None:
+        member_of = assign_batch(kmeans, dsel.samples)
+    elif member_of.shape != (dsel.n_samples,):
+        raise ShapeError(f"cluster ids shape {member_of.shape} != {(dsel.n_samples,)}")
     accuracy = np.empty((k, pool_size), dtype=np.float64)
     ensembles = np.empty((k, j), dtype=np.uint16)
     global_acc = dsel.correctness.mean(axis=1)
@@ -157,38 +140,11 @@ def des_clustering_predict(cm: CompetenceModel, pool: ClassifierPool, x) -> Sele
     return SelectionResult(int(np.argmax(votes)), votes, ensemble, cost)
 
 
-def oracle_accuracy(pool: ClassifierPool, test: Dataset, s: Standardizer) -> float:
-    """Fraction of test samples at least one pool member classifies correctly."""
-    if test.n_samples == 0:
-        raise SelectionError("empty test set")
-    std = apply_standardizer(s, test.features)
-    corr = pool_predictions(pool, std)[0] == test.labels
-    return float(corr.any(axis=0).mean())
-
-
-def majority_vote(predictions, weights=None) -> tuple[int, np.ndarray]:
-    """Weighted plurality over class-id predictions; ties to smallest class id.
-    Returns (winner, per-class vote table)."""
-    preds = np.asarray(predictions, dtype=np.int64)
-    if preds.size == 0:
-        raise VoteError("no predictions to vote on")
-    if weights is None:
-        w = np.ones(preds.size, dtype=np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != preds.shape:
-            raise ShapeError(f"weights shape {w.shape} != predictions shape {preds.shape}")
-        if (w < 0).any():
-            raise VoteError("negative vote weight")
-        if not (w > 0).any():
-            raise VoteError("all vote weights are zero")
-    table = np.zeros(int(preds.max()) + 1, dtype=np.float64)
-    np.add.at(table, preds, w)
-    return int(np.argmax(table)), table
-
-
 # ---------------------------------------------------------------------------
-# Batched evaluation paths used by the benchmark harness. The clustering path
+# Batched evaluation paths used by the benchmark harness. The caller walks
+# the pool once (``pool_predictions``) and computes the KNORA regions
+# (``knora_regions``) and the test rows' cluster ids (``assign_batch``) once;
+# every method reads those, and none recomputes them. The clustering path
 # matches ``des_clustering_predict``; the KNORA paths are checked against a
 # per-query oracle kept with the tests.
 # ---------------------------------------------------------------------------
@@ -289,13 +245,8 @@ def _knora_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
     ``choose(region correctness)``, which returns the whole-number vote
     weight of every classifier per query ([n_queries, pool_size], 0 = not
     selected)."""
-    mat = np.ascontiguousarray(X, dtype=np.float32)
-    if regions is None:
-        regions = knora_regions(dsel, mat, k)
-    elif regions.shape != (mat.shape[0], k):
-        raise ShapeError(f"regions shape {regions.shape} != {(mat.shape[0], k)}")
-    if pool_preds is None:
-        pool_preds, pool_visits = pool_predictions(pool, mat)
+    if regions.shape != (len(X), k):
+        raise ShapeError(f"regions shape {regions.shape} != {(len(X), k)}")
     # region[c, q, i] = classifier c correct on query q's i-th nearest
     weights = choose(dsel.correctness[:, regions])
     labels = vote_rows(pool_preds.T, weights, pool.n_classes)
@@ -319,40 +270,44 @@ def _knora_e_weights(region: np.ndarray) -> np.ndarray:
 
 
 def knora_u_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
-                  pool_preds=None, pool_visits=None, regions=None):
+                  pool_preds, pool_visits, regions):
     """KNORA-U (union rule) over a query matrix. Returns (labels, costs).
 
     Every classifier correct on at least one of a query's k nearest
     selection samples votes with weight equal to its number of correct
     region samples; if none qualifies, the whole pool votes with weight 1.
     Votes are whole numbers, so totals are exact and ties go to the smaller
-    class id. ``regions`` takes precomputed ``knora_regions(dsel, X, k)``."""
+    class id. The caller passes ``pool_predictions(pool, X)`` as
+    ``pool_preds, pool_visits`` and ``knora_regions(dsel, X, k)`` as
+    ``regions``; X itself is read only for its row count."""
     return _knora_batch(dsel, pool, X, k, pool_preds, pool_visits, regions,
                         _knora_u_weights)
 
 
 def knora_e_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
-                  pool_preds=None, pool_visits=None, regions=None):
+                  pool_preds, pool_visits, regions):
     """KNORA-E (eliminate rule) over a query matrix. Returns (labels, costs).
 
     The local oracles, classifiers correct on the whole region, each vote 1.
     While there are none, the region drops its farthest sample; if it
-    empties, the whole pool votes. Ties go to the smaller class id.
-    ``regions`` is as in ``knora_u_batch``."""
+    empties, the whole pool votes. Ties go to the smaller class id. The
+    caller passes the same ``pool_preds``, ``pool_visits`` and ``regions``
+    as to ``knora_u_batch``."""
     return _knora_batch(dsel, pool, X, k, pool_preds, pool_visits, regions,
                         _knora_e_weights)
 
 
 def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, X,
-                         pool_preds=None, pool_visits=None, clusters=None):
+                         pool_preds, pool_visits, clusters):
     """Vectorized clustering-method prediction. Returns (labels, costs).
-    ``clusters`` takes precomputed ``assign_batch(cm.kmeans, X)``."""
-    mat = np.ascontiguousarray(X, dtype=np.float32)
-    if pool_preds is None:
-        pool_preds, pool_visits = pool_predictions(pool, mat)
-    clusters = _cluster_ids(cm.kmeans, mat, clusters)
+
+    The caller passes ``pool_predictions(pool, X)`` as ``pool_preds,
+    pool_visits`` and ``assign_batch(cm.kmeans, X)`` as ``clusters``; X
+    itself is read only for its row count."""
+    if clusters.shape != (len(X),):
+        raise ShapeError(f"cluster ids shape {clusters.shape} != {(len(X),)}")
     ens = cm.per_cluster_ensemble[clusters].astype(np.int64)  # [n, J]
-    cols = np.arange(mat.shape[0])[:, None]
+    cols = np.arange(len(X))[:, None]
     labels = vote_rows(pool_preds[ens, cols], np.ones(ens.shape), pool.n_classes)
     costs = cm.kmeans.k + pool_visits[ens, cols].sum(axis=1)
     return labels, costs

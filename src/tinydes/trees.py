@@ -154,7 +154,8 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
                rng_seed: int) -> DecisionTree:
     """Greedy CART growth over the given (possibly repeated) sample indices.
 
-    At each node ``max_features`` distinct candidate features are drawn from a
+    At each node ``max_features`` (at least 1; every feature when it is the
+    feature count or more) distinct candidate features are drawn from a
     seeded stream; the split maximizing the exact Gini score is taken, with
     ties toward the smaller feature id and threshold. Growth stops at
     ``max_depth``, node purity, or when no split reduces impurity.
@@ -168,6 +169,8 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
     idx0 = np.asarray(sample_indices, dtype=np.int64)
     if idx0.size == 0:
         raise ValueError("sample_indices must be non-empty")
+    if max_features < 1:
+        raise ValueError(f"max_features must be at least 1, got {max_features}")
     if data.n_features > _MAX_FEATURES:
         raise CapacityError(f"{data.n_features} features; the int16 feature id caps "
                             f"at {_MAX_FEATURES - 1}")
@@ -262,7 +265,9 @@ def generate_pool(train: Dataset, config: PoolConfig | None = None, seed: int = 
     identical whether trees are trained serially or in parallel.
     """
     config = config or PoolConfig()
-    max_features = config.max_features or max(1, int(np.floor(np.sqrt(train.n_features))))
+    max_features = config.max_features
+    if max_features is None:
+        max_features = max(1, int(np.floor(np.sqrt(train.n_features))))
     max_features = min(max_features, train.n_features)
     trees = []
     origins = []

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tinydes.cluster import fit_kmeans
+from tinydes.cluster import assign_batch, fit_kmeans
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer, stratified_split
-from tinydes.selection import build_competence_model, build_dsel
+from tinydes.selection import (build_competence_model, build_dsel, knora_regions,
+                               pool_predictions)
 from tinydes.trees import ForestSpec, PoolConfig, generate_pool, predict_tree
 
 
@@ -45,6 +46,21 @@ def per_tree_predictions(pool, X):
     pairs = [[predict_tree(t, x) for x in X] for t in pool.trees]
     out = np.array(pairs, dtype=np.int64).reshape(pool.pool_size, len(X), 2)
     return out[..., 0], out[..., 1]
+
+
+def shared_inputs(pool, X, dsel=None, k=None, kmeans=None):
+    """What crossval computes once per fold and passes to the batch paths:
+    ``(pool_preds, pool_visits)`` of the pool walk, then, when k is given,
+    ``knora_regions(dsel, X, k)``, and when kmeans is given, the cluster ids
+    ``assign_batch(kmeans, X)``. Splat it after a batch call's leading
+    arguments."""
+    mat = np.ascontiguousarray(X, dtype=np.float32)
+    out = pool_predictions(pool, mat)
+    if k is not None:
+        out += (knora_regions(dsel, mat, k),)
+    if kmeans is not None:
+        out += (assign_batch(kmeans, mat),)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,48 @@
+"""Reference forms of three selection quantities that production computes
+another way: a per-query weighted vote (``vote_rows`` votes every row at
+once), the pairwise double-fault (``build_competence_model`` counts it with
+``both_wrong_counts``) and the oracle accuracy (crossval's ``oracle`` row is
+a column-any of the fold's pool walk).
+
+Each is written the plain way, one classifier or one query at a time.
+"""
+
+import numpy as np
+
+from tinydes.data import apply_standardizer
+from tinydes.errors import SelectionError
+
+from conftest import per_tree_predictions
+
+
+def majority_vote(predictions, weights=None) -> tuple[int, np.ndarray]:
+    """Weighted plurality over class-id predictions; ties, including a row
+    whose weights are all zero, go to the smallest class id. Returns
+    (winner, per-class vote table)."""
+    preds = np.asarray(predictions, dtype=np.int64)
+    if preds.size == 0:
+        raise ValueError("no predictions to vote on")
+    w = np.ones(preds.size) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != preds.shape or (w < 0).any():
+        raise ValueError("weights must be non-negative and aligned with the predictions")
+    table = np.zeros(int(preds.max()) + 1, dtype=np.float64)
+    np.add.at(table, preds, w)
+    return int(np.argmax(table)), table
+
+
+def double_fault(dsel, a: int, b: int, region) -> float:
+    """Fraction of region samples both classifiers get wrong; lower = more diverse."""
+    idx = np.asarray(region, dtype=np.int64)
+    if idx.size == 0:
+        raise SelectionError("empty region")
+    wrong_a = ~dsel.correctness[a, idx]
+    wrong_b = ~dsel.correctness[b, idx]
+    return float((wrong_a & wrong_b).mean())
+
+
+def oracle_accuracy(pool, test, s) -> float:
+    """Fraction of test samples at least one pool member classifies
+    correctly, from one ``predict_tree`` walk per (classifier, sample) pair."""
+    std = apply_standardizer(s, test.features)
+    correct = per_tree_predictions(pool, std)[0] == test.labels
+    return float(correct.any(axis=0).mean())

@@ -7,23 +7,24 @@ synthetic or hand-built fixtures.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tinydes import bench
 from tinydes.bench import DatasetSpec, ExperimentConfig, run_experiment
 from tinydes.cluster import fit_kmeans
 from tinydes.data import apply_standardizer
 from tinydes.errors import TinyDesError
-from tinydes.selection import (build_competence_model,
-                               des_clustering_predict, knora_e_batch,
-                               oracle_accuracy, pool_predictions,
-                               static_selection)
+from tinydes.selection import (build_competence_model, des_clustering_predict,
+                               knora_e_batch, static_selection)
 from tinydes.tinyformat import emit_static_source, export_tiny, load_tiny, tiny_predict
 from tinydes.trees import ClassifierPool, DecisionTree
 
-from conftest import (build_pipeline, make_blobs, mnist_paths, per_tree_predictions,
-                      record_criterion, record_skip)
+from conftest import (build_pipeline, make_blobs, mnist_paths, record_criterion,
+                      record_skip, shared_inputs)
+from selection_oracle import oracle_accuracy
 from test_selection import brute_force_competence, dsel_from_correctness
 from test_tinyformat import HAVE_CC, compile_and_run
 
@@ -177,14 +178,15 @@ class TestCriterion5OracleDominance:
             cell[("oracle", "")] >= acc
             for cell in by_fold.values() for acc in cell.values())
 
-        # definition equivalence on an independent fixture
-        data = make_blobs(n_per_class=50, n_features=5, n_classes=4, seed=21)
-        p = build_pipeline(data, forests=((3, 4), (2, 2)), k=2, n_acc=4, j=2, seed=9)
+        # definition equivalence on an independent fixture: a crossval fold's
+        # oracle row against a column-any of one predict_tree walk per pair
+        train = make_blobs(n_per_class=50, n_features=5, n_classes=4, seed=21)
         test = make_blobs(n_per_class=30, n_features=5, n_classes=4, seed=22)
-        orc = oracle_accuracy(p["pool"], test, p["standardizer"])
-        std = apply_standardizer(p["standardizer"], test.features)
-        corr = per_tree_predictions(p["pool"], std)[0] == test.labels
-        equivalent = orc == pytest.approx(float(corr.any(axis=0).mean()), abs=0)
+        one = replace(cfg, methods=("oracle",))
+        outcomes, _ = bench._evaluate_fold(one, train, test, 9)
+        orc = outcomes["oracle"].accuracy
+        s, pool, _ = bench.fit_pool(train, one.dsel_fraction, one.pool_config(), 9)
+        equivalent = orc == oracle_accuracy(pool, test, s)
         record_criterion(
             "C5 oracle dominance and equivalence",
             dominated and equivalent,
@@ -247,10 +249,10 @@ class TestCriterion8KnoraESemantics:
             cost spells out the selected set in binary."""
             pool = leaf_pool(classes)
             x = np.zeros((1, 1), np.float32)
-            labels, costs = knora_e_batch(dsel, pool, x, k)
-            preds, _ = pool_predictions(pool, x)
+            preds, visits, regions = shared_inputs(pool, x, dsel, k)
+            labels, costs = knora_e_batch(dsel, pool, x, k, preds, visits, regions)
             bits = (1 << np.arange(pool.pool_size, dtype=np.int64))[:, None]
-            _, mask = knora_e_batch(dsel, pool, x, k, preds, bits)
+            _, mask = knora_e_batch(dsel, pool, x, k, preds, bits, regions)
             chosen = [c for c in range(pool.pool_size) if int(mask[0]) >> c & 1]
             return int(labels[0]), int(costs[0]), chosen
 

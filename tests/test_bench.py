@@ -13,7 +13,7 @@ from tinydes.data import Dataset
 from tinydes.errors import IoError, NondeterminismError
 from tinydes.tinyformat import export_tiny, load_tiny
 
-from conftest import build_pipeline, make_blobs
+from conftest import build_pipeline, make_blobs, shared_inputs
 
 
 def write_blob_csv(path, n_per_class=60, n_features=6, n_classes=3, seed=0):
@@ -216,7 +216,8 @@ class TestClusterIdsOncePerFold:
         assert per_j_count[0] == per_j_count[1] == per_j_count[2]
 
     def test_answers_equal_per_j_calls(self, monkeypatch, tmp_path, fold_data):
-        # each J's call with the fold's cluster ids against one computing its own
+        # each J's call with the fold's walk and cluster ids against one with
+        # both computed afresh
         real_cm, real_dc = bench.build_competence_model, bench.des_clustering_batch
         seen = []
 
@@ -230,7 +231,8 @@ class TestClusterIdsOncePerFold:
 
         def dc_spy(cm, pool, X, preds, visits, clusters):
             got = real_dc(cm, pool, X, preds, visits, clusters)
-            for a, b in zip(got, real_dc(cm, pool, X, preds, visits)):
+            ref = real_dc(cm, pool, X, *shared_inputs(pool, X, kmeans=cm.kmeans))
+            for a, b in zip(got, ref):
                 np.testing.assert_array_equal(a, b)
             seen.append(-cm.j)
             return got

@@ -43,6 +43,15 @@ class TestTrain:
             assert f"ensemble_size = {j}" in manifest
             assert f"bytes.total = {len(blob)}" in manifest
 
+    def test_zero_n_acc_rejected(self, csv_path, tmp_path, capsys):
+        # 0 is a shortlist size, not "use the default"
+        rc = main(["train", "--dataset", str(csv_path), "--j", "2", "--clusters", "2",
+                   "--n-acc", "0", "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert re.search(r"SelectionError: need 1 <= J\(2\) <= N_acc\(0\)",
+                         capsys.readouterr().err)
+        assert not (tmp_path / "m" / "model_j2.tdes").exists()
+
     def test_idx_mode(self, tmp_path):
         import numpy as np
         from test_data import write_idx_pair

@@ -3,6 +3,7 @@
 Runtime invariants raise typed errors: an ``assert`` statement vanishes under
 ``python -O``, so none may appear in the source. The kernels are numpy only,
 so no module imports numba and no environment variable selects a backend.
+Every name the package exports resolves.
 """
 
 import ast
@@ -43,6 +44,13 @@ def test_no_numba_imports_in_package():
             found += [f"{rel}:{node.lineno}" for name in names
                       if name.split(".")[0] == "numba"]
     assert found == [], "numba imports in tinydes: " + ", ".join(found)
+
+
+def test_every_public_name_resolves():
+    # ``import tinydes`` succeeds with a stale name in __all__; only a star
+    # import would fail on it
+    missing = [name for name in tinydes.__all__ if not hasattr(tinydes, name)]
+    assert missing == [], "names in tinydes.__all__ that do not resolve: " + ", ".join(missing)
 
 
 def test_backend_variable_is_ignored():

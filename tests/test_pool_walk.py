@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinydes import _kernels, selection
+from tinydes.data import Dataset, Standardizer
 from tinydes.errors import ModelCorruptError, ShapeError
 from tinydes.selection import pool_predictions
 from tinydes.trees import ClassifierPool, DecisionTree
@@ -137,9 +138,9 @@ class TestCorruptPoolRaises:
         match = "^tree 0 node 0: leaf class 4 is not below n_classes 3$"
         with pytest.raises(ModelCorruptError, match=match):
             pool_predictions(pool, rows)
-        dsel = selection.Dsel(rows[:2], np.zeros(2, np.uint16), np.zeros((3, 2), bool))
+        s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
         with pytest.raises(ModelCorruptError, match=match):
-            selection.knora_u_batch(dsel, pool, rows, 1)
+            selection.build_dsel(pool, Dataset(rows, np.zeros(3, np.uint16), 3), s)
         with pytest.raises(ModelCorruptError, match="^tree 1 node 0: leaf class 3 is not"):
             pool_predictions(pool_of(stump(), tree([-1], [0], [3])), rows)
 

@@ -10,20 +10,18 @@ from tinydes import _kernels
 from tinydes.cluster import KMeansModel, assign_batch, fit_kmeans
 from tinydes.data import Dataset, apply_standardizer
 from tinydes import selection
-from tinydes.errors import SelectionError, ShapeError, VoteError
+from tinydes.errors import SelectionError, ShapeError
 from tinydes.selection import (CompetenceModel, Dsel, build_competence_model,
-                               build_dsel,
-                               des_clustering_batch, des_clustering_predict,
-                               double_fault, knora_e_batch, knora_regions,
-                               knora_u_batch, majority_vote, oracle_accuracy,
-                               pool_predictions, single_best, static_selection,
-                               vote_rows)
+                               build_dsel, des_clustering_batch, des_clustering_predict,
+                               knora_e_batch, knora_regions, knora_u_batch,
+                               single_best, static_selection, vote_rows)
 from tinydes.selection import _k_nearest
 from tinydes.trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
                            generate_pool)
 
-from conftest import make_blobs, per_tree_predictions
+from conftest import make_blobs, per_tree_predictions, shared_inputs
 from knora_oracle import knora_e, knora_u
+from selection_oracle import double_fault, majority_vote, oracle_accuracy
 
 
 def leaf_tree(cls, n_classes=4):
@@ -118,6 +116,26 @@ class TestSingleBestAndStatic:
         with pytest.raises(SelectionError):
             static_selection(dsel, 0.1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 4), m=st.integers(1, 6),
+           pct=st.sampled_from([0.2, 0.25, 0.5, 0.75, 1.0]))
+    def test_identical_rows_tie_to_smallest_index(self, data, n_rows, m, pct):
+        # a pool of copies of a few correctness rows: among classifiers with
+        # the same row (so the same accuracy), the smaller index ranks first
+        rows = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                           min_size=n_rows, max_size=n_rows)))
+        which = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=10))
+        dsel = dsel_from_correctness(rows[which])
+        hits = [int(rows[w].sum()) for w in which]
+        ranked = sorted(range(len(which)), key=lambda i: (-hits[i], i))
+        assert single_best(dsel) == ranked[0]
+        take = int(np.floor(pct * len(which)))
+        if take == 0:
+            with pytest.raises(SelectionError):
+                static_selection(dsel, pct)
+            return
+        assert static_selection(dsel, pct).tolist() == sorted(ranked[:take])
+
 
 class TestKnoraU:
     def test_single_competent_classifier(self):
@@ -164,12 +182,8 @@ class TestKnoraU:
         pool = constant_pool([0, 1], n_classes=2)
         with pytest.raises(SelectionError):
             knora_u(dsel, pool, [0.0], k=4)
-        queries = np.zeros((2, 1), np.float32)
-        for call in (lambda: knora_u_batch(dsel, pool, queries, 4),
-                     lambda: knora_e_batch(dsel, pool, queries, 4),
-                     lambda: knora_regions(dsel, queries, 4)):
-            with pytest.raises(SelectionError, match="region size 4 exceeds 3 selection samples"):
-                call()
+        with pytest.raises(SelectionError, match="region size 4 exceeds 3 selection samples"):
+            knora_regions(dsel, np.zeros((2, 1), np.float32), 4)
 
 
 class TestKnoraE:
@@ -371,28 +385,27 @@ class TestOracle:
 
     def test_dominance_and_equivalence(self, pipeline, blob_data):
         # oracle >= every other method on a held-out set, and equals the
-        # column-any of an independently recomputed correctness matrix
+        # column-any of the pool walk that crossval's oracle row reads
         s, pool, dsel, cm = (pipeline["standardizer"], pipeline["pool"],
                              pipeline["dsel"], pipeline["cm"])
         test = make_blobs(n_per_class=40, seed=123)
         orc = oracle_accuracy(pool, test, s)
         std = apply_standardizer(s, test.features)
-        corr = per_tree_predictions(pool, std)[0] == test.labels
-        assert orc == pytest.approx(corr.any(axis=0).mean())
-
         target = test.labels.astype(np.int64)
+        preds, visits, regions = shared_inputs(pool, std, dsel, 5)
+        assert orc == pytest.approx((preds == target).any(axis=0).mean())
+
         accs = {}
         best = single_best(dsel)
-        preds, _ = pool_predictions(pool, std)
         accs["single_best"] = (preds[best] == target).mean()
         sel = static_selection(dsel, 0.5)
         lab = vote_rows(preds[sel].T, np.ones((test.n_samples, sel.size)), pool.n_classes)
         accs["static"] = (lab == target).mean()
-        lab, _ = knora_u_batch(dsel, pool, std, 5)
+        lab, _ = knora_u_batch(dsel, pool, std, 5, preds, visits, regions)
         accs["knora_u"] = (lab == target).mean()
-        lab, _ = knora_e_batch(dsel, pool, std, 5)
+        lab, _ = knora_e_batch(dsel, pool, std, 5, preds, visits, regions)
         accs["knora_e"] = (lab == target).mean()
-        lab, _ = des_clustering_batch(cm, pool, std)
+        lab, _ = des_clustering_batch(cm, pool, std, *shared_inputs(pool, std, kmeans=cm.kmeans))
         accs["des_clustering"] = (lab == target).mean()
         for name, acc in accs.items():
             assert orc >= acc, f"oracle beaten by {name}"
@@ -411,8 +424,9 @@ class TestMajorityVote:
         assert label == 0 and votes[0] == 5 and votes[1] == 4
 
     def test_all_zero_weights(self):
-        with pytest.raises(VoteError):
-            majority_vote([0, 1], [0.0, 0.0])
+        # every class ties at zero votes, so the smallest class id wins
+        label, votes = majority_vote([2, 1], [0.0, 0.0])
+        assert label == 0 and not votes.any()
 
     def test_order_free(self):
         rng = np.random.RandomState(0)
@@ -433,7 +447,7 @@ class TestBatchEquivalence:
         test = make_blobs(n_per_class=15, seed=31)
         std = np.ascontiguousarray(apply_standardizer(s, test.features))
         for batch_fn, single_fn in ((knora_u_batch, knora_u), (knora_e_batch, knora_e)):
-            labels, costs = batch_fn(dsel, pool, std, 5)
+            labels, costs = batch_fn(dsel, pool, std, 5, *shared_inputs(pool, std, dsel, 5))
             for i in range(std.shape[0]):
                 res = single_fn(dsel, pool, std[i], 5)
                 assert labels[i] == res.label
@@ -441,12 +455,13 @@ class TestBatchEquivalence:
 
     def test_des_clustering_batch_matches_per_query(self, pipeline):
         cm, pool, dsel = pipeline["cm"], pipeline["pool"], pipeline["dsel"]
-        labels, costs = des_clustering_batch(cm, pool, dsel.samples)
+        labels, costs = des_clustering_batch(
+            cm, pool, dsel.samples, *shared_inputs(pool, dsel.samples, kmeans=cm.kmeans))
         for i in range(0, dsel.n_samples, 3):
             res = des_clustering_predict(cm, pool, dsel.samples[i])
             assert labels[i] == res.label and costs[i] == res.cost
 
-    def test_precomputed_cluster_ids(self, pipeline):
+    def test_precomputed_cluster_ids(self, monkeypatch, pipeline):
         dsel, pool, km = pipeline["dsel"], pipeline["pool"], pipeline["kmeans"]
         probes = dsel.samples[:40]
         member_of = assign_batch(km, dsel.samples)
@@ -454,14 +469,18 @@ class TestBatchEquivalence:
         shared = build_competence_model(dsel, km, 6, 3, member_of)
         np.testing.assert_array_equal(cm.per_cluster_ensemble, shared.per_cluster_ensemble)
         np.testing.assert_array_equal(cm.per_cluster_accuracy, shared.per_cluster_accuracy)
-        own = des_clustering_batch(cm, pool, probes)
-        given = des_clustering_batch(cm, pool, probes, None, None, assign_batch(km, probes))
-        for a, b in zip(own, given):
+        preds, visits, clusters = shared_inputs(pool, probes, kmeans=km)
+        expect = des_clustering_batch(cm, pool, probes, preds, visits, clusters)
+        # the batch path reads the walk and the cluster ids it is given
+        for name in ("assign_clusters", "tree_walk"):
+            monkeypatch.setattr(_kernels, name, None)
+        for a, b in zip(des_clustering_batch(cm, pool, probes, preds, visits, clusters),
+                        expect):
             np.testing.assert_array_equal(a, b)
         with pytest.raises(ShapeError, match="cluster ids shape"):
             build_competence_model(dsel, km, 6, 3, member_of[:-1])
         with pytest.raises(ShapeError, match="cluster ids shape"):
-            des_clustering_batch(cm, pool, probes, None, None, member_of)
+            des_clustering_batch(cm, pool, probes, preds, visits, member_of)
 
     def test_cost_monotone_in_j(self, pipeline):
         dsel, pool, km = pipeline["dsel"], pipeline["pool"], pipeline["kmeans"]
@@ -469,7 +488,8 @@ class TestBatchEquivalence:
         prev = -np.inf
         for j in (1, 2, 4, 6):
             cm = build_competence_model(dsel, km, 6, j)
-            _, costs = des_clustering_batch(cm, pool, probes)
+            _, costs = des_clustering_batch(cm, pool, probes,
+                                            *shared_inputs(pool, probes, kmeans=km))
             mean = costs.mean()
             assert mean > prev
             prev = mean
@@ -530,7 +550,8 @@ class TestKnoraBatchTies:
                 # full-sort branch of _k_nearest
                 assert ((d2 <= kth[:, None]).sum(axis=1) > k).any()
             for batch_fn, single_fn in ((knora_u_batch, knora_u), (knora_e_batch, knora_e)):
-                labels, costs = batch_fn(dsel, pool, queries, k)
+                labels, costs = batch_fn(dsel, pool, queries, k,
+                                         *shared_inputs(pool, queries, dsel, k))
                 for i in range(queries.shape[0]):
                     res = single_fn(dsel, pool, queries[i], k)
                     assert (labels[i], costs[i]) == (res.label, res.cost), (batch_fn, k, i)
@@ -538,7 +559,8 @@ class TestKnoraBatchTies:
     @pytest.mark.parametrize("batch_fn", [knora_u_batch, knora_e_batch])
     def test_zero_queries(self, batch_fn):
         dsel, pool, queries = tie_heavy_case()
-        labels, costs = batch_fn(dsel, pool, queries[:0], 7)
+        labels, costs = batch_fn(dsel, pool, queries[:0], 7,
+                                 *shared_inputs(pool, queries[:0], dsel, 7))
         assert labels.shape == (0,) and costs.shape == (0,)
 
     # crc32 of the little-endian int64 labels and costs, recorded from the
@@ -555,7 +577,7 @@ class TestKnoraBatchTies:
     ])
     def test_golden(self, batch_fn, k, label_crc, cost_crc):
         dsel, pool, queries = tie_heavy_case()
-        labels, costs = batch_fn(dsel, pool, queries, k)
+        labels, costs = batch_fn(dsel, pool, queries, k, *shared_inputs(pool, queries, dsel, k))
         assert zlib.crc32(labels.astype("<i8").tobytes()) == label_crc
         assert zlib.crc32(costs.astype("<i8").tobytes()) == cost_crc
 
@@ -586,17 +608,19 @@ class TestKnoraRegions:
         np.testing.assert_array_equal(got, expect)
 
     @pytest.mark.parametrize("batch_fn", [knora_u_batch, knora_e_batch])
-    def test_precomputed_regions(self, batch_fn):
+    def test_precomputed_regions(self, monkeypatch, batch_fn):
         dsel, pool, queries = tie_heavy_case()
-        regions = knora_regions(dsel, queries, 7)
-        own = batch_fn(dsel, pool, queries, 7)
-        shared = batch_fn(dsel, pool, queries, 7, None, None, regions)
-        for a, b in zip(own, shared):
+        preds, visits, regions = shared_inputs(pool, queries, dsel, 7)
+        expect = batch_fn(dsel, pool, queries, 7, preds, visits, regions)
+        # the batch path reads the walk and the regions it is given
+        for name in ("pairwise_sqdist", "tree_walk"):
+            monkeypatch.setattr(_kernels, name, None)
+        for a, b in zip(batch_fn(dsel, pool, queries, 7, preds, visits, regions), expect):
             np.testing.assert_array_equal(a, b)
         with pytest.raises(ShapeError, match="regions shape"):
-            batch_fn(dsel, pool, queries, 6, None, None, regions)
+            batch_fn(dsel, pool, queries, 6, preds, visits, regions)
         with pytest.raises(ShapeError, match="regions shape"):
-            batch_fn(dsel, pool, queries[:-1], 7, None, None, regions)
+            batch_fn(dsel, pool, queries[:-1], 7, preds, visits, regions)
 
 
 class TestVoteRows:
@@ -606,14 +630,30 @@ class TestVoteRows:
         # row 0: classes 1 and 2 tie -> 1; row 1: 3 vs 1 tie -> 1; row 2: none -> 0
         np.testing.assert_array_equal(vote_rows(preds, weights, 4), [1, 1, 0])
 
-    def test_matches_majority_vote(self):
-        rng = np.random.RandomState(3)
-        preds = rng.randint(0, 5, size=(40, 7))
-        weights = rng.randint(0, 4, size=(40, 7)).astype(np.float64)
-        weights[:, 0] += 1.0
-        labels = vote_rows(preds, weights, 5)
-        for i in range(preds.shape[0]):
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_classes=st.integers(1, 6), m=st.integers(1, 9),
+           kinds=st.lists(st.sampled_from(["weighted", "all_tie", "all_zero"]),
+                          min_size=1, max_size=8))
+    def test_matches_majority_vote(self, data, n_classes, m, kinds):
+        cells = st.lists(st.integers(0, n_classes - 1), min_size=m, max_size=m)
+        preds = np.array(data.draw(st.lists(cells, min_size=len(kinds), max_size=len(kinds))))
+        cells = st.lists(st.integers(0, 4), min_size=m, max_size=m)
+        weights = np.array(data.draw(st.lists(cells, min_size=len(kinds),
+                                              max_size=len(kinds))), dtype=np.float64)
+        for i, kind in enumerate(kinds):
+            if kind == "all_tie":
+                # weight lcm / count gives every predicted class the same total
+                count = np.bincount(preds[i])
+                weights[i] = np.lcm.reduce(count[count > 0]) // count[preds[i]]
+            elif kind == "all_zero":
+                weights[i] = 0.0
+        labels = vote_rows(preds, weights, n_classes)
+        for i, kind in enumerate(kinds):
             assert labels[i] == majority_vote(preds[i], weights[i])[0]
+            if kind == "all_tie":
+                assert labels[i] == preds[i].min()
+            elif kind == "all_zero":
+                assert labels[i] == 0
 
     def test_empty(self):
         assert vote_rows(np.empty((0, 3), np.int64), np.empty((0, 3)), 4).shape == (0,)

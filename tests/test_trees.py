@@ -142,6 +142,19 @@ class TestTrainTree:
                 assert t.feature[0] == best[1]
                 assert t.threshold[0] == pytest.approx(best[2])
 
+    def test_max_features_below_one_rejected(self):
+        d = Dataset(np.array([[0, 1], [1, 0], [2, 2]], np.float32),
+                    np.array([0, 1, 0], np.uint16), 2)
+        for m in (0, -1):
+            with mock.patch.object(_kernels, "best_split", side_effect=AssertionError), \
+                    pytest.raises(ValueError, match=f"^max_features must be at least 1, got {m}$"):
+                train_tree(d, [0, 1, 2], max_depth=3, max_features=m, rng_seed=0)
+
+    def test_max_features_above_feature_count_takes_all(self):
+        d = make_blobs(n_per_class=20, n_features=3, n_classes=2, seed=1)
+        idx = np.arange(d.n_samples)
+        same_tree(train_tree(d, idx, 4, 4, rng_seed=5), train_tree(d, idx, 4, 3, rng_seed=5))
+
     def test_brute_force_prediction_equivalence(self):
         data = make_blobs(n_per_class=50, n_features=5, n_classes=3, seed=4)
         t = train_tree(data, np.arange(data.n_samples), 6, 2, rng_seed=9)
@@ -283,6 +296,18 @@ class TestGeneratePool:
         cfg = PoolConfig((ForestSpec(4, 5),))
         assert generate_pool(blob_data, cfg, seed=1).fingerprint() != \
                generate_pool(blob_data, cfg, seed=2).fingerprint()
+
+    def test_max_features_config(self, blob_data):
+        # only None means the default; 0 and negatives are rejected, and
+        # more than the feature count clamps to it
+        for m in (0, -1):
+            cfg = PoolConfig((ForestSpec(1, 3),), max_features=m)
+            with pytest.raises(ValueError, match="max_features must be at least 1"):
+                generate_pool(blob_data, cfg, seed=1)
+        n = blob_data.n_features
+        wide, full = (PoolConfig((ForestSpec(2, 4),), max_features=m) for m in (n + 1, n))
+        assert generate_pool(blob_data, wide, seed=1).fingerprint() == \
+               generate_pool(blob_data, full, seed=1).fingerprint()
 
     def test_all_trees_structurally_valid(self, blob_data):
         pool = generate_pool(blob_data, PoolConfig((ForestSpec(5, 6), ForestSpec(5, 3))), seed=6)
