@@ -8,6 +8,7 @@ main report files are byte-reproducible under a fixed seed.
 
 from __future__ import annotations
 
+import re
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -45,15 +46,20 @@ class DatasetSpec:
     csv: str | None = None
     label_column: str | int = -1
 
+    def __post_init__(self):
+        # a digit string ("3", "-1") is a column index, any other a header name
+        if isinstance(self.label_column, str) and re.fullmatch(r"-?[0-9]+", self.label_column):
+            object.__setattr__(self, "label_column", int(self.label_column))
+
     def load(self) -> Dataset:
         if self.csv is not None:
-            col = self.label_column
-            if isinstance(col, str) and col.lstrip("-").isdigit():
-                col = int(col)
-            return load_csv(self.csv, col)
+            return load_csv(self.csv, self.label_column)
         if self.images is None or self.labels is None:
             raise IoError(f"dataset {self.name!r} needs either csv= or images=+labels=")
         return load_idx(self.images, self.labels)
+
+
+PROFILES = ("desk-scale", "full")
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,7 @@ class ExperimentConfig:
     seed: int = 42
     out_dir: str = "results"
     forests: tuple[tuple[int, int], ...] = ((25, 10), (20, 5))
-    profile: str = "desk-scale"  # or "full"
+    profile: str = "desk-scale"  # one of PROFILES
     limit: int | None = None  # explicit subset size; None: profile default
 
     def pool_config(self) -> PoolConfig:
@@ -83,14 +89,14 @@ class ExperimentConfig:
         return DESK_SCALE_LIMIT if self.profile == "desk-scale" else None
 
     def resolve_n_acc(self) -> int:
-        if self.n_acc is not None:
-            return self.n_acc
-        return int(np.ceil(self.pool_config().pool_size / 2))
+        return -(-self.pool_config().pool_size // 2) if self.n_acc is None else self.n_acc
 
     def validate(self) -> None:
         for m in self.methods:
             if m not in METHOD_ORDER:
                 raise IoError(f"unknown method {m!r}; choose from {METHOD_ORDER}")
+        if self.profile not in PROFILES:
+            raise IoError(f"profile must be one of {PROFILES}, got {self.profile!r}")
         if not (0.0 < self.dsel_fraction < 1.0):
             raise IoError(f"dsel_fraction must be in (0, 1), got {self.dsel_fraction}")
         if not (0.0 < self.pct_static <= 1.0):
@@ -107,87 +113,96 @@ class ExperimentConfig:
                           f"N_acc={n_acc}")
 
 
+def nonempty(text: str) -> str:
+    """``text`` itself; an empty value raises ValueError."""
+    if not text:
+        raise ValueError("empty value")
+    return text
+
+
+def _items(text: str, parse) -> tuple:
+    """The parsed items of a comma-separated list; empty items are skipped,
+    and at least one is needed."""
+    items = tuple(parse(v) for v in text.split(",") if v)
+    if not items:
+        raise ValueError(f"no items in {text!r}")
+    return items
+
+
+def parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated ints, such as the ensemble sizes "5,10,20"."""
+    return _items(text, int)
+
+
+def _forest(text: str) -> tuple[int, int]:
+    n, depth = text.split(":")
+    return int(n), int(depth)
+
+
+def _auto_int(text: str) -> int | None:
+    return None if text == "auto" else int(text)
+
+
+def _auto_text(value: int | None) -> str:
+    return "auto" if value is None else str(value)
+
+
+# Every ExperimentConfig field but ``datasets``, in config.txt line order:
+# (field, parse the text after "field = ", print the value). Each parser
+# raises ValueError on a value it rejects.
+SETTINGS = (
+    ("seed", int, str),
+    ("profile", nonempty, str),
+    ("methods", lambda t: _items(t, str), ",".join),
+    ("j_values", parse_ints, lambda v: ",".join(map(str, v))),
+    ("k_clusters", int, str),
+    ("k_neighbors", int, str),
+    ("n_acc", _auto_int, _auto_text),
+    ("pct_static", float, repr),
+    ("n_splits", int, str),
+    ("n_repeats", int, str),
+    ("dsel_fraction", float, repr),
+    ("forests", lambda t: _items(t, _forest), lambda v: ",".join(f"{n}:{d}" for n, d in v)),
+    ("limit", _auto_int, _auto_text),
+    ("out_dir", nonempty, str),
+)
+_PARSERS = {name: parse for name, parse, _ in SETTINGS}
+# The fields a ``dataset.<name>.<field>`` line may set.
+_SPEC_FIELDS = ("csv", "label_column", "images", "labels")
+
+
 def config_to_text(cfg: ExperimentConfig) -> str:
-    lines = [
-        f"seed = {cfg.seed}",
-        f"profile = {cfg.profile}",
-        f"methods = {','.join(cfg.methods)}",
-        f"j_values = {','.join(str(j) for j in cfg.j_values)}",
-        f"k_clusters = {cfg.k_clusters}",
-        f"k_neighbors = {cfg.k_neighbors}",
-        f"n_acc = {'auto' if cfg.n_acc is None else cfg.n_acc}",
-        f"pct_static = {cfg.pct_static!r}",
-        f"n_splits = {cfg.n_splits}",
-        f"n_repeats = {cfg.n_repeats}",
-        f"dsel_fraction = {cfg.dsel_fraction!r}",
-        f"forests = {','.join(f'{n}:{d}' for n, d in cfg.forests)}",
-        f"limit = {'auto' if cfg.limit is None else cfg.limit}",
-        f"out_dir = {cfg.out_dir}",
-    ]
+    lines = [f"{name} = {show(getattr(cfg, name))}" for name, _, show in SETTINGS]
     for ds in cfg.datasets:
-        if ds.csv is not None:
-            lines.append(f"dataset.{ds.name}.csv = {ds.csv}")
-            lines.append(f"dataset.{ds.name}.label_column = {ds.label_column}")
-        else:
-            lines.append(f"dataset.{ds.name}.images = {ds.images}")
-            lines.append(f"dataset.{ds.name}.labels = {ds.labels}")
+        names = ("csv", "label_column") if ds.csv is not None else ("images", "labels")
+        lines += [f"dataset.{ds.name}.{f} = {getattr(ds, f)}" for f in names]
     return "\n".join(lines) + "\n"
 
 
 def config_from_text(text: str) -> ExperimentConfig:
-    plain: dict[str, str] = {}
-    ds_fields: dict[str, dict[str, str]] = {}
+    """Read ``key = value`` lines as ``config_to_text`` writes them; blank
+    lines and ``#`` comments are skipped, and fields not given keep their
+    defaults. A line without "=", with an unknown key or with a value its
+    parser rejects raises IoError."""
+    settings = {}
+    specs: dict[str, dict[str, str]] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise IoError(f"bad config line: {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key.startswith("dataset."):
-            _, name, fieldname = key.split(".", 2)
-            ds_fields.setdefault(name, {})[fieldname] = val
-        else:
-            plain[key] = val
-    kwargs = {}
-    if "seed" in plain:
-        kwargs["seed"] = int(plain["seed"])
-    if "profile" in plain:
-        kwargs["profile"] = plain["profile"]
-    if "methods" in plain:
-        kwargs["methods"] = tuple(m for m in plain["methods"].split(",") if m)
-    if "j_values" in plain:
-        kwargs["j_values"] = tuple(int(v) for v in plain["j_values"].split(",") if v)
-    for key in ("k_clusters", "k_neighbors", "n_splits", "n_repeats"):
-        if key in plain:
-            kwargs[key] = int(plain[key])
-    if "n_acc" in plain:
-        kwargs["n_acc"] = None if plain["n_acc"] == "auto" else int(plain["n_acc"])
-    if "limit" in plain:
-        kwargs["limit"] = None if plain["limit"] == "auto" else int(plain["limit"])
-    for key in ("pct_static", "dsel_fraction"):
-        if key in plain:
-            kwargs[key] = float(plain[key])
-    if "forests" in plain:
-        kwargs["forests"] = tuple(
-            tuple(int(x) for x in part.split(":")) for part in plain["forests"].split(",") if part)
-    if "out_dir" in plain:
-        kwargs["out_dir"] = plain["out_dir"]
-    specs = []
-    for name in sorted(ds_fields):
-        f = ds_fields[name]
-        col: str | int = f.get("label_column", -1)
-        if isinstance(col, str) and col.lstrip("-").isdigit():
-            col = int(col)
-        specs.append(DatasetSpec(
-            name=name,
-            images=f.get("images"),
-            labels=f.get("labels"),
-            csv=f.get("csv"),
-            label_column=col,
-        ))
-    kwargs["datasets"] = tuple(specs)
-    return ExperimentConfig(**kwargs)
+        try:
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key.startswith("dataset."):
+                _, name, fieldname = key.split(".")
+                if fieldname not in _SPEC_FIELDS:
+                    raise KeyError(fieldname)
+                specs.setdefault(name, {})[fieldname] = val
+            else:
+                settings[key] = _PARSERS[key](val)
+        except (KeyError, ValueError) as exc:
+            raise IoError(f"bad config line: {raw!r}") from exc
+    datasets = tuple(DatasetSpec(name, **specs[name]) for name in sorted(specs))
+    return ExperimentConfig(datasets=datasets, **settings)
 
 
 @dataclass

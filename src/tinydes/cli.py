@@ -8,18 +8,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from ._rng import derive_seed
 from .bench import (DEFAULT_FULL_METHODS, METHOD_ORDER, DatasetSpec,
                     ExperimentConfig, config_from_text, emit_report, fit_pool,
-                    measure_inference, run_experiment)
+                    measure_inference, nonempty, parse_ints, run_experiment)
 from .cluster import fit_kmeans
 from .errors import TinyDesError
 from .selection import build_competence_model
 from .tinyformat import emit_static_source, export_tiny, load_tiny
-from .trees import PoolConfig
 
 
 def _add_dataset_flags(p):
@@ -39,72 +38,52 @@ def _spec_from_flags(args, name="cli") -> DatasetSpec:
     return DatasetSpec(name=name, images=path, labels=args.labels)
 
 
-def _common_model_flags(p):
-    p.add_argument("--j", default="20", help="ensemble size(s), comma separated")
-    p.add_argument("--clusters", type=int, default=5, help="k-means cluster count")
-    p.add_argument("--n-acc", type=int, default=None, help="accuracy shortlist size")
-    p.add_argument("--dsel-fraction", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=42)
+def _model_flags(p):
+    """Flags that set ExperimentConfig fields: each one's dest is the field
+    name, and a flag not given (None) leaves the field as it is."""
+    p.add_argument("--j", dest="j_values", type=parse_ints,
+                   help="ensemble size(s), comma separated")
+    p.add_argument("--clusters", dest="k_clusters", type=int, help="k-means cluster count")
+    p.add_argument("--n-acc", type=int, help="accuracy shortlist size (default ceil(pool / 2))")
+    p.add_argument("--dsel-fraction", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", dest="out_dir", type=nonempty, help="output directory")
+
+
+def _settings(args) -> dict:
+    """The ExperimentConfig fields that the given flags set."""
+    return {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+            if getattr(args, f.name, None) is not None}
 
 
 def cmd_train(args) -> int:
+    cfg = ExperimentConfig(**_settings(args))
     data = _spec_from_flags(args).load()
-    out = Path(args.out)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    s, pool, dsel = fit_pool(data, args.dsel_fraction, PoolConfig(), args.seed)
-    km = fit_kmeans(dsel.samples, args.clusters, derive_seed(args.seed, 3))
-    n_acc = -(-pool.pool_size // 2) if args.n_acc is None else args.n_acc
-    for j in _parse_int_list(args.j):
-        cm = build_competence_model(dsel, km, n_acc, j)
+    s, pool, dsel = fit_pool(data, cfg.dsel_fraction, cfg.pool_config(), cfg.seed)
+    km = fit_kmeans(dsel.samples, cfg.k_clusters, derive_seed(cfg.seed, 3))
+    for j in cfg.j_values:
+        cm = build_competence_model(dsel, km, cfg.resolve_n_acc(), j)
         blob, manifest = export_tiny(s, cm, pool)
         model_path = out / f"model_j{j}.tdes"
         model_path.write_bytes(blob)
         (out / f"model_j{j}.manifest").write_text(manifest, encoding="utf-8")
         print(f"wrote {model_path} ({len(blob)} bytes, pool {pool.pool_size} trees, "
-              f"k={args.clusters}, J={j})")
+              f"k={cfg.k_clusters}, J={j})")
     return 0
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in str(text).split(",") if v]
-
-
 def cmd_crossval(args) -> int:
-    if args.config:
-        cfg = config_from_text(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        cfg = ExperimentConfig()
-    overrides = {}
+    cfg = (config_from_text(Path(args.config).read_text(encoding="utf-8"))
+           if args.config else ExperimentConfig())
+    overrides = _settings(args)
     if args.dataset:
         overrides["datasets"] = (_spec_from_flags(args, name=args.name),)
-    if args.method:
-        overrides["methods"] = tuple(args.method)
-    if args.j:
-        overrides["j_values"] = tuple(_parse_int_list(args.j))
-    if args.clusters is not None:
-        overrides["k_clusters"] = args.clusters
-    if args.neighbors is not None:
-        overrides["k_neighbors"] = args.neighbors
-    if args.n_acc is not None:
-        overrides["n_acc"] = args.n_acc
-    if args.pct_static is not None:
-        overrides["pct_static"] = args.pct_static
-    if args.splits is not None:
-        overrides["n_splits"] = args.splits
-    if args.repeats is not None:
-        overrides["n_repeats"] = args.repeats
-    if args.dsel_fraction is not None:
-        overrides["dsel_fraction"] = args.dsel_fraction
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out:
-        overrides["out_dir"] = args.out
-    if args.full:
-        overrides["profile"] = "full"
-        if "methods" not in overrides and not args.config:
-            overrides["methods"] = tuple(DEFAULT_FULL_METHODS)
-    elif args.desk_scale:
-        overrides["profile"] = "desk-scale"
+    if args.methods:
+        overrides["methods"] = tuple(args.methods)
+    elif args.profile == "full" and not args.config:
+        overrides["methods"] = tuple(DEFAULT_FULL_METHODS)
     cfg = replace(cfg, **overrides)
     if not cfg.datasets:
         print("error: no datasets configured (use --dataset or a --config file)",
@@ -170,9 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit the full pipeline and export .tdes models")
     _add_dataset_flags(p)
-    _common_model_flags(p)
-    p.add_argument("--out", default="models", help="output directory")
-    p.set_defaults(fn=cmd_train)
+    _model_flags(p)
+    p.set_defaults(fn=cmd_train, j_values=(20,), out_dir="models")
 
     p = sub.add_parser("crossval", help="repeated stratified cross-validation benchmark")
     p.add_argument("--config", help="key=value config file; flags override")
@@ -180,22 +158,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     p.add_argument("--label-column", default="-1")
     p.add_argument("--name", default="dataset", help="dataset name used in reports")
-    p.add_argument("--method", action="append", choices=METHOD_ORDER,
+    p.add_argument("--method", dest="methods", action="append", choices=METHOD_ORDER,
                    help="repeatable; default: all six (KNORA excluded with --full)")
-    p.add_argument("--j", help="comma-separated ensemble sizes")
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--neighbors", type=int)
-    p.add_argument("--n-acc", type=int)
+    _model_flags(p)
+    p.add_argument("--neighbors", dest="k_neighbors", type=int)
     p.add_argument("--pct-static", type=float)
-    p.add_argument("--splits", type=int)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--dsel-fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--splits", dest="n_splits", type=int)
+    p.add_argument("--repeats", dest="n_repeats", type=int)
     scale = p.add_mutually_exclusive_group()
-    scale.add_argument("--desk-scale", action="store_true",
-                       help="stratified 5000-sample subset (default)")
-    scale.add_argument("--full", action="store_true", help="entire dataset")
+    scale.add_argument("--desk-scale", dest="profile", action="store_const",
+                       const="desk-scale", help="stratified 5000-sample subset (default)")
+    scale.add_argument("--full", dest="profile", action="store_const", const="full",
+                       help="entire dataset")
     p.set_defaults(fn=cmd_crossval)
 
     p = sub.add_parser("bench-infer", help="time a .tdes engine on probe data")

@@ -239,6 +239,12 @@ def knora_regions(dsel: Dsel, X, k: int) -> np.ndarray:
     return regions
 
 
+def _check_walk(pool: ClassifierPool, pool_preds, pool_visits, n: int) -> None:
+    for name, walk in (("pool_preds", pool_preds), ("pool_visits", pool_visits)):
+        if walk.shape != (pool.pool_size, n):
+            raise ShapeError(f"{name} shape {walk.shape} != {(pool.pool_size, n)}")
+
+
 def _knora_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
                  pool_preds, pool_visits, regions, choose):
     """Shared driver of the KNORA batch paths: one vote per query over
@@ -247,6 +253,7 @@ def _knora_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
     selected)."""
     if regions.shape != (len(X), k):
         raise ShapeError(f"regions shape {regions.shape} != {(len(X), k)}")
+    _check_walk(pool, pool_preds, pool_visits, len(X))
     # region[c, q, i] = classifier c correct on query q's i-th nearest
     weights = choose(dsel.correctness[:, regions])
     labels = vote_rows(pool_preds.T, weights, pool.n_classes)
@@ -306,6 +313,7 @@ def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, X,
     itself is read only for its row count."""
     if clusters.shape != (len(X),):
         raise ShapeError(f"cluster ids shape {clusters.shape} != {(len(X),)}")
+    _check_walk(pool, pool_preds, pool_visits, len(X))
     ens = cm.per_cluster_ensemble[clusters].astype(np.int64)  # [n, J]
     cols = np.arange(len(X))[:, None]
     labels = vote_rows(pool_preds[ens, cols], np.ones(ens.shape), pool.n_classes)

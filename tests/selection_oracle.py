@@ -1,14 +1,19 @@
-"""Reference forms of three selection quantities that production computes
+"""Reference forms of four selection quantities that production computes
 another way: a per-query weighted vote (``vote_rows`` votes every row at
 once), the pairwise double-fault (``build_competence_model`` counts it with
-``both_wrong_counts``) and the oracle accuracy (crossval's ``oracle`` row is
-a column-any of the fold's pool walk).
+``both_wrong_counts``), the per-cluster ensembles (``build_competence_model``
+ranks with lexsorts) and the oracle accuracy (crossval's ``oracle`` row is a
+column-any of the fold's pool walk).
 
 Each is written the plain way, one classifier or one query at a time.
 """
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 
+from tinydes.cluster import assign_batch
 from tinydes.data import apply_standardizer
 from tinydes.errors import SelectionError
 
@@ -38,6 +43,32 @@ def double_fault(dsel, a: int, b: int, region) -> float:
     wrong_a = ~dsel.correctness[a, idx]
     wrong_b = ~dsel.correctness[b, idx]
     return float((wrong_a & wrong_b).mean())
+
+
+def brute_force_competence(dsel, kmeans, n_acc, j):
+    """Per-cluster ensembles [k, J] by exhaustive search under the documented
+    tie rules, in exact fractions: shortlist the n_acc most accurate
+    classifiers (ties: smaller index), then keep the J-subset whose sorted
+    (mean double-fault, -accuracy, index) keys are smallest. A cluster with
+    no selection samples ranks on the whole selection set."""
+    member_of = assign_batch(kmeans, dsel.samples)
+    wrong = ~dsel.correctness
+    rows = []
+    for c in range(kmeans.k):
+        cols = np.nonzero(member_of == c)[0]
+        region = cols if cols.size else np.arange(dsel.n_samples)
+        acc = [Fraction(int(dsel.correctness[i, region].sum()), region.size)
+               for i in range(dsel.pool_size)]
+        shortlist = sorted(range(dsel.pool_size), key=lambda i: (-acc[i], i))[:n_acc]
+        df = {}
+        for a in shortlist:
+            both = [Fraction(int((wrong[a, region] & wrong[b, region]).sum()), region.size)
+                    for b in shortlist if b != a]
+            df[a] = sum(both) / len(both) if both else Fraction(0)
+        best = min(itertools.combinations(shortlist, j),
+                   key=lambda subset: sorted((df[i], -acc[i], i) for i in subset))
+        rows.append(sorted(best))
+    return np.array(rows)
 
 
 def oracle_accuracy(pool, test, s) -> float:

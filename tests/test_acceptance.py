@@ -24,8 +24,8 @@ from tinydes.trees import ClassifierPool, DecisionTree
 
 from conftest import (build_pipeline, make_blobs, mnist_paths, record_criterion,
                       record_skip, shared_inputs)
-from selection_oracle import oracle_accuracy
-from test_selection import brute_force_competence, dsel_from_correctness
+from selection_oracle import brute_force_competence, oracle_accuracy
+from test_selection import dsel_from_correctness
 from test_tinyformat import HAVE_CC, compile_and_run
 
 

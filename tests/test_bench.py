@@ -1,9 +1,12 @@
 import re
+import string
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinydes import _kernels, bench
 from tinydes.bench import (DatasetSpec, ExperimentConfig, config_from_text,
@@ -31,6 +34,15 @@ def csv_path(tmp_path_factory):
     return write_blob_csv(tmp_path_factory.mktemp("ds") / "blobs.csv")
 
 
+# Lines config_from_text rejects: a dataset key without three parts, a value
+# its parser rejects, an unknown key, forests that are not n:depth pairs, an
+# unknown dataset field, no "=", an empty list, an empty out_dir, and a
+# dataset name with a dot (its key would have four parts).
+BAD_CONFIG_LINES = ["dataset.foo = bar", "seed = abc", "k_cluster = 7", "forests = 3",
+                    "dataset.a.csvv = x", "not a config line", "j_values = ,",
+                    "out_dir =", "forests = 3:4:5", "dataset.a.b.csv = x"]
+
+
 def small_config(csv_path, out_dir, **over):
     base = dict(
         datasets=(DatasetSpec(name="blobs", csv=str(csv_path), label_column=-1),),
@@ -53,6 +65,28 @@ def small_config(csv_path, out_dir, **over):
     return ExperimentConfig(**base)
 
 
+spec_names = st.text(string.ascii_letters + string.digits + "_-", min_size=1, max_size=8)
+file_paths = st.text(string.ascii_letters + string.digits + "/._-", min_size=1, max_size=16)
+dataset_specs = st.one_of(
+    st.builds(DatasetSpec, name=spec_names, csv=file_paths,
+              label_column=st.integers(-3, 20) | st.text(string.ascii_letters, min_size=1)),
+    st.builds(DatasetSpec, name=spec_names, images=file_paths, labels=file_paths))
+random_configs = st.builds(
+    ExperimentConfig,
+    # config_from_text orders datasets by name
+    datasets=st.lists(dataset_specs, max_size=3, unique_by=lambda d: d.name).map(
+        lambda ds: tuple(sorted(ds, key=lambda d: d.name))),
+    methods=st.lists(st.sampled_from(bench.METHOD_ORDER), min_size=1).map(tuple),
+    j_values=st.lists(st.integers(-5, 50), min_size=1).map(tuple),
+    k_clusters=st.integers(), k_neighbors=st.integers(),
+    n_acc=st.none() | st.integers(), limit=st.none() | st.integers(),
+    pct_static=st.floats(allow_nan=False), dsel_fraction=st.floats(allow_nan=False),
+    n_splits=st.integers(), n_repeats=st.integers(), seed=st.integers(),
+    out_dir=file_paths,
+    forests=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 20)), min_size=1).map(tuple),
+    profile=st.sampled_from(bench.PROFILES))
+
+
 class TestConfigSerialization:
     def test_round_trip_stable(self, csv_path, tmp_path):
         cfg = small_config(csv_path, tmp_path)
@@ -61,9 +95,51 @@ class TestConfigSerialization:
         assert again == cfg
         assert config_to_text(again) == text
 
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=random_configs)
+    def test_round_trip_random(self, cfg):
+        text = config_to_text(cfg)
+        assert config_from_text(text) == cfg
+        assert config_to_text(config_from_text(text)) == text
+
+    def test_text_pinned(self):
+        # key order and value forms of the config.txt snapshot
+        assert config_to_text(small_config("data/blobs.csv", "reports")) == (
+            "seed = 7\n"
+            "profile = desk-scale\n"
+            "methods = single_best,static_selection,knora_u,knora_e,des_clustering,oracle\n"
+            "j_values = 2,4\n"
+            "k_clusters = 3\n"
+            "k_neighbors = 5\n"
+            "n_acc = 5\n"
+            "pct_static = 0.5\n"
+            "n_splits = 2\n"
+            "n_repeats = 1\n"
+            "dsel_fraction = 0.5\n"
+            "forests = 4:4,3:2\n"
+            "limit = auto\n"
+            "out_dir = reports\n"
+            "dataset.blobs.csv = data/blobs.csv\n"
+            "dataset.blobs.label_column = -1\n")
+
     def test_bad_line(self):
         with pytest.raises(IoError):
             config_from_text("not a config line\n")
+
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+    def test_rejected_line(self, line):
+        with pytest.raises(IoError, match="bad config line"):
+            config_from_text(f"seed = 3\n{line}\n")
+
+    def test_label_column_digits_are_an_index(self):
+        assert DatasetSpec("a", csv="a.csv", label_column="-2").label_column == -2
+        assert DatasetSpec("a", csv="a.csv", label_column="12").label_column == 12
+        assert DatasetSpec("a", csv="a.csv", label_column="y1").label_column == "y1"
+
+    @pytest.mark.parametrize("profile", ["fulll", "", "Full"])
+    def test_unknown_profile_rejected(self, profile):
+        with pytest.raises(IoError, match="profile must be one of"):
+            ExperimentConfig(profile=profile).validate()
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import pytest
 from tinydes.cli import main
 from tinydes.tinyformat import load_tiny
 
-from test_bench import write_blob_csv
+from test_bench import BAD_CONFIG_LINES, write_blob_csv
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +153,49 @@ class TestCrossval:
                    "--method", "oracle", "--splits", "2", "--repeats", "1",
                    "--out", str(tmp_path / "r")])
         assert rc == 1
+
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES + ["profile = fulll"])
+    def test_bad_config_file_typed_error(self, csv_path, tmp_path, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"n_splits = 2\n{line}\ndataset.blobs.csv = {csv_path}\n")
+        rc = main(["crossval", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert re.search(r"^error: IoError: (bad config line|profile must be one of)",
+                         capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("flag", ["--j", "--out"])
+    def test_empty_value_rejected(self, csv_path, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        argv = ["crossval", "--dataset", str(csv_path), "--method", "oracle",
+                "--splits", "2", "--repeats", "1", "--out", str(tmp_path / "r"), flag, ""]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flags_set_config_fields(self, csv_path, tmp_path):
+        rc = main(["crossval", "--dataset", str(csv_path), "--name", "blobs", "--full",
+                   "--j", "2,3", "--clusters", "2", "--neighbors", "3", "--n-acc", "4",
+                   "--pct-static", "0.25", "--splits", "2", "--repeats", "1",
+                   "--dsel-fraction", "0.4", "--seed", "9", "--out", str(tmp_path / "r")])
+        assert rc == 0
+        snap = (tmp_path / "r" / "config.txt").read_text()
+        assert snap == (
+            "seed = 9\n"
+            "profile = full\n"
+            "methods = single_best,static_selection,des_clustering,oracle\n"
+            "j_values = 2,3\n"
+            "k_clusters = 2\n"
+            "k_neighbors = 3\n"
+            "n_acc = 4\n"
+            "pct_static = 0.25\n"
+            "n_splits = 2\n"
+            "n_repeats = 1\n"
+            "dsel_fraction = 0.4\n"
+            "forests = 25:10,20:5\n"
+            "limit = auto\n"
+            f"out_dir = {tmp_path / 'r'}\n"
+            f"dataset.blobs.csv = {csv_path}\n"
+            "dataset.blobs.label_column = -1\n")

@@ -21,7 +21,8 @@ from tinydes.trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
 
 from conftest import make_blobs, per_tree_predictions, shared_inputs
 from knora_oracle import knora_e, knora_u
-from selection_oracle import double_fault, majority_vote, oracle_accuracy
+from selection_oracle import (brute_force_competence, double_fault, majority_vote,
+                              oracle_accuracy)
 
 
 def leaf_tree(cls, n_classes=4):
@@ -244,34 +245,6 @@ class TestDoubleFault:
             double_fault(dsel, 0, 0, [])
 
 
-def brute_force_competence(dsel, kmeans, n_acc, j):
-    """Independent oracle: exhaustive shortlist + subset enumeration under the
-    documented tie rules."""
-    from tinydes.cluster import assign_batch
-    member_of = assign_batch(kmeans, dsel.samples)
-    pool_size = dsel.pool_size
-    rows = []
-    for c in range(kmeans.k):
-        cols = np.nonzero(member_of == c)[0]
-        region = cols if cols.size else np.arange(dsel.n_samples)
-        acc = [dsel.correctness[i, region].mean() for i in range(pool_size)]
-        shortlist = sorted(range(pool_size), key=lambda i: (-acc[i], i))[:n_acc]
-        df = {}
-        for a in shortlist:
-            others = [b for b in shortlist if b != a]
-            if others:
-                df[a] = float(np.mean([double_fault(dsel, a, b, region) for b in others]))
-            else:
-                df[a] = 0.0
-        best = None
-        for subset in itertools.combinations(shortlist, j):
-            key = tuple(sorted((df[i], -acc[i], i) for i in subset))
-            if best is None or key < best[0]:
-                best = (key, subset)
-        rows.append(sorted(best[1]))
-    return np.array(rows)
-
-
 class TestBuildCompetenceModel:
     def test_nacc_equals_j_identity(self):
         rng = np.random.RandomState(2)
@@ -292,6 +265,28 @@ class TestBuildCompetenceModel:
         cm = build_competence_model(dsel, km, 3, 2)
         np.testing.assert_array_equal(cm.per_cluster_ensemble,
                                       brute_force_competence(dsel, km, 3, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 3), m=st.integers(1, 8))
+    def test_identical_rows_tie_to_smallest_index(self, data, n_rows, m):
+        # a pool of copies of a few correctness rows: of two classifiers with
+        # the same row, the smaller index is shortlisted and kept first
+        rows = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                           min_size=n_rows, max_size=n_rows)))
+        which = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=7))
+        dsel = dsel_from_correctness(rows[which])
+        # centroids on the 1-D sample grid 0..m-1, or off it: a cluster may be empty
+        centres = data.draw(st.lists(st.integers(-2, m + 2), min_size=1, max_size=3,
+                                     unique=True))
+        km = KMeansModel(np.array(centres, np.float32)[:, None], len(centres), 0.0, 0)
+        n_acc = data.draw(st.integers(1, len(which)))
+        j = data.draw(st.integers(1, n_acc))
+        got = build_competence_model(dsel, km, n_acc, j).per_cluster_ensemble
+        np.testing.assert_array_equal(got, brute_force_competence(dsel, km, n_acc, j))
+        for ensemble in got.tolist():
+            for a, b in itertools.combinations(range(len(which)), 2):
+                if which[a] == which[b] and b in ensemble:
+                    assert a in ensemble
 
     def test_row_shape_and_distinctness(self, pipeline):
         cm = pipeline["cm"]
@@ -621,6 +616,32 @@ class TestKnoraRegions:
             batch_fn(dsel, pool, queries, 6, preds, visits, regions)
         with pytest.raises(ShapeError, match="regions shape"):
             batch_fn(dsel, pool, queries[:-1], 7, preds, visits, regions)
+
+
+class TestWalkShape:
+    # the batch paths read the caller's walk: one of other queries or of
+    # another pool raises instead of voting misaligned rows
+    @pytest.mark.parametrize("batch_fn", [knora_u_batch, knora_e_batch])
+    def test_knora(self, batch_fn):
+        dsel, pool, queries = tie_heavy_case()
+        preds, visits, regions = shared_inputs(pool, queries, dsel, 7)
+        with pytest.raises(ShapeError, match=r"pool_preds shape \(9, 90\) != \(9, 89\)"):
+            batch_fn(dsel, pool, queries[:-1], 7, preds, visits, regions[:-1])
+        with pytest.raises(ShapeError, match=r"pool_visits shape \(9, 89\) != \(9, 90\)"):
+            batch_fn(dsel, pool, queries, 7, preds, visits[:, :-1], regions)
+        with pytest.raises(ShapeError, match=r"pool_preds shape \(8, 90\)"):
+            batch_fn(dsel, pool, queries, 7, preds[:-1], visits[:-1], regions)
+
+    def test_des_clustering(self):
+        dsel, pool, queries = tie_heavy_case()
+        cm = build_competence_model(dsel, fit_kmeans(dsel.samples, 3, seed=1), 4, 2)
+        preds, visits, clusters = shared_inputs(pool, queries, kmeans=cm.kmeans)
+        with pytest.raises(ShapeError, match=r"pool_preds shape \(9, 90\) != \(9, 89\)"):
+            des_clustering_batch(cm, pool, queries[:-1], preds, visits, clusters[:-1])
+        with pytest.raises(ShapeError, match=r"pool_preds shape \(9, 89\) != \(9, 90\)"):
+            des_clustering_batch(cm, pool, queries, preds[:, :-1], visits[:, :-1], clusters)
+        with pytest.raises(ShapeError, match=r"pool_visits shape \(9, 89\) != \(9, 90\)"):
+            des_clustering_batch(cm, pool, queries, preds, visits[:, :-1], clusters)
 
 
 class TestVoteRows:
