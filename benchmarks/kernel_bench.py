@@ -141,11 +141,10 @@ bench("generate_pool (45 trees, pixel fold)", lambda: generate_pool(fold, seed=7
 print("== pool tree walk (45 trees, 30000 samples) ==")
 data = Dataset(X[:4000], y[:4000].astype(np.uint16), classes)
 pool = generate_pool(data, PoolConfig(), seed=3)
-nodes = pool.nodes
 pairs = np.arange(WALK_BLOCK_PAIRS)
-roots, rows = nodes.first[pairs // n], pairs % n
+roots, rows = pool.first[pairs // n], pairs % n
 bench("tree_walk (one block of 2^16 pairs)",
-      lambda: tree_walk(nodes.feature, nodes.threshold, nodes.jump, roots, rows, X))
+      lambda: tree_walk(pool.feature, pool.threshold, pool.jump, roots, rows, X))
 bench("pool_predictions (45 x 30000 pairs)", lambda: pool_predictions(pool, X), reps=3)
 
 print("== cluster assignment (24000 x 784, k=5) ==")

@@ -203,9 +203,10 @@ def split_threshold(v0, v1):
 # its tree's first node. Every step moves each pair one node down; a leaf
 # steps to itself, so the walk steps until every pair is at a leaf, and
 # visits count the nodes on each path. The columns must be valid:
-# ``ClassifierPool.nodes`` checks once that children lie inside their tree
-# and after their parent, which ends every walk, and callers check that
-# every feature id is below the input width.
+# ``ClassifierPool.from_trees`` checks once that children lie inside their
+# tree and after their parent, which ends every walk, and callers check that
+# every feature id is below the input width. The int16/uint16 columns are
+# widened to intp once per call; index sums of the narrow gathers are slower.
 # ---------------------------------------------------------------------------
 
 
@@ -214,7 +215,8 @@ def tree_walk(feat, thr, jump, roots, rows, X):
     ``roots[i]`` applied to row ``rows[i]`` of the C-contiguous ``X``."""
     flat = X.reshape(-1)
     leaf = feat < 0
-    col = np.maximum(feat, 0)  # leaves read column 0 and stay put
+    col = np.maximum(feat, 0).astype(np.intp)  # leaves read column 0 and stay put
+    jump = jump.astype(np.intp)
     cell = rows * X.shape[1]
     pos = roots.copy()
     visits = np.ones(pos.shape[0], dtype=np.int64)

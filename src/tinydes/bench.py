@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class ExperimentConfig:
     dsel_fraction: float = 0.5
     seed: int = 42
     out_dir: str = "results"
-    forests: tuple[tuple[int, int], ...] = ((25, 10), (20, 5))
+    forests: tuple[tuple[int, int], ...] = tuple(map(astuple, PoolConfig().forests))
     profile: str = "desk-scale"  # one of PROFILES
     limit: int | None = None  # explicit subset size; None: profile default
 
@@ -107,6 +107,10 @@ class ExperimentConfig:
             raise IoError("need k_clusters >= 1 and k_neighbors >= 1")
         if any(j < 1 for j in self.j_values) or not self.j_values:
             raise IoError(f"j_values must be positive, got {self.j_values}")
+        if any(n < 1 or depth < 0 for n, depth in self.forests):
+            raise IoError(f"every forest needs n >= 1 and depth >= 0, got {self.forests}")
+        if self.limit is not None and self.limit < 1:
+            raise IoError(f"limit must be at least 1, got {self.limit}")
         n_acc = self.resolve_n_acc()
         if "des_clustering" in self.methods and max(self.j_values) > n_acc:
             raise IoError(f"J {max(self.j_values)} exceeds the accuracy shortlist "
@@ -320,7 +324,7 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
         labels, costs = batch_fn(dsel, pool, test_std, cfg.k_neighbors, preds, visits,
                                  region_cache[0])
         return (float((labels == target).mean()), float(costs.mean()),
-                pool.node_bytes() + std_bytes + dsel_bytes)
+                8 * pool.n_nodes + std_bytes + dsel_bytes)
 
     for method in cfg.methods:
         if method == "single_best":
@@ -328,7 +332,7 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
                 best = single_best(dsel)
                 acc = float(correct[best].mean())
                 cost = float(visits[best].mean())
-                return acc, cost, pool.trees[best].n_nodes * 8 + std_bytes
+                return acc, cost, 8 * int(pool.count[best]) + std_bytes
             run(method, "", _sb)
         elif method == "static_selection":
             def _st():
@@ -336,7 +340,7 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
                 labels = vote_rows(preds[sel].T, np.ones((n_test, sel.size)), pool.n_classes)
                 acc = float((labels == target).mean())
                 cost = float(visits[sel].sum(axis=0).mean())
-                size = 8 * sum(pool.trees[i].n_nodes for i in sel) + std_bytes
+                size = 8 * int(pool.count[sel].sum()) + std_bytes
                 return acc, cost, size
             run(method, f"pct={cfg.pct_static:g}", _st)
         elif method == "knora_u":

@@ -134,7 +134,7 @@ def des_clustering_predict(cm: CompetenceModel, pool: ClassifierPool, x) -> Sele
     votes = np.zeros(pool.n_classes, dtype=np.float64)
     cost = cm.kmeans.k
     for cid in ensemble:
-        label, visits = predict_tree(pool.trees[cid], vec)
+        label, visits = predict_tree(pool, cid, vec)
         votes[label] += 1.0
         cost += visits
     return SelectionResult(int(np.argmax(votes)), votes, ensemble, cost)
@@ -162,16 +162,16 @@ def pool_predictions(pool: ClassifierPool, X) -> tuple[np.ndarray, np.ndarray]:
     mat = np.ascontiguousarray(X, dtype=np.float32)
     if mat.ndim != 2:
         raise ShapeError(f"expected a 2-D sample matrix, got shape {mat.shape}")
-    nodes = pool.nodes
-    if nodes.width > mat.shape[1]:
-        raise ModelCorruptError(f"pool reads feature {nodes.width - 1}; the input has {mat.shape[1]}")
+    widest = int(pool.feature.max())
+    if widest >= mat.shape[1]:
+        raise ModelCorruptError(f"pool reads feature {widest}; the input has {mat.shape[1]}")
     n = mat.shape[0]
     labels = np.empty(pool.pool_size * n, dtype=np.int64)
     visits = np.empty_like(labels)
     for s in range(0, labels.size, WALK_BLOCK_PAIRS):
         tree, row = np.divmod(np.arange(s, min(s + WALK_BLOCK_PAIRS, labels.size)), n)
         labels[s:s + row.size], visits[s:s + row.size] = _kernels.tree_walk(
-            nodes.feature, nodes.threshold, nodes.jump, nodes.first[tree], row, mat)
+            pool.feature, pool.threshold, pool.jump, pool.first[tree], row, mat)
     return labels.reshape(pool.pool_size, n), visits.reshape(pool.pool_size, n)
 
 

@@ -32,7 +32,7 @@ from .data import Standardizer
 from .errors import (CapacityError, ChecksumError, FormatError,
                      ModelCorruptError, ShapeError)
 from .selection import CompetenceModel
-from .trees import ClassifierPool
+from .trees import ClassifierPool, check_nodes
 
 MAGIC = b"TDES"
 VERSION = 1
@@ -71,23 +71,19 @@ def export_tiny(s: Standardizer, cm: CompetenceModel, pool: ClassifierPool):
         raise ModelCorruptError("ensemble references a classifier outside the pool")
     if referenced.size > 65535:
         raise CapacityError(f"{referenced.size} retained classifiers exceed the u16 limit")
-    if n_classes > 65535 or k > 65535 or j > 65535:
-        raise CapacityError("class/cluster/ensemble count exceeds the u16 limit")
+    if k > 65535 or j > 65535:
+        raise CapacityError("cluster/ensemble count exceeds the u16 limit")
     remap = {int(old): new for new, old in enumerate(referenced)}
 
-    # the retained trees' node ranges, cut from the pool's flat columns
-    nodes = pool.nodes
-    count = nodes.count[referenced]
-    for old, cnt in zip(referenced.tolist(), count.tolist()):
-        if cnt > 65535:
-            raise CapacityError(f"tree {old} has {cnt} nodes; u16 limit is 65535")
+    # the retained trees' node ranges, cut from the pool's checked columns
+    count = pool.count[referenced]
     offsets = count.cumsum() - count
     n_nodes_total = int(count.sum())
-    take = (nodes.first[referenced] - offsets).repeat(count) + np.arange(n_nodes_total)
+    take = (pool.first[referenced] - offsets).repeat(count) + np.arange(n_nodes_total)
     records = np.empty(n_nodes_total, dtype=NODE_DTYPE)
-    records["feature"] = nodes.feature[take]
-    records["threshold"] = nodes.threshold[take]
-    records["right_jump"] = nodes.jump[take]
+    records["feature"] = pool.feature[take]
+    records["threshold"] = pool.threshold[take]
+    records["right_jump"] = pool.jump[take]
 
     parts = [HEADER.pack(MAGIC, VERSION, nf, n_classes, referenced.size, k, j, n_nodes_total)]
     parts.append(s.mean.astype("<f4").tobytes())
@@ -235,7 +231,7 @@ def load_tiny(data: bytes) -> TinyEngine:
     jump = np.ascontiguousarray(nodes["right_jump"])
     if not np.isfinite(thr).all():
         raise ModelCorruptError("non-finite node threshold")
-    _check_trees(feat, jump, dir_off, dir_cnt, nf, n_classes)
+    check_nodes(feat, jump, dir_off, dir_cnt, nf, n_classes)
 
     scratch_x = np.empty(nf, dtype=np.float32)
     return TinyEngine(
@@ -248,42 +244,6 @@ def load_tiny(data: bytes) -> TinyEngine:
         scratch_diff=np.empty((k, nf), dtype=np.float32),
         scratch_votes=[0] * n_classes,
     )
-
-
-def _check_trees(feat, jump, dir_off, dir_cnt, nf, n_classes) -> None:
-    """Raise for the first tree, in directory order, with a faulty node: an
-    internal node's feature >= nf, else a right-child jump outside
-    (position in the tree, node count), else a leaf class >= n_classes.
-
-    Directory ranges may overlap or leave gaps, so each fault is taken as a
-    maximum over each tree's node range: one ``maximum.reduceat`` per column
-    over the (start, end) bounds, in memory proportional to the node pool,
-    whatever the ranges add up to. An internal node g of the tree at ``off``
-    needs g - off < jump, that is g + 1 - jump <= off.
-    """
-    n = feat.shape[0]
-    internal = feat >= 0
-    # one spare entry per column: a tree may end at n, and reduceat needs index n
-    code = np.zeros(n + 1, dtype=np.int8)  # 2: feature out of range, 1: leaf class
-    back = np.zeros(n + 1, dtype=np.int64)  # g + 1 - jump at internal nodes
-    fwd = np.zeros(n + 1, dtype=np.int64)  # jump at internal nodes
-    np.multiply(feat >= nf, 2, out=code[:-1])
-    code[:-1] += (jump >= n_classes) & ~internal
-    np.subtract(np.arange(1, n + 1), jump, out=back[:-1])
-    back[:-1] *= internal
-    np.multiply(jump, internal, out=fwd[:-1])
-    # even segments are the trees; odd ones, from a tree's end to the next
-    # tree's start, are discarded
-    bounds = np.column_stack((dir_off, dir_off + dir_cnt)).ravel()
-    code, back, fwd = (np.maximum.reduceat(a, bounds)[::2] for a in (code, back, fwd))
-    bad_jump = (back > dir_off) | (fwd >= dir_cnt)
-    failing = np.flatnonzero(code | bad_jump)
-    if failing.size:
-        t = failing[0]
-        what = ("feature index out of range" if code[t] == 2
-                else "right-child jump violates preorder" if bad_jump[t]
-                else "leaf class out of range")
-        raise ModelCorruptError(f"tree {t}: {what}")
 
 
 def tiny_predict(e: TinyEngine, raw_x) -> tuple[int, int]:

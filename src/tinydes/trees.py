@@ -5,17 +5,17 @@ Node layout: ``feature[i] < 0`` marks a leaf whose class id sits in
 and everything else to node ``jump[i]`` (an index within the tree). This is
 the exact record the compact binary format stores, so the training graph
 and the embedded interpreter walk identical structures. A pool lays its
-trees' nodes end to end once, as the format's node section does
-(``ClassifierPool.nodes``); batch prediction walks every (tree, row) pair
-over those columns at once, and ``predict_tree`` walks one sample through
-one tree.
+trees end to end in the format's field types, as the node section does, and
+``ClassifierPool.from_trees`` checks the layout once with ``check_nodes``,
+which ``load_tiny`` shares. Batch prediction walks every (tree, row) pair
+over those columns at once; ``predict_tree`` walks one sample through one tree.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,39 +30,25 @@ _MAX_FEATURES = 1 << 15  # feature ids must fit the int16 node field
 
 
 def _field(values, dtype, what: str) -> np.ndarray:
-    """``values`` as a contiguous ``dtype`` array; a value the dtype cannot
-    hold raises ``CapacityError`` instead of wrapping."""
-    a = np.asarray(values)
-    if a.size:
-        info = np.iinfo(dtype)
-        lo, hi = a.min(), a.max()
-        if lo < info.min or hi > info.max:
-            bad = lo if lo < info.min else hi
-            raise CapacityError(f"{what} {bad} outside the {info.dtype} node field")
-    return np.ascontiguousarray(a, dtype=dtype)
+    """``values`` as a ``dtype`` array; a value the dtype cannot hold raises
+    ``CapacityError`` instead of wrapping."""
+    a, info = np.asarray(values), np.iinfo(dtype)
+    bad = a[(a < info.min) | (a > info.max)]
+    if bad.size:
+        raise CapacityError(f"{what} {bad[0]} outside the {info.dtype} field")
+    return a.astype(dtype)
 
 
-@dataclass(frozen=True)
-class DecisionTree:
-    feature: np.ndarray  # int16 [n_nodes]; -1 marks a leaf
-    threshold: np.ndarray  # float32 [n_nodes]; 0 for leaves
-    jump: np.ndarray  # uint16 [n_nodes]; right child index, or class id at leaves
-    depth: int
-    n_classes: int
+class DecisionTree(NamedTuple):
+    """One tree's preorder node columns, as ``train_tree`` grows them."""
 
-    def __post_init__(self):
-        f = _field(self.feature, np.int16, "feature id")
-        t = np.ascontiguousarray(self.threshold, dtype=np.float32)
-        j = _field(self.jump, np.uint16, "jump")
-        for arr in (f, t, j):
-            arr.flags.writeable = False
-        object.__setattr__(self, "feature", f)
-        object.__setattr__(self, "threshold", t)
-        object.__setattr__(self, "jump", j)
+    feature: np.ndarray  # -1 marks a leaf
+    threshold: np.ndarray  # 0 for leaves
+    jump: np.ndarray  # right child index, or class id at leaves
 
     @property
     def n_nodes(self) -> int:
-        return self.feature.shape[0]
+        return len(self.feature)
 
 
 @dataclass(frozen=True)
@@ -81,68 +67,99 @@ class PoolConfig:
         return sum(f.n_trees for f in self.forests)
 
 
-@dataclass(frozen=True)
-class PoolNodes:
-    """A pool's node columns end to end, with jumps relative to each tree's
-    first node, as the ``.tdes`` node section stores them. Every internal
-    node's children lie inside its own tree and after it, and every leaf's
-    class is below the pool's ``n_classes``."""
+def check_nodes(feat, jump, first, count, n_features: int, n_classes: int) -> None:
+    """Raise for the first tree, in directory order, with a faulty node: an
+    internal node's feature >= n_features, else a right-child jump outside
+    (position in the tree, node count), else a leaf class >= n_classes.
 
-    feature: np.ndarray  # intp [n_nodes]; negative at leaves
-    threshold: np.ndarray  # float32 [n_nodes]
-    jump: np.ndarray  # intp [n_nodes]; right child - first, or class id at leaves
-    first: np.ndarray  # intp [pool_size]; each tree's first node
-    count: np.ndarray  # intp [pool_size]; each tree's node count
-    width: int  # 1 + the largest feature id: the narrowest input the pool reads
+    Directory ranges may overlap or leave gaps, so each fault is taken as a
+    maximum over each tree's node range: one ``maximum.reduceat`` per column
+    over the (start, end) bounds, in memory proportional to the node pool,
+    whatever the ranges add up to. An internal node g of the tree at
+    ``first`` needs g - first < jump, that is g + 1 - jump <= first.
+    """
+    n = feat.shape[0]
+    internal = feat >= 0
+    # one spare entry per column: a tree may end at n, and reduceat needs index n
+    code = np.zeros(n + 1, dtype=np.int8)  # 2: feature out of range, 1: leaf class
+    back = np.zeros(n + 1, dtype=np.int64)  # g + 1 - jump at internal nodes
+    fwd = np.zeros(n + 1, dtype=np.int64)  # jump at internal nodes
+    np.multiply(feat >= n_features, 2, out=code[:-1])
+    code[:-1] += (jump >= n_classes) & ~internal
+    np.subtract(np.arange(1, n + 1), jump, out=back[:-1])
+    back[:-1] *= internal
+    np.multiply(jump, internal, out=fwd[:-1])
+    # even segments are the trees; odd ones, from a tree's end to the next
+    # tree's start, are discarded
+    bounds = np.column_stack((first, first + count)).ravel()
+    code, back, fwd = (np.maximum.reduceat(a, bounds)[::2] for a in (code, back, fwd))
+    bad_jump = (back > first) | (fwd >= count)
+    failing = np.flatnonzero(code | bad_jump)
+    if failing.size:
+        t = failing[0]
+        what = ("feature index out of range" if code[t] == 2
+                else "right-child jump violates preorder" if bad_jump[t]
+                else "leaf class out of range")
+        raise ModelCorruptError(f"tree {t}: {what}")
 
 
 @dataclass(frozen=True)
 class ClassifierPool:
-    trees: tuple[DecisionTree, ...]
+    """A pool's trees end to end in the ``.tdes`` node columns, with a (first,
+    count) directory; ``from_trees`` builds it and checks the layout."""
+
+    feature: np.ndarray  # int16 [n_nodes]; negative at leaves
+    threshold: np.ndarray  # float32 [n_nodes]
+    jump: np.ndarray  # uint16 [n_nodes]; right child - first, or class id at leaves
+    first: np.ndarray  # intp [pool_size]; each tree's first node
+    count: np.ndarray  # intp [pool_size]; each tree's node count
+    n_classes: int
     origins: tuple[str, ...]  # forest tag per tree, "A", "B", ...
     seed: int
 
+    @classmethod
+    def from_trees(cls, trees, n_classes: int, origins, seed: int) -> ClassifierPool:
+        """Lay the (feature, threshold, jump) trees end to end. A value too
+        wide for a node field, the u16 node count or the u16 class count
+        raises ``CapacityError``; an empty tree or bad layout, ``ModelCorruptError``."""
+        if not trees:
+            raise ModelCorruptError("pool has no trees")
+        feature, threshold, jump = (np.concatenate(col) for col in zip(*trees))
+        count = np.array([len(t[0]) for t in trees], dtype=np.intp)
+        _field(count, np.uint16, "node count")
+        _field(n_classes, np.uint16, "class count")
+        feature = _field(feature, np.int16, "feature id")
+        jump = _field(jump, np.uint16, "jump")
+        if count.min() < 1:
+            raise ModelCorruptError("empty tree in directory")
+        first = count.cumsum() - count
+        check_nodes(feature, jump, first, count, _MAX_FEATURES, n_classes)
+        threshold = threshold.astype(np.float32)
+        for col in (feature, threshold, jump):
+            col.flags.writeable = False
+        return cls(feature, threshold, jump, first, count, int(n_classes), tuple(origins), seed)
+
     @property
     def pool_size(self) -> int:
-        return len(self.trees)
+        return self.count.shape[0]
 
     @property
-    def n_classes(self) -> int:
-        return self.trees[0].n_classes
+    def n_nodes(self) -> int:
+        return self.feature.shape[0]
+
+    def tree(self, i: int) -> DecisionTree:
+        """Tree ``i``'s three columns: views into the pool's."""
+        s = slice(self.first[i], self.first[i] + self.count[i])
+        return DecisionTree(self.feature[s], self.threshold[s], self.jump[s])
 
     def fingerprint(self) -> int:
-        """CRC32 over all node bytes; identifies a pool across bench rows."""
+        """CRC32 over each tree's feature, threshold and jump bytes in turn;
+        identifies a pool across bench rows."""
         crc = 0
-        for t in self.trees:
-            crc = zlib.crc32(t.feature.tobytes(), crc)
-            crc = zlib.crc32(t.threshold.tobytes(), crc)
-            crc = zlib.crc32(t.jump.tobytes(), crc)
+        for i in range(self.pool_size):
+            for col in self.tree(i):
+                crc = zlib.crc32(col.tobytes(), crc)
         return crc
-
-    def node_bytes(self) -> int:
-        return 8 * sum(t.n_nodes for t in self.trees)
-
-    @cached_property
-    def nodes(self) -> PoolNodes:
-        """Every tree's nodes end to end, built and checked on first use."""
-        count = np.array([t.n_nodes for t in self.trees], dtype=np.intp)
-        if count.size == 0 or count.min() < 1:
-            raise ModelCorruptError("pool has no trees or a tree with no nodes")
-        first = count.cumsum() - count
-        feat = np.concatenate([t.feature for t in self.trees]).astype(np.intp)
-        thr = np.concatenate([t.threshold for t in self.trees])
-        jump = np.concatenate([t.jump for t in self.trees]).astype(np.intp)
-        owner = np.arange(count.size).repeat(count)
-        local = np.arange(feat.size) - first[owner]
-        internal = feat >= 0
-        bad = np.flatnonzero(np.where(internal, (jump <= local) | (jump >= count[owner]),
-                                      jump >= self.n_classes))
-        if bad.size:
-            i = bad[0]
-            what = (f"right child {jump[i]} violates preorder" if internal[i]
-                    else f"leaf class {jump[i]} is not below n_classes {self.n_classes}")
-            raise ModelCorruptError(f"tree {owner[i]} node {local[i]}: {what}")
-        return PoolNodes(feat, thr, jump, first, count, int(feat.max()) + 1)
 
 
 def _majority(counts: np.ndarray) -> int:
@@ -222,35 +239,26 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
                 continue
         feature.append(LEAF)
         jump.append(majority)
-    if len(feature) > 65535:
-        raise CapacityError(f"tree grew {len(feature)} nodes; the 16-bit node index caps at 65535")
     threshold = np.zeros(len(feature), dtype=np.float32)
     if splits:
         nodes, feats, r0, r1 = np.array(splits, dtype=np.int64).T
         X = data.features
         threshold[nodes] = _kernels.split_threshold(X[r0, feats], X[r1, feats])
-    return DecisionTree(feature, threshold, jump, depth=max_depth, n_classes=n_classes)
+    return DecisionTree(np.array(feature), threshold, np.array(jump))
 
 
-def predict_tree(t: DecisionTree, x) -> tuple[int, int]:
-    """Walk one sample from the root; returns (class id, nodes visited)."""
+def predict_tree(pool: ClassifierPool, tree: int, x) -> tuple[int, int]:
+    """Walk one sample through tree ``tree``; returns (class id, nodes visited)."""
     vec = np.asarray(x, dtype=np.float32).ravel()
-    n = t.n_nodes
+    feature, threshold, jump = pool.tree(tree)
     pos = 0
-    visits = 0
-    while True:
-        visits += 1
-        if visits > n:
-            raise ModelCorruptError("tree walk did not terminate")
-        f = int(t.feature[pos])
-        if f < 0:
-            return int(t.jump[pos]), visits
+    visits = 1
+    while (f := int(feature[pos])) >= 0:
         if f >= vec.shape[0]:
             raise ModelCorruptError(f"node {pos} references feature {f} beyond input length")
-        nxt = pos + 1 if vec[f] <= t.threshold[pos] else int(t.jump[pos])
-        if not (pos < nxt < n):
-            raise ModelCorruptError(f"node {pos} jumps to invalid index {nxt}")
-        pos = nxt
+        pos = pos + 1 if vec[f] <= threshold[pos] else int(jump[pos])
+        visits += 1
+    return int(jump[pos]), visits
 
 
 def bootstrap_indices(rng: SplitMix64, n: int) -> np.ndarray:
@@ -281,4 +289,4 @@ def generate_pool(train: Dataset, config: PoolConfig | None = None, seed: int = 
             trees.append(train_tree(train, boot, forest.max_depth, max_features, grow_seed))
             origins.append(tag)
             tree_index += 1
-    return ClassifierPool(tuple(trees), tuple(origins), seed)
+    return ClassifierPool.from_trees(trees, train.n_classes, origins, seed)

@@ -8,7 +8,7 @@ from tinydes.cluster import assign_batch, fit_kmeans
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer, stratified_split
 from tinydes.selection import (build_competence_model, build_dsel, knora_regions,
                                pool_predictions)
-from tinydes.trees import ForestSpec, PoolConfig, generate_pool, predict_tree
+from tinydes.trees import ClassifierPool, ForestSpec, PoolConfig, generate_pool, predict_tree
 
 
 def make_blobs(n_per_class=120, n_features=12, n_classes=4, seed=0, spread=1.0):
@@ -40,10 +40,21 @@ def build_pipeline(data, forests=((6, 6), (4, 3)), k=3, n_acc=6, j=3, seed=17,
             "standardizer": s, "pool": pool, "dsel": dsel, "kmeans": km, "cm": cm}
 
 
+def pool_of(trees, n_classes, seed=0):
+    """A pool of the given (feature, threshold, jump) trees, all of forest
+    "A", built and checked by ``ClassifierPool.from_trees``."""
+    return ClassifierPool.from_trees(tuple(trees), n_classes, ("A",) * len(trees), seed)
+
+
+def leaf(cls):
+    """A constant classifier's columns: one leaf of class ``cls``."""
+    return [-1], [0.0], [cls]
+
+
 def per_tree_predictions(pool, X):
     """(labels, visits), [pool_size, n] each, from one ``predict_tree`` walk
     per (classifier, sample) pair: the reference for the pool walk."""
-    pairs = [[predict_tree(t, x) for x in X] for t in pool.trees]
+    pairs = [[predict_tree(pool, t, x) for x in X] for t in range(pool.pool_size)]
     out = np.array(pairs, dtype=np.int64).reshape(pool.pool_size, len(X), 2)
     return out[..., 0], out[..., 1]
 

@@ -29,7 +29,7 @@ def _vote(weights_per_classifier, classifier_ids, pool, x, n_classes):
     votes = np.zeros(n_classes, dtype=np.float64)
     cost = 0
     for cid, w in zip(classifier_ids, weights_per_classifier):
-        label, visits = predict_tree(pool.trees[cid], x)
+        label, visits = predict_tree(pool, cid, x)
         votes[label] += w
         cost += visits
     return votes, cost

@@ -20,12 +20,11 @@ from tinydes.errors import TinyDesError
 from tinydes.selection import (build_competence_model, des_clustering_predict,
                                knora_e_batch, static_selection)
 from tinydes.tinyformat import emit_static_source, export_tiny, load_tiny, tiny_predict
-from tinydes.trees import ClassifierPool, DecisionTree
 
 from conftest import (build_pipeline, make_blobs, mnist_paths, record_criterion,
                       record_skip, shared_inputs)
 from selection_oracle import brute_force_competence, oracle_accuracy
-from test_selection import dsel_from_correctness
+from test_selection import constant_pool, dsel_from_correctness
 from test_tinyformat import HAVE_CC, compile_and_run
 
 
@@ -237,17 +236,11 @@ class TestCriterion7BruteForceSelection:
 
 class TestCriterion8KnoraESemantics:
     def test_three_fixture_families(self):
-        def leaf_pool(classes):
-            trees = tuple(
-                DecisionTree(np.array([-1], np.int16), np.array([0.0], np.float32),
-                             np.array([c], np.uint16), 0, 4) for c in classes)
-            return ClassifierPool(trees, tuple("A" * len(trees)), 0)
-
         def knora_e_one(dsel, classes, k):
             """One-row knora_e_batch call at query 0.0: (label, cost, selected
             classifiers). Its second run gives classifier c 2**c visits, so the
             cost spells out the selected set in binary."""
-            pool = leaf_pool(classes)
+            pool = constant_pool(classes)
             x = np.zeros((1, 1), np.float32)
             preds, visits, regions = shared_inputs(pool, x, dsel, k)
             labels, costs = knora_e_batch(dsel, pool, x, k, preds, visits, regions)

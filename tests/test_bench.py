@@ -141,6 +141,9 @@ class TestConfigSerialization:
         with pytest.raises(IoError, match="profile must be one of"):
             ExperimentConfig(profile=profile).validate()
 
+    def test_smallest_limit_and_forest_accepted(self):
+        ExperimentConfig(limit=1, forests=((1, 0),), j_values=(1,)).validate()
+
 
 @pytest.fixture(scope="module")
 def table(csv_path, tmp_path_factory):

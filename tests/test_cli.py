@@ -154,13 +154,15 @@ class TestCrossval:
                    "--out", str(tmp_path / "r")])
         assert rc == 1
 
-    @pytest.mark.parametrize("line", BAD_CONFIG_LINES + ["profile = fulll"])
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES + [
+        "profile = fulll", "limit = 0", "limit = -5", "forests = 2:-1", "forests = 0:3"])
     def test_bad_config_file_typed_error(self, csv_path, tmp_path, capsys, line):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"n_splits = 2\n{line}\ndataset.blobs.csv = {csv_path}\n")
         rc = main(["crossval", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 1
-        assert re.search(r"^error: IoError: (bad config line|profile must be one of)",
+        assert re.search(r"^error: IoError: (bad config line|profile must be one of"
+                         r"|limit must be at least 1|every forest needs n >= 1)",
                          capsys.readouterr().err)
         assert not (tmp_path / "r").exists()
 

@@ -16,25 +16,12 @@ from tinydes.selection import (CompetenceModel, Dsel, build_competence_model,
                                knora_e_batch, knora_regions, knora_u_batch,
                                single_best, static_selection, vote_rows)
 from tinydes.selection import _k_nearest
-from tinydes.trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
-                           generate_pool)
+from tinydes.trees import ForestSpec, PoolConfig, generate_pool
 
-from conftest import make_blobs, per_tree_predictions, shared_inputs
+from conftest import leaf, make_blobs, per_tree_predictions, pool_of, shared_inputs
 from knora_oracle import knora_e, knora_u
 from selection_oracle import (brute_force_competence, double_fault, majority_vote,
                               oracle_accuracy)
-
-
-def leaf_tree(cls, n_classes=4):
-    """Constant classifier."""
-    return DecisionTree(np.array([-1], np.int16), np.array([0.0], np.float32),
-                        np.array([cls], np.uint16), 0, n_classes)
-
-
-def threshold_tree(feature, thr, left_cls, right_cls, n_classes=4):
-    return DecisionTree(np.array([feature, -1, -1], np.int16),
-                        np.array([thr, 0, 0], np.float32),
-                        np.array([2, left_cls, right_cls], np.uint16), 1, n_classes)
 
 
 def dsel_from_correctness(correctness, samples=None, labels=None):
@@ -49,14 +36,14 @@ def dsel_from_correctness(correctness, samples=None, labels=None):
 
 
 def constant_pool(classes, n_classes=4):
-    trees = tuple(leaf_tree(c, n_classes) for c in classes)
-    return ClassifierPool(trees, tuple("A" * len(trees)), 0)
+    """One constant classifier per entry of ``classes``."""
+    return pool_of([leaf(c) for c in classes], n_classes)
 
 
 class TestBuildDsel:
     def test_perfect_stump_all_true(self):
         d = Dataset(np.array([[0.0], [1.0]], np.float32), np.array([1, 1], np.uint16), 2)
-        pool = ClassifierPool((leaf_tree(1, 2),), ("A",), 0)
+        pool = constant_pool([1], n_classes=2)
         from tinydes.data import Standardizer
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
         dsel = build_dsel(pool, d, s)
@@ -64,7 +51,7 @@ class TestBuildDsel:
 
     def test_constant_classifier_row(self):
         d = Dataset(np.zeros((3, 1), np.float32), np.array([0, 1, 0], np.uint16), 2)
-        pool = ClassifierPool((leaf_tree(0, 2),), ("A",), 0)
+        pool = constant_pool([0], n_classes=2)
         from tinydes.data import Standardizer
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
         dsel = build_dsel(pool, d, s)
@@ -368,13 +355,13 @@ class TestOracle:
         s = fit_standardizer(blob_data)
         std = Dataset(apply_standardizer(s, blob_data.features), blob_data.labels,
                       blob_data.n_classes)
-        pool = ClassifierPool(tuple(leaf_tree(c, 4) for c in range(4)), tuple("AAAA"), 0)
+        pool = constant_pool(range(4))
         assert oracle_accuracy(pool, blob_data, s) == 1.0
 
     def test_all_missed(self):
         from tinydes.data import Standardizer
         d = Dataset(np.zeros((3, 1), np.float32), np.array([1, 1, 1], np.uint16), 2)
-        pool = ClassifierPool((leaf_tree(0, 2),), ("A",), 0)
+        pool = constant_pool([0], n_classes=2)
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
         assert oracle_accuracy(pool, d, s) == 0.0
 

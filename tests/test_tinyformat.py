@@ -17,17 +17,15 @@ from tinydes.selection import (CompetenceModel, build_competence_model,
 from tinydes.tinyformat import (HEADER, NODE_DTYPE, _check_node_layout,
                                 emit_static_source, export_tiny, load_tiny,
                                 tiny_predict)
-from tinydes.trees import ClassifierPool, DecisionTree
+from tinydes.trees import DecisionTree
 
-from conftest import build_pipeline, make_blobs
+from conftest import build_pipeline, leaf, make_blobs, pool_of
 
 
 def minimal_model():
     """1 cluster, J=1, single-leaf tree, 2 features: 68 bytes total."""
     s = Standardizer(np.array([1.0, 2.0], np.float32), np.array([0.5, 0.25], np.float32))
-    tree = DecisionTree(np.array([-1], np.int16), np.array([0.0], np.float32),
-                        np.array([3], np.uint16), 0, 4)
-    pool = ClassifierPool((tree,), ("A",), 7)
+    pool = pool_of([leaf(3)], 4, seed=7)
     km = KMeansModel(np.array([[0.5, -1.5]], np.float32), 1, 0.0, 1)
     cm = CompetenceModel(km, np.ones((1, 1)), np.array([[0]], np.uint16), 1, 1)
     return s, cm, pool
@@ -67,10 +65,7 @@ class TestExport:
     def test_dead_tree_elimination(self):
         # 2 of 5 trees referenced: 3 dropped, remap has 2 entries
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
-        trees = tuple(
-            DecisionTree(np.array([-1], np.int16), np.array([0.0], np.float32),
-                         np.array([c % 3], np.uint16), 0, 3) for c in range(5))
-        pool = ClassifierPool(trees, tuple("AAAAA"), 0)
+        pool = pool_of([leaf(c % 3) for c in range(5)], 3)
         km = KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0)
         cm = CompetenceModel(km, np.ones((1, 5)), np.array([[1, 4]], np.uint16), 2, 2)
         blob, manifest = export_tiny(s, cm, pool)
@@ -201,9 +196,7 @@ def three_tree_model():
     shapes = (([0, 1, -1, -1, -1], [0.0, 0.5, 0, 0, 0], [4, 3, 0, 1, 2]),
               ([1, -1, -1], [-1.0, 0, 0], [2, 2, 0]),
               ([-1], [0], [1]))
-    trees = tuple(DecisionTree(np.array(f, np.int16), np.array(t, np.float32),
-                               np.array(j, np.uint16), 2, 3) for f, t, j in shapes)
-    pool = ClassifierPool(trees, ("A", "A", "A"), 0)
+    pool = pool_of(shapes, 3)
     km = KMeansModel(np.zeros((1, 2), np.float32), 1, 0.0, 0)
     cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16), 3, 3)
     return s, cm, pool
@@ -231,8 +224,14 @@ def loop_oracle(blob):
     """The per-tree validation loop that ``load_tiny`` ran before its checks
     were vectorized, from the directory checks on. Returns the (type,
     message) it raises, or None when the model is accepted."""
-    _, _, nf, n_classes, pool_size, _, _, n_nodes = HEADER.unpack_from(blob, 0)
+    _, _, nf, n_classes, *_ = HEADER.unpack_from(blob, 0)
     directory, nodes, _ = sections(blob)
+    return directory_loop(directory, nodes, nf, n_classes)
+
+
+def directory_loop(directory, nodes, nf, n_classes):
+    """``loop_oracle`` on a directory and a node section as arrays."""
+    pool_size, n_nodes = directory.shape[0], nodes.shape[0]
     dir_off = directory["off"].astype(np.int64)
     dir_cnt = directory["cnt"].astype(np.int64)
     if (dir_cnt < 1).any():
@@ -270,12 +269,11 @@ def directory_pool(blob):
     out, overlaps and all: the reference reading of any accepted model."""
     e = load_tiny(blob)
     directory, nodes, _ = sections(blob)
-    trees = tuple(DecisionTree(nodes["feature"][o : o + c], nodes["threshold"][o : o + c],
-                               nodes["right_jump"][o : o + c], 0, e.n_classes)
-                  for o, c in directory.tolist())
+    trees = [(nodes["feature"][o : o + c], nodes["threshold"][o : o + c],
+              nodes["right_jump"][o : o + c]) for o, c in directory.tolist()]
     km = KMeansModel(e.centroids, e.k, 0.0, 0)
     cm = CompetenceModel(km, np.ones((e.k, e.pool_size)), e.ensembles, e.j, e.j)
-    return e, cm, ClassifierPool(trees, ("A",) * len(trees), 0)
+    return e, cm, pool_of(trees, e.n_classes)
 
 
 class TestNodeChecks:
@@ -370,6 +368,105 @@ class TestNodeChecks:
                 assert e.predict(x) == (ref.label, ref.cost)
 
 
+def as_directory(trees):
+    """The .tdes directory and node section that hold ``trees`` end to end."""
+    count = np.array([len(f) for f, _, _ in trees], np.int64)
+    directory = np.empty(len(trees), DIRECTORY_DTYPE)
+    directory["off"], directory["cnt"] = count.cumsum() - count, count
+    nodes = np.empty(int(count.sum()), NODE_DTYPE)
+    for name, col in zip(NODE_DTYPE.names, zip(*trees)):
+        nodes[name] = np.concatenate(col)
+    return directory, nodes
+
+
+class TestOneLayoutCheck:
+    """``ClassifierPool.from_trees`` and ``load_tiny`` share one layout
+    check: edited trees make the pool raise exactly what the per-tree loop
+    gives for the same columns as a ``.tdes`` directory, whose feature
+    bound is the int16 field's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(1, 4),
+           depths=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+           edits=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(["feature", "jump",
+                                                                            "class"]),
+                                    st.integers(0, 12)), max_size=4),
+           empty=st.lists(st.integers(0, 15), max_size=2))
+    def test_pool_raises_what_the_loop_gives(self, seed, n_classes, depths, edits, empty):
+        rng = np.random.RandomState(seed)
+        trees = [[a.tolist() for a in random_tree(rng, 3, n_classes, d)] for d in depths]
+        for pick, what, value in edits:
+            feat, _, jump = trees[pick % len(trees)]
+            if what == "feature":  # leaves and internal nodes turn into each other
+                feat[pick % len(feat)] = value - 1
+                continue
+            # "jump" edits an internal node's right child, "class" a leaf's class
+            nodes = [i for i, f in enumerate(feat) if (f < 0) == (what == "class")]
+            jump[nodes[pick % len(nodes)] if nodes else pick % len(feat)] = value
+        for t in empty:
+            if t < len(trees):
+                trees[t] = [[], [], []]
+        try:
+            pool = pool_of(trees, n_classes)
+            outcome = None
+        except TinyDesError as exc:
+            outcome = type(exc), str(exc)
+        directory, nodes = as_directory(trees)
+        assert outcome == directory_loop(directory, nodes, 1 << 15, n_classes)
+        if outcome is None:
+            np.testing.assert_array_equal(pool.feature, nodes["feature"])
+            np.testing.assert_array_equal(pool.jump, nodes["right_jump"])
+
+
+def spine_tree(n_internal, n_classes):
+    """A left spine of ``n_internal`` feature-0 splits, 2 * n_internal + 1
+    nodes: split i has threshold n_internal - i, and its right child, the
+    leaf of class i % n_classes, follows the spine's last leaf in reverse."""
+    m = n_internal
+    feat = [0] * m + [-1] * (m + 1)
+    thr = [float(m - i) for i in range(m)] + [0.0] * (m + 1)
+    jump = [2 * m - i for i in range(m)] + [m % n_classes] + \
+        [i % n_classes for i in reversed(range(m))]
+    return feat, thr, jump
+
+
+class TestU16Edges:
+    """A tree of 65,535 nodes and 65,535 classes round-trip through export
+    and load; one more of either raises ``CapacityError`` when the pool is
+    built."""
+
+    def round_trip(self, pool, tree):
+        """The engine of a one-cluster model whose ensemble is ``tree``
+        alone, after checking its node section and answers."""
+        s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
+        cm = CompetenceModel(KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0),
+                             np.ones((1, pool.pool_size)), np.array([[tree]], np.uint16), 1, 1)
+        engine = load_tiny(export_tiny(s, cm, pool)[0])
+        for name, col in zip(("feature", "threshold", "jump"), pool.tree(tree)):
+            np.testing.assert_array_equal(getattr(engine, "node_" + name), col)
+        for x in (-1.0, 0.5, 100.5, 32766.5, 40000.0):
+            ref = des_clustering_predict(cm, pool, np.array([x], np.float32))
+            assert engine.predict([x]) == (ref.label, ref.cost)
+        return engine
+
+    def test_node_count(self):
+        tree = spine_tree(32767, 5)
+        assert len(tree[0]) == 65535
+        engine = self.round_trip(pool_of([leaf(1), tree], 5), 1)
+        # splits 0..32667, then the leaf of class 32667 % 5, plus one centroid
+        assert engine.predict([100.5]) == (2, 32670)
+        # one node past the field: a leaf no node reaches
+        wide = tuple(col + [0] for col in tree)
+        with pytest.raises(CapacityError, match="^node count 65536 outside the uint16 field$"):
+            pool_of([leaf(1), wide], 5)
+
+    def test_class_count(self):
+        engine = self.round_trip(pool_of([leaf(65534)], 65535), 0)
+        assert engine.n_classes == 65535 and engine.predict([0.0]) == (65534, 2)
+        with pytest.raises(CapacityError, match="^class count 65536 outside the uint16 field$"):
+            pool_of([leaf(0)], 65536)
+
+
 def random_tree(rng, nf, n_classes, depth):
     """A random preorder tree whose thresholds are multiples of 1/4."""
     feat, thr, jump = [], [], []
@@ -390,7 +487,7 @@ def random_tree(rng, nf, n_classes, depth):
 
     grow(depth)
     return DecisionTree(np.array(feat, np.int16), np.array(thr, np.float32),
-                        np.array(jump, np.uint16), depth, n_classes)
+                        np.array(jump, np.uint16))
 
 
 def pinned_probes():
@@ -448,7 +545,7 @@ class TestTinyPredict:
     def test_edge_probes_match_reference(self, seed, nf, n_classes, k, j, pool_size):
         rng = np.random.RandomState(seed)
         trees = tuple(random_tree(rng, nf, n_classes, 4) for _ in range(pool_size))
-        pool = ClassifierPool(trees, ("A",) * pool_size, 0)
+        pool = pool_of(trees, n_classes)
         # every probe below standardizes exactly: dyadic means, power-of-two scales
         s = Standardizer(rng.randint(-4, 5, nf) / 2, 2.0 ** rng.randint(-2, 3, nf))
         centroids = (rng.randint(-8, 9, (k, nf)) / 4).astype(np.float32)

@@ -10,10 +10,10 @@ from tinydes._rng import SplitMix64, derive_seed
 from tinydes.data import Dataset
 from tinydes.errors import CapacityError, ModelCorruptError
 from tinydes.selection import pool_predictions
-from tinydes.trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
-                           bootstrap_indices, generate_pool, predict_tree, train_tree)
+from tinydes.trees import (DecisionTree, ForestSpec, PoolConfig, bootstrap_indices,
+                           generate_pool, predict_tree, train_tree)
 
-from conftest import make_blobs
+from conftest import leaf, make_blobs, pool_of
 from tree_oracle import train_tree as recursive_train_tree
 
 
@@ -44,10 +44,10 @@ def exhaustive_best_split(X, y, n_classes):
     return best
 
 
-def validate_tree(t: DecisionTree) -> None:
+def validate_tree(t: DecisionTree, depth: int) -> None:
     """Full traversal check of the preorder/jump invariants: every node is
     reached once, right children come after their parent inside the tree,
-    and no path is deeper than the recorded depth."""
+    and no path is deeper than ``depth``."""
     n = t.n_nodes
     seen = np.zeros(n, dtype=bool)
     stack = [(0, 0)]
@@ -64,7 +64,7 @@ def validate_tree(t: DecisionTree) -> None:
         stack.append((right, d + 1))
         stack.append((pos + 1, d + 1))
     assert seen.all(), "unreachable nodes in tree"
-    assert max_depth <= t.depth, f"observed depth {max_depth} exceeds recorded {t.depth}"
+    assert max_depth <= depth, f"observed depth {max_depth} exceeds {depth}"
 
 
 def recursive_predict(tree: DecisionTree, x, pos=0):
@@ -89,9 +89,10 @@ class TestTrainTree:
         assert t.n_nodes == 3
         assert t.feature[0] == 0
         assert t.threshold[0] == pytest.approx(2.5)
-        assert predict_tree(t, [2.0]) == (0, 2)
-        assert predict_tree(t, [2.5]) == (0, 2)  # boundary goes left
-        assert predict_tree(t, [2.6]) == (1, 2)
+        pool = pool_of([t], 2)
+        assert predict_tree(pool, 0, [2.0]) == (0, 2)
+        assert predict_tree(pool, 0, [2.5]) == (0, 2)  # boundary goes left
+        assert predict_tree(pool, 0, [2.6]) == (1, 2)
 
     def test_depth_zero_majority_stump(self):
         d = dataset_1d([1, 2, 3, 4, 5], [0, 1, 1, 1, 2])
@@ -120,7 +121,7 @@ class TestTrainTree:
         data = make_blobs(n_per_class=60, n_features=6, n_classes=3, seed=2)
         for depth in (1, 2, 4, 7):
             t = train_tree(data, np.arange(data.n_samples), depth, 3, rng_seed=depth)
-            validate_tree(t)
+            validate_tree(t, depth)
             assert observed_depth(t) <= depth
 
     def test_root_split_matches_exhaustive_search(self):
@@ -158,10 +159,11 @@ class TestTrainTree:
     def test_brute_force_prediction_equivalence(self):
         data = make_blobs(n_per_class=50, n_features=5, n_classes=3, seed=4)
         t = train_tree(data, np.arange(data.n_samples), 6, 2, rng_seed=9)
-        labels, visits = pool_predictions(ClassifierPool((t,), ("A",), 0), data.features)
+        pool = pool_of([t], data.n_classes)
+        labels, visits = pool_predictions(pool, data.features)
         for i in range(data.n_samples):
             assert labels[0, i] == recursive_predict(t, data.features[i])
-            lab, vis = predict_tree(t, data.features[i])
+            lab, vis = predict_tree(pool, 0, data.features[i])
             assert (lab, vis) == (labels[0, i], visits[0, i])
 
 
@@ -177,7 +179,6 @@ def same_tree(a: DecisionTree, b: DecisionTree) -> None:
     np.testing.assert_array_equal(a.feature, b.feature)
     np.testing.assert_array_equal(a.threshold.view(np.uint32), b.threshold.view(np.uint32))
     np.testing.assert_array_equal(a.jump, b.jump)
-    assert (a.depth, a.n_classes) == (b.depth, b.n_classes)
 
 
 class TestAgainstRecursiveOracle:
@@ -212,7 +213,7 @@ class TestAgainstRecursiveOracle:
     def test_default_pool_trees(self, blob_data):
         # generate_pool's bootstraps and seeds, depths 10 and 5
         pool = generate_pool(blob_data, PoolConfig((ForestSpec(2, 10), ForestSpec(2, 5))), seed=4)
-        for i, (t, depth) in enumerate(zip(pool.trees, (10, 10, 5, 5))):
+        for i, (t, depth) in enumerate(zip(map(pool.tree, range(4)), (10, 10, 5, 5))):
             stream = SplitMix64(derive_seed(4, i))
             boot = bootstrap_indices(stream, blob_data.n_samples)
             same_tree(t, recursive_train_tree(blob_data, boot, depth, 3, stream.next()))
@@ -222,13 +223,15 @@ class TestNodeFieldCapacity:
     def test_feature_and_jump_out_of_range(self):
         # int16 would wrap 40000 to -25536, a leaf; uint16 70000 to 4464
         with pytest.raises(CapacityError, match="feature id 40000"):
-            DecisionTree([40000, -1, -1], [0.5, 0, 0], [2, 0, 1], 1, 2)
+            pool_of([([40000, -1, -1], [0.5, 0, 0], [2, 0, 1])], 2)
         with pytest.raises(CapacityError, match="jump 70000"):
-            DecisionTree([0, -1, -1], [0.5, 0, 0], [2, 0, 70000], 1, 2)
+            pool_of([([0, -1, -1], [0.5, 0, 0], [2, 0, 70000])], 2)
         with pytest.raises(CapacityError, match="jump -1"):
-            DecisionTree([0, -1, -1], [0.5, 0, 0], [2, -1, 1], 1, 2)
-        t = DecisionTree([32767, -32768, -1], [0.5, 0, 0], [2, 65535, 1], 1, 65536)
-        assert t.feature.tolist() == [32767, -32768, -1] and t.jump[1] == 65535
+            pool_of([([0, -1, -1], [0.5, 0, 0], [2, -1, 1])], 2)
+        with pytest.raises(CapacityError, match="class count 65536"):
+            pool_of([leaf(0)], 65536)
+        pool = pool_of([([32767, -32768, -1], [0.5, 0, 0], [2, 65534, 1])], 65535)
+        assert pool.feature.tolist() == [32767, -32768, -1] and pool.jump[1] == 65534
 
     def test_too_many_features_raise_before_growth(self):
         d = Dataset(np.eye(2, 32769, 32768, dtype=np.float32), np.array([0, 1], np.uint16), 2)
@@ -257,16 +260,18 @@ def observed_depth(t: DecisionTree) -> int:
 
 class TestPredictTree:
     def test_single_leaf(self):
-        t = DecisionTree(np.array([-1], np.int16), np.array([0.0], np.float32),
-                         np.array([4], np.uint16), 0, 5)
-        assert predict_tree(t, [123.0]) == (4, 1)
+        assert predict_tree(pool_of([leaf(4)], 5), 0, [123.0]) == (4, 1)
 
     def test_corrupt_jump_raises(self):
-        t = DecisionTree(np.array([0, -1, -1], np.int16),
-                         np.array([0.5, 0, 0], np.float32),
-                         np.array([9, 0, 1], np.uint16), 1, 2)
-        with pytest.raises(ModelCorruptError):
-            predict_tree(t, [1.0])
+        # a right child past the tree's end is rejected when the pool is built
+        with pytest.raises(ModelCorruptError, match="^tree 0: right-child jump violates preorder$"):
+            pool_of([([0, -1, -1], [0.5, 0, 0], [9, 0, 1])], 2)
+
+    def test_feature_beyond_input_length(self):
+        pool = pool_of([leaf(0), ([1, -1, -1], [0.5, 0, 0], [2, 0, 1])], 2)
+        with pytest.raises(ModelCorruptError, match="^node 0 references feature 1 beyond"):
+            predict_tree(pool, 1, [0.0])
+        assert predict_tree(pool, 1, [0.0, 0.0]) == (0, 2)
 
 
 class TestGeneratePool:
@@ -280,17 +285,15 @@ class TestGeneratePool:
         d = dataset_1d([1, 2, 3, 4], [0, 0, 0, 1])
         pool = generate_pool(d, PoolConfig((ForestSpec(1, 0),)), seed=1)
         assert pool.pool_size == 1
-        assert pool.trees[0].n_nodes == 1
+        assert pool.n_nodes == 1
 
     def test_seed_determinism(self, blob_data):
         cfg = PoolConfig((ForestSpec(4, 5), ForestSpec(3, 3)))
         p1 = generate_pool(blob_data, cfg, seed=8)
         p2 = generate_pool(blob_data, cfg, seed=8)
         assert p1.fingerprint() == p2.fingerprint()
-        for a, b in zip(p1.trees, p2.trees):
-            np.testing.assert_array_equal(a.feature, b.feature)
-            np.testing.assert_array_equal(a.threshold, b.threshold)
-            np.testing.assert_array_equal(a.jump, b.jump)
+        for col in ("feature", "threshold", "jump", "first", "count"):
+            np.testing.assert_array_equal(getattr(p1, col), getattr(p2, col))
 
     def test_different_seeds_differ(self, blob_data):
         cfg = PoolConfig((ForestSpec(4, 5),))
@@ -311,8 +314,8 @@ class TestGeneratePool:
 
     def test_all_trees_structurally_valid(self, blob_data):
         pool = generate_pool(blob_data, PoolConfig((ForestSpec(5, 6), ForestSpec(5, 3))), seed=6)
-        for t in pool.trees:
-            validate_tree(t)
+        for i, depth in enumerate([6] * 5 + [3] * 5):
+            validate_tree(pool.tree(i), depth)
 
 
 class TestBootstrap:

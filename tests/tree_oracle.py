@@ -147,6 +147,4 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
         np.array(feat_out, dtype=np.int16),
         np.array(thr_out, dtype=np.float32),
         np.array(jump_out, dtype=np.uint16),
-        depth=max_depth,
-        n_classes=n_classes,
     )
