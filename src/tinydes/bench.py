@@ -17,9 +17,8 @@ import numpy as np
 
 from ._rng import derive_seed
 from .cluster import assign_batch, fit_kmeans
-from .data import (Dataset, apply_standardizer, fit_standardizer,
-                   load_csv, load_idx, make_fold_plan, stratified_indices,
-                   stratified_split)
+from .data import (Dataset, apply_standardizer, desk_scale_rows, fit_standardizer,
+                   load_csv, load_idx, make_fold_plan, stratified_split)
 from .errors import IoError, NondeterminismError, TinyDesError
 from .selection import (build_competence_model, build_dsel, des_clustering_batch,
                         knora_e_batch, knora_regions, knora_u_batch,
@@ -51,12 +50,16 @@ class DatasetSpec:
         if isinstance(self.label_column, str) and re.fullmatch(r"-?[0-9]+", self.label_column):
             object.__setattr__(self, "label_column", int(self.label_column))
 
-    def load(self) -> Dataset:
+    def load(self, limit: int | None = None, seed: int = 0) -> Dataset:
+        """The dataset, or with a ``limit`` its class-stratified subset of
+        about ``limit`` rows (``desk_scale_rows``). A CSV is parsed whole and
+        then subset; an IDX pair's rows are picked from its label file, and
+        only those rows are converted and checked."""
         if self.csv is not None:
-            return load_csv(self.csv, self.label_column)
+            return desk_scale_subset(load_csv(self.csv, self.label_column), limit, seed)
         if self.images is None or self.labels is None:
             raise IoError(f"dataset {self.name!r} needs either csv= or images=+labels=")
-        return load_idx(self.images, self.labels)
+        return load_idx(self.images, self.labels, limit, seed)
 
 
 PROFILES = ("desk-scale", "full")
@@ -248,11 +251,11 @@ def _dataset_seed(master: int, name: str) -> int:
     return derive_seed(master, zlib.crc32(name.encode("utf-8")))
 
 
-def desk_scale_subset(d: Dataset, limit: int, seed: int) -> Dataset:
-    """Class-stratified subset of about `limit` samples."""
-    if d.n_samples <= limit:
-        return d
-    return d.subset(stratified_indices(d, limit / d.n_samples, seed))
+def desk_scale_subset(d: Dataset, limit: int | None, seed: int) -> Dataset:
+    """Class-stratified subset of about `limit` samples (``d`` itself when
+    it fits or there is no limit)."""
+    rows = desk_scale_rows(d.labels, d.n_classes, limit, seed)
+    return d if rows is None else d.subset(rows)
 
 
 def _method_key(method: str, params: str) -> str:
@@ -383,10 +386,8 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     cfg.validate()
     table = ResultTable(config=cfg)
     for spec in cfg.datasets:
-        full = spec.load()
         ds_seed = _dataset_seed(cfg.seed, spec.name)
-        limit = cfg.subset_limit()
-        data = desk_scale_subset(full, limit, derive_seed(ds_seed, 999)) if limit else full
+        data = spec.load(cfg.subset_limit(), derive_seed(ds_seed, 999))
         plan = make_fold_plan(data, cfg.n_splits, cfg.n_repeats, derive_seed(ds_seed, 0))
         per_method: dict[str, list[FoldRecord]] = {}
         model_bytes: dict[str, int] = {}

@@ -119,22 +119,18 @@ class FoldPlan:
 IDX_READ_CHUNK = 1 << 20
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    """Exactly ``n`` bytes of ``f``. They are read a chunk at a time, so a
-    forged header that declares more than the file holds (up to 2^96 bytes)
-    fails on the bytes present instead of requesting a buffer of its size;
-    this serves plain and gzip files alike."""
-    parts = []
-    left = n
-    while left:
-        part = f.read(min(left, IDX_READ_CHUNK))
+def _read_exact(f, n: int, what: str) -> bytearray:
+    """Exactly ``n`` bytes of ``f``. They are read a chunk at a time into one
+    growing buffer, so a forged header that declares more than the file
+    holds (up to 2^96 bytes) fails on the bytes present instead of
+    requesting a buffer of its size; this serves plain and gzip files alike."""
+    buf = bytearray()
+    while len(buf) < n:
+        part = f.read(min(n - len(buf), IDX_READ_CHUNK))
         if not part:
-            break
-        parts.append(part)
-        left -= len(part)
-    if left:
-        raise FormatError(f"truncated IDX file: expected {n} bytes for {what}, got {n - left}")
-    return b"".join(parts)
+            raise FormatError(f"truncated IDX file: expected {n} bytes for {what}, got {len(buf)}")
+        buf += part
+    return buf
 
 
 def _open_maybe_gz(path):
@@ -147,8 +143,13 @@ def _open_maybe_gz(path):
         raise IoError(f"cannot open {p}: {exc}") from exc
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label file pair (the MNIST family layout)."""
+def load_idx(images_path, labels_path, limit: int | None = None, seed: int = 0) -> Dataset:
+    """Load an IDX image/label file pair (the MNIST family layout).
+
+    Both files are read and checked whole. With a ``limit``, the rows of
+    :func:`desk_scale_rows` are picked from the label file, and only those
+    rows are converted to float32 and checked by ``Dataset``: the result of
+    ``desk_scale_subset`` on the full load, without its float32 matrix."""
     with _open_maybe_gz(images_path) as f:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
         if magic != IDX_IMAGE_MAGIC:
@@ -163,9 +164,13 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise FormatError(f"image count {count} != label count {n_labels}")
     if count < 1:
         raise FormatError("IDX pair contains no samples")
-    feats = np.frombuffer(pixels, dtype=np.uint8).astype(np.float32).reshape(count, rows * cols)
+    images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.uint16)
-    return Dataset(feats, labels, int(labels.max()) + 1)
+    n_classes = int(labels.max()) + 1
+    keep = desk_scale_rows(labels, n_classes, limit, seed)
+    if keep is not None:
+        images, labels = images[keep], labels[keep]
+    return Dataset(images.astype(np.float32), labels, n_classes)
 
 
 def load_csv(path, label_column) -> Dataset:
@@ -339,14 +344,15 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def stratified_indices(d: Dataset, fraction: float, seed: int) -> np.ndarray:
+def stratified_indices(labels: np.ndarray, n_classes: int, fraction: float,
+                       seed: int) -> np.ndarray:
     """Ascending row indices of the first part of :func:`stratified_split`:
     round-half-up(fraction * class_count) seeded picks of each class."""
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     first_sel = []
-    for cls in range(d.n_classes):
-        idx = np.nonzero(d.labels == cls)[0]
+    for cls in range(n_classes):
+        idx = np.nonzero(labels == cls)[0]
         if idx.size == 0:
             continue
         if idx.size < 2:
@@ -359,10 +365,21 @@ def stratified_indices(d: Dataset, fraction: float, seed: int) -> np.ndarray:
     return np.sort(np.concatenate(first_sel)) if first_sel else np.empty(0, dtype=np.int64)
 
 
+def desk_scale_rows(labels: np.ndarray, n_classes: int, limit: int | None,
+                    seed: int) -> np.ndarray | None:
+    """The rows of a class-stratified subset of about ``limit`` samples: the
+    ``limit / n`` part of :func:`stratified_indices`, or None (every row)
+    when there is no limit or the n rows fit within it."""
+    n = labels.shape[0]
+    if limit is None or n <= limit:
+        return None
+    return stratified_indices(labels, n_classes, limit / n, seed)
+
+
 def stratified_split(d: Dataset, fraction: float, seed: int):
     """Split into two class-stratified parts; the first receives
     round-half-up(fraction * class_count) samples of each class."""
-    first = stratified_indices(d, fraction, seed)
+    first = stratified_indices(d.labels, d.n_classes, fraction, seed)
     if first.size in (0, d.n_samples):
         counts = np.bincount(d.labels, minlength=d.n_classes).tolist()
         raise StratificationError(

@@ -1,5 +1,6 @@
 import re
 import string
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -220,6 +221,26 @@ class TestRunExperiment:
         assert sub.n_samples == 90
         assert np.bincount(sub.labels).tolist() == [30, 30, 30]
         assert desk_scale_subset(data, 5000, seed=1) is data
+
+    @pytest.mark.parametrize("limit", [None, 50, 180, 500])
+    def test_spec_load_takes_the_desk_scale_subset(self, csv_path, tmp_path, limit):
+        # a CSV is subset after parsing, an IDX pair before its pixels are
+        # converted; both must give the subset of the full load
+        rng = np.random.RandomState(2)
+        img, lab = tmp_path / "i", tmp_path / "l"
+        img.write_bytes(struct.pack(">IIII", 0x803, 180, 2, 3)
+                        + rng.randint(0, 256, 180 * 6, dtype=np.uint8).tobytes())
+        lab.write_bytes(struct.pack(">II", 0x801, 180)
+                        + rng.randint(0, 3, 180).astype(np.uint8).tobytes())
+        for spec in (DatasetSpec("c", csv=str(csv_path)),
+                     DatasetSpec("i", images=str(img), labels=str(lab))):
+            got = spec.load(limit, seed=9)
+            want = desk_scale_subset(spec.load(), limit, seed=9)
+            assert (got.n_samples < 180) == (limit is not None and limit < 180)
+            assert ((got.features.tobytes(), got.labels.tobytes(), got.n_classes,
+                     got.label_values)
+                    == (want.features.tobytes(), want.labels.tobytes(), want.n_classes,
+                        want.label_values))
 
 
 def count_distance_calls(monkeypatch):

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -19,10 +20,12 @@ from hypothesis import strategies as st
 import csv_oracle
 import tinydes
 from tinydes import data
+from tinydes.bench import desk_scale_subset
 from tinydes.data import (Dataset, Standardizer, apply_standardizer,
                           fit_standardizer, load_csv, load_idx, make_fold_plan,
                           stratified_indices, stratified_split)
-from tinydes.errors import FormatError, IoError, ShapeError, StratificationError
+from tinydes.errors import (FormatError, IoError, ShapeError, StratificationError,
+                            TinyDesError)
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows, cols, name="t"):
@@ -73,10 +76,7 @@ class TestLoadIdx:
 
     def test_gzipped_pair(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, [0, 255, 0, 255], [3], 2, 2)
-        for p in (img, lab):
-            gz = p.with_name(p.name + ".gz")
-            gz.write_bytes(gzip.compress(p.read_bytes()))
-        d = load_idx(str(img) + ".gz", str(lab) + ".gz")
+        d = load_idx(*gzip_pair(img, lab))
         assert d.n_samples == 1 and d.labels[0] == 3
 
     @pytest.mark.parametrize("gz", [False, True])
@@ -105,6 +105,113 @@ class TestLoadIdx:
         with pytest.raises(FormatError) as exc:
             load_idx(img, lab)
         assert str(exc.value) == "truncated IDX file: expected 10 bytes for label data, got 9"
+
+
+def gzip_pair(img, lab):
+    """Gzipped copies of an IDX pair, named as the loader expects."""
+    out = []
+    for p in (img, lab):
+        gz = p.with_name(p.name + ".gz")
+        gz.write_bytes(gzip.compress(p.read_bytes()))
+        out.append(gz)
+    return out
+
+
+def idx_outcome(load):
+    """What a load gives: the features' bytes, the labels and the class
+    count, or the exception's type and message."""
+    try:
+        d = load()
+    except TinyDesError as exc:
+        return ("raise", type(exc), str(exc))
+    return ("ok", d.features.shape, d.features.tobytes(), d.labels.tobytes(), d.n_classes)
+
+
+@st.composite
+def idx_pairs(draw):
+    """(pixels, labels, rows, cols) of a small IDX pair; labels up to 4, so
+    some classes have one sample and cannot be split."""
+    count = draw(st.integers(1, 40))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    labels = draw(st.lists(st.integers(0, 4), min_size=count, max_size=count))
+    pixels = draw(st.binary(min_size=count * rows * cols, max_size=count * rows * cols))
+    return pixels, labels, rows, cols
+
+
+def bad_pair(tmp_path, case):
+    """An IDX pair that fails to load as ``case`` says. Where it declares
+    rows, it declares 10, so a limit of 1 would subset it."""
+    img, lab = write_idx_pair(tmp_path, list(range(40)), list(range(10)), 2, 2)
+    if case in ("truncated_labels", "chunked_truncation"):
+        lab.write_bytes(struct.pack(">II", 0x801, 10) + bytes(range(9)))
+    elif case == "truncated_pixels":
+        img.write_bytes(struct.pack(">IIII", 0x803, 10, 2, 2) + bytes(39))
+    elif case == "bad_image_magic":
+        img.write_bytes(struct.pack(">IIII", 0x804, 10, 2, 2) + bytes(40))
+    elif case == "bad_label_magic":
+        lab.write_bytes(struct.pack(">II", 0x999, 10) + bytes(10))
+    elif case == "count_mismatch":
+        lab.write_bytes(struct.pack(">II", 0x801, 9) + bytes(9))
+    elif case == "no_samples":
+        img.write_bytes(struct.pack(">IIII", 0x803, 0, 2, 2))
+        lab.write_bytes(struct.pack(">II", 0x801, 0))
+    elif case.startswith("forged_header"):
+        img.write_bytes(struct.pack(">IIII", 0x803, *[0xFFFFFFFF] * 3) + bytes(4))
+    if case.endswith("_gz"):
+        img, lab = gzip_pair(img, lab)
+    return img, lab
+
+
+class TestLoadIdxLimit:
+    """A load with a limit picks its rows from the label file and converts
+    only those; it must give what the full load followed by
+    ``desk_scale_subset`` gives, and fail where and as the full load fails."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=idx_pairs(), gz=st.booleans(), extra=st.integers(-45, 3),
+           seed=st.integers(0, 2**64 - 1))
+    def test_matches_subset_of_full_load(self, tmp_path_factory, pair, gz, extra, seed):
+        pixels, labels, rows, cols = pair
+        img, lab = write_idx_pair(tmp_path_factory.mktemp("idx"), pixels, labels, rows, cols)
+        if gz:
+            img, lab = gzip_pair(img, lab)
+        limit = max(1, len(labels) + extra)  # below, at and above the row count
+        full = load_idx(img, lab)
+        expected = np.frombuffer(pixels, np.uint8).reshape(len(labels), rows * cols)
+        np.testing.assert_array_equal(full.features, expected.astype(np.float32))
+        np.testing.assert_array_equal(full.labels, labels)
+        assert full.n_classes == max(labels) + 1
+        assert idx_outcome(lambda: load_idx(img, lab, None, seed)) == idx_outcome(lambda: full)
+        assert (idx_outcome(lambda: load_idx(img, lab, limit, seed))
+                == idx_outcome(lambda: desk_scale_subset(full, limit, seed)))
+
+    @pytest.mark.parametrize("case", [
+        "truncated_labels", "truncated_pixels", "bad_image_magic", "bad_label_magic",
+        "count_mismatch", "no_samples", "forged_header", "forged_header_gz",
+        "chunked_truncation"])
+    def test_failure_same_with_limit(self, tmp_path, monkeypatch, case):
+        if case == "chunked_truncation":
+            monkeypatch.setattr(data, "IDX_READ_CHUNK", 3)
+        img, lab = bad_pair(tmp_path, case)
+        with pytest.raises(FormatError) as full:
+            load_idx(img, lab)
+        with pytest.raises(FormatError) as limited:
+            load_idx(img, lab, 1, seed=5)
+        assert str(limited.value) == str(full.value)
+
+    def test_peak_memory_below_full_float32_matrix(self, tmp_path):
+        n, width = 20000, 784
+        rng = np.random.RandomState(0)
+        img, lab = write_idx_pair(tmp_path, rng.randint(0, 256, n * width, dtype=np.uint8),
+                                  (np.arange(n) % 10).astype(np.uint8), 28, 28)
+        tracemalloc.start()
+        try:
+            d = load_idx(img, lab, 500, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.n_samples == 500 and d.n_classes == 10
+        assert peak < n * width * 4  # 62.7 MB, the full matrix in float32
 
 
 class TestLoadCsv:
@@ -568,7 +675,7 @@ class TestSplitProperties:
         labels, n_classes = layout
         d = row_id_dataset(labels, n_classes)
         n = len(labels)
-        ia = stratified_indices(d, fraction, seed)
+        ia = stratified_indices(d.labels, d.n_classes, fraction, seed)
         ib = np.setdiff1d(np.arange(n), ia)
         assert (np.diff(ia) > 0).all() and ia.dtype == np.int64
         counts = np.bincount(d.labels, minlength=n_classes)

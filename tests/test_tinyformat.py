@@ -117,6 +117,31 @@ class TestLoad:
         e = load_tiny(blob)
         assert (e.n_features, e.n_classes, e.k, e.j) == (8, 4, 3, 3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nf=st.integers(1, 5), n_classes=st.integers(1, 5),
+           k=st.integers(1, 4), j=st.integers(1, 5), pool_size=st.integers(1, 6))
+    def test_round_trip_random_pools(self, seed, nf, n_classes, k, j, pool_size):
+        rng = np.random.RandomState(seed)
+        trees = [random_tree(rng, nf, n_classes, 4) for _ in range(pool_size)]
+        pool = pool_of(trees, n_classes)
+        s = Standardizer(rng.randn(nf), np.exp(rng.randn(nf)))
+        centroids = rng.randn(k, nf).astype(np.float32)
+        ensembles = np.sort(rng.randint(0, pool_size, (k, j)), axis=1).astype(np.uint16)
+        cm = CompetenceModel(KMeansModel(centroids, k, 0.0, 0), np.ones((k, pool_size)),
+                             ensembles, j, j)
+        blob, manifest = export_tiny(s, cm, pool)
+        # the same inputs, and the same trees built into a second pool, give
+        # the same bytes
+        assert export_tiny(s, cm, pool) == (blob, manifest)
+        assert export_tiny(s, cm, pool_of(trees, n_classes)) == (blob, manifest)
+        engine = load_tiny(blob)
+        np.testing.assert_array_equal(engine.mean, s.mean)
+        np.testing.assert_array_equal(engine.inv_std, s.inv_std)
+        np.testing.assert_array_equal(engine.centroids, centroids)
+        for x in rng.randn(40, nf).astype(np.float32) * 3:
+            ref = des_clustering_predict(cm, pool, apply_standardizer(s, x))
+            assert engine.predict(x) == (ref.label, ref.cost)
+
     def test_truncated(self):
         s, cm, pool = minimal_model()
         blob, _ = export_tiny(s, cm, pool)
@@ -433,7 +458,8 @@ def spine_tree(n_internal, n_classes):
 class TestU16Edges:
     """A tree of 65,535 nodes and 65,535 classes round-trip through export
     and load; one more of either raises ``CapacityError`` when the pool is
-    built."""
+    built. A model whose ensembles reference 65,535 trees round-trips; one
+    that references 65,536 raises ``CapacityError`` at export."""
 
     def round_trip(self, pool, tree):
         """The engine of a one-cluster model whose ensemble is ``tree``
@@ -465,6 +491,27 @@ class TestU16Edges:
         assert engine.n_classes == 65535 and engine.predict([0.0]) == (65534, 2)
         with pytest.raises(CapacityError, match="^class count 65536 outside the uint16 field$"):
             pool_of([leaf(0)], 65536)
+
+    @pytest.mark.parametrize("retained", [65535, 65536])
+    def test_retained_classifiers(self, retained):
+        # k = 2 clusters of J = 32 768 single-leaf trees; at 65 535 the last
+        # tree fills the last two places of the second row
+        k, j = 2, 32768
+        pool = pool_of([leaf(t % 2) for t in range(retained)], 2)
+        ensembles = np.minimum(np.arange(k * j), retained - 1).reshape(k, j)
+        s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
+        cm = CompetenceModel(KMeansModel(np.array([[-1.0], [1.0]], np.float32), k, 0.0, 0),
+                             np.ones((k, retained)), ensembles.astype(np.uint16), j, j)
+        if retained == 65536:
+            with pytest.raises(CapacityError,
+                               match="^65536 retained classifiers exceed the u16 limit$"):
+                export_tiny(s, cm, pool)
+            return
+        engine = load_tiny(export_tiny(s, cm, pool)[0])
+        assert engine.pool_size == 65535
+        for x in (-1.0, 1.0):
+            ref = des_clustering_predict(cm, pool, np.array([x], np.float32))
+            assert engine.predict([x]) == (ref.label, ref.cost)
 
 
 def random_tree(rng, nf, n_classes, depth):
