@@ -9,22 +9,21 @@
 # 2-vCPU Intel Xeon, numpy 2.4, Python 3.11, BLAS and OpenMP pinned to one
 # thread:
 #
-#   best_split      30000x28, uint16 keys    52 ms   radix argsort: 60 ms;
-#                                                    float-value sort: 150 ms
-#   best_split      30000x28 pixels, uint8   51 ms   radix argsort: 52 ms;
-#                                                    float-value sort: 128 ms
-#   best_split      n=10, uint8, m=28        68 us   radix argsort: 85 us
-#                   n=10, uint16, m=8        48 us   radix argsort: 52 us
-#                   n=26, uint8, m=28        86 us   radix argsort: 95 us
-#                   n=26, uint16, m=8        57 us   radix argsort: 63 us
-#                   n=60, uint8, m=28       109 us   radix argsort: 126 us
-#                   n=60, uint16, m=8        66 us   radix argsort: 64 us
-#                   n=300, uint8, m=28      292 us   radix argsort: 384 us
-#                   n=300, uint16, m=8      124 us   radix argsort: 135 us
+#   best_split      30000x28, uint16 keys    52 ms   float-value sort: 150 ms
+#                   30000x28, uint32 keys    34 ms   int64 composites; uint16
+#                                                    keys in the same run: 24 ms
+#   best_split      30000x28 pixels, uint8   51 ms   float-value sort: 128 ms
+#   best_split      n=10, uint8, m=28        68 us
+#                   n=10, uint16, m=8        48 us
+#                   n=26, uint8, m=28        86 us
+#                   n=26, uint16, m=8        57 us
+#                   n=60, uint8, m=28       109 us
+#                   n=60, uint16, m=8        66 us
+#                   n=300, uint8, m=28      292 us
+#                   n=300, uint16, m=8      124 us
 #   rank_codes      1250x784 pixels          43 ms   once per pool
 #   sample_sorted_rows  128 x (28 of 784)   0.36 ms  128 per-node draws: 4.6 ms
-#   generate_pool   1250x784 pixel fold     705 ms   recursive train_tree and
-#                                                    radix argsort: 847 ms
+#   generate_pool   1250x784 pixel fold     705 ms
 #   tree_walk       one 2^16-pair block      21 ms   45-tree pool, 784 features
 #   pool_predictions  45 trees x 30000     343 ms   every (tree, row) pair, in
 #                                                    2^16-pair blocks
@@ -41,11 +40,9 @@
 #   tiny_infer      5000 probes             148 ms   per-probe tolist() of
 #                                                    the features: 239 ms
 #
-# The best_split and generate_pool rows are medians of ten runs of each
-# form, alternated in one process against the radix-argsort kernel and the
-# recursive train_tree (the pools' fingerprints were equal); a best_split
-# run is 2000 calls on one node, and the 30000-row rows are medians of
-# eight runs of five calls. The
+# The best_split and generate_pool rows are medians of ten runs; a
+# best_split run is 2000 calls on one node, and the 30000-row rows are
+# medians of eight runs of five calls (the uint32 row: one run of five). The
 # assign_clusters and tiny_infer rows were timed back to back with the
 # previous kernel on the same host, two runs of each, averaged. The
 # knora_regions and load_csv rows are medians of six runs of each form,
@@ -66,7 +63,7 @@ from tinydes.data import Dataset, apply_standardizer, fit_standardizer, load_csv
 from tinydes.selection import (REGION_CHUNK_CELLS, WALK_BLOCK_PAIRS, Dsel, _k_nearest,
                                knora_regions, pool_predictions)
 from tinydes.tinyformat import export_tiny, load_tiny
-from tinydes.trees import ForestSpec, PoolConfig, generate_pool
+from tinydes.trees import generate_pool
 
 
 def bench(label, fn, reps=5):
@@ -104,6 +101,8 @@ total_sq = int(totals @ totals)
 
 print("== split search (30000 samples x 28 candidate features) ==")
 bench("best_split (uint16 keys)", lambda: best_split(keys, y, classes, totals, total_sq))
+wide = np.ascontiguousarray(keys.T, dtype=np.uint32).T  # int64 composites
+bench("best_split (uint32 keys)", lambda: best_split(wide, y, classes, totals, total_sq))
 px = rng.randint(0, 256, (30000, 28)).astype(np.float32)
 px_keys = rank_codes(px)
 bench("best_split, pixels (uint8 keys)", lambda: best_split(px_keys, y, classes, totals, total_sq))
@@ -140,7 +139,7 @@ bench("generate_pool (45 trees, pixel fold)", lambda: generate_pool(fold, seed=7
 # walks them, block by block.
 print("== pool tree walk (45 trees, 30000 samples) ==")
 data = Dataset(X[:4000], y[:4000].astype(np.uint16), classes)
-pool = generate_pool(data, PoolConfig(), seed=3)
+pool = generate_pool(data, seed=3)
 pairs = np.arange(WALK_BLOCK_PAIRS)
 roots, rows = pool.first[pairs // n], pairs % n
 bench("tree_walk (one block of 2^16 pairs)",
@@ -184,7 +183,7 @@ from tinydes.selection import build_competence_model, build_dsel
 small = Dataset(X[:2000], y[:2000].astype(np.uint16), classes)
 s = fit_standardizer(small)
 std = Dataset(apply_standardizer(s, small.features), small.labels, classes)
-pool = generate_pool(std, PoolConfig((ForestSpec(10, 8),)), seed=1)
+pool = generate_pool(std, ((10, 8),), seed=1)
 dsel = build_dsel(pool, Dataset(X[2000:4000], y[2000:4000].astype(np.uint16), classes), s)
 km = fit_kmeans(dsel.samples, 5, seed=2)
 cm = build_competence_model(dsel, km, 8, 5)

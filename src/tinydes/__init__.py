@@ -18,8 +18,8 @@ from .selection import (CompetenceModel, Dsel, SelectionResult,
                         des_clustering_predict, single_best, static_selection)
 from .tinyformat import (TinyEngine, emit_static_source, export_tiny,
                          load_tiny, tiny_predict)
-from .trees import (ClassifierPool, DecisionTree, ForestSpec, PoolConfig,
-                    generate_pool, predict_tree, train_tree)
+from .trees import (ClassifierPool, DecisionTree, generate_pool, predict_tree,
+                    train_tree)
 
 __version__ = "0.1.0"
 
@@ -27,8 +27,8 @@ __all__ = [
     "BACKEND",
     "CapacityError", "ChecksumError", "ClassifierPool", "ClusterError",
     "CompetenceModel", "Dataset", "DecisionTree", "Dsel", "FoldPlan",
-    "ForestSpec", "FormatError", "IoError", "KMeansModel", "ModelCorruptError",
-    "NondeterminismError", "PoolConfig", "SelectionError", "SelectionResult",
+    "FormatError", "IoError", "KMeansModel", "ModelCorruptError",
+    "NondeterminismError", "SelectionError", "SelectionResult",
     "ShapeError", "Standardizer", "StratificationError", "TinyDesError",
     "TinyEngine", "apply_standardizer", "assign", "build_competence_model",
     "build_dsel", "des_clustering_predict", "emit_static_source",

@@ -40,20 +40,20 @@ BACKEND = "numpy"
 # node's rows. The kernel returns the node positions of the two rows around
 # the cut, and ``split_threshold`` turns their two values into the threshold.
 #
-# Comparison sort. numpy's stable argsort of uint8/uint16 keys is a radix
-# sort, which pays for its 256-bucket passes on every row however short.
-# Nodes below SMALL_NODE_ROWS rows cast keys and labels to int32, whose
-# stable argsort is a timsort (insertion sort on short rows): cheaper on a
-# few rows, far dearer on many. From there on, each uint8/uint16 key becomes the int32 composite
-# ``key << b | position`` (b position bits). Composites of one row are
-# distinct, so numpy's plain sort, a SIMD quicksort on x86, puts them in
-# exactly the order a stable argsort of the keys gives; ``& low`` recovers
-# the positions and ``>> b`` the keys. The node's labels sort the same way.
-# This holds while the key (or label) bits plus b fit in 31 bits: nodes below
-# 2^15 rows for uint16 keys and 2^23 for uint8, with at most 2^16 classes.
-# Larger nodes and other key dtypes keep their own stable argsort. On a
-# 2-vCPU AVX-512 Xeon (numpy 2.4), each path's kernel time over the radix
-# path's, mean of three random nodes per size, best of seven alternated runs:
+# Comparison sort. Nodes below SMALL_NODE_ROWS rows cast keys and labels to
+# int32 and take their stable argsort, a timsort (insertion sort on short
+# rows): cheapest on a few rows, far dearer on many. Codes are below the
+# sample count, itself below 2^31, so the cast is exact. Every other node
+# sorts composites ``key << b | position`` (b position bits). Composites of
+# one row are distinct, so numpy's plain sort, a SIMD quicksort on x86, puts
+# them in exactly the order a stable argsort of the keys gives; ``& low``
+# recovers the positions and ``>> b`` the keys. The node's labels sort the
+# same way. Composites are int32 while the key dtype's bits (or the label
+# bits) plus b fit in 31 bits, as for uint16 keys below 2^15 rows and uint8
+# keys below 2^23, and int64 otherwise. On a 2-vCPU AVX-512 Xeon (numpy
+# 2.4), each rule's kernel time over that of a kernel which stable-argsorts
+# the uint8/uint16 keys as they come (numpy's radix sort for those dtypes),
+# mean of three random nodes per size, best of seven alternated runs:
 #
 #   rows                 10    26    32    60   100   300  1000  3000  30000
 #   uint8,  m = 28
@@ -65,7 +65,7 @@ BACKEND = "numpy"
 #
 # (m = 28 and 8 are the candidate counts of 784 and 64 features.) With
 # uint16 keys at m = 8 the sorts are a small share of the kernel, which is
-# then the fixed cost of its ~35 numpy calls, so the paths differ little.
+# then the fixed cost of its ~35 numpy calls, so the rules differ little.
 #
 # It scores every candidate column in one vectorized pass. All columns
 # partition the same rows, so they share the class totals T. Walk a column
@@ -104,16 +104,14 @@ def rank_codes(X):
     return codes.T
 
 
-# Key dtypes that sort by comparison, with their width in bits, and the node
-# size below which they sort by a stable int32 argsort rather than as
-# composites; see "Comparison sort" above. Other key dtypes keep their own
-# stable argsort.
-COMPOSITE_KEY_BITS = {np.dtype(np.uint8): 8, np.dtype(np.uint16): 16}
+# Nodes below this many rows sort by a stable int32 argsort rather than as
+# composites; see "Comparison sort" above.
 SMALL_NODE_ROWS = 32
 
 
 def best_split(keys, labels, n_classes, totals, total_sq):
-    """Best split of a node over its (n, m) candidate ``keys``.
+    """Best split of a node over its (n, m) candidate ``keys``, unsigned
+    integer codes of at most 32 bits.
 
     ``labels`` are the node's class ids, ``totals`` their int64 class
     counts and ``total_sq`` the int ``totals @ totals``.
@@ -127,43 +125,33 @@ def best_split(keys, labels, n_classes, totals, total_sq):
         return -1, (-1, -1), -1.0, False
     total = totals if totals.dtype == np.int64 else totals.astype(np.int64)
     off = np.arange(0, m * n, n)[:, None]  # each column's first flat cell
-    b = (n - 1).bit_length()  # position bits of a composite key
-    key_bits = COMPOSITE_KEY_BITS.get(keys.dtype)
-    small = key_bits and n < SMALL_NODE_ROWS
-    if key_bits and not small and b + max(key_bits, (n_classes - 1).bit_length()) <= 31:
+    if n < SMALL_NODE_ROWS:
+        # stable timsorts of int32 keys and labels
+        kt = keys.T.astype(np.int32)
+        order = kt.argsort(axis=1, kind="stable")
+        sk = kt.take(order + off)
+        ys = labels.astype(np.int32).take(order)
+        by_class = ys.argsort(axis=1, kind="stable")
+    else:
         # key << b | position is distinct per row, so an unstable sort of
         # the composites orders rows as a stable argsort of the keys does
+        b = (n - 1).bit_length()  # position bits
+        fits = b + max(8 * keys.dtype.itemsize, (n_classes - 1).bit_length()) <= 31
+        ct = np.int32 if fits else np.int64
         low = (1 << b) - 1
-        pos = np.arange(n, dtype=np.int32)
-        sk = keys.T.astype(np.int32)
+        pos = np.arange(n, dtype=ct)
+        sk = keys.T.astype(ct)
         sk <<= b
         sk |= pos
         sk.sort(axis=1)
         order = sk & low
         sk >>= b
         ys = labels.take(order)
-        by_class = ys.astype(np.int32)
+        by_class = ys.astype(ct)
         by_class <<= b
         by_class |= pos
         by_class.sort(axis=1)
         by_class &= low
-    else:
-        # stable argsorts: a timsort of int32 keys for small nodes, else of
-        # the keys as they come (a radix sort for uint8/uint16)
-        if small:
-            kt = keys.T.astype(np.int32)
-            labels = labels.astype(np.int32)
-        else:
-            kt = keys.T  # one candidate column per row
-            if not kt.flags.c_contiguous:
-                kt = kt.copy()
-            lt = np.min_scalar_type(n_classes - 1)
-            if labels.dtype != lt:
-                labels = labels.astype(lt)
-        order = kt.argsort(axis=1, kind="stable")
-        sk = kt.take(order + off)
-        ys = labels.take(order)
-        by_class = ys.argsort(axis=1, kind="stable")
     start = total.cumsum() - total
     sl = np.empty((m, n), dtype=np.int64)
     sl.put(by_class + off, np.arange(1, 2 * n, 2) - (2 * start).repeat(total))

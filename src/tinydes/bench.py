@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import time
 import zlib
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .selection import (build_competence_model, build_dsel, des_clustering_batch
                         pool_predictions, single_best, static_selection,
                         vote_rows)
 from .tinyformat import export_tiny
-from .trees import ForestSpec, PoolConfig, generate_pool
+from .trees import DEFAULT_FORESTS, generate_pool
 
 METHOD_ORDER = ["single_best", "static_selection", "knora_u", "knora_e",
                 "des_clustering", "oracle"]
@@ -79,12 +79,9 @@ class ExperimentConfig:
     dsel_fraction: float = 0.5
     seed: int = 42
     out_dir: str = "results"
-    forests: tuple[tuple[int, int], ...] = tuple(map(astuple, PoolConfig().forests))
+    forests: tuple[tuple[int, int], ...] = DEFAULT_FORESTS  # (n_trees, max_depth) pairs
     profile: str = "desk-scale"  # one of PROFILES
     limit: int | None = None  # explicit subset size; None: profile default
-
-    def pool_config(self) -> PoolConfig:
-        return PoolConfig(tuple(ForestSpec(n, d) for n, d in self.forests))
 
     def subset_limit(self) -> int | None:
         if self.limit is not None:
@@ -92,7 +89,8 @@ class ExperimentConfig:
         return DESK_SCALE_LIMIT if self.profile == "desk-scale" else None
 
     def resolve_n_acc(self) -> int:
-        return -(-self.pool_config().pool_size // 2) if self.n_acc is None else self.n_acc
+        pool_size = sum(n for n, _ in self.forests)
+        return -(-pool_size // 2) if self.n_acc is None else self.n_acc
 
     def validate(self) -> None:
         for m in self.methods:
@@ -271,10 +269,10 @@ class _FoldOutcome:
     error: str = ""
 
 
-def fit_pool(train: Dataset, dsel_fraction: float, pool_config: PoolConfig,
-             seed: int):
+def fit_pool(train: Dataset, dsel_fraction: float, forests, seed: int):
     """Split ``train`` into pool-training rows and a DSEL, standardize on the
-    pool rows, grow the pool and build the DSEL.
+    pool rows, grow the forests' ``(n_trees, max_depth)`` pairs and build
+    the DSEL.
 
     Returns (standardizer, pool, dsel). The ``train`` command and every
     crossval fold fit through here, so a seed gives both the same pool.
@@ -284,7 +282,7 @@ def fit_pool(train: Dataset, dsel_fraction: float, pool_config: PoolConfig,
     s = fit_standardizer(pool_train)
     std_train = Dataset(apply_standardizer(s, pool_train.features), pool_train.labels,
                         train.n_classes)
-    pool = generate_pool(std_train, pool_config, derive_seed(seed, 2))
+    pool = generate_pool(std_train, forests, derive_seed(seed, 2))
     return s, pool, build_dsel(pool, dsel_part, s)
 
 
@@ -294,7 +292,7 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
 
     Returns (per-method outcomes dict, pool fingerprint).
     """
-    s, pool, dsel = fit_pool(train, cfg.dsel_fraction, cfg.pool_config(), fold_seed)
+    s, pool, dsel = fit_pool(train, cfg.dsel_fraction, cfg.forests, fold_seed)
     test_std = np.ascontiguousarray(apply_standardizer(s, test.features), dtype=np.float32)
     target = test.labels.astype(np.int64)
     n_test = test.n_samples

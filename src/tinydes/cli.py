@@ -23,7 +23,7 @@ from .tinyformat import emit_static_source, export_tiny, load_tiny
 
 def _add_dataset_flags(p):
     p.add_argument("--dataset", required=True,
-                   help="IDX image file or CSV file (.csv suffix switches modes)")
+                   help="IDX image file or CSV file (a .csv suffix, any case, switches modes)")
     p.add_argument("--labels", help="IDX label file (IDX mode)")
     p.add_argument("--label-column", default="-1",
                    help="CSV label column name or index (CSV mode)")
@@ -31,7 +31,7 @@ def _add_dataset_flags(p):
 
 def _spec_from_flags(args, name="cli") -> DatasetSpec:
     path = args.dataset
-    if path.endswith(".csv"):
+    if path.lower().endswith(".csv"):
         return DatasetSpec(name=name, csv=path, label_column=args.label_column)
     if not args.labels:
         raise TinyDesError("--labels is required for IDX datasets")
@@ -61,7 +61,7 @@ def cmd_train(args) -> int:
     data = _spec_from_flags(args).load()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    s, pool, dsel = fit_pool(data, cfg.dsel_fraction, cfg.pool_config(), cfg.seed)
+    s, pool, dsel = fit_pool(data, cfg.dsel_fraction, cfg.forests, cfg.seed)
     km = fit_kmeans(dsel.samples, cfg.k_clusters, derive_seed(cfg.seed, 3))
     for j in cfg.j_values:
         cm = build_competence_model(dsel, km, cfg.resolve_n_acc(), j)
@@ -135,7 +135,7 @@ def cmd_inspect(args) -> int:
     print(f"k_clusters         = {engine.k}")
     print(f"ensemble_size (J)  = {engine.j}")
     print(f"trees retained     = {engine.pool_size}")
-    print(f"node records       = {engine.node_feature.shape[0]}")
+    print(f"node records       = {len(engine.walk_feature)}")
     print(f"rom_estimate_bytes = {len(blob) - 4}")
     print("crc                = ok")
     return 0

@@ -321,10 +321,17 @@ def _parse_plain(text: str, label_column):
 
 
 def fit_standardizer(train: Dataset) -> Standardizer:
-    """Per-feature mean and 1/sigma (population std); constant features get inv_std=1."""
+    """Per-feature mean and 1/sigma (population std); constant features get inv_std=1.
+
+    Deviations are squared in float32; a column whose squares overflow that
+    (|x - mean| above ~1.8e19) has its variance recomputed in float64.
+    """
     feats = train.features
     mean = feats.mean(axis=0, dtype=np.float64)
-    var = np.square(feats - mean.astype(np.float32)).mean(axis=0, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        var = np.square(feats - mean.astype(np.float32)).mean(axis=0, dtype=np.float64)
+    wide = np.flatnonzero(~np.isfinite(var))
+    var[wide] = np.square(feats[:, wide] - mean[wide]).mean(axis=0)
     std = np.sqrt(var)
     inv = np.where(std > 0, 1.0 / np.where(std > 0, std, 1.0), 1.0)
     return Standardizer(mean.astype(np.float32), inv.astype(np.float32))

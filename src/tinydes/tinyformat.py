@@ -132,12 +132,12 @@ def export_tiny(s: Standardizer, cm: CompetenceModel, pool: ClassifierPool):
 class TinyEngine:
     """Loaded model view plus preallocated scratch; one engine per thread.
 
-    The numpy arrays hold the model's sections, which ``emit_static_source``
-    and ``inspect`` read. ``load_tiny`` also derives, once, the tables that
-    each probe walks, as Python lists: ``walk_feature``, ``walk_threshold``
-    (each float32 as the Python float of equal value) and ``walk_jump`` per
-    node record, and ``cluster_roots``, the first node of each of a
-    cluster's J trees. A probe standardizes into ``scratch_x`` and writes
+    The numpy arrays hold the model's other sections. The node records are
+    kept once, as the Python lists that each probe walks: ``walk_feature``,
+    ``walk_threshold`` (each float32 as the Python float of equal value) and
+    ``walk_jump``; ``emit_static_source`` and ``inspect`` read them too.
+    ``load_tiny`` also derives ``cluster_roots``, the first node of each of
+    a cluster's J trees. A probe standardizes into ``scratch_x`` and writes
     its centroid differences into ``scratch_diff``; the walk reads the
     features it needs through ``scratch_view``, a memoryview of
     ``scratch_x``. A probe then indexes no numpy scalar and copies no
@@ -154,9 +154,6 @@ class TinyEngine:
     centroids: np.ndarray
     ensembles: np.ndarray
     dir_offset: np.ndarray
-    node_feature: np.ndarray
-    node_threshold: np.ndarray
-    node_jump: np.ndarray
     walk_feature: list
     walk_threshold: list
     walk_jump: list
@@ -226,6 +223,8 @@ def load_tiny(data: bytes) -> TinyEngine:
     if ((dir_off + dir_cnt) > n_nodes).any():
         raise ModelCorruptError("tree directory points past the node pool")
 
+    # contiguous copies: check_nodes and tolist on the 8-byte-strided record
+    # fields make a load 7-10 % slower
     feat = np.ascontiguousarray(nodes["feature"])
     thr = np.ascontiguousarray(nodes["threshold"])
     jump = np.ascontiguousarray(nodes["right_jump"])
@@ -237,7 +236,7 @@ def load_tiny(data: bytes) -> TinyEngine:
     return TinyEngine(
         n_features=nf, n_classes=n_classes, pool_size=pool_size, k=k, j=j,
         mean=mean, inv_std=inv_std, centroids=centroids, ensembles=ensembles,
-        dir_offset=dir_off, node_feature=feat, node_threshold=thr, node_jump=jump,
+        dir_offset=dir_off,
         walk_feature=feat.tolist(), walk_threshold=thr.tolist(), walk_jump=jump.tolist(),
         cluster_roots=dir_off[ensembles].tolist(),
         scratch_x=scratch_x, scratch_view=memoryview(scratch_x),
@@ -294,9 +293,9 @@ def emit_static_source(model_bytes: bytes) -> str:
     out.append(_c_array("tinydes_centroids", "float", e.centroids.ravel(), _c_float))
     out.append(_c_array("tinydes_ensembles", "unsigned short", e.ensembles.ravel(), str))
     out.append(_c_array("tinydes_tree_offset", "unsigned long", e.dir_offset, lambda v: f"{v}ul"))
-    out.append(_c_array("tinydes_node_feature", "short", e.node_feature, str))
-    out.append(_c_array("tinydes_node_threshold", "float", e.node_threshold, _c_float))
-    out.append(_c_array("tinydes_node_jump", "unsigned short", e.node_jump, str))
+    out.append(_c_array("tinydes_node_feature", "short", e.walk_feature, str))
+    out.append(_c_array("tinydes_node_threshold", "float", e.walk_threshold, _c_float))
+    out.append(_c_array("tinydes_node_jump", "unsigned short", e.walk_jump, str))
     out.append("""
 int tinydes_predict(const float* x)
 {

@@ -1,4 +1,7 @@
-"""CART trees on flat preorder node arrays, and the two-forest pool.
+"""CART trees on flat preorder node arrays, and the pool of forests.
+
+A pool is described by its forests' ``(n_trees, max_depth)`` pairs alone;
+``DEFAULT_FORESTS`` is the paper's 25 trees of depth 10 and 20 of depth 5.
 
 Node layout: ``feature[i] < 0`` marks a leaf whose class id sits in
 ``jump[i]``. Internal nodes send ``x[feature] <= threshold`` to node ``i+1``
@@ -13,6 +16,7 @@ over those columns at once; ``predict_tree`` walks one sample through one tree.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,6 +29,7 @@ from .errors import CapacityError, ModelCorruptError
 from .data import Dataset
 
 LEAF = -1
+DEFAULT_FORESTS = ((25, 10), (20, 5))  # (n_trees, max_depth) per forest
 _CAND_BLOCK = 128  # candidate feature subsets drawn per block
 _MAX_FEATURES = 1 << 15  # feature ids must fit the int16 node field
 
@@ -49,22 +54,6 @@ class DecisionTree(NamedTuple):
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-
-@dataclass(frozen=True)
-class ForestSpec:
-    n_trees: int
-    max_depth: int
-
-
-@dataclass(frozen=True)
-class PoolConfig:
-    forests: tuple[ForestSpec, ...] = (ForestSpec(25, 10), ForestSpec(20, 5))
-    max_features: int | None = None  # None: floor(sqrt(n_features))
-
-    @property
-    def pool_size(self) -> int:
-        return sum(f.n_trees for f in self.forests)
 
 
 def check_nodes(feat, jump, first, count, n_features: int, n_classes: int) -> None:
@@ -266,27 +255,25 @@ def bootstrap_indices(rng: SplitMix64, n: int) -> np.ndarray:
     return (rng.next_block(n) % np.uint64(n)).astype(np.int64)
 
 
-def generate_pool(train: Dataset, config: PoolConfig | None = None, seed: int = 0) -> ClassifierPool:
-    """Train the configured forests on seeded bootstraps of ``train``.
+def generate_pool(train: Dataset, forests=DEFAULT_FORESTS, seed: int = 0) -> ClassifierPool:
+    """Train one forest per ``(n_trees, max_depth)`` pair on seeded
+    bootstraps of ``train``; each node draws isqrt(n_features) candidate
+    features, Breiman's floor(sqrt(d)).
 
     Per-tree streams derive from ``seed XOR mix64(tree_index)`` so the pool is
     identical whether trees are trained serially or in parallel.
     """
-    config = config or PoolConfig()
-    max_features = config.max_features
-    if max_features is None:
-        max_features = max(1, int(np.floor(np.sqrt(train.n_features))))
-    max_features = min(max_features, train.n_features)
+    max_features = math.isqrt(train.n_features)
     trees = []
     origins = []
     tree_index = 0
-    for fi, forest in enumerate(config.forests):
+    for fi, (n_trees, max_depth) in enumerate(forests):
         tag = chr(ord("A") + fi)
-        for _ in range(forest.n_trees):
+        for _ in range(n_trees):
             stream = SplitMix64(derive_seed(seed, tree_index))
             boot = bootstrap_indices(stream, train.n_samples)
             grow_seed = stream.next()
-            trees.append(train_tree(train, boot, forest.max_depth, max_features, grow_seed))
+            trees.append(train_tree(train, boot, max_depth, max_features, grow_seed))
             origins.append(tag)
             tree_index += 1
     return ClassifierPool.from_trees(trees, train.n_classes, origins, seed)

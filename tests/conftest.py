@@ -8,7 +8,7 @@ from tinydes.cluster import assign_batch, fit_kmeans
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer, stratified_split
 from tinydes.selection import (build_competence_model, build_dsel, knora_regions,
                                pool_predictions)
-from tinydes.trees import ClassifierPool, ForestSpec, PoolConfig, generate_pool, predict_tree
+from tinydes.trees import ClassifierPool, generate_pool, predict_tree
 
 
 def make_blobs(n_per_class=120, n_features=12, n_classes=4, seed=0, spread=1.0):
@@ -31,8 +31,7 @@ def build_pipeline(data, forests=((6, 6), (4, 3)), k=3, n_acc=6, j=3, seed=17,
     s = fit_standardizer(pool_train)
     std_train = Dataset(apply_standardizer(s, pool_train.features),
                         pool_train.labels, data.n_classes)
-    pool = generate_pool(std_train, PoolConfig(tuple(ForestSpec(n, d) for n, d in forests)),
-                         seed=seed + 1)
+    pool = generate_pool(std_train, forests, seed=seed + 1)
     dsel = build_dsel(pool, dsel_part, s)
     km = fit_kmeans(dsel.samples, k, seed=seed + 2)
     cm = build_competence_model(dsel, km, min(n_acc, pool.pool_size), j)

@@ -184,7 +184,7 @@ class TestCriterion5OracleDominance:
         one = replace(cfg, methods=("oracle",))
         outcomes, _ = bench._evaluate_fold(one, train, test, 9)
         orc = outcomes["oracle"].accuracy
-        s, pool, _ = bench.fit_pool(train, one.dsel_fraction, one.pool_config(), 9)
+        s, pool, _ = bench.fit_pool(train, one.dsel_fraction, one.forests, 9)
         equivalent = orc == oracle_accuracy(pool, test, s)
         record_criterion(
             "C5 oracle dominance and equivalence",

@@ -1,6 +1,7 @@
 import re
 import zlib
 
+import numpy as np
 import pytest
 
 from tinydes.cli import main
@@ -53,7 +54,6 @@ class TestTrain:
         assert not (tmp_path / "m" / "model_j2.tdes").exists()
 
     def test_idx_mode(self, tmp_path):
-        import numpy as np
         from test_data import write_idx_pair
         rng = np.random.RandomState(0)
         pixels = rng.randint(0, 256, 60 * 9).astype(np.uint8)
@@ -65,6 +65,14 @@ class TestTrain:
         assert rc == 0
         engine = load_tiny((tmp_path / "m" / "model_j2.tdes").read_bytes())
         assert engine.n_features == 9
+
+    def test_upper_case_csv_suffix(self, csv_path, tmp_path):
+        upper = tmp_path / "blobs.CSV"
+        upper.write_bytes(csv_path.read_bytes())
+        rc = main(["train", "--dataset", str(upper), "--j", "2", "--clusters", "2",
+                   "--n-acc", "4", "--seed", "3", "--out", str(tmp_path / "m")])
+        assert rc == 0
+        assert load_tiny((tmp_path / "m" / "model_j2.tdes").read_bytes()).n_features == 5
 
     def test_idx_without_labels_flag(self, tmp_path, capsys):
         rc = main(["train", "--dataset", str(tmp_path / "x-images-idx3-ubyte"),
@@ -143,6 +151,29 @@ class TestCrossval:
         assert rc == 0
         snap = (tmp_path / "rep2" / "config.txt").read_text()
         assert "seed = 12" in snap  # flag overrides file
+
+    def test_upper_case_csv_suffix(self, csv_path, tmp_path):
+        upper = tmp_path / "blobs.CSV"
+        upper.write_bytes(csv_path.read_bytes())
+        rc = main(["crossval", "--dataset", str(upper), "--method", "oracle",
+                   "--splits", "2", "--repeats", "1", "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert (tmp_path / "r" / "results.csv").exists()
+
+    def test_large_finite_column(self, tmp_path, capsys):
+        # deviations near 1e20 overflow a float32 square in fit_standardizer
+        rng = np.random.RandomState(0)
+        labels = rng.randint(0, 3, 300)
+        X = rng.randn(300, 4) + labels[:, None]
+        X[:, 1] *= 1e20
+        path = tmp_path / "big.csv"
+        path.write_text("".join(",".join(f"{v:.6g}" for v in row) + f",{y}\n"
+                                for row, y in zip(X, labels)))
+        rc = main(["crossval", "--dataset", str(path), "--method", "des_clustering",
+                   "--method", "oracle", "--j", "2", "--clusters", "2", "--splits", "2",
+                   "--repeats", "1", "--out", str(tmp_path / "r")])
+        assert rc == 0, capsys.readouterr().err
+        assert "FAILED" not in capsys.readouterr().out
 
     def test_no_dataset_errors(self, capsys):
         rc = main(["crossval"])

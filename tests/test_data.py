@@ -512,6 +512,25 @@ class TestStandardizer:
         with pytest.raises(ShapeError):
             Standardizer(np.zeros(2, np.float32), np.array([1.0, 0.0], np.float32))
 
+    def test_large_finite_column(self):
+        # deviations near 1e20 overflow a float32 square; that column's
+        # variance comes from float64, and every other column keeps its bits
+        rng = np.random.RandomState(3)
+        X = rng.randn(300, 4).astype(np.float32)
+        big = X.copy()
+        big[:, 1] *= np.float32(1e20)
+        labels = rng.randint(0, 2, 300).astype(np.uint16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = fit_standardizer(Dataset(big, labels, 2))
+        plain = fit_standardizer(Dataset(X, labels, 2))
+        rest = [0, 2, 3]
+        for got, want in ((s.mean, plain.mean), (s.inv_std, plain.inv_std)):
+            np.testing.assert_array_equal(got[rest].view(np.uint32), want[rest].view(np.uint32))
+        assert np.isfinite(s.inv_std).all() and (s.inv_std > 0).all()
+        want = 1.0 / big[:, 1].astype(np.float64).std()
+        assert s.inv_std[1] == pytest.approx(want, rel=1e-6)
+
 
 class TestStratifiedSplit:
     def test_round_half_up_counts(self):

@@ -16,7 +16,7 @@ from tinydes.selection import (CompetenceModel, Dsel, build_competence_model,
                                knora_e_batch, knora_regions, knora_u_batch,
                                single_best, static_selection, vote_rows)
 from tinydes.selection import _k_nearest
-from tinydes.trees import ForestSpec, PoolConfig, generate_pool
+from tinydes.trees import generate_pool
 
 from conftest import leaf, make_blobs, per_tree_predictions, pool_of, shared_inputs
 from knora_oracle import knora_e, knora_u
@@ -486,8 +486,7 @@ def tie_heavy_case(seed=2024):
     train_x = rng.randint(0, 4, size=(200, 3)).astype(np.float32)
     train_y = ((train_x[:, 0] + train_x[:, 1] + rng.randint(0, 2, 200))
                % n_classes).astype(np.uint16)
-    pool = generate_pool(Dataset(train_x, train_y, n_classes),
-                         PoolConfig((ForestSpec(5, 4), ForestSpec(4, 2))), seed=seed)
+    pool = generate_pool(Dataset(train_x, train_y, n_classes), ((5, 4), (4, 2)), seed=seed)
     base = rng.randint(0, 3, size=(20, 3)).astype(np.float32)
     samples = np.repeat(base, 3, axis=0)[rng.permutation(60)]
     labels = ((samples[:, 0] + samples[:, 1]) % n_classes).astype(np.uint16)

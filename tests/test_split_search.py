@@ -9,7 +9,6 @@ the kernel that read the values alongside the keys.
 """
 
 import struct
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 from tinydes import _kernels
 from tinydes._kernels import best_split, rank_codes, split_threshold
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer
-from tinydes.trees import ForestSpec, PoolConfig, generate_pool
+from tinydes.trees import generate_pool
 
 from split_oracle import value_best_split
 from test_trees import exhaustive_best_split
@@ -216,23 +215,18 @@ class TestAgainstValueOracle:
                                           values[:, col] <= np.float32(thr))
 
 
-def radix_path():
-    """Every key dtype takes the stable-argsort (radix) path."""
-    return mock.patch.dict(_kernels.COMPOSITE_KEY_BITS, clear=True)
-
-
 class TestSortPaths:
-    """uint8/uint16 keys sort as int32 below ``SMALL_NODE_ROWS`` rows and as
-    int32 composites above it while those fit; other nodes keep the keys' own
-    stable argsort. Each path against the value-reading kernel."""
+    """Keys sort as int32 below ``SMALL_NODE_ROWS`` rows and as composites
+    from there: int32 while the key or label bits plus the position bits fit
+    in 31, int64 otherwise. Each rule against the value-reading kernel."""
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.one_of(st.integers(2, 2 * _kernels.SMALL_NODE_ROWS), st.integers(2, 300)),
            m=st.integers(1, 28), n_classes=st.integers(1, 12), n_values=st.integers(1, 400),
-           wide=st.booleans(), radix=st.booleans(), row_major=st.booleans(),
+           wide=st.sampled_from([None, np.uint16, np.uint32]), row_major=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
-    def test_same_bits_as_value_oracle(self, n, m, n_classes, n_values, wide, radix,
-                                       row_major, seed):
+    def test_same_bits_as_value_oracle(self, n, m, n_classes, n_values, wide, row_major,
+                                       seed):
         rng = np.random.RandomState(seed)
         cells = rng.randint(0, n_values, (n, m))
         cells[:, rng.rand(m) < 0.2] = rng.randint(0, n_values)  # constant columns
@@ -242,12 +236,11 @@ class TestSortPaths:
         labels = rng.randint(0, n_classes, n)
         codes = rank_codes(values)
         if wide:
-            codes = np.ascontiguousarray(codes.T, dtype=np.uint16).T
-        assert codes.dtype in ((np.uint16,) if wide else (np.uint8, np.uint16))
+            codes = np.ascontiguousarray(codes.T, dtype=wide).T
+        assert codes.dtype in ((wide,) if wide else (np.uint8, np.uint16))
         if row_major:  # not the transpose of a C-contiguous (m, n) array
             codes = np.ascontiguousarray(codes)
-        with radix_path() if radix else mock.patch.dict({}):
-            got = split(values, labels, n_classes, codes)
+        got = split(values, labels, n_classes, codes)
         assert bits(got) == bits(value_best_split(values, labels, n_classes, codes))
 
     @pytest.mark.parametrize("n, n_classes", [
@@ -261,10 +254,26 @@ class TestSortPaths:
         values = np.stack([rng.permutation(n), rng.randint(0, 3, n)], axis=1).astype(np.float32)
         labels = rng.randint(0, 4, n) * (n_classes // 4)
         codes = np.ascontiguousarray(rank_codes(values).T, dtype=np.uint16).T
-        got = bits(split(values, labels, n_classes, codes))
-        assert got == bits(value_best_split(values, labels, n_classes, codes))
-        with radix_path():
-            assert bits(split(values, labels, n_classes, codes)) == got
+        assert bits(split(values, labels, n_classes, codes)) == \
+            bits(value_best_split(values, labels, n_classes, codes))
+
+    @pytest.mark.parametrize("n, distinct, n_classes, dtype", [
+        (70000, 70000, 10, np.uint32),  # uint32 codes: 32 key bits
+        (40000, 40000, 10, np.uint16),  # 16 key and 16 position bits
+        (33000, 200, 65537, np.uint8),  # 17 label and 16 position bits
+        (20, 20, 10, np.uint32),  # uint32 codes below SMALL_NODE_ROWS
+    ])
+    def test_int64_composites(self, n, distinct, n_classes, dtype):
+        rng = np.random.RandomState(n)
+        values = np.stack([rng.permutation(n) % distinct, rng.randint(0, 3, n)],
+                          axis=1).astype(np.float32)
+        labels = rng.randint(0, 4, n) * (n_classes // 4)
+        codes = rank_codes(values)
+        assert codes.dtype == (dtype if n >= _kernels.SMALL_NODE_ROWS else np.uint8)
+        codes = np.ascontiguousarray(codes.T, dtype=dtype).T
+        got = split(values, labels, n_classes, codes)
+        assert got[3]
+        assert bits(got) == bits(value_best_split(values, labels, n_classes, codes))
 
 
 class TestRankCodes:
@@ -368,6 +377,6 @@ class TestGoldenPools:
         (standardized_pixel_dataset, 0xEB9DA21E, 516),
     ])
     def test_fingerprint(self, make, fingerprint, n_nodes):
-        pool = generate_pool(make(), PoolConfig((ForestSpec(6, 7), ForestSpec(4, 3))), seed=5)
+        pool = generate_pool(make(), ((6, 7), (4, 3)), seed=5)
         assert pool.n_nodes == n_nodes
         assert pool.fingerprint() == fingerprint

@@ -469,7 +469,7 @@ class TestU16Edges:
                              np.ones((1, pool.pool_size)), np.array([[tree]], np.uint16), 1, 1)
         engine = load_tiny(export_tiny(s, cm, pool)[0])
         for name, col in zip(("feature", "threshold", "jump"), pool.tree(tree)):
-            np.testing.assert_array_equal(getattr(engine, "node_" + name), col)
+            np.testing.assert_array_equal(getattr(engine, "walk_" + name), col)
         for x in (-1.0, 0.5, 100.5, 32766.5, 40000.0):
             ref = des_clustering_predict(cm, pool, np.array([x], np.float32))
             assert engine.predict([x]) == (ref.label, ref.cost)
@@ -746,7 +746,7 @@ class TestEmitStaticSource:
                    + 4 * e.k * e.n_features        # centroids
                    + 2 * e.k * e.j                 # ensembles
                    + 8 * e.pool_size               # tree offsets (u32 stored as long)
-                   + 8 * e.node_feature.shape[0])  # 2 + 4 + 2 per node
+                   + 8 * len(e.walk_feature))      # 2 + 4 + 2 per node
         rom = int(next(line.split(" = ")[1] for line in manifest.splitlines()
                        if line.startswith("rom_estimate_bytes")))
         # manifest counts the 24-byte header and 6-byte directory entries;

@@ -10,8 +10,8 @@ from tinydes._rng import SplitMix64, derive_seed
 from tinydes.data import Dataset
 from tinydes.errors import CapacityError, ModelCorruptError
 from tinydes.selection import pool_predictions
-from tinydes.trees import (DecisionTree, ForestSpec, PoolConfig, bootstrap_indices,
-                           generate_pool, predict_tree, train_tree)
+from tinydes.trees import (DecisionTree, bootstrap_indices, generate_pool, predict_tree,
+                           train_tree)
 
 from conftest import leaf, make_blobs, pool_of
 from tree_oracle import train_tree as recursive_train_tree
@@ -212,7 +212,7 @@ class TestAgainstRecursiveOracle:
 
     def test_default_pool_trees(self, blob_data):
         # generate_pool's bootstraps and seeds, depths 10 and 5
-        pool = generate_pool(blob_data, PoolConfig((ForestSpec(2, 10), ForestSpec(2, 5))), seed=4)
+        pool = generate_pool(blob_data, ((2, 10), (2, 5)), seed=4)
         for i, (t, depth) in enumerate(zip(map(pool.tree, range(4)), (10, 10, 5, 5))):
             stream = SplitMix64(derive_seed(4, i))
             boot = bootstrap_indices(stream, blob_data.n_samples)
@@ -283,37 +283,23 @@ class TestGeneratePool:
 
     def test_single_stump_config(self):
         d = dataset_1d([1, 2, 3, 4], [0, 0, 0, 1])
-        pool = generate_pool(d, PoolConfig((ForestSpec(1, 0),)), seed=1)
+        pool = generate_pool(d, ((1, 0),), seed=1)
         assert pool.pool_size == 1
         assert pool.n_nodes == 1
 
     def test_seed_determinism(self, blob_data):
-        cfg = PoolConfig((ForestSpec(4, 5), ForestSpec(3, 3)))
-        p1 = generate_pool(blob_data, cfg, seed=8)
-        p2 = generate_pool(blob_data, cfg, seed=8)
+        p1 = generate_pool(blob_data, ((4, 5), (3, 3)), seed=8)
+        p2 = generate_pool(blob_data, ((4, 5), (3, 3)), seed=8)
         assert p1.fingerprint() == p2.fingerprint()
         for col in ("feature", "threshold", "jump", "first", "count"):
             np.testing.assert_array_equal(getattr(p1, col), getattr(p2, col))
 
     def test_different_seeds_differ(self, blob_data):
-        cfg = PoolConfig((ForestSpec(4, 5),))
-        assert generate_pool(blob_data, cfg, seed=1).fingerprint() != \
-               generate_pool(blob_data, cfg, seed=2).fingerprint()
-
-    def test_max_features_config(self, blob_data):
-        # only None means the default; 0 and negatives are rejected, and
-        # more than the feature count clamps to it
-        for m in (0, -1):
-            cfg = PoolConfig((ForestSpec(1, 3),), max_features=m)
-            with pytest.raises(ValueError, match="max_features must be at least 1"):
-                generate_pool(blob_data, cfg, seed=1)
-        n = blob_data.n_features
-        wide, full = (PoolConfig((ForestSpec(2, 4),), max_features=m) for m in (n + 1, n))
-        assert generate_pool(blob_data, wide, seed=1).fingerprint() == \
-               generate_pool(blob_data, full, seed=1).fingerprint()
+        assert generate_pool(blob_data, ((4, 5),), seed=1).fingerprint() != \
+               generate_pool(blob_data, ((4, 5),), seed=2).fingerprint()
 
     def test_all_trees_structurally_valid(self, blob_data):
-        pool = generate_pool(blob_data, PoolConfig((ForestSpec(5, 6), ForestSpec(5, 3))), seed=6)
+        pool = generate_pool(blob_data, ((5, 6), (5, 3)), seed=6)
         for i, depth in enumerate([6] * 5 + [3] * 5):
             validate_tree(pool.tree(i), depth)
 
