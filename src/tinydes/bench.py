@@ -8,6 +8,7 @@ main report files are byte-reproducible under a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import re
 import time
 import zlib
@@ -29,6 +30,10 @@ from .trees import DEFAULT_FORESTS, generate_pool
 
 METHOD_ORDER = ["single_best", "static_selection", "knora_u", "knora_e",
                 "des_clustering", "oracle"]
+# report labels, formatted with the value of the method's "name=value" params
+METHOD_LABELS = {"single_best": "Single Best", "static_selection": "Static Selection",
+                 "knora_u": "KNORA-U (k={})", "knora_e": "KNORA-E (k={})",
+                 "des_clustering": "DES-Clustering_{}", "oracle": "Oracle"}
 
 # KNORA-U and KNORA-E share one query-to-DSEL distance matrix per fold,
 # which is still out of budget for the full-size image datasets; they stay
@@ -88,9 +93,12 @@ class ExperimentConfig:
             return self.limit
         return DESK_SCALE_LIMIT if self.profile == "desk-scale" else None
 
+    @property
+    def pool_size(self) -> int:
+        return sum(n for n, _ in self.forests)
+
     def resolve_n_acc(self) -> int:
-        pool_size = sum(n for n, _ in self.forests)
-        return -(-pool_size // 2) if self.n_acc is None else self.n_acc
+        return -(-self.pool_size // 2) if self.n_acc is None else self.n_acc
 
     def validate(self) -> None:
         for m in self.methods:
@@ -113,6 +121,9 @@ class ExperimentConfig:
         if self.limit is not None and self.limit < 1:
             raise IoError(f"limit must be at least 1, got {self.limit}")
         n_acc = self.resolve_n_acc()
+        if not 1 <= n_acc <= self.pool_size:
+            raise IoError(f"n_acc must be from 1 to the pool size {self.pool_size}, "
+                          f"got {n_acc}")
         if "des_clustering" in self.methods and max(self.j_values) > n_acc:
             raise IoError(f"J {max(self.j_values)} exceeds the accuracy shortlist "
                           f"N_acc={n_acc}")
@@ -231,7 +242,6 @@ class ResultRow:
     mean_accuracy: float
     std_accuracy: float
     mean_cost: float
-    mean_wall_per_inference_s: float
     model_bytes: int
     n_folds: int
     status: str = "ok"
@@ -254,10 +264,6 @@ def desk_scale_subset(d: Dataset, limit: int | None, seed: int) -> Dataset:
     it fits or there is no limit)."""
     rows = desk_scale_rows(d.labels, d.n_classes, limit, seed)
     return d if rows is None else d.subset(rows)
-
-
-def _method_key(method: str, params: str) -> str:
-    return f"{method}|{params}" if params else method
 
 
 @dataclass
@@ -301,10 +307,10 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
 
     dsel_bytes = dsel.samples.nbytes + dsel.labels.nbytes
     std_bytes = 8 * s.n_features
-    outcomes: dict[str, _FoldOutcome] = {}
+    outcomes: dict[tuple[str, str], _FoldOutcome] = {}
 
     def run(method: str, params: str, fn):
-        key = _method_key(method, params)
+        key = (method, params)
         t0 = time.perf_counter()
         try:
             acc, cost, model_bytes = fn()
@@ -317,13 +323,19 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
 
     # KNORA-U and KNORA-E share one region search, made by whichever runs
     # first; a search that fails caches nothing, so each fails alike.
-    region_cache = []
+    @functools.cache
+    def regions():
+        return knora_regions(dsel, test_std, cfg.k_neighbors)
+
+    # one k-means and one cluster assignment per fold serve every J
+    @functools.cache
+    def clustering():
+        km = fit_kmeans(dsel.samples, cfg.k_clusters, derive_seed(fold_seed, 3))
+        return km, assign_batch(km, dsel.samples), assign_batch(km, test_std)
 
     def _knora(batch_fn):
-        if not region_cache:
-            region_cache.append(knora_regions(dsel, test_std, cfg.k_neighbors))
         labels, costs = batch_fn(dsel, pool, test_std, cfg.k_neighbors, preds, visits,
-                                 region_cache[0])
+                                 regions())
         return (float((labels == target).mean()), float(costs.mean()),
                 8 * pool.n_nodes + std_bytes + dsel_bytes)
 
@@ -349,17 +361,10 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
         elif method == "knora_e":
             run(method, f"k={cfg.k_neighbors}", lambda: _knora(knora_e_batch))
         elif method == "des_clustering":
-            # one k-means and one cluster assignment per fold serve every J
-            km_cache = []
-            n_acc = min(cfg.resolve_n_acc(), pool.pool_size)
             for j in cfg.j_values:
                 def _dc(j=j):
-                    if not km_cache:
-                        km = fit_kmeans(dsel.samples, cfg.k_clusters, derive_seed(fold_seed, 3))
-                        km_cache.append((km, assign_batch(km, dsel.samples),
-                                         assign_batch(km, test_std)))
-                    km, member_of, clusters = km_cache[0]
-                    cm = build_competence_model(dsel, km, n_acc, j, member_of)
+                    km, member_of, clusters = clustering()
+                    cm = build_competence_model(dsel, km, cfg.resolve_n_acc(), j, member_of)
                     labels, costs = des_clustering_batch(cm, pool, test_std, preds, visits,
                                                          clusters)
                     blob, _ = export_tiny(s, cm, pool)
@@ -387,50 +392,43 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         ds_seed = _dataset_seed(cfg.seed, spec.name)
         data = spec.load(cfg.subset_limit(), derive_seed(ds_seed, 999))
         plan = make_fold_plan(data, cfg.n_splits, cfg.n_repeats, derive_seed(ds_seed, 0))
-        per_method: dict[str, list[FoldRecord]] = {}
-        model_bytes: dict[str, int] = {}
-        errors: dict[str, str] = {}
+        per_method: dict[tuple[str, str], list[FoldRecord]] = {}
+        model_bytes: dict[tuple[str, str], int] = {}
+        errors: dict[tuple[str, str], str] = {}
         for repeat, fold, train_idx, test_idx in plan.iter_folds():
             fold_seed = derive_seed(ds_seed, 1 + repeat * cfg.n_splits + fold)
             outcomes, fingerprint = _evaluate_fold(
                 cfg, data.subset(train_idx), data.subset(test_idx), fold_seed)
             for key, oc in outcomes.items():
-                method, _, params = key.partition("|")
                 if oc.error:
                     errors[key] = oc.error
                     continue
                 per_method.setdefault(key, []).append(FoldRecord(
-                    spec.name, method, params, repeat, fold,
+                    spec.name, *key, repeat, fold,
                     oc.accuracy, oc.mean_cost, oc.wall_s, fingerprint))
                 model_bytes[key] = oc.model_bytes
         for key in sorted(per_method, key=_method_sort_key):
             records = per_method[key]
-            method, _, params = key.partition("|")
+            method, params = key
             accs = np.array([r.accuracy for r in records])
             table.rows.append(ResultRow(
                 dataset=spec.name, method=method, params=params,
                 mean_accuracy=float(accs.mean()),
                 std_accuracy=float(accs.std()),  # population std, like the tables
                 mean_cost=float(np.mean([r.mean_cost for r in records])),
-                mean_wall_per_inference_s=float(np.mean([r.wall_per_inference_s for r in records])),
                 model_bytes=model_bytes[key],
                 n_folds=len(records)))
             table.fold_records.extend(records)
         for key, err in sorted(errors.items()):
-            method, _, params = key.partition("|")
-            table.rows.append(ResultRow(spec.name, method, params,
-                                        float("nan"), float("nan"), float("nan"), 0.0,
-                                        0, 0, status="failed", error=err))
+            table.rows.append(ResultRow(spec.name, *key, float("nan"), float("nan"),
+                                        float("nan"), 0, 0, status="failed", error=err))
     return table
 
 
-def _method_sort_key(key: str):
-    method, _, params = key.partition("|")
-    rank = METHOD_ORDER.index(method) if method in METHOD_ORDER else len(METHOD_ORDER)
-    jnum = 0
-    if params.startswith("J="):
-        jnum = int(params[2:])
-    return (rank, jnum, params)
+def _method_sort_key(key: tuple[str, str]) -> tuple[int, int]:
+    """A (method, params) key's report order: METHOD_ORDER, then J."""
+    method, params = key
+    return METHOD_ORDER.index(method), int(params[2:]) if params.startswith("J=") else 0
 
 
 def measure_inference(engine, probes: Dataset, warmup: int = 1, reps: int = 3):
@@ -505,7 +503,7 @@ def emit_report(table: ResultTable, out_dir) -> dict[str, str]:
             raise IoError(f"cannot write {p}: {exc}") from exc
         paths[name] = str(p)
 
-    rows = sorted(table.rows, key=lambda r: (r.dataset, _method_sort_key(_method_key(r.method, r.params))))
+    rows = sorted(table.rows, key=lambda r: (r.dataset, _method_sort_key((r.method, r.params))))
     lines = ["dataset,method,params,mean_accuracy,std_accuracy,mean_cost,model_bytes,n_folds,status,error"]
     for r in rows:
         lines.append(",".join([
@@ -514,7 +512,7 @@ def emit_report(table: ResultTable, out_dir) -> dict[str, str]:
     write("results.csv", "\n".join(lines) + "\n")
 
     frecs = sorted(table.fold_records,
-                   key=lambda r: (r.dataset, _method_sort_key(_method_key(r.method, r.params)),
+                   key=lambda r: (r.dataset, _method_sort_key((r.method, r.params)),
                                   r.repeat, r.fold))
     lines = ["dataset,method,params,repeat,fold,accuracy,mean_cost,pool_fingerprint"]
     for r in frecs:
@@ -530,20 +528,10 @@ def emit_report(table: ResultTable, out_dir) -> dict[str, str]:
     write("timings.csv", "\n".join(lines) + "\n")
 
     datasets = sorted({r.dataset for r in rows})
-    label_of = {}
-    for r in rows:
-        if r.method == "des_clustering":
-            label_of[_method_key(r.method, r.params)] = f"DES-Clustering_{r.params[2:]}"
-        elif r.method == "knora_u":
-            label_of[_method_key(r.method, r.params)] = f"KNORA-U ({r.params})"
-        elif r.method == "knora_e":
-            label_of[_method_key(r.method, r.params)] = f"KNORA-E ({r.params})"
-        else:
-            label_of[_method_key(r.method, r.params)] = {
-                "single_best": "Single Best", "static_selection": "Static Selection",
-                "oracle": "Oracle"}.get(r.method, r.method)
+    label_of = {(r.method, r.params): METHOD_LABELS[r.method].format(r.params.partition("=")[2])
+                for r in rows}
     keys = sorted(label_of, key=_method_sort_key)
-    cell = {(r.dataset, _method_key(r.method, r.params)): r for r in rows}
+    cell = {(r.dataset, r.method, r.params): r for r in rows}
     width = max(len(v) for v in label_of.values()) + 2
 
     def grid(value_fn, title):
@@ -553,7 +541,7 @@ def emit_report(table: ResultTable, out_dir) -> dict[str, str]:
         for key in keys:
             row = label_of[key].ljust(width)
             for d in datasets:
-                r = cell.get((d, key))
+                r = cell.get((d, *key))
                 row += f"{value_fn(r):>16}" if r is not None else f"{'-':>16}"
             out_lines.append(row)
         return "\n".join(out_lines) + "\n"

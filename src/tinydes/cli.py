@@ -58,6 +58,7 @@ def _settings(args) -> dict:
 
 def cmd_train(args) -> int:
     cfg = ExperimentConfig(**_settings(args))
+    cfg.validate()
     data = _spec_from_flags(args).load()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,19 +1,10 @@
 """Compact flat-binary model (.tdes), its Python engine, C89 emitter.
 
-File layout, little-endian throughout (see docs/FORMAT.md for a worked hex
-example):
-
-    header     24 B   magic "TDES", version u32, n_features u32,
-                      n_classes u16, pool_size u16, k u16, J u16,
-                      n_nodes_total u32
-    standard.  8*F B  mean f32[F], inv_std f32[F]
-    centroids  4*K*F  f32[K][F]
-    ensembles  2*K*J  u16[K][J], classifier ids after dead-tree remapping
-    directory  6*P B  (node_offset u32, node_count u16) per retained tree;
-                      offsets count 8-byte node records from the pool start
-    node pool  8*N B  (feature i16, threshold f32, right_jump u16) records
-    padding    0-3 B  zeros to a 4-byte boundary
-    crc32      4 B    poly 0xEDB88320 (reflected) over all preceding bytes
+A file is the 24-byte ``HEADER`` (magic "TDES", version u32, n_features u32,
+n_classes u16, pool_size u16, k u16, J u16, n_nodes_total u32), then the
+sections of ``_layout`` in file order, zero padding to a 4-byte boundary,
+and a crc32 (poly 0xEDB88320, reflected) over all preceding bytes; all
+little-endian. docs/FORMAT.md has the same table and a worked hex example.
 
 Only trees referenced by an ensemble row are stored; the manifest sidecar
 records the remap table and per-section byte sizes.
@@ -21,6 +12,8 @@ records the remap table and per-section byte sizes.
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -37,17 +30,20 @@ from .trees import ClassifierPool, check_nodes
 MAGIC = b"TDES"
 VERSION = 1
 HEADER = struct.Struct("<4sIIHHHHI")
-DIR_ENTRY = struct.Struct("<IH")
+# per retained tree: its first node, counted in records from the node
+# section's start, and its node count
+DIR_DTYPE = np.dtype([("off", "<u4"), ("cnt", "<u2")])
 NODE_DTYPE = np.dtype([("feature", "<i2"), ("threshold", "<f4"), ("right_jump", "<u2")])
 
 
-def _check_node_layout(dtype: np.dtype) -> None:
-    """Node records are packed 8-byte structs; any other size breaks offsets."""
-    if dtype.itemsize != 8:
-        raise FormatError(f"node record is {dtype.itemsize} bytes, the format needs 8")
-
-
-_check_node_layout(NODE_DTYPE)
+def _layout(nf: int, pool_size: int, k: int, j: int, n_nodes: int):
+    """The sections after the header, in file order, as (name, dtype,
+    shape); the names are the manifest's ``bytes.*`` keys."""
+    return (("standardizer", np.dtype("<f4"), (2, nf)),  # mean row, then inv_std row
+            ("centroids", np.dtype("<f4"), (k, nf)),
+            ("ensembles", np.dtype("<u2"), (k, j)),  # classifier ids after remapping
+            ("directory", DIR_DTYPE, (pool_size,)),
+            ("nodes", NODE_DTYPE, (n_nodes,)))
 
 
 def _pad_to4(n: int) -> int:
@@ -60,12 +56,7 @@ def export_tiny(s: Standardizer, cm: CompetenceModel, pool: ClassifierPool):
     Returns (model bytes, manifest text). Trees no ensemble references are
     dropped and classifier ids remapped; the manifest records the mapping.
     """
-    nf = s.n_features
-    if cm.kmeans.n_features != nf:
-        raise ShapeError("standardizer and centroid widths differ")
-    n_classes = pool.n_classes
-    k = cm.kmeans.k
-    j = cm.j
+    nf, k, j = s.n_features, cm.kmeans.k, cm.j
     referenced = np.unique(cm.per_cluster_ensemble).astype(np.int64)
     if referenced.max(initial=0) >= pool.pool_size:
         raise ModelCorruptError("ensemble references a classifier outside the pool")
@@ -73,46 +64,38 @@ def export_tiny(s: Standardizer, cm: CompetenceModel, pool: ClassifierPool):
         raise CapacityError(f"{referenced.size} retained classifiers exceed the u16 limit")
     if k > 65535 or j > 65535:
         raise CapacityError("cluster/ensemble count exceeds the u16 limit")
-    remap = {int(old): new for new, old in enumerate(referenced)}
 
     # the retained trees' node ranges, cut from the pool's checked columns
     count = pool.count[referenced]
     offsets = count.cumsum() - count
     n_nodes_total = int(count.sum())
     take = (pool.first[referenced] - offsets).repeat(count) + np.arange(n_nodes_total)
-    records = np.empty(n_nodes_total, dtype=NODE_DTYPE)
-    records["feature"] = pool.feature[take]
-    records["threshold"] = pool.threshold[take]
-    records["right_jump"] = pool.jump[take]
-
-    parts = [HEADER.pack(MAGIC, VERSION, nf, n_classes, referenced.size, k, j, n_nodes_total)]
-    parts.append(s.mean.astype("<f4").tobytes())
-    parts.append(s.inv_std.astype("<f4").tobytes())
-    parts.append(cm.kmeans.centroids.astype("<f4").tobytes())
-    ens = np.vectorize(remap.__getitem__, otypes=[np.uint16])(cm.per_cluster_ensemble)
-    parts.append(ens.astype("<u2").tobytes())
-    parts += [DIR_ENTRY.pack(off, cnt) for off, cnt in zip(offsets.tolist(), count.tolist())]
-    parts.append(records.tobytes())
-    body = b"".join(parts)
-    padding = _pad_to4(len(body))
-    body += b"\x00" * padding
-    blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-
-    sizes = {
-        "header": HEADER.size,
-        "standardizer": 8 * nf,
-        "centroids": 4 * k * nf,
-        "ensembles": 2 * k * j,
-        "directory": DIR_ENTRY.size * referenced.size,
-        "nodes": 8 * n_nodes_total,
-        "padding": padding,
-        "crc": 4,
+    values = {
+        "standardizer": (s.mean, s.inv_std),
+        "centroids": cm.kmeans.centroids,
+        "ensembles": np.searchsorted(referenced, cm.per_cluster_ensemble),
+        "directory": np.rec.fromarrays((offsets, count), dtype=DIR_DTYPE),
+        "nodes": np.rec.fromarrays((pool.feature[take], pool.threshold[take], pool.jump[take]),
+                                   dtype=NODE_DTYPE),
     }
+    parts = {"header": HEADER.pack(MAGIC, VERSION, nf, pool.n_classes, referenced.size, k, j,
+                                   n_nodes_total)}
+    for name, dtype, shape in _layout(nf, referenced.size, k, j, n_nodes_total):
+        section = np.asarray(values[name], dtype)
+        if section.shape != shape:
+            raise ShapeError(f"{name} section is {section.shape}, the header implies {shape}")
+        parts[name] = section.tobytes()
+    body = b"".join(parts.values())
+    parts["padding"] = bytes(_pad_to4(len(body)))
+    body += parts["padding"]
+    parts["crc"] = struct.pack("<I", zlib.crc32(body))
+    blob = body + parts["crc"]
+
     lines = [
         "format = tdes",
         f"version = {VERSION}",
         f"n_features = {nf}",
-        f"n_classes = {n_classes}",
+        f"n_classes = {pool.n_classes}",
         f"k_clusters = {k}",
         f"ensemble_size = {j}",
         f"pool_size_source = {pool.pool_size}",
@@ -120,7 +103,7 @@ def export_tiny(s: Standardizer, cm: CompetenceModel, pool: ClassifierPool):
         f"trees_dropped = {pool.pool_size - referenced.size}",
         f"n_nodes_total = {n_nodes_total}",
     ]
-    lines += [f"bytes.{name} = {val}" for name, val in sizes.items()]
+    lines += [f"bytes.{name} = {len(part)}" for name, part in parts.items()]
     lines.append(f"bytes.total = {len(blob)}")
     lines.append(f"rom_estimate_bytes = {len(blob) - 4}")
     lines += [f"remap.{new} = {int(old)}" for new, old in enumerate(referenced)]
@@ -167,12 +150,6 @@ class TinyEngine:
         return tiny_predict(self, raw_x)
 
 
-def _slice(buf: bytes, start: int, nbytes: int, what: str) -> bytes:
-    if start + nbytes > len(buf):
-        raise FormatError(f"model truncated inside {what}")
-    return buf[start : start + nbytes]
-
-
 def load_tiny(data: bytes) -> TinyEngine:
     """Validate magic, version, CRC and every index bound; never repairs."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
@@ -186,52 +163,35 @@ def load_tiny(data: bytes) -> TinyEngine:
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
     (stored_crc,) = struct.unpack_from("<I", buf, len(buf) - 4)
-    if zlib.crc32(buf[:-4]) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(buf[:-4]) != stored_crc:
         raise ChecksumError("crc32 mismatch")
     if nf < 1 or n_classes < 1 or pool_size < 1 or k < 1 or j < 1:
         raise FormatError("zero-sized section in header")
 
-    body = HEADER.size + 8 * nf + 4 * k * nf + 2 * k * j + DIR_ENTRY.size * pool_size + 8 * n_nodes
+    layout = _layout(nf, pool_size, k, j, n_nodes)
+    sizes = [dtype.itemsize * math.prod(shape) for _, dtype, shape in layout]
+    body = HEADER.size + sum(sizes)
     expected = body + _pad_to4(body) + 4
     if expected != len(buf):
         raise FormatError(f"file is {len(buf)} bytes; header implies {expected}")
+    starts = itertools.accumulate(sizes, initial=HEADER.size)
+    standardizer, centroids, ensembles, directory, nodes = (
+        np.frombuffer(buf, dtype, math.prod(shape), start).reshape(shape)
+        for (_, dtype, shape), start in zip(layout, starts))
 
-    pos = HEADER.size
-    mean = np.frombuffer(_slice(buf, pos, 4 * nf, "mean"), dtype="<f4")
-    pos += 4 * nf
-    inv_std = np.frombuffer(_slice(buf, pos, 4 * nf, "inv_std"), dtype="<f4")
-    pos += 4 * nf
-    centroids = np.frombuffer(_slice(buf, pos, 4 * k * nf, "centroids"), dtype="<f4").reshape(k, nf)
-    pos += 4 * k * nf
-    ensembles = np.frombuffer(_slice(buf, pos, 2 * k * j, "ensembles"), dtype="<u2").reshape(k, j)
-    pos += 2 * k * j
-    directory = np.frombuffer(_slice(buf, pos, 6 * pool_size, "directory"),
-                              dtype=np.dtype([("off", "<u4"), ("cnt", "<u2")]))
-    pos += 6 * pool_size
-    nodes = np.frombuffer(_slice(buf, pos, 8 * n_nodes, "nodes"), dtype=NODE_DTYPE)
-
-    if not np.isfinite(mean).all() or not np.isfinite(inv_std).all():
+    if not np.isfinite(standardizer).all():
         raise ModelCorruptError("non-finite standardizer values")
     if not np.isfinite(centroids).all():
         raise ModelCorruptError("non-finite centroid values")
     if (ensembles >= pool_size).any():
         raise ModelCorruptError("ensemble entry references a missing tree")
     dir_off = directory["off"].astype(np.int64)
-    dir_cnt = directory["cnt"].astype(np.int64)
-    if (dir_cnt < 1).any():
-        raise ModelCorruptError("empty tree in directory")
-    if ((dir_off + dir_cnt) > n_nodes).any():
-        raise ModelCorruptError("tree directory points past the node pool")
-
     # contiguous copies: check_nodes and tolist on the 8-byte-strided record
     # fields make a load 7-10 % slower
-    feat = np.ascontiguousarray(nodes["feature"])
-    thr = np.ascontiguousarray(nodes["threshold"])
-    jump = np.ascontiguousarray(nodes["right_jump"])
-    if not np.isfinite(thr).all():
-        raise ModelCorruptError("non-finite node threshold")
-    check_nodes(feat, jump, dir_off, dir_cnt, nf, n_classes)
+    feat, thr, jump = (np.ascontiguousarray(nodes[name]) for name in NODE_DTYPE.names)
+    check_nodes(feat, thr, jump, dir_off, directory["cnt"].astype(np.int64), nf, n_classes)
 
+    mean, inv_std = standardizer
     scratch_x = np.empty(nf, dtype=np.float32)
     return TinyEngine(
         n_features=nf, n_classes=n_classes, pool_size=pool_size, k=k, j=j,

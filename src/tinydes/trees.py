@@ -56,10 +56,12 @@ class DecisionTree(NamedTuple):
         return len(self.feature)
 
 
-def check_nodes(feat, jump, first, count, n_features: int, n_classes: int) -> None:
-    """Raise for the first tree, in directory order, with a faulty node: an
-    internal node's feature >= n_features, else a right-child jump outside
-    (position in the tree, node count), else a leaf class >= n_classes.
+def check_nodes(feat, thr, jump, first, count, n_features: int, n_classes: int) -> None:
+    """Raise ``ModelCorruptError`` for a tree with no nodes, else a
+    directory range past the node columns, else a non-finite threshold.
+    Then raise for the first tree, in directory order, with a faulty node:
+    an internal node's feature >= n_features, else a right-child jump
+    outside (position in the tree, node count), else a leaf class >= n_classes.
 
     Directory ranges may overlap or leave gaps, so each fault is taken as a
     maximum over each tree's node range: one ``maximum.reduceat`` per column
@@ -68,6 +70,12 @@ def check_nodes(feat, jump, first, count, n_features: int, n_classes: int) -> No
     ``first`` needs g - first < jump, that is g + 1 - jump <= first.
     """
     n = feat.shape[0]
+    if (count < 1).any():
+        raise ModelCorruptError("empty tree in directory")
+    if (first + count > n).any():
+        raise ModelCorruptError("tree directory points past the node pool")
+    if not np.isfinite(thr).all():
+        raise ModelCorruptError("non-finite node threshold")
     internal = feat >= 0
     # one spare entry per column: a tree may end at n, and reduceat needs index n
     code = np.zeros(n + 1, dtype=np.int8)  # 2: feature out of range, 1: leaf class
@@ -110,7 +118,7 @@ class ClassifierPool:
     def from_trees(cls, trees, n_classes: int, origins, seed: int) -> ClassifierPool:
         """Lay the (feature, threshold, jump) trees end to end. A value too
         wide for a node field, the u16 node count or the u16 class count
-        raises ``CapacityError``; an empty tree or bad layout, ``ModelCorruptError``."""
+        raises ``CapacityError``; a layout ``check_nodes`` rejects, ``ModelCorruptError``."""
         if not trees:
             raise ModelCorruptError("pool has no trees")
         feature, threshold, jump = (np.concatenate(col) for col in zip(*trees))
@@ -119,11 +127,9 @@ class ClassifierPool:
         _field(n_classes, np.uint16, "class count")
         feature = _field(feature, np.int16, "feature id")
         jump = _field(jump, np.uint16, "jump")
-        if count.min() < 1:
-            raise ModelCorruptError("empty tree in directory")
-        first = count.cumsum() - count
-        check_nodes(feature, jump, first, count, _MAX_FEATURES, n_classes)
         threshold = threshold.astype(np.float32)
+        first = count.cumsum() - count
+        check_nodes(feature, threshold, jump, first, count, _MAX_FEATURES, n_classes)
         for col in (feature, threshold, jump):
             col.flags.writeable = False
         return cls(feature, threshold, jump, first, count, int(n_classes), tuple(origins), seed)

@@ -279,7 +279,7 @@ class TestSharedKnoraRegions:
         for key, oc in outcomes.items():
             assert not oc.error, key
             alone, _ = bench._evaluate_fold(
-                small_config("unused.csv", tmp_path, methods=(key.partition("|")[0],)),
+                small_config("unused.csv", tmp_path, methods=(key[0],)),
                 *fold_data, 11)
             assert (oc.accuracy, oc.mean_cost) == (alone[key].accuracy, alone[key].mean_cost)
 

@@ -49,7 +49,16 @@ class TestTrain:
         rc = main(["train", "--dataset", str(csv_path), "--j", "2", "--clusters", "2",
                    "--n-acc", "0", "--out", str(tmp_path / "m")])
         assert rc == 1
-        assert re.search(r"SelectionError: need 1 <= J\(2\) <= N_acc\(0\)",
+        assert re.search(r"IoError: n_acc must be from 1 to the pool size 45, got 0",
+                         capsys.readouterr().err)
+        assert not (tmp_path / "m" / "model_j2.tdes").exists()
+
+    @pytest.mark.parametrize("fraction", ["0", "1.5"])
+    def test_bad_dsel_fraction_rejected(self, csv_path, tmp_path, capsys, fraction):
+        rc = main(["train", "--dataset", str(csv_path), "--j", "2", "--clusters", "2",
+                   "--dsel-fraction", fraction, "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert re.search(r"^error: IoError: dsel_fraction must be in \(0, 1\)",
                          capsys.readouterr().err)
         assert not (tmp_path / "m" / "model_j2.tdes").exists()
 
@@ -186,14 +195,16 @@ class TestCrossval:
         assert rc == 1
 
     @pytest.mark.parametrize("line", BAD_CONFIG_LINES + [
-        "profile = fulll", "limit = 0", "limit = -5", "forests = 2:-1", "forests = 0:3"])
+        "profile = fulll", "limit = 0", "limit = -5", "forests = 2:-1", "forests = 0:3",
+        "n_acc = 100"])
     def test_bad_config_file_typed_error(self, csv_path, tmp_path, capsys, line):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"n_splits = 2\n{line}\ndataset.blobs.csv = {csv_path}\n")
         rc = main(["crossval", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 1
         assert re.search(r"^error: IoError: (bad config line|profile must be one of"
-                         r"|limit must be at least 1|every forest needs n >= 1)",
+                         r"|limit must be at least 1|every forest needs n >= 1"
+                         r"|n_acc must be from 1 to the pool size 45, got 100)",
                          capsys.readouterr().err)
         assert not (tmp_path / "r").exists()
 

@@ -14,9 +14,8 @@ from tinydes.errors import (CapacityError, ChecksumError, FormatError,
                             ModelCorruptError, ShapeError, TinyDesError)
 from tinydes.selection import (CompetenceModel, build_competence_model,
                                des_clustering_predict)
-from tinydes.tinyformat import (HEADER, NODE_DTYPE, _check_node_layout,
-                                emit_static_source, export_tiny, load_tiny,
-                                tiny_predict)
+from tinydes.tinyformat import (HEADER, NODE_DTYPE, emit_static_source,
+                                export_tiny, load_tiny, tiny_predict)
 from tinydes.trees import DecisionTree
 
 from conftest import build_pipeline, leaf, make_blobs, pool_of
@@ -99,15 +98,19 @@ class TestExport:
 
     def test_manifest_section_sums(self, trained):
         p = trained
-        blob, manifest = export_tiny(p["standardizer"], p["cm"], p["pool"])
-        sizes = {}
-        for line in manifest.splitlines():
-            if line.startswith("bytes."):
-                key, val = line.split(" = ")
-                sizes[key[6:]] = int(val)
-        section_sum = sum(v for k, v in sizes.items() if k not in ("crc", "total"))
-        assert section_sum == len(blob) - 4
-        assert sizes["total"] == len(blob)
+        assert_manifest_sums(*export_tiny(p["standardizer"], p["cm"], p["pool"]))
+
+
+def assert_manifest_sums(blob, manifest):
+    """The manifest's ``bytes.*`` sections add up to the blob."""
+    sizes = {}
+    for line in manifest.splitlines():
+        if line.startswith("bytes."):
+            key, val = line.split(" = ")
+            sizes[key[6:]] = int(val)
+    section_sum = sum(v for k, v in sizes.items() if k not in ("crc", "total"))
+    assert section_sum == len(blob) - 4
+    assert sizes["total"] == len(blob)
 
 
 class TestLoad:
@@ -134,6 +137,7 @@ class TestLoad:
         # the same bytes
         assert export_tiny(s, cm, pool) == (blob, manifest)
         assert export_tiny(s, cm, pool_of(trees, n_classes)) == (blob, manifest)
+        assert_manifest_sums(blob, manifest)
         engine = load_tiny(blob)
         np.testing.assert_array_equal(engine.mean, s.mean)
         np.testing.assert_array_equal(engine.inv_std, s.inv_std)
@@ -416,10 +420,17 @@ class TestOneLayoutCheck:
            edits=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(["feature", "jump",
                                                                             "class"]),
                                     st.integers(0, 12)), max_size=4),
+           bad_threshold=st.tuples(st.integers(0, 2**16),  # a node, one time in three
+                                   st.sampled_from([None] * 6 + [np.nan, np.inf, -np.inf])),
            empty=st.lists(st.integers(0, 15), max_size=2))
-    def test_pool_raises_what_the_loop_gives(self, seed, n_classes, depths, edits, empty):
+    def test_pool_raises_what_the_loop_gives(self, seed, n_classes, depths, edits,
+                                             bad_threshold, empty):
         rng = np.random.RandomState(seed)
         trees = [[a.tolist() for a in random_tree(rng, 3, n_classes, d)] for d in depths]
+        pick, value = bad_threshold
+        if value is not None:
+            thr = trees[pick % len(trees)][1]
+            thr[pick % len(thr)] = value
         for pick, what, value in edits:
             feat, _, jump = trees[pick % len(trees)]
             if what == "feature":  # leaves and internal nodes turn into each other
@@ -753,8 +764,3 @@ class TestEmitStaticSource:
         # the source stores offsets as wider integers. Allow that slack.
         assert abs(emitted - rom) <= 24 + 2 * e.pool_size + 3
 
-
-def test_node_layout_check_raises_typed_error():
-    _check_node_layout(np.dtype([("a", "<i2"), ("b", "<f4"), ("c", "<u2")]))
-    with pytest.raises(FormatError, match="9 bytes"):
-        _check_node_layout(np.dtype([("a", "<i2"), ("b", "<f4"), ("c", "<u2"), ("d", "u1")]))
