@@ -9,21 +9,20 @@
 # 2-vCPU Intel Xeon, numpy 2.4, Python 3.11, BLAS and OpenMP pinned to one
 # thread:
 #
-#   best_split      30000x28, uint16 keys    52 ms   float-value sort: 150 ms
-#                   30000x28, uint32 keys    34 ms   int64 composites; uint16
-#                                                    keys in the same run: 24 ms
-#   best_split      30000x28 pixels, uint8   51 ms   float-value sort: 128 ms
-#   best_split      n=10, uint8, m=28        68 us
-#                   n=10, uint16, m=8        48 us
-#                   n=26, uint8, m=28        86 us
-#                   n=26, uint16, m=8        57 us
-#                   n=60, uint8, m=28       109 us
-#                   n=60, uint16, m=8        66 us
-#                   n=300, uint8, m=28      292 us
-#                   n=300, uint16, m=8      124 us
+#   best_split      30000x28, uint16 keys    31 ms   put-scatter form: 40 ms
+#                   30000x28, uint32 keys    51 ms   int64 composites; 54 ms
+#   best_split      30000x28 pixels, uint8   37 ms   put-scatter form: 44 ms
+#   best_split      n=10, uint8, m=28        56 us   put-scatter form: 62 us
+#                   n=10, uint16, m=8        29 us                    31 us
+#                   n=26, uint8, m=28        57 us                    62 us
+#                   n=26, uint16, m=8        33 us                    35 us
+#                   n=60, uint8, m=28        90 us                   100 us
+#                   n=60, uint16, m=8        66 us                    74 us
+#                   n=300, uint8, m=28      283 us                   336 us
+#                   n=300, uint16, m=8      120 us                   140 us
 #   rank_codes      1250x784 pixels          43 ms   once per pool
 #   sample_sorted_rows  128 x (28 of 784)   0.36 ms  128 per-node draws: 4.6 ms
-#   generate_pool   1250x784 pixel fold     705 ms
+#   generate_pool   1250x784 pixel fold     650 ms   put-scatter form: 734 ms
 #   tree_walk       one 2^16-pair block      21 ms   45-tree pool, 784 features
 #   pool_predictions  45 trees x 30000     343 ms   every (tree, row) pair, in
 #                                                    2^16-pair blocks
@@ -40,9 +39,12 @@
 #   tiny_infer      5000 probes             148 ms   per-probe tolist() of
 #                                                    the features: 239 ms
 #
-# The best_split and generate_pool rows are medians of ten runs; a
-# best_split run is 2000 calls on one node, and the 30000-row rows are
-# medians of eight runs of five calls (the uint32 row: one run of five). The
+# The best_split and generate_pool rows time this script's inputs with
+# split_constants built once, as train_tree builds them once per tree. They
+# are medians of nine rounds in one process, each round timing this kernel
+# and the put-scatter form in turn (a put in place of the third sort, int64
+# prefix sums, aranges built per node): 2000 calls on one small node, five
+# on a 30000-row node, three pools. The
 # assign_clusters and tiny_infer rows were timed back to back with the
 # previous kernel on the same host, two runs of each, averaged. The
 # knora_regions and load_csv rows are medians of six runs of each form,
@@ -57,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from tinydes._kernels import (assign_clusters, best_split, pairwise_sqdist, rank_codes,
-                              tree_walk)
+                              split_constants, tree_walk)
 from tinydes._rng import SplitMix64
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer, load_csv
 from tinydes.selection import (REGION_CHUNK_CELLS, WALK_BLOCK_PAIRS, Dsel, _k_nearest,
@@ -98,14 +100,16 @@ sub = np.ascontiguousarray(X[:, :28])
 keys = rank_codes(sub)  # (n, m) view of C-contiguous (m, n) codes, as train_tree gathers
 totals = np.bincount(y, minlength=classes)
 total_sq = int(totals @ totals)
+consts = split_constants(n, 28)  # as train_tree builds them, once per tree
 
 print("== split search (30000 samples x 28 candidate features) ==")
-bench("best_split (uint16 keys)", lambda: best_split(keys, y, classes, totals, total_sq))
+bench("best_split (uint16 keys)", lambda: best_split(keys, y, classes, totals, total_sq, consts))
 wide = np.ascontiguousarray(keys.T, dtype=np.uint32).T  # int64 composites
-bench("best_split (uint32 keys)", lambda: best_split(wide, y, classes, totals, total_sq))
+bench("best_split (uint32 keys)", lambda: best_split(wide, y, classes, totals, total_sq, consts))
 px = rng.randint(0, 256, (30000, 28)).astype(np.float32)
 px_keys = rank_codes(px)
-bench("best_split, pixels (uint8 keys)", lambda: best_split(px_keys, y, classes, totals, total_sq))
+bench("best_split, pixels (uint8 keys)",
+      lambda: best_split(px_keys, y, classes, totals, total_sq, consts))
 
 # Small nodes, where most split searches fall: pixel codes (mostly the zero
 # code) at pixels784's 28 candidates, continuous codes at float64's 8.
@@ -118,10 +122,11 @@ for n_rows in (10, 26, 60, 300):
     k8 = np.where(srng.rand(28, n_rows) < 0.7, 0, srng.randint(1, 256, (28, n_rows)))
     k8 = k8.astype(np.uint8)
     k16 = srng.randint(0, 3000, (8, n_rows)).astype(np.uint16)
+    c28, c8 = split_constants(n_rows, 28), split_constants(n_rows, 8)
     bench(f"best_split n={n_rows}, uint8 keys, m=28",
-          lambda: best_split(k8.T, yn, classes, tn, tn_sq), reps=2000)
+          lambda: best_split(k8.T, yn, classes, tn, tn_sq, c28), reps=2000)
     bench(f"best_split n={n_rows}, uint16 keys, m=8",
-          lambda: best_split(k16.T, yn, classes, tn, tn_sq), reps=2000)
+          lambda: best_split(k16.T, yn, classes, tn, tn_sq, c8), reps=2000)
 
 # One pixels784 pool's training rows, one block of train_tree's candidate
 # feature subsets, and the default 45-tree pool grown on a pixel-like fold

@@ -5,7 +5,7 @@ double-fault counts are vectorized numpy; the engine's per-probe
 ``tiny_infer`` is plain Python (see "Compact-engine inference"). They share
 one arithmetic contract:
 
-  * split scores are exact int64 class-count sums divided once in float64;
+  * split scores are exact integer class-count sums divided once in float64;
     the kernel scores all candidate columns at once from the class totals
     they share, in the order of integer rank codes (see "Split search");
   * tree walks compare float32 values against float32 thresholds;
@@ -17,6 +17,8 @@ accumulation order. ``benchmarks/kernel_bench.py`` times the kernels.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -24,8 +26,8 @@ BACKEND = "numpy"
 
 # ---------------------------------------------------------------------------
 # Split search: maximize sum_children( sum_c count_c^2 / n_child ).
-# Equivalent to minimizing weighted Gini impurity; counts are exact int64 and
-# each child contributes one float64 division. Ties resolve to the smallest
+# Equivalent to minimizing weighted Gini impurity; counts are exact integers
+# and each child contributes one float64 division. Ties resolve to the smallest
 # feature id, then the smallest threshold.
 #
 # The kernel reads integer keys only, never the float values. ``rank_codes``
@@ -48,24 +50,7 @@ BACKEND = "numpy"
 # one row are distinct, so numpy's plain sort, a SIMD quicksort on x86, puts
 # them in exactly the order a stable argsort of the keys gives; ``& low``
 # recovers the positions and ``>> b`` the keys. The node's labels sort the
-# same way. Composites are int32 while the key dtype's bits (or the label
-# bits) plus b fit in 31 bits, as for uint16 keys below 2^15 rows and uint8
-# keys below 2^23, and int64 otherwise. On a 2-vCPU AVX-512 Xeon (numpy
-# 2.4), each rule's kernel time over that of a kernel which stable-argsorts
-# the uint8/uint16 keys as they come (numpy's radix sort for those dtypes),
-# mean of three random nodes per size, best of seven alternated runs:
-#
-#   rows                 10    26    32    60   100   300  1000  3000  30000
-#   uint8,  m = 28
-#     int32 argsort    0.84  0.84  0.94  1.51  1.77  2.58
-#     composite        0.98  0.81  0.91  0.85  0.89  0.87  0.88  0.87   1.02
-#   uint16, m = 8
-#     int32 argsort    0.84  0.85  0.91  1.08  1.52  2.65
-#     composite        1.03  1.04  1.01  1.05  1.03  0.92  0.93  0.95   0.93
-#
-# (m = 28 and 8 are the candidate counts of 784 and 64 features.) With
-# uint16 keys at m = 8 the sorts are a small share of the kernel, which is
-# then the fixed cost of its ~35 numpy calls, so the rules differ little.
+# same way.
 #
 # It scores every candidate column in one vectorized pass. All columns
 # partition the same rows, so they share the class totals T. Walk a column
@@ -76,13 +61,51 @@ BACKEND = "numpy"
 #   sum_c L_c^2       = cumsum(2r + 1)
 #   sum_c (T_c-L_c)^2 = sum_c T_c^2 - 2 cumsum(T[y]) + sum_c L_c^2
 #
-# Both are exact int64 identities, so every score equals, bit for bit, the
+# Both are exact integer identities, so every score equals, bit for bit, the
 # one a per-column class-count loop computes. For r, stably sort each
-# column's key-ordered labels (as composites, or by argsort). Class
-# c starts at start_c = cumsum(T)_c - T_c in every column, so the row at
-# class-sorted position k has r = k - start[class]. Memory is a few (m, n)
-# int64 arrays, with no (n, m, classes) one-hot. Prefixes that end inside a
-# run of equal keys are masked.
+# column's key-ordered labels (as composites, or by argsort). Class c starts
+# at start_c = cumsum(T)_c - T_c in every column, so the row at class-sorted
+# position k has r = k - start[class]. Small nodes scatter 2r+1 back to key
+# order with one ``put``. Larger nodes sort a third composite instead,
+# ``position << (b+1) | 2r+1`` in class order: sorted, its low bits are
+# 2r+1 in key order. The put reads its n values cyclically for m columns and
+# is the slowest step of mid-size and large nodes; a sort of distinct
+# integers is cheaper there. Prefixes that end inside a run of equal keys
+# are masked.
+#
+# Node dtype. Composites and prefix sums share one dtype: int32 when
+# n <= INT32_NODE_ROWS and the key (or label) bits plus b fit in 31, and
+# always below SMALL_NODE_ROWS; int64 otherwise. sum_c L_c^2 <= n^2, and the
+# largest intermediate, cumsum(2 T[y]), reaches 2 sum_c T_c^2 <= 2 n^2 < 2^31
+# for n <= 32 767; there b <= 15, so the 2b + 1 bits of the rank composite
+# fit too. With uint8 or uint16 keys and at most 65 536 classes, every node
+# up to 32 767 rows is int32. Each score is still exact integers divided
+# once in float64, so the dtype never changes a bit. Memory is a few (m, n)
+# arrays of that dtype and numpy's intp indices for ``take``, with no
+# (n, m, classes) one-hot.
+#
+# Per-size constants. The odd numbers 2k+1, the positions, the prefix sizes
+# n_l, n - n_l and the column offsets of the small path are views of
+# ``split_constants`` arrays, which ``train_tree`` builds once per tree for
+# its largest node.
+#
+# On a 2-vCPU AVX-512 Xeon (numpy 2.4), microseconds per call with each
+# rule forced at every size, and the composite rule with the put in place
+# of the third sort: the fastest of repeated calls on each of three random
+# nodes per size (70 % zero codes for uint8), averaged, the rules taking
+# turns call by call:
+#
+#   rows                 10    26    32    60   100   300  1000  3000  30000
+#   uint8,  m = 28
+#     int32 argsort      53    72   100   158   244   846
+#     composite          58    63    74    85   115   279  1225  3811  39955
+#     composite + put    56    64    78    92   124   305  1398  4303  43264
+#   uint16, m = 8
+#     int32 argsort      40    48    55    78   115   329
+#     composite          48    51    53    60    70   120   274   858   8224
+#     composite + put    47    51    54    61    72   122   303   943   8825
+#
+# (m = 28 and 8 are the candidate counts of 784 and 64 features.)
 # ---------------------------------------------------------------------------
 
 
@@ -107,15 +130,48 @@ def rank_codes(X):
 # Nodes below this many rows sort by a stable int32 argsort rather than as
 # composites; see "Comparison sort" above.
 SMALL_NODE_ROWS = 32
+# The largest node whose prefix sums fit int32; see "Node dtype" above.
+INT32_NODE_ROWS = 32767
 
 
-def best_split(keys, labels, n_classes, totals, total_sq):
+class SplitConstants(NamedTuple):
+    """Per-size arrays of split search, for nodes of up to ``n`` rows and
+    ``m`` candidate columns (see ``split_constants``)."""
+
+    ints32: np.ndarray  # int32 0, 1, ..., 2 min(n, INT32_NODE_ROWS) - 1
+    ints64: np.ndarray  # int64 0, 1, ..., 2n - 1
+    sizes: np.ndarray  # float64 1, 2, ..., n - 1: the left prefix sizes
+    offsets: np.ndarray  # int64 0, 1, ..., m SMALL_NODE_ROWS - 1
+
+
+def split_constants(n: int, m: int) -> SplitConstants:
+    """The arrays that ``best_split`` takes views of, for every node of up to
+    ``n`` rows and ``m`` candidate columns."""
+    return SplitConstants(np.arange(2 * min(n, INT32_NODE_ROWS), dtype=np.int32),
+                          np.arange(2 * n, dtype=np.int64),
+                          np.arange(1, n, dtype=np.float64),
+                          np.arange(m * SMALL_NODE_ROWS, dtype=np.int64))
+
+
+def node_dtype(n: int, key_dtype, n_classes: int):
+    """The dtype of an n-row node's composites and prefix sums: int32 where
+    every value provably fits (see "Node dtype" above), int64 otherwise."""
+    if n > INT32_NODE_ROWS:
+        return np.int64
+    if n < SMALL_NODE_ROWS:  # keys sort by argsort, not as composites
+        return np.int32
+    bits = max(8 * np.dtype(key_dtype).itemsize, (n_classes - 1).bit_length())
+    return np.int32 if (n - 1).bit_length() + bits <= 31 else np.int64
+
+
+def best_split(keys, labels, n_classes, totals, total_sq, consts=None):
     """Best split of a node over its (n, m) candidate ``keys``, unsigned
     integer codes of at most 32 bits.
 
     ``labels`` are the node's class ids, ``totals`` their int64 class
-    counts and ``total_sq`` the int ``totals @ totals``.
-    Returns ``(col, (p0, p1), score, found)``: p0 and p1 are the node
+    counts and ``total_sq`` the int ``totals @ totals``. ``consts`` are
+    ``split_constants`` for at least n rows and m columns, built here when
+    None. Returns ``(col, (p0, p1), score, found)``: p0 and p1 are the node
     positions of the last row left of the cut and the first row right of it
     in column ``col``'s key order. Pass ``keys`` as the transpose of a
     C-contiguous (m, n) array to avoid a copy.
@@ -123,23 +179,29 @@ def best_split(keys, labels, n_classes, totals, total_sq):
     n, m = keys.shape
     if n < 2:
         return -1, (-1, -1), -1.0, False
+    if consts is None:
+        consts = split_constants(n, m)
     total = totals if totals.dtype == np.int64 else totals.astype(np.int64)
-    off = np.arange(0, m * n, n)[:, None]  # each column's first flat cell
+    ct = node_dtype(n, keys.dtype, n_classes)
+    ints = consts.ints32 if ct is np.int32 else consts.ints64
+    start = total.cumsum() - total
+    start <<= 1
+    odd = ints[1:2 * n:2] - start.astype(ct).repeat(total)  # 2r+1 in class order
     if n < SMALL_NODE_ROWS:
         # stable timsorts of int32 keys and labels
         kt = keys.T.astype(np.int32)
         order = kt.argsort(axis=1, kind="stable")
+        off = consts.offsets[:m * n:n, None]  # each column's first flat cell
         sk = kt.take(order + off)
         ys = labels.astype(np.int32).take(order)
-        by_class = ys.argsort(axis=1, kind="stable")
+        sl = np.empty((m, n), dtype=ct)
+        sl.put(ys.argsort(axis=1, kind="stable") + off, odd)
     else:
         # key << b | position is distinct per row, so an unstable sort of
         # the composites orders rows as a stable argsort of the keys does
         b = (n - 1).bit_length()  # position bits
-        fits = b + max(8 * keys.dtype.itemsize, (n_classes - 1).bit_length()) <= 31
-        ct = np.int32 if fits else np.int64
         low = (1 << b) - 1
-        pos = np.arange(n, dtype=ct)
+        pos = ints[:n]
         sk = keys.T.astype(ct)
         sk <<= b
         sk |= pos
@@ -147,21 +209,23 @@ def best_split(keys, labels, n_classes, totals, total_sq):
         order = sk & low
         sk >>= b
         ys = labels.take(order)
-        by_class = ys.astype(ct)
-        by_class <<= b
-        by_class |= pos
-        by_class.sort(axis=1)
-        by_class &= low
-    start = total.cumsum() - total
-    sl = np.empty((m, n), dtype=np.int64)
-    sl.put(by_class + off, np.arange(1, 2 * n, 2) - (2 * start).repeat(total))
-    sl.cumsum(axis=1, out=sl)
-    sr = (2 * total).take(ys).cumsum(axis=1)
+        sl = ys.astype(ct)
+        sl <<= b
+        sl |= pos
+        sl.sort(axis=1)  # class order
+        sl &= low
+        sl <<= b + 1
+        sl |= odd
+        sl.sort(axis=1)  # key order again
+        sl &= (2 << b) - 1
+    np.add.accumulate(sl, axis=1, dtype=ct, out=sl)
+    sr = (2 * total).astype(ct).take(ys)
+    np.add.accumulate(sr, axis=1, dtype=ct, out=sr)
     np.subtract(total_sq, sr, out=sr)
     sr += sl
-    nl = np.arange(1, n, dtype=np.float64)
+    nl = consts.sizes[:n - 1]
     score = sl[:, :-1] / nl
-    score += sr[:, :-1] / (n - nl)
+    score += sr[:, :-1] / nl[::-1]  # n - nl
     # every real score is positive, so -1 marks non-boundaries
     np.putmask(score, sk[:, :-1] == sk[:, 1:], -1.0)
     # row-major argmax: smallest column first, then smallest threshold
@@ -264,15 +328,22 @@ def cluster_means(X, labels, k):
 # ---------------------------------------------------------------------------
 
 
-def pairwise_sqdist(Q, D):
+def sq_norms(A):
+    """float64 squared norms of the rows of the float64 matrix ``A``."""
+    return np.square(A).sum(axis=1)
+
+
+def pairwise_sqdist(Q, D, dd=None):
     # qq - 2 Q.D + dd, evaluated in the product's buffer. Bit-identical to
-    # the expression: scaling by -2 is exact and qq + (-x) is qq - x.
+    # the expression: scaling by -2 is exact and qq + (-x) is qq - x. A
+    # float64 D is not copied, and dd, when given, is sq_norms of it: a
+    # caller with many query blocks casts and sums the reference rows once.
     Qd = Q.astype(np.float64)
-    Dd = D.astype(np.float64)
+    Dd = np.asarray(D, dtype=np.float64)
     out = Qd @ Dd.T
     out *= -2.0
-    out += np.square(Qd).sum(axis=1)[:, None]
-    out += np.square(Dd).sum(axis=1)[None, :]
+    out += sq_norms(Qd)[:, None]
+    out += (sq_norms(Dd) if dd is None else dd)[None, :]
     np.maximum(out, 0.0, out=out)
     return out
 

@@ -10,6 +10,9 @@ import csv
 import gzip
 import io
 import math
+import mmap
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -143,33 +146,66 @@ def _open_maybe_gz(path):
         raise IoError(f"cannot open {p}: {exc}") from exc
 
 
+def _read_rows(f, offset: int, n_rows: int, width: int, keep) -> np.ndarray:
+    """Rows ``keep`` (every row when None) of the uint8 (n_rows, width)
+    matrix that starts at ``offset`` in the plain file ``f``, long enough to
+    hold it: copied out of a read-only map, which is closed before this
+    returns."""
+    with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        matrix = np.frombuffer(mm, np.uint8, n_rows * width, offset).reshape(n_rows, width)
+        rows = matrix.copy() if keep is None else matrix[keep]
+        del matrix  # the map cannot close while a view exports it
+    return rows
+
+
 def load_idx(images_path, labels_path, limit: int | None = None, seed: int = 0) -> Dataset:
     """Load an IDX image/label file pair (the MNIST family layout).
 
-    Both files are read and checked whole. With a ``limit``, the rows of
-    :func:`desk_scale_rows` are picked from the label file, and only those
-    rows are converted to float32 and checked by ``Dataset``: the result of
-    ``desk_scale_subset`` on the full load, without its float32 matrix."""
+    Both headers are checked first, and the label file is read whole. With
+    a ``limit``, the rows of :func:`desk_scale_rows` are picked from the
+    label file, and only those rows are converted to float32 and checked by
+    ``Dataset``: the result of ``desk_scale_subset`` on the full load,
+    without its float32 matrix. A plain image file loaded with a limit has
+    its length checked against its header, and only the kept rows are
+    read; otherwise, and always when gzipped or a pipe, the image file is
+    read and checked whole. Either way a short file fails with the same
+    message."""
     with _open_maybe_gz(images_path) as f:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
         if magic != IDX_IMAGE_MAGIC:
             raise FormatError(f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
-        pixels = _read_exact(f, count * rows * cols, "pixel data")
-    with _open_maybe_gz(labels_path) as f:
-        magic, n_labels = struct.unpack(">II", _read_exact(f, 8, "label header"))
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}")
-        raw_labels = _read_exact(f, n_labels, "label data")
-    if count != n_labels:
-        raise FormatError(f"image count {count} != label count {n_labels}")
-    if count < 1:
-        raise FormatError("IDX pair contains no samples")
-    images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
-    labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.uint16)
-    n_classes = int(labels.max()) + 1
-    keep = desk_scale_rows(labels, n_classes, limit, seed)
-    if keep is not None:
-        images, labels = images[keep], labels[keep]
+        size = count * rows * cols
+        # a regular file can be mapped; a gzip stream or a pipe is read whole
+        st = None if limit is None or isinstance(f, gzip.GzipFile) else os.fstat(f.fileno())
+        rows_only = st is not None and stat.S_ISREG(st.st_mode)
+        if rows_only:
+            have = st.st_size - 16
+            if have < size:
+                raise FormatError(f"truncated IDX file: expected {size} bytes for pixel data, "
+                                  f"got {have}")
+        else:
+            pixels = _read_exact(f, size, "pixel data")
+        with _open_maybe_gz(labels_path) as g:
+            magic, n_labels = struct.unpack(">II", _read_exact(g, 8, "label header"))
+            if magic != IDX_LABEL_MAGIC:
+                raise FormatError(f"bad label magic 0x{magic:08x}, "
+                                  f"expected 0x{IDX_LABEL_MAGIC:08x}")
+            raw_labels = _read_exact(g, n_labels, "label data")
+        if count != n_labels:
+            raise FormatError(f"image count {count} != label count {n_labels}")
+        if count < 1:
+            raise FormatError("IDX pair contains no samples")
+        labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.uint16)
+        n_classes = int(labels.max()) + 1
+        keep = desk_scale_rows(labels, n_classes, limit, seed)
+        if keep is not None:
+            labels = labels[keep]
+        if rows_only:
+            images = _read_rows(f, 16, count, rows * cols, keep)
+        else:
+            images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
+            if keep is not None:
+                images = images[keep]
     return Dataset(images.astype(np.float32), labels, n_classes)
 
 

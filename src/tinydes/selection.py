@@ -233,8 +233,10 @@ def knora_regions(dsel: Dsel, X, k: int) -> np.ndarray:
     n = mat.shape[0]
     regions = np.empty((n, k), dtype=np.intp)
     chunk = max(1, REGION_CHUNK_CELLS // max(1, dsel.n_samples))
+    ref = dsel.samples.astype(np.float64)  # cast and summed once for every block
+    norms = _kernels.sq_norms(ref)
     for s in range(0, n, chunk):
-        d2 = _kernels.pairwise_sqdist(mat[s:s + chunk], dsel.samples)
+        d2 = _kernels.pairwise_sqdist(mat[s:s + chunk], ref, norms)
         regions[s:s + chunk] = _k_nearest(d2, k)
     return regions
 

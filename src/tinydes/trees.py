@@ -35,10 +35,14 @@ _MAX_FEATURES = 1 << 15  # feature ids must fit the int16 node field
 
 
 def _field(values, dtype, what: str) -> np.ndarray:
-    """``values`` as a ``dtype`` array; a value the dtype cannot hold raises
-    ``CapacityError`` instead of wrapping."""
-    a, info = np.asarray(values), np.iinfo(dtype)
+    """``values`` as a ``dtype`` array; a finite value the dtype cannot hold
+    raises ``CapacityError`` instead of wrapping or overflowing."""
+    a = np.asarray(values)
+    floating = np.issubdtype(dtype, np.floating)
+    info = np.finfo(dtype) if floating else np.iinfo(dtype)
     bad = a[(a < info.min) | (a > info.max)]
+    if floating:  # infinities fit the field; check_nodes rejects them
+        bad = bad[np.isfinite(bad)]
     if bad.size:
         raise CapacityError(f"{what} {bad[0]} outside the {info.dtype} field")
     return a.astype(dtype)
@@ -117,8 +121,10 @@ class ClassifierPool:
     @classmethod
     def from_trees(cls, trees, n_classes: int, origins, seed: int) -> ClassifierPool:
         """Lay the (feature, threshold, jump) trees end to end. A value too
-        wide for a node field, the u16 node count or the u16 class count
-        raises ``CapacityError``; a layout ``check_nodes`` rejects, ``ModelCorruptError``."""
+        wide for a node field (a finite threshold beyond float32 too), the u16
+        node count or the u16 class count raises ``CapacityError``; a layout
+        ``check_nodes`` rejects, NaN and infinite thresholds among it,
+        ``ModelCorruptError``."""
         if not trees:
             raise ModelCorruptError("pool has no trees")
         feature, threshold, jump = (np.concatenate(col) for col in zip(*trees))
@@ -127,7 +133,7 @@ class ClassifierPool:
         _field(n_classes, np.uint16, "class count")
         feature = _field(feature, np.int16, "feature id")
         jump = _field(jump, np.uint16, "jump")
-        threshold = threshold.astype(np.float32)
+        threshold = _field(threshold, np.float32, "threshold")
         first = count.cumsum() - count
         check_nodes(feature, threshold, jump, first, count, _MAX_FEATURES, n_classes)
         for col in (feature, threshold, jump):
@@ -201,6 +207,7 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
             yield from zip(rows, rows * n_samples)
 
     candidates = candidate_rows()
+    consts = _kernels.split_constants(idx0.size, min(max_features, data.n_features))
 
     feature: list[int] = []
     jump: list[int] = []
@@ -219,7 +226,7 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
             kt = codes_flat.take(cells[:, None] + idx)  # one candidate per row
             total_sq = int(counts @ counts)
             col, (p0, p1), score, found = _kernels.best_split(kt.T, y, n_classes, counts,
-                                                              total_sq)
+                                                              total_sq, consts)
             if found and score > total_sq / idx.size:
                 f = int(cands[col])
                 feature.append(f)

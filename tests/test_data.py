@@ -3,10 +3,12 @@ import gzip
 import io
 import json
 import math
+import mmap
 import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import zlib
@@ -198,6 +200,48 @@ class TestLoadIdxLimit:
         with pytest.raises(FormatError) as limited:
             load_idx(img, lab, 1, seed=5)
         assert str(limited.value) == str(full.value)
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_plain_file_reads_kept_rows_only(self, tmp_path, monkeypatch, gz):
+        # a plain image file is mapped, its kept rows copied out and the map
+        # closed; a gzipped one still streams whole
+        img, lab = write_idx_pair(tmp_path, np.arange(200, dtype=np.uint8),
+                                  np.arange(50, dtype=np.uint8) % 5, 2, 2)
+        if gz:
+            img, lab = gzip_pair(img, lab)
+        full = load_idx(img, lab)
+        reads, maps = [], []
+        real_read, real_mmap = data._read_exact, mmap.mmap
+
+        def reading(f, n, what):
+            reads.append(what)
+            return real_read(f, n, what)
+
+        def mapping(*args, **kwargs):
+            maps.append(real_mmap(*args, **kwargs))
+            return maps[-1]
+
+        monkeypatch.setattr(data, "_read_exact", reading)
+        monkeypatch.setattr(data.mmap, "mmap", mapping)
+        got = load_idx(img, lab, 20, seed=4)
+        assert idx_outcome(lambda: got) == idx_outcome(lambda: desk_scale_subset(full, 20, 4))
+        assert ("pixel data" in reads) == gz and len(maps) == (not gz)
+        assert all(m.closed for m in maps)
+
+    def test_pipe_streams_whole(self, tmp_path):
+        # a pipe has no length to check and cannot be mapped
+        img, lab = write_idx_pair(tmp_path, np.arange(200, dtype=np.uint8),
+                                  np.arange(50, dtype=np.uint8) % 5, 2, 2)
+        fifo = tmp_path / "images-fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(img.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            got = load_idx(fifo, lab, 20, seed=4)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert idx_outcome(lambda: got) == idx_outcome(lambda: load_idx(img, lab, 20, seed=4))
 
     def test_peak_memory_below_full_float32_matrix(self, tmp_path):
         n, width = 20000, 784

@@ -576,9 +576,9 @@ class TestKnoraRegions:
         seen = []
         real = _kernels.pairwise_sqdist
 
-        def counting(Q, D):
+        def counting(Q, *reference):
             seen.append(Q.shape[0])
-            return real(Q, D)
+            return real(Q, *reference)
 
         monkeypatch.setattr(_kernels, "pairwise_sqdist", counting)
         if cells is not None:
@@ -587,6 +587,31 @@ class TestKnoraRegions:
         assert seen == blocks
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, expect)
+
+    def test_reference_rows_cast_once(self, monkeypatch):
+        # every block gets the same float64 selection rows and norms, and the
+        # blocks give the bits of one distance matrix over all queries
+        dsel, _, queries = tie_heavy_case()
+        expect = knora_regions(dsel, queries, 7)
+        seen = []
+        real = _kernels.pairwise_sqdist
+
+        def recording(Q, D, dd):
+            seen.append((D, dd))
+            return real(Q, D, dd)
+
+        monkeypatch.setattr(_kernels, "pairwise_sqdist", recording)
+        monkeypatch.setattr(selection, "REGION_CHUNK_CELLS", 60 * 7)
+        got = knora_regions(dsel, queries, 7)
+        assert len(seen) == 13
+        D, dd = seen[0]
+        assert D.dtype == dd.dtype == np.float64
+        np.testing.assert_array_equal(D, dsel.samples)
+        assert all(d is D and n is dd for d, n in seen)
+        np.testing.assert_array_equal(got, expect)
+        whole = real(queries, dsel.samples)
+        blocks = np.concatenate([real(queries[s:s + 7], D, dd) for s in range(0, len(queries), 7)])
+        np.testing.assert_array_equal(blocks.view(np.uint64), whole.view(np.uint64))
 
     @pytest.mark.parametrize("batch_fn", [knora_u_batch, knora_e_batch])
     def test_precomputed_regions(self, monkeypatch, batch_fn):

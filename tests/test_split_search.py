@@ -215,25 +215,33 @@ class TestAgainstValueOracle:
                                           values[:, col] <= np.float32(thr))
 
 
+SMALL = _kernels.SMALL_NODE_ROWS
+INT32_ROWS = _kernels.INT32_NODE_ROWS
+
+
 class TestSortPaths:
     """Keys sort as int32 below ``SMALL_NODE_ROWS`` rows and as composites
-    from there: int32 while the key or label bits plus the position bits fit
-    in 31, int64 otherwise. Each rule against the value-reading kernel."""
+    from there. Composites and prefix sums are int32 up to
+    ``INT32_NODE_ROWS`` rows while the key or label bits plus the position
+    bits fit in 31, int64 otherwise. Each rule against the value-reading
+    kernel."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.one_of(st.integers(2, 2 * _kernels.SMALL_NODE_ROWS), st.integers(2, 300)),
+    @settings(max_examples=250, deadline=None)
+    @given(n=st.one_of(st.integers(SMALL - 3, SMALL + 3), st.integers(2, 2 * SMALL),
+                       st.integers(2, 300), st.integers(300, 3000)),
            m=st.integers(1, 28), n_classes=st.integers(1, 12), n_values=st.integers(1, 400),
            wide=st.sampled_from([None, np.uint16, np.uint32]), row_major=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
+           skew=st.sampled_from([0.0, 0.5, 0.95]), seed=st.integers(0, 2**32 - 1))
     def test_same_bits_as_value_oracle(self, n, m, n_classes, n_values, wide, row_major,
-                                       seed):
+                                       skew, seed):
         rng = np.random.RandomState(seed)
         cells = rng.randint(0, n_values, (n, m))
         cells[:, rng.rand(m) < 0.2] = rng.randint(0, n_values)  # constant columns
         # heavy ties when n_values is small; zeros get either sign
         values = ((cells - n_values // 2) * np.float32(0.37)).astype(np.float32)
         values[values == 0] *= rng.choice(np.array([-1, 1], np.float32), (values == 0).sum())
-        labels = rng.randint(0, n_classes, n)
+        # a skewed class mix raises sum_c T_c^2 toward n^2
+        labels = np.where(rng.rand(n) < skew, 0, rng.randint(0, n_classes, n))
         codes = rank_codes(values)
         if wide:
             codes = np.ascontiguousarray(codes.T, dtype=wide).T
@@ -271,6 +279,44 @@ class TestSortPaths:
         codes = rank_codes(values)
         assert codes.dtype == (dtype if n >= _kernels.SMALL_NODE_ROWS else np.uint8)
         codes = np.ascontiguousarray(codes.T, dtype=dtype).T
+        got = split(values, labels, n_classes, codes)
+        assert got[3]
+        assert bits(got) == bits(value_best_split(values, labels, n_classes, codes))
+
+    @pytest.mark.parametrize("n, key_dtype, n_classes, dtype", [
+        (SMALL - 1, np.uint32, 2, np.int32),  # argsort rule: keys are cast to int32
+        (SMALL, np.uint32, 2, np.int64),
+        (INT32_ROWS, np.uint8, 2, np.int32),
+        (INT32_ROWS, np.uint16, 65536, np.int32),  # 16 label and 15 position bits
+        (INT32_ROWS, np.uint16, 65537, np.int64),
+        (INT32_ROWS + 1, np.uint8, 2, np.int64),
+        (INT32_ROWS + 1, np.uint16, 2, np.int64),
+    ])
+    def test_node_dtype(self, n, key_dtype, n_classes, dtype):
+        assert _kernels.node_dtype(n, key_dtype, n_classes) is dtype
+        if dtype is np.int32:
+            # cumsum(2 T[y]) reaches 2 sum_c T_c^2 <= 2 n^2, and the rank
+            # composite holds a position and 2r + 1
+            assert 2 * n * n < 2**31
+            assert 2 * (n - 1).bit_length() + 1 <= 31
+
+    @pytest.mark.parametrize("key_dtype", [np.uint8, np.uint16, np.uint32])
+    @pytest.mark.parametrize("n", [INT32_ROWS, INT32_ROWS + 1])
+    @pytest.mark.parametrize("n_classes, rare", [
+        (2, 0),  # one class only: sum_c T_c^2 = n^2
+        (2, 1),  # n - 1 rows of one class and 1 of the other
+        (300, 299),  # n - 299 of one class and 1 of each other
+    ])
+    def test_int32_sum_limit(self, n, key_dtype, n_classes, rare):
+        # the largest sum_c T_c^2 for the classes present, at the last int32
+        # node size and one past it
+        rng = np.random.RandomState(n + rare)
+        distinct = 256 if key_dtype == np.uint8 else n
+        values = np.stack([rng.permutation(n) % distinct, rng.randint(0, 3, n)],
+                          axis=1).astype(np.float32)
+        labels = np.zeros(n, np.int64)
+        labels[rng.choice(n, rare, replace=False)] = np.arange(1, rare + 1)
+        codes = np.ascontiguousarray(rank_codes(values).T, dtype=key_dtype).T
         got = split(values, labels, n_classes, codes)
         assert got[3]
         assert bits(got) == bits(value_best_split(values, labels, n_classes, codes))

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -232,6 +233,18 @@ class TestNodeFieldCapacity:
             pool_of([leaf(0)], 65536)
         pool = pool_of([([32767, -32768, -1], [0.5, 0, 0], [2, 65534, 1])], 65535)
         assert pool.feature.tolist() == [32767, -32768, -1] and pool.jump[1] == 65534
+
+    def test_threshold_beyond_float32(self):
+        # the float32 cast would overflow to inf, with a RuntimeWarning
+        for big in ("1e+39", "-1e+39"):
+            with pytest.raises(CapacityError,
+                               match=f"^threshold {re.escape(big)} outside the float32 field$"):
+                pool_of([([0, -1, -1], [float(big), 0.0, 0.0], [2, 0, 1])], 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ModelCorruptError, match="^non-finite node threshold$"):
+                pool_of([([0, -1, -1], [bad, 0.0, 0.0], [2, 0, 1])], 2)
+        top = float(np.finfo(np.float32).max)
+        assert pool_of([([0, -1, -1], [top, 0.0, 0.0], [2, 0, 1])], 2).threshold[0] == top
 
     def test_too_many_features_raise_before_growth(self):
         d = Dataset(np.eye(2, 32769, 32768, dtype=np.float32), np.array([0, 1], np.uint16), 2)
