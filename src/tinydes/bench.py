@@ -12,6 +12,7 @@ import functools
 import re
 import time
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,12 +87,6 @@ class ExperimentConfig:
     out_dir: str = "results"
     forests: tuple[tuple[int, int], ...] = DEFAULT_FORESTS  # (n_trees, max_depth) pairs
     profile: str = "desk-scale"  # one of PROFILES
-    limit: int | None = None  # explicit subset size; None: profile default
-
-    def subset_limit(self) -> int | None:
-        if self.limit is not None:
-            return self.limit
-        return DESK_SCALE_LIMIT if self.profile == "desk-scale" else None
 
     @property
     def pool_size(self) -> int:
@@ -101,25 +96,12 @@ class ExperimentConfig:
         return -(-self.pool_size // 2) if self.n_acc is None else self.n_acc
 
     def validate(self) -> None:
-        for m in self.methods:
-            if m not in METHOD_ORDER:
-                raise IoError(f"unknown method {m!r}; choose from {METHOD_ORDER}")
-        if self.profile not in PROFILES:
-            raise IoError(f"profile must be one of {PROFILES}, got {self.profile!r}")
-        if not (0.0 < self.dsel_fraction < 1.0):
-            raise IoError(f"dsel_fraction must be in (0, 1), got {self.dsel_fraction}")
-        if not (0.0 < self.pct_static <= 1.0):
-            raise IoError(f"pct_static must be in (0, 1], got {self.pct_static}")
-        if self.n_splits < 2 or self.n_repeats < 1:
-            raise IoError("need n_splits >= 2 and n_repeats >= 1")
-        if self.k_clusters < 1 or self.k_neighbors < 1:
-            raise IoError("need k_clusters >= 1 and k_neighbors >= 1")
-        if any(j < 1 for j in self.j_values) or not self.j_values:
-            raise IoError(f"j_values must be positive, got {self.j_values}")
-        if any(n < 1 or depth < 0 for n, depth in self.forests):
-            raise IoError(f"every forest needs n >= 1 and depth >= 0, got {self.forests}")
-        if self.limit is not None and self.limit < 1:
-            raise IoError(f"limit must be at least 1, got {self.limit}")
+        """Raise IoError for the first setting outside its SETTINGS rule, then
+        for an N_acc outside 1..pool size or a J above N_acc."""
+        for s in SETTINGS:
+            value = getattr(self, s.name)
+            if not s.check(value):
+                raise IoError(f"{s.name} must be {s.rule}, got {s.show(value)}")
         n_acc = self.resolve_n_acc()
         if not 1 <= n_acc <= self.pool_size:
             raise IoError(f"n_acc must be from 1 to the pool size {self.pool_size}, "
@@ -155,7 +137,7 @@ def _forest(text: str) -> tuple[int, int]:
     return int(n), int(depth)
 
 
-def _auto_int(text: str) -> int | None:
+def int_or_auto(text: str) -> int | None:
     return None if text == "auto" else int(text)
 
 
@@ -163,32 +145,41 @@ def _auto_text(value: int | None) -> str:
     return "auto" if value is None else str(value)
 
 
-# Every ExperimentConfig field but ``datasets``, in config.txt line order:
-# (field, parse the text after "field = ", print the value). Each parser
-# raises ValueError on a value it rejects.
+# Every ExperimentConfig field but ``datasets``, in config.txt line order.
+# ``parse`` reads the text after "name = " and raises ValueError on text it
+# rejects, ``show`` prints the value back, and ``check`` accepts the values
+# that ``rule`` describes. n_acc's range depends on the pool, so validate
+# checks it with the forests.
+Setting = namedtuple("Setting", "name parse show check rule")
 SETTINGS = (
-    ("seed", int, str),
-    ("profile", nonempty, str),
-    ("methods", lambda t: _items(t, str), ",".join),
-    ("j_values", parse_ints, lambda v: ",".join(map(str, v))),
-    ("k_clusters", int, str),
-    ("k_neighbors", int, str),
-    ("n_acc", _auto_int, _auto_text),
-    ("pct_static", float, repr),
-    ("n_splits", int, str),
-    ("n_repeats", int, str),
-    ("dsel_fraction", float, repr),
-    ("forests", lambda t: _items(t, _forest), lambda v: ",".join(f"{n}:{d}" for n, d in v)),
-    ("limit", _auto_int, _auto_text),
-    ("out_dir", nonempty, str),
+    Setting("seed", int, str, lambda v: True, "an integer"),
+    Setting("profile", nonempty, str, lambda v: v in PROFILES, " or ".join(PROFILES)),
+    Setting("methods", lambda t: _items(t, str), ",".join,
+            lambda v: len(v) > 0 and all(m in METHOD_ORDER for m in v),
+            "comma-separated names among " + ", ".join(METHOD_ORDER)),
+    Setting("j_values", parse_ints, lambda v: ",".join(map(str, v)),
+            lambda v: len(v) > 0 and min(v) >= 1, "comma-separated integers >= 1"),
+    Setting("k_clusters", int, str, lambda v: v >= 1, "an integer >= 1"),
+    Setting("k_neighbors", int, str, lambda v: v >= 1, "an integer >= 1"),
+    Setting("n_acc", int_or_auto, _auto_text, lambda v: True,
+            "an integer from 1 to the pool size, or auto (ceil(pool / 2))"),
+    Setting("pct_static", float, repr, lambda v: 0.0 < v <= 1.0, "a float in (0, 1]"),
+    Setting("n_splits", int, str, lambda v: v >= 2, "an integer >= 2"),
+    Setting("n_repeats", int, str, lambda v: v >= 1, "an integer >= 1"),
+    Setting("dsel_fraction", float, repr, lambda v: 0.0 < v < 1.0, "a float in (0, 1)"),
+    Setting("forests", lambda t: _items(t, _forest),
+            lambda v: ",".join(f"{n}:{d}" for n, d in v),
+            lambda v: len(v) > 0 and all(n >= 1 and d >= 0 for n, d in v),
+            "comma-separated trees:depth pairs with trees >= 1 and depth >= 0"),
+    Setting("out_dir", nonempty, str, bool, "a non-empty path"),
 )
-_PARSERS = {name: parse for name, parse, _ in SETTINGS}
+PARSERS = {s.name: s.parse for s in SETTINGS}
 # The fields a ``dataset.<name>.<field>`` line may set.
 _SPEC_FIELDS = ("csv", "label_column", "images", "labels")
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
-    lines = [f"{name} = {show(getattr(cfg, name))}" for name, _, show in SETTINGS]
+    lines = [f"{s.name} = {s.show(getattr(cfg, s.name))}" for s in SETTINGS]
     for ds in cfg.datasets:
         names = ("csv", "label_column") if ds.csv is not None else ("images", "labels")
         lines += [f"dataset.{ds.name}.{f} = {getattr(ds, f)}" for f in names]
@@ -214,7 +205,7 @@ def config_from_text(text: str) -> ExperimentConfig:
                     raise KeyError(fieldname)
                 specs.setdefault(name, {})[fieldname] = val
             else:
-                settings[key] = _PARSERS[key](val)
+                settings[key] = PARSERS[key](val)
         except (KeyError, ValueError) as exc:
             raise IoError(f"bad config line: {raw!r}") from exc
     datasets = tuple(DatasetSpec(name, **specs[name]) for name in sorted(specs))
@@ -309,10 +300,14 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
     std_bytes = 8 * s.n_features
     outcomes: dict[tuple[str, str], _FoldOutcome] = {}
 
-    def run(method: str, params: str, fn):
+    def run(method: str, params: str, fn, stage=lambda: None):
+        """Time ``fn`` per test row. A ``stage`` is shared work that ``fn``
+        reads from a cache; it runs first, outside the method's time, but
+        its failure fails the method as one of ``fn`` would."""
         key = (method, params)
-        t0 = time.perf_counter()
         try:
+            stage()
+            t0 = time.perf_counter()
             acc, cost, model_bytes = fn()
         except TinyDesError as exc:
             outcomes[key] = _FoldOutcome(np.nan, np.nan, 0.0, 0,
@@ -357,9 +352,9 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
                 return acc, cost, size
             run(method, f"pct={cfg.pct_static:g}", _st)
         elif method == "knora_u":
-            run(method, f"k={cfg.k_neighbors}", lambda: _knora(knora_u_batch))
+            run(method, f"k={cfg.k_neighbors}", lambda: _knora(knora_u_batch), regions)
         elif method == "knora_e":
-            run(method, f"k={cfg.k_neighbors}", lambda: _knora(knora_e_batch))
+            run(method, f"k={cfg.k_neighbors}", lambda: _knora(knora_e_batch), regions)
         elif method == "des_clustering":
             for j in cfg.j_values:
                 def _dc(j=j):
@@ -370,13 +365,11 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
                     blob, _ = export_tiny(s, cm, pool)
                     return (float((labels == target).mean()), float(costs.mean()),
                             len(blob))
-                run(method, f"J={j}", _dc)
+                run(method, f"J={j}", _dc, clustering)
         elif method == "oracle":
             def _or():
                 return float(correct.any(axis=0).mean()), float(visits.sum(axis=0).mean()), 0
             run(method, "", _or)
-        else:
-            raise IoError(f"unknown method {method!r}; choose from {METHOD_ORDER}")
     return outcomes, pool.fingerprint()
 
 
@@ -390,7 +383,8 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     table = ResultTable(config=cfg)
     for spec in cfg.datasets:
         ds_seed = _dataset_seed(cfg.seed, spec.name)
-        data = spec.load(cfg.subset_limit(), derive_seed(ds_seed, 999))
+        limit = DESK_SCALE_LIMIT if cfg.profile == "desk-scale" else None
+        data = spec.load(limit, derive_seed(ds_seed, 999))
         plan = make_fold_plan(data, cfg.n_splits, cfg.n_repeats, derive_seed(ds_seed, 0))
         per_method: dict[tuple[str, str], list[FoldRecord]] = {}
         model_bytes: dict[tuple[str, str], int] = {}

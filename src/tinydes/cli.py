@@ -12,11 +12,11 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from ._rng import derive_seed
-from .bench import (DEFAULT_FULL_METHODS, METHOD_ORDER, DatasetSpec,
+from .bench import (DEFAULT_FULL_METHODS, METHOD_ORDER, PARSERS, DatasetSpec,
                     ExperimentConfig, config_from_text, emit_report, fit_pool,
-                    measure_inference, nonempty, parse_ints, run_experiment)
+                    measure_inference, run_experiment)
 from .cluster import fit_kmeans
-from .errors import TinyDesError
+from .errors import IoError, TinyDesError
 from .selection import build_competence_model
 from .tinyformat import emit_static_source, export_tiny, load_tiny
 
@@ -38,22 +38,26 @@ def _spec_from_flags(args, name="cli") -> DatasetSpec:
     return DatasetSpec(name=name, images=path, labels=args.labels)
 
 
+def _setting(p, flag, name, **kw):
+    """A flag that sets ExperimentConfig field ``name`` and reads its value
+    as that field's config line does; a flag not given leaves no attribute,
+    so the field keeps its value."""
+    p.add_argument(flag, dest=name, type=PARSERS[name], default=argparse.SUPPRESS, **kw)
+
+
 def _model_flags(p):
-    """Flags that set ExperimentConfig fields: each one's dest is the field
-    name, and a flag not given (None) leaves the field as it is."""
-    p.add_argument("--j", dest="j_values", type=parse_ints,
-                   help="ensemble size(s), comma separated")
-    p.add_argument("--clusters", dest="k_clusters", type=int, help="k-means cluster count")
-    p.add_argument("--n-acc", type=int, help="accuracy shortlist size (default ceil(pool / 2))")
-    p.add_argument("--dsel-fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", dest="out_dir", type=nonempty, help="output directory")
+    _setting(p, "--j", "j_values", help="ensemble size(s), comma separated")
+    _setting(p, "--clusters", "k_clusters", help="k-means cluster count")
+    _setting(p, "--n-acc", "n_acc", help="accuracy shortlist size, or auto (ceil(pool / 2))")
+    _setting(p, "--dsel-fraction", "dsel_fraction")
+    _setting(p, "--seed", "seed")
+    _setting(p, "--out", "out_dir", help="output directory")
 
 
 def _settings(args) -> dict:
     """The ExperimentConfig fields that the given flags set."""
     return {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-            if getattr(args, f.name, None) is not None}
+            if hasattr(args, f.name)}
 
 
 def cmd_train(args) -> int:
@@ -76,14 +80,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    cfg = (config_from_text(Path(args.config).read_text(encoding="utf-8"))
-           if args.config else ExperimentConfig())
+    try:
+        cfg = (config_from_text(Path(args.config).read_text(encoding="utf-8"))
+               if args.config else ExperimentConfig())
+    except UnicodeDecodeError as exc:
+        raise IoError(f"config file is not UTF-8: {args.config}: {exc}") from None
     overrides = _settings(args)
     if args.dataset:
         overrides["datasets"] = (_spec_from_flags(args, name=args.name),)
-    if args.methods:
-        overrides["methods"] = tuple(args.methods)
-    elif args.profile == "full" and not args.config:
+    if "methods" in overrides:
+        overrides["methods"] = tuple(overrides["methods"])
+    elif overrides.get("profile") == "full" and not args.config:
         overrides["methods"] = tuple(DEFAULT_FULL_METHODS)
     cfg = replace(cfg, **overrides)
     if not cfg.datasets:
@@ -160,17 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-column", default="-1")
     p.add_argument("--name", default="dataset", help="dataset name used in reports")
     p.add_argument("--method", dest="methods", action="append", choices=METHOD_ORDER,
+                   default=argparse.SUPPRESS,
                    help="repeatable; default: all six (KNORA excluded with --full)")
     _model_flags(p)
-    p.add_argument("--neighbors", dest="k_neighbors", type=int)
-    p.add_argument("--pct-static", type=float)
-    p.add_argument("--splits", dest="n_splits", type=int)
-    p.add_argument("--repeats", dest="n_repeats", type=int)
+    _setting(p, "--neighbors", "k_neighbors")
+    _setting(p, "--pct-static", "pct_static")
+    _setting(p, "--splits", "n_splits")
+    _setting(p, "--repeats", "n_repeats")
     scale = p.add_mutually_exclusive_group()
     scale.add_argument("--desk-scale", dest="profile", action="store_const",
-                       const="desk-scale", help="stratified 5000-sample subset (default)")
+                       const="desk-scale", default=argparse.SUPPRESS,
+                       help="stratified 5000-sample subset (default)")
     scale.add_argument("--full", dest="profile", action="store_const", const="full",
-                       help="entire dataset")
+                       default=argparse.SUPPRESS, help="entire dataset")
     p.set_defaults(fn=cmd_crossval)
 
     p = sub.add_parser("bench-infer", help="time a .tdes engine on probe data")

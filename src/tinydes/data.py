@@ -103,7 +103,6 @@ class FoldPlan:
 
     n_splits: int
     n_repeats: int
-    seed: int
     assignments: np.ndarray  # uint16 [n_repeats, n_samples]
 
     def train_test_indices(self, repeat: int, fold: int):
@@ -471,4 +470,4 @@ def make_fold_plan(d: Dataset, n_splits: int, n_repeats: int, seed: int) -> Fold
                 assignments[r, perm[start : start + quota[fold]]] = fold
                 start += quota[fold]
             loads += quota
-    return FoldPlan(n_splits, n_repeats, seed, assignments)
+    return FoldPlan(n_splits, n_repeats, assignments)

@@ -43,7 +43,6 @@ class CompetenceModel:
     kmeans: KMeansModel
     per_cluster_accuracy: np.ndarray  # float64 [k, pool_size]
     per_cluster_ensemble: np.ndarray  # uint16 [k, J], rows sorted ascending
-    n_acc: int
     j: int
 
 
@@ -122,7 +121,7 @@ def build_competence_model(dsel: Dsel, kmeans: KMeansModel, n_acc: int, j: int,
         # smallest mean double-fault, then highest accuracy, then smallest index
         pick = np.lexsort((shortlist, -acc[shortlist], mean_df))[:j]
         ensembles[c] = np.sort(shortlist[pick])
-    return CompetenceModel(kmeans, accuracy, ensembles, n_acc, j)
+    return CompetenceModel(kmeans, accuracy, ensembles, j)
 
 
 def des_clustering_predict(cm: CompetenceModel, pool: ClassifierPool, x) -> SelectionResult:

@@ -115,11 +115,9 @@ class ClassifierPool:
     first: np.ndarray  # intp [pool_size]; each tree's first node
     count: np.ndarray  # intp [pool_size]; each tree's node count
     n_classes: int
-    origins: tuple[str, ...]  # forest tag per tree, "A", "B", ...
-    seed: int
 
     @classmethod
-    def from_trees(cls, trees, n_classes: int, origins, seed: int) -> ClassifierPool:
+    def from_trees(cls, trees, n_classes: int) -> ClassifierPool:
         """Lay the (feature, threshold, jump) trees end to end. A value too
         wide for a node field (a finite threshold beyond float32 too), the u16
         node count or the u16 class count raises ``CapacityError``; a layout
@@ -138,7 +136,7 @@ class ClassifierPool:
         check_nodes(feature, threshold, jump, first, count, _MAX_FEATURES, n_classes)
         for col in (feature, threshold, jump):
             col.flags.writeable = False
-        return cls(feature, threshold, jump, first, count, int(n_classes), tuple(origins), seed)
+        return cls(feature, threshold, jump, first, count, int(n_classes))
 
     @property
     def pool_size(self) -> int:
@@ -278,15 +276,10 @@ def generate_pool(train: Dataset, forests=DEFAULT_FORESTS, seed: int = 0) -> Cla
     """
     max_features = math.isqrt(train.n_features)
     trees = []
-    origins = []
-    tree_index = 0
-    for fi, (n_trees, max_depth) in enumerate(forests):
-        tag = chr(ord("A") + fi)
+    for n_trees, max_depth in forests:
         for _ in range(n_trees):
-            stream = SplitMix64(derive_seed(seed, tree_index))
+            stream = SplitMix64(derive_seed(seed, len(trees)))
             boot = bootstrap_indices(stream, train.n_samples)
             grow_seed = stream.next()
             trees.append(train_tree(train, boot, max_depth, max_features, grow_seed))
-            origins.append(tag)
-            tree_index += 1
-    return ClassifierPool.from_trees(trees, train.n_classes, origins, seed)
+    return ClassifierPool.from_trees(trees, train.n_classes)

@@ -39,10 +39,10 @@ def build_pipeline(data, forests=((6, 6), (4, 3)), k=3, n_acc=6, j=3, seed=17,
             "standardizer": s, "pool": pool, "dsel": dsel, "kmeans": km, "cm": cm}
 
 
-def pool_of(trees, n_classes, seed=0):
-    """A pool of the given (feature, threshold, jump) trees, all of forest
-    "A", built and checked by ``ClassifierPool.from_trees``."""
-    return ClassifierPool.from_trees(tuple(trees), n_classes, ("A",) * len(trees), seed)
+def pool_of(trees, n_classes):
+    """A pool of the given (feature, threshold, jump) trees, built and
+    checked by ``ClassifierPool.from_trees``."""
+    return ClassifierPool.from_trees(tuple(trees), n_classes)
 
 
 def leaf(cls):

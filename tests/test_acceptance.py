@@ -46,7 +46,6 @@ def mnist_config(**over):
         dsel_fraction=0.5,
         seed=42,
         profile="full",
-        limit=None,
     )
     base.update(over)
     return ExperimentConfig(**base)
@@ -103,8 +102,7 @@ class TestCriterion2Monotonicity:
 
     @pytest.mark.skipif(MNIST is None, reason="MNIST IDX pair not available")
     def test_desk_scale_j_trend(self):
-        cfg = mnist_config(profile="desk-scale", limit=5000,
-                           methods=("des_clustering",), j_values=(5, 20))
+        cfg = mnist_config(profile="desk-scale", methods=("des_clustering",), j_values=(5, 20))
         t0 = time.perf_counter()
         table = run_experiment(cfg)
         elapsed = time.perf_counter() - t0

@@ -80,7 +80,7 @@ random_configs = st.builds(
     methods=st.lists(st.sampled_from(bench.METHOD_ORDER), min_size=1).map(tuple),
     j_values=st.lists(st.integers(-5, 50), min_size=1).map(tuple),
     k_clusters=st.integers(), k_neighbors=st.integers(),
-    n_acc=st.none() | st.integers(), limit=st.none() | st.integers(),
+    n_acc=st.none() | st.integers(),
     pct_static=st.floats(allow_nan=False), dsel_fraction=st.floats(allow_nan=False),
     n_splits=st.integers(), n_repeats=st.integers(), seed=st.integers(),
     out_dir=file_paths,
@@ -118,7 +118,6 @@ class TestConfigSerialization:
             "n_repeats = 1\n"
             "dsel_fraction = 0.5\n"
             "forests = 4:4,3:2\n"
-            "limit = auto\n"
             "out_dir = reports\n"
             "dataset.blobs.csv = data/blobs.csv\n"
             "dataset.blobs.label_column = -1\n")
@@ -139,11 +138,42 @@ class TestConfigSerialization:
 
     @pytest.mark.parametrize("profile", ["fulll", "", "Full"])
     def test_unknown_profile_rejected(self, profile):
-        with pytest.raises(IoError, match="profile must be one of"):
+        with pytest.raises(IoError, match=f"^profile must be desk-scale or full, got {profile}$"):
             ExperimentConfig(profile=profile).validate()
 
-    def test_smallest_limit_and_forest_accepted(self):
-        ExperimentConfig(limit=1, forests=((1, 0),), j_values=(1,)).validate()
+    def test_smallest_forest_accepted(self):
+        ExperimentConfig(forests=((1, 0),), j_values=(1,)).validate()
+
+    @pytest.mark.parametrize("name, value, shown", [
+        ("methods", ("oracle", "bogus"), "oracle,bogus"), ("methods", (), ""),
+        ("j_values", (5, 0), "5,0"), ("j_values", (), ""), ("k_clusters", 0, "0"),
+        ("k_neighbors", -1, "-1"), ("pct_static", 0.0, "0.0"), ("pct_static", 1.5, "1.5"),
+        ("n_splits", 1, "1"), ("n_repeats", 0, "0"), ("dsel_fraction", 1.0, "1.0"),
+        ("forests", ((2, 3), (0, 3)), "2:3,0:3"), ("forests", ((2, -1),), "2:-1"),
+        ("forests", (), ""), ("out_dir", "", "")])
+    def test_setting_out_of_range(self, name, value, shown):
+        # the message is the setting's rule, with the value as config.txt prints it
+        rule = next(s.rule for s in bench.SETTINGS if s.name == name)
+        with pytest.raises(IoError) as exc:
+            ExperimentConfig(**{name: value}).validate()
+        assert str(exc.value) == f"{name} must be {rule}, got {shown}"
+
+    @pytest.mark.parametrize("over, max_j, n_acc", [
+        (dict(forests=((3, 2),)), 20, 2), (dict(n_acc=4, j_values=(2, 5)), 5, 4)])
+    def test_j_above_n_acc_rejected_with_des_clustering(self, over, max_j, n_acc):
+        with pytest.raises(IoError, match=f"^J {max_j} exceeds the accuracy shortlist "
+                                          f"N_acc={n_acc}$"):
+            ExperimentConfig(**over).validate()
+        ExperimentConfig(**over, methods=("oracle",)).validate()
+
+    def test_readme_table_lists_every_setting(self):
+        # README's settings table: one row per SETTINGS row, in config.txt
+        # order, whose Value column is the row's rule
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| Key | Value | Flag |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        rows = [line.split(" | ") for line in table.splitlines()]
+        assert [(key.strip("|` "), value) for key, value, _ in rows] == [
+            (s.name, s.rule) for s in bench.SETTINGS]
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +325,27 @@ class TestSharedKnoraRegions:
             assert rows[method].params == "k=1000"
             assert re.fullmatch(r"SelectionError: region size 1000 exceeds \d+ selection samples",
                                 rows[method].error)
+
+
+class TestFoldTimings:
+    def test_shared_stages_not_charged_to_a_method(self, monkeypatch, tmp_path, fold_data):
+        # on a clock that only the shared region search and k-means advance,
+        # no method may be charged time, whichever runs first
+        clock = [0.0]
+
+        def ticking(fn):
+            def wrapped(*args):
+                clock[0] += 1.0
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(bench, "knora_regions", ticking(bench.knora_regions))
+        monkeypatch.setattr(bench, "fit_kmeans", ticking(bench.fit_kmeans))
+        outcomes, _ = bench._evaluate_fold(small_config("unused.csv", tmp_path), *fold_data, 11)
+        assert clock[0] == 2.0
+        assert len(outcomes) == 7
+        assert {key: oc.wall_s for key, oc in outcomes.items() if oc.wall_s or oc.error} == {}
 
 
 class TestClusterIdsOncePerFold:

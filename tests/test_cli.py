@@ -1,10 +1,12 @@
+import argparse
 import re
 import zlib
 
 import numpy as np
 import pytest
 
-from tinydes.cli import main
+from tinydes.bench import PARSERS
+from tinydes.cli import build_parser, main
 from tinydes.tinyformat import load_tiny
 
 from test_bench import BAD_CONFIG_LINES, write_blob_csv
@@ -58,8 +60,8 @@ class TestTrain:
         rc = main(["train", "--dataset", str(csv_path), "--j", "2", "--clusters", "2",
                    "--dsel-fraction", fraction, "--out", str(tmp_path / "m")])
         assert rc == 1
-        assert re.search(r"^error: IoError: dsel_fraction must be in \(0, 1\)",
-                         capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"error: IoError: dsel_fraction must be a float in (0, 1), got {float(fraction)!r}\n")
         assert not (tmp_path / "m" / "model_j2.tdes").exists()
 
     def test_idx_mode(self, tmp_path):
@@ -194,17 +196,23 @@ class TestCrossval:
                    "--out", str(tmp_path / "r")])
         assert rc == 1
 
+    # "limit" is no longer a setting, so its lines are unknown keys; the
+    # bytes line is not UTF-8
     @pytest.mark.parametrize("line", BAD_CONFIG_LINES + [
         "profile = fulll", "limit = 0", "limit = -5", "forests = 2:-1", "forests = 0:3",
-        "n_acc = 100"])
+        "n_acc = 100", b"seed = \xff\xfe"])
     def test_bad_config_file_typed_error(self, csv_path, tmp_path, capsys, line):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"n_splits = 2\n{line}\ndataset.blobs.csv = {csv_path}\n")
+        line = line if isinstance(line, bytes) else line.encode("utf-8")
+        cfg.write_bytes(b"n_splits = 2\n" + line + f"\ndataset.blobs.csv = {csv_path}\n".encode())
         rc = main(["crossval", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 1
-        assert re.search(r"^error: IoError: (bad config line|profile must be one of"
-                         r"|limit must be at least 1|every forest needs n >= 1"
-                         r"|n_acc must be from 1 to the pool size 45, got 100)",
+        assert re.search(r"^error: IoError: (bad config line"
+                         r"|profile must be desk-scale or full, got fulll"
+                         r"|forests must be comma-separated trees:depth pairs with trees >= 1 "
+                         r"and depth >= 0, got (2:-1|0:3)"
+                         r"|n_acc must be from 1 to the pool size 45, got 100"
+                         r"|config file is not UTF-8: )",
                          capsys.readouterr().err)
         assert not (tmp_path / "r").exists()
 
@@ -218,6 +226,24 @@ class TestCrossval:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_n_acc_auto_flag_overrides_file(self, csv_path, tmp_path):
+        # "--n-acc auto" is "n_acc = auto", and it overrides the file's value
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"n_acc = 3\ndataset.blobs.csv = {csv_path}\n")
+        rc = main(["crossval", "--config", str(cfg), "--method", "oracle", "--splits", "2",
+                   "--repeats", "1", "--n-acc", "auto", "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert "n_acc = auto\n" in (tmp_path / "r" / "config.txt").read_text()
+
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_setting_flags_use_the_settings_parsers(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in sub.choices[command]._actions if a.dest in PARSERS]
+        assert {a.dest for a in actions if a.type is None} == (
+            {"methods", "profile"} if command == "crossval" else set())
+        assert all(a.type is PARSERS[a.dest] for a in actions if a.type is not None)
 
     def test_flags_set_config_fields(self, csv_path, tmp_path):
         rc = main(["crossval", "--dataset", str(csv_path), "--name", "blobs", "--full",
@@ -239,7 +265,6 @@ class TestCrossval:
             "n_repeats = 1\n"
             "dsel_fraction = 0.4\n"
             "forests = 25:10,20:5\n"
-            "limit = auto\n"
             f"out_dir = {tmp_path / 'r'}\n"
             f"dataset.blobs.csv = {csv_path}\n"
             "dataset.blobs.label_column = -1\n")

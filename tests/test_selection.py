@@ -314,7 +314,7 @@ class TestDesClusteringPredict:
     def test_unanimous(self):
         km = KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0)
         pool = constant_pool([3, 3, 3], n_classes=8)
-        cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16), 3, 3)
+        cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16), 3)
         res = des_clustering_predict(cm, pool, [0.0])
         assert res.label == 3 and res.votes[3] == 3
         assert res.cost == 3 + 1  # three leaf visits + one centroid
@@ -322,14 +322,14 @@ class TestDesClusteringPredict:
     def test_vote_tie_smallest_class(self):
         km = KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0)
         pool = constant_pool([0, 0, 1, 1, 3], n_classes=4)
-        cm = CompetenceModel(km, np.ones((1, 5)), np.array([[0, 1, 2, 3, 4]], np.uint16), 5, 5)
+        cm = CompetenceModel(km, np.ones((1, 5)), np.array([[0, 1, 2, 3, 4]], np.uint16), 5)
         assert des_clustering_predict(cm, pool, [0.0]).label == 0
 
     def test_cluster_routing(self):
         # two clusters with disjoint ensembles: the query's cell decides
         km = KMeansModel(np.array([[-5.0], [5.0]], np.float32), 2, 0.0, 0)
         pool = constant_pool([0, 1], n_classes=2)
-        cm = CompetenceModel(km, np.ones((2, 2)), np.array([[0], [1]], np.uint16), 1, 1)
+        cm = CompetenceModel(km, np.ones((2, 2)), np.array([[0], [1]], np.uint16), 1)
         res = des_clustering_predict(cm, pool, [5.0])
         np.testing.assert_array_equal(res.ensemble_used, [1])
         assert res.label == 1
