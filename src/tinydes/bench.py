@@ -25,7 +25,7 @@ from .errors import IoError, NondeterminismError, TinyDesError
 from .selection import (build_competence_model, build_dsel, des_clustering_batch,
                         knora_e_batch, knora_regions, knora_u_batch,
                         pool_predictions, single_best, static_selection,
-                        vote_rows)
+                        vote_batch)
 from .tinyformat import export_tiny
 from .trees import DEFAULT_FORESTS, generate_pool
 
@@ -187,9 +187,14 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 
 def config_from_text(text: str) -> ExperimentConfig:
-    """Read ``key = value`` lines as ``config_to_text`` writes them; blank
-    lines and ``#`` comments are skipped, and fields not given keep their
-    defaults. A line without "=", with an unknown key or with a value its
+    """The config of ``config_settings(text)``; fields not given keep their defaults."""
+    return ExperimentConfig(**config_settings(text))
+
+
+def config_settings(text: str) -> dict:
+    """The ExperimentConfig fields that ``key = value`` lines, as
+    ``config_to_text`` writes them, set; blank lines and ``#`` comments are
+    skipped. A line without "=", with an unknown key or with a value its
     parser rejects raises IoError."""
     settings = {}
     specs: dict[str, dict[str, str]] = {}
@@ -208,8 +213,8 @@ def config_from_text(text: str) -> ExperimentConfig:
                 settings[key] = PARSERS[key](val)
         except (KeyError, ValueError) as exc:
             raise IoError(f"bad config line: {raw!r}") from exc
-    datasets = tuple(DatasetSpec(name, **specs[name]) for name in sorted(specs))
-    return ExperimentConfig(datasets=datasets, **settings)
+    settings["datasets"] = tuple(DatasetSpec(name, **specs[name]) for name in sorted(specs))
+    return settings
 
 
 @dataclass
@@ -283,6 +288,13 @@ def fit_pool(train: Dataset, dsel_fraction: float, forests, seed: int):
     return s, pool, build_dsel(pool, dsel_part, s)
 
 
+def fit_competence(dsel, cfg: ExperimentConfig, seed: int):
+    """Cluster the DSEL and rank each cluster's ensemble as deep as the
+    largest J, once for the ``train`` command and once per crossval fold."""
+    km = fit_kmeans(dsel.samples, cfg.k_clusters, derive_seed(seed, 3))
+    return build_competence_model(dsel, km, cfg.resolve_n_acc(), max(cfg.j_values))
+
+
 def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
                    fold_seed: int):
     """Train one pool and run every configured method on it.
@@ -294,7 +306,6 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
     target = test.labels.astype(np.int64)
     n_test = test.n_samples
     preds, visits = pool_predictions(pool, test_std)
-    correct = preds == target[None, :]
 
     dsel_bytes = dsel.samples.nbytes + dsel.labels.nbytes
     std_bytes = 8 * s.n_features
@@ -322,11 +333,11 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
     def regions():
         return knora_regions(dsel, test_std, cfg.k_neighbors)
 
-    # one k-means and one cluster assignment per fold serve every J
+    # one k-means, one ranking and one cluster assignment per fold serve every J
     @functools.cache
     def clustering():
-        km = fit_kmeans(dsel.samples, cfg.k_clusters, derive_seed(fold_seed, 3))
-        return km, assign_batch(km, dsel.samples), assign_batch(km, test_std)
+        ranked = fit_competence(dsel, cfg, fold_seed)
+        return ranked, assign_batch(ranked.kmeans, test_std)
 
     def _knora(batch_fn):
         labels, costs = batch_fn(dsel, pool, test_std, cfg.k_neighbors, preds, visits,
@@ -334,23 +345,21 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
         return (float((labels == target).mean()), float(costs.mean()),
                 8 * pool.n_nodes + std_bytes + dsel_bytes)
 
+    def _chosen(select, *args):
+        """Every test row's vote of the train-time pick ``select(*args)``."""
+        sel = select(*args)
+        weights = np.zeros((n_test, pool.pool_size))
+        weights[:, sel] = 1.0
+        labels, costs = vote_batch(pool, preds, visits, weights)
+        return (float((labels == target).mean()), float(costs.mean()),
+                8 * int(pool.count[sel].sum()) + std_bytes)
+
     for method in cfg.methods:
         if method == "single_best":
-            def _sb():
-                best = single_best(dsel)
-                acc = float(correct[best].mean())
-                cost = float(visits[best].mean())
-                return acc, cost, 8 * int(pool.count[best]) + std_bytes
-            run(method, "", _sb)
+            run(method, "", lambda: _chosen(single_best, dsel))
         elif method == "static_selection":
-            def _st():
-                sel = static_selection(dsel, cfg.pct_static)
-                labels = vote_rows(preds[sel].T, np.ones((n_test, sel.size)), pool.n_classes)
-                acc = float((labels == target).mean())
-                cost = float(visits[sel].sum(axis=0).mean())
-                size = 8 * int(pool.count[sel].sum()) + std_bytes
-                return acc, cost, size
-            run(method, f"pct={cfg.pct_static:g}", _st)
+            run(method, f"pct={cfg.pct_static:g}",
+                lambda: _chosen(static_selection, dsel, cfg.pct_static))
         elif method == "knora_u":
             run(method, f"k={cfg.k_neighbors}", lambda: _knora(knora_u_batch), regions)
         elif method == "knora_e":
@@ -358,8 +367,8 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
         elif method == "des_clustering":
             for j in cfg.j_values:
                 def _dc(j=j):
-                    km, member_of, clusters = clustering()
-                    cm = build_competence_model(dsel, km, cfg.resolve_n_acc(), j, member_of)
+                    ranked, clusters = clustering()
+                    cm = ranked.top(j)
                     labels, costs = des_clustering_batch(cm, pool, test_std, preds, visits,
                                                          clusters)
                     blob, _ = export_tiny(s, cm, pool)
@@ -368,7 +377,8 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
                 run(method, f"J={j}", _dc, clustering)
         elif method == "oracle":
             def _or():
-                return float(correct.any(axis=0).mean()), float(visits.sum(axis=0).mean()), 0
+                return (float((preds == target).any(axis=0).mean()),
+                        float(visits.sum(axis=0).mean()), 0)
             run(method, "", _or)
     return outcomes, pool.fingerprint()
 

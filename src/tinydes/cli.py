@@ -8,16 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
-from ._rng import derive_seed
 from .bench import (DEFAULT_FULL_METHODS, METHOD_ORDER, PARSERS, DatasetSpec,
-                    ExperimentConfig, config_from_text, emit_report, fit_pool,
-                    measure_inference, run_experiment)
-from .cluster import fit_kmeans
+                    ExperimentConfig, config_settings, emit_report, fit_competence,
+                    fit_pool, measure_inference, run_experiment)
 from .errors import IoError, TinyDesError
-from .selection import build_competence_model
 from .tinyformat import emit_static_source, export_tiny, load_tiny
 
 
@@ -67,10 +64,9 @@ def cmd_train(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     s, pool, dsel = fit_pool(data, cfg.dsel_fraction, cfg.forests, cfg.seed)
-    km = fit_kmeans(dsel.samples, cfg.k_clusters, derive_seed(cfg.seed, 3))
+    ranked = fit_competence(dsel, cfg, cfg.seed)
     for j in cfg.j_values:
-        cm = build_competence_model(dsel, km, cfg.resolve_n_acc(), j)
-        blob, manifest = export_tiny(s, cm, pool)
+        blob, manifest = export_tiny(s, ranked.top(j), pool)
         model_path = out / f"model_j{j}.tdes"
         model_path.write_bytes(blob)
         (out / f"model_j{j}.manifest").write_text(manifest, encoding="utf-8")
@@ -81,18 +77,17 @@ def cmd_train(args) -> int:
 
 def cmd_crossval(args) -> int:
     try:
-        cfg = (config_from_text(Path(args.config).read_text(encoding="utf-8"))
-               if args.config else ExperimentConfig())
+        settings = (config_settings(Path(args.config).read_text(encoding="utf-8"))
+                    if args.config else {})
     except UnicodeDecodeError as exc:
         raise IoError(f"config file is not UTF-8: {args.config}: {exc}") from None
-    overrides = _settings(args)
+    settings.update(_settings(args))
     if args.dataset:
-        overrides["datasets"] = (_spec_from_flags(args, name=args.name),)
-    if "methods" in overrides:
-        overrides["methods"] = tuple(overrides["methods"])
-    elif overrides.get("profile") == "full" and not args.config:
-        overrides["methods"] = tuple(DEFAULT_FULL_METHODS)
-    cfg = replace(cfg, **overrides)
+        settings["datasets"] = (_spec_from_flags(args, name=args.name),)
+    # methods that neither the file nor --method gives follow the profile
+    settings["methods"] = tuple(settings.get(
+        "methods", DEFAULT_FULL_METHODS if settings.get("profile") == "full" else METHOD_ORDER))
+    cfg = ExperimentConfig(**settings)
     if not cfg.datasets:
         print("error: no datasets configured (use --dataset or a --config file)",
               file=sys.stderr)

@@ -224,10 +224,11 @@ def load_csv(path, label_column) -> Dataset:
         raise IoError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"CSV is not UTF-8: {path}: {exc}") from None
-    parsed = _parse_plain(text, label_column)
-    if parsed is None:
-        parsed = _parse_rows([row for row in csv.reader(io.StringIO(text, newline="")) if row],
-                             path, label_column)
+    with np.errstate(over="ignore"):  # a cell beyond float32's range stores as inf
+        parsed = _parse_plain(text, label_column)
+        if parsed is None:
+            parsed = _parse_rows([row for row in csv.reader(io.StringIO(text, newline=""))
+                                  if row], path, label_column)
     header, label_idx, feats, raw_labels = parsed
     values = sorted(set(raw_labels), key=_label_key)
     mapping = {v: i for i, v in enumerate(values)}

@@ -11,6 +11,7 @@ are independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +41,28 @@ class Dsel:
 
 @dataclass(frozen=True)
 class CompetenceModel:
+    """Each cluster's ranked ensemble; the model of a smaller J is ``top(j)``."""
+
     kmeans: KMeansModel
     per_cluster_accuracy: np.ndarray  # float64 [k, pool_size]
-    per_cluster_ensemble: np.ndarray  # uint16 [k, J], rows sorted ascending
-    j: int
+    ranking: np.ndarray  # uint16 [k, J], each cluster's distinct ensemble, best first
+
+    @property
+    def j(self) -> int:
+        return self.ranking.shape[1]
+
+    @cached_property
+    def per_cluster_ensemble(self) -> np.ndarray:
+        """The ranking's rows sorted ascending, read-only."""
+        ensembles = np.sort(self.ranking, axis=1)
+        ensembles.flags.writeable = False
+        return ensembles
+
+    def top(self, j: int) -> CompetenceModel:
+        """The model of each cluster's j best classifiers."""
+        if not 1 <= j <= self.j:
+            raise SelectionError(f"J {j} outside 1..{self.j}")
+        return CompetenceModel(self.kmeans, self.per_cluster_accuracy, self.ranking[:, :j])
 
 
 @dataclass(frozen=True)
@@ -64,8 +83,7 @@ def single_best(dsel: Dsel) -> int:
     """Classifier with the highest selection-set accuracy; ties to smaller index."""
     if dsel.n_samples == 0:
         raise SelectionError("empty selection set")
-    acc = dsel.correctness.mean(axis=1)
-    return int(np.argmax(acc))
+    return int(_rank_top(dsel.correctness.mean(axis=1), 1)[0])
 
 
 def static_selection(dsel: Dsel, pct: float) -> np.ndarray:
@@ -75,9 +93,7 @@ def static_selection(dsel: Dsel, pct: float) -> np.ndarray:
     m = int(np.floor(pct * dsel.pool_size))
     if m == 0:
         raise SelectionError(f"pct {pct} selects zero of {dsel.pool_size} classifiers")
-    acc = dsel.correctness.mean(axis=1)
-    order = np.lexsort((np.arange(dsel.pool_size), -acc))
-    return np.sort(order[:m])
+    return np.sort(_rank_top(dsel.correctness.mean(axis=1), m))
 
 
 def _rank_top(scores: np.ndarray, take: int) -> np.ndarray:
@@ -86,42 +102,32 @@ def _rank_top(scores: np.ndarray, take: int) -> np.ndarray:
     return order[:take]
 
 
-def build_competence_model(dsel: Dsel, kmeans: KMeansModel, n_acc: int, j: int,
-                           member_of=None) -> CompetenceModel:
-    """Per cluster: shortlist the n_acc most accurate classifiers, then keep
+def build_competence_model(dsel: Dsel, kmeans: KMeansModel, n_acc: int, j: int) -> CompetenceModel:
+    """Per cluster: shortlist the n_acc most accurate classifiers, then rank
     the j with the smallest mean pairwise double-fault within the shortlist
     (ties: higher accuracy, then smaller index). Clusters with no selection
-    samples fall back to global accuracy/diversity. ``member_of`` takes
-    precomputed ``assign_batch(kmeans, dsel.samples)``."""
+    samples fall back to global accuracy/diversity. The ranking does not
+    depend on j past its first j places, so ``top`` of one built at the
+    largest J gives every smaller J's model."""
     pool_size = dsel.pool_size
     if not (1 <= j <= n_acc <= pool_size):
         raise SelectionError(f"need 1 <= J({j}) <= N_acc({n_acc}) <= pool({pool_size})")
     k = kmeans.k
-    if member_of is None:
-        member_of = assign_batch(kmeans, dsel.samples)
-    elif member_of.shape != (dsel.n_samples,):
-        raise ShapeError(f"cluster ids shape {member_of.shape} != {(dsel.n_samples,)}")
+    member_of = assign_batch(kmeans, dsel.samples)
     accuracy = np.empty((k, pool_size), dtype=np.float64)
-    ensembles = np.empty((k, j), dtype=np.uint16)
-    global_acc = dsel.correctness.mean(axis=1)
-    all_cols = np.arange(dsel.n_samples)
+    ranking = np.empty((k, j), dtype=np.uint16)
     for c in range(k):
         cols = np.nonzero(member_of == c)[0]
-        region = cols if cols.size > 0 else all_cols
-        acc = dsel.correctness[:, region].mean(axis=1) if cols.size > 0 else global_acc
-        accuracy[c] = acc
+        region = cols if cols.size > 0 else np.arange(dsel.n_samples)
+        accuracy[c] = acc = dsel.correctness[:, region].mean(axis=1)
         shortlist = _rank_top(acc, n_acc)
         wrong = ~dsel.correctness[np.ix_(shortlist, region)]
         pair_counts = _kernels.both_wrong_counts(np.ascontiguousarray(wrong))
-        if n_acc > 1:
-            mean_df = (pair_counts.sum(axis=1) - pair_counts.diagonal()) / (
-                region.size * (n_acc - 1))
-        else:
-            mean_df = np.zeros(1, dtype=np.float64)
+        mean_df = (pair_counts.sum(axis=1) - pair_counts.diagonal()) / (
+            region.size * max(1, n_acc - 1))
         # smallest mean double-fault, then highest accuracy, then smallest index
-        pick = np.lexsort((shortlist, -acc[shortlist], mean_df))[:j]
-        ensembles[c] = np.sort(shortlist[pick])
-    return CompetenceModel(kmeans, accuracy, ensembles, j)
+        ranking[c] = shortlist[np.lexsort((shortlist, -acc[shortlist], mean_df))[:j]]
+    return CompetenceModel(kmeans, accuracy, ranking)
 
 
 def des_clustering_predict(cm: CompetenceModel, pool: ClassifierPool, x) -> SelectionResult:
@@ -143,9 +149,10 @@ def des_clustering_predict(cm: CompetenceModel, pool: ClassifierPool, x) -> Sele
 # Batched evaluation paths used by the benchmark harness. The caller walks
 # the pool once (``pool_predictions``) and computes the KNORA regions
 # (``knora_regions``) and the test rows' cluster ids (``assign_batch``) once;
-# every method reads those, and none recomputes them. The clustering path
-# matches ``des_clustering_predict``; the KNORA paths are checked against a
-# per-query oracle kept with the tests.
+# every method reads those, and none recomputes them. ``vote_batch`` is the
+# one rule that votes and charges the visits of the trees that vote. The
+# clustering path matches ``des_clustering_predict``; the KNORA paths are
+# checked against a per-query oracle kept with the tests.
 # ---------------------------------------------------------------------------
 
 
@@ -184,6 +191,17 @@ def vote_rows(preds: np.ndarray, weights: np.ndarray, n_classes: int) -> np.ndar
     bins = (np.arange(n, dtype=np.int64)[:, None] * n_classes + preds).ravel()
     votes = np.bincount(bins, weights=np.ravel(weights), minlength=n * n_classes)
     return np.argmax(votes.reshape(n, n_classes), axis=1)
+
+
+def vote_batch(pool: ClassifierPool, pool_preds, pool_visits, weights):
+    """(labels, costs) of one vote per query over ``pool_predictions`` of the
+    queries. ``weights`` is [n_queries, pool_size] whole numbers, 0 for a
+    tree that does not vote; a query's cost is the visits of those that do."""
+    for name, walk in (("pool_preds", pool_preds), ("pool_visits", pool_visits)):
+        if walk.shape != (pool.pool_size, len(weights)):
+            raise ShapeError(f"{name} shape {walk.shape} != {(pool.pool_size, len(weights))}")
+    labels = vote_rows(pool_preds.T, weights, pool.n_classes)
+    return labels, np.where(weights.T > 0, pool_visits, 0).sum(axis=0)
 
 
 def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -240,41 +258,12 @@ def knora_regions(dsel: Dsel, X, k: int) -> np.ndarray:
     return regions
 
 
-def _check_walk(pool: ClassifierPool, pool_preds, pool_visits, n: int) -> None:
-    for name, walk in (("pool_preds", pool_preds), ("pool_visits", pool_visits)):
-        if walk.shape != (pool.pool_size, n):
-            raise ShapeError(f"{name} shape {walk.shape} != {(pool.pool_size, n)}")
-
-
-def _knora_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
-                 pool_preds, pool_visits, regions, choose):
-    """Shared driver of the KNORA batch paths: one vote per query over
-    ``choose(region correctness)``, which returns the whole-number vote
-    weight of every classifier per query ([n_queries, pool_size], 0 = not
-    selected)."""
+def _region(dsel: Dsel, X, k: int, regions) -> np.ndarray:
+    """bool [pool_size, n_queries, k]: [c, q, i] = classifier c correct on
+    query q's i-th nearest selection sample."""
     if regions.shape != (len(X), k):
         raise ShapeError(f"regions shape {regions.shape} != {(len(X), k)}")
-    _check_walk(pool, pool_preds, pool_visits, len(X))
-    # region[c, q, i] = classifier c correct on query q's i-th nearest
-    weights = choose(dsel.correctness[:, regions])
-    labels = vote_rows(pool_preds.T, weights, pool.n_classes)
-    costs = np.where(weights.T > 0, pool_visits, 0).sum(axis=0)
-    return labels, costs
-
-
-def _knora_u_weights(region: np.ndarray) -> np.ndarray:
-    counts = region.sum(axis=2).T.astype(np.float64)
-    counts[~counts.any(axis=1)] = 1.0
-    return counts
-
-
-def _knora_e_weights(region: np.ndarray) -> np.ndarray:
-    # lead[c, q] = how many of q's nearest neighbours c gets right before its
-    # first miss. The largest region with a local oracle has max(lead) samples
-    # and its oracles are the classifiers that reach it; when that size is 0,
-    # every classifier does, which is the whole-pool fallback.
-    lead = np.logical_and.accumulate(region, axis=2).sum(axis=2)
-    return (lead == lead.max(axis=0)).T.astype(np.float64)
+    return dsel.correctness[:, regions]
 
 
 def knora_u_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
@@ -288,8 +277,9 @@ def knora_u_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
     class id. The caller passes ``pool_predictions(pool, X)`` as
     ``pool_preds, pool_visits`` and ``knora_regions(dsel, X, k)`` as
     ``regions``; X itself is read only for its row count."""
-    return _knora_batch(dsel, pool, X, k, pool_preds, pool_visits, regions,
-                        _knora_u_weights)
+    counts = _region(dsel, X, k, regions).sum(axis=2).T.astype(np.float64)
+    counts[~counts.any(axis=1)] = 1.0
+    return vote_batch(pool, pool_preds, pool_visits, counts)
 
 
 def knora_e_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
@@ -301,8 +291,12 @@ def knora_e_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
     empties, the whole pool votes. Ties go to the smaller class id. The
     caller passes the same ``pool_preds``, ``pool_visits`` and ``regions``
     as to ``knora_u_batch``."""
-    return _knora_batch(dsel, pool, X, k, pool_preds, pool_visits, regions,
-                        _knora_e_weights)
+    # lead[c, q] = how many of q's nearest neighbours c gets right before its
+    # first miss. The largest region with a local oracle has max(lead) samples
+    # and its oracles are the classifiers that reach it; when that size is 0,
+    # every classifier does, which is the whole-pool fallback.
+    lead = np.logical_and.accumulate(_region(dsel, X, k, regions), axis=2).sum(axis=2)
+    return vote_batch(pool, pool_preds, pool_visits, (lead == lead.max(axis=0)).T)
 
 
 def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, X,
@@ -314,9 +308,7 @@ def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, X,
     itself is read only for its row count."""
     if clusters.shape != (len(X),):
         raise ShapeError(f"cluster ids shape {clusters.shape} != {(len(X),)}")
-    _check_walk(pool, pool_preds, pool_visits, len(X))
-    ens = cm.per_cluster_ensemble[clusters].astype(np.int64)  # [n, J]
-    cols = np.arange(len(X))[:, None]
-    labels = vote_rows(pool_preds[ens, cols], np.ones(ens.shape), pool.n_classes)
-    costs = cm.kmeans.k + pool_visits[ens, cols].sum(axis=1)
-    return labels, costs
+    member = np.zeros((cm.kmeans.k, pool.pool_size), dtype=bool)
+    np.put_along_axis(member, cm.ranking.astype(np.intp), True, axis=1)
+    labels, costs = vote_batch(pool, pool_preds, pool_visits, member[clusters])
+    return labels, cm.kmeans.k + costs

@@ -69,7 +69,8 @@ def load_csv(path, label_column) -> Dataset:
                 raw_labels.append(cell.strip())
                 continue
             try:
-                feats[i, col] = float(cell)
+                with np.errstate(over="ignore"):  # beyond float32's range: inf
+                    feats[i, col] = float(cell)
             except ValueError:
                 raise FormatError(f"non-numeric feature cell {cell!r} at row {i}, column {j}") from None
             col += 1

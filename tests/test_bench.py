@@ -367,34 +367,38 @@ class TestClusterIdsOncePerFold:
         assert per_j_count[0] == per_j_count[1] == per_j_count[2]
 
     def test_answers_equal_per_j_calls(self, monkeypatch, tmp_path, fold_data):
-        # each J's call with the fold's walk and cluster ids against one with
-        # both computed afresh
+        # one ranking per fold, built at the largest J, serves every J: each
+        # J's model and answers equal those of a model built at that J alone,
+        # with the walk and the cluster ids computed afresh
         real_cm, real_dc = bench.build_competence_model, bench.des_clustering_batch
-        seen = []
+        builds, seen = [], []
 
-        def cm_spy(dsel, km, n_acc, j, member_of):
-            got = real_cm(dsel, km, n_acc, j, member_of)
-            ref = real_cm(dsel, km, n_acc, j)
-            np.testing.assert_array_equal(got.per_cluster_ensemble, ref.per_cluster_ensemble)
-            np.testing.assert_array_equal(got.per_cluster_accuracy, ref.per_cluster_accuracy)
-            seen.append(j)
-            return got
+        def cm_spy(dsel, km, n_acc, j):
+            builds.append((dsel, km, n_acc, j))
+            return real_cm(dsel, km, n_acc, j)
 
         def dc_spy(cm, pool, X, preds, visits, clusters):
+            dsel, km, n_acc, _ = builds[-1]
+            alone = real_cm(dsel, km, n_acc, cm.j)
+            np.testing.assert_array_equal(cm.ranking, alone.ranking)
+            np.testing.assert_array_equal(cm.per_cluster_accuracy, alone.per_cluster_accuracy)
             got = real_dc(cm, pool, X, preds, visits, clusters)
-            ref = real_dc(cm, pool, X, *shared_inputs(pool, X, kmeans=cm.kmeans))
-            for a, b in zip(got, ref):
+            for a, b in zip(got, real_dc(alone, pool, X, *shared_inputs(pool, X, kmeans=km))):
                 np.testing.assert_array_equal(a, b)
-            seen.append(-cm.j)
+            seen.append(cm.j)
             return got
 
         monkeypatch.setattr(bench, "build_competence_model", cm_spy)
         monkeypatch.setattr(bench, "des_clustering_batch", dc_spy)
-        cfg = small_config("unused.csv", tmp_path, methods=("des_clustering",),
-                           j_values=(2, 4, 5))
-        outcomes, _ = bench._evaluate_fold(cfg, *fold_data, 11)
-        assert seen == [2, -2, 4, -4, 5, -5]
-        assert not any(oc.error for oc in outcomes.values())
+        for j_values in ((2,), (2, 4), (2, 4, 5)):
+            builds.clear()
+            seen.clear()
+            cfg = small_config("unused.csv", tmp_path, methods=("des_clustering",),
+                               j_values=j_values)
+            outcomes, _ = bench._evaluate_fold(cfg, *fold_data, 11)
+            assert [j for *_, j in builds] == [max(j_values)]
+            assert seen == list(j_values)
+            assert not any(oc.error for oc in outcomes.values())
 
 
 class TestEmitReport:

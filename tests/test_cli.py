@@ -1,11 +1,13 @@
 import argparse
 import re
+import warnings
 import zlib
 
 import numpy as np
 import pytest
 
-from tinydes.bench import PARSERS
+from tinydes import bench
+from tinydes.bench import DEFAULT_FULL_METHODS, METHOD_ORDER, PARSERS
 from tinydes.cli import build_parser, main
 from tinydes.tinyformat import load_tiny
 
@@ -45,6 +47,22 @@ class TestTrain:
             manifest = (model_dir / f"model_j{j}.manifest").read_text()
             assert f"ensemble_size = {j}" in manifest
             assert f"bytes.total = {len(blob)}" in manifest
+
+    def test_one_ranking_writes_every_j(self, csv_path, tmp_path, monkeypatch):
+        # one ranking serves every J of a run: "--j 5,20" writes the bytes of
+        # separate "--j 5" and "--j 20" runs, and ranks once
+        real, builds = bench.build_competence_model, []
+        monkeypatch.setattr(bench, "build_competence_model",
+                            lambda *args: builds.append(args[3]) or real(*args))
+        for j_values in ("5,20", "5", "20"):
+            assert main(["train", "--dataset", str(csv_path), "--j", j_values, "--seed", "3",
+                         "--out", str(tmp_path / j_values)]) == 0
+        assert builds == [20, 5, 20]
+        for j in (5, 20):
+            for suffix in ("tdes", "manifest"):
+                name = f"model_j{j}.{suffix}"
+                assert (tmp_path / "5,20" / name).read_bytes() == (
+                    tmp_path / str(j) / name).read_bytes()
 
     def test_zero_n_acc_rejected(self, csv_path, tmp_path, capsys):
         # 0 is a shortlist size, not "use the default"
@@ -186,6 +204,18 @@ class TestCrossval:
         assert rc == 0, capsys.readouterr().err
         assert "FAILED" not in capsys.readouterr().out
 
+    def test_cell_beyond_float32_range(self, tmp_path, capsys):
+        # a typed error, and no RuntimeWarning on the way
+        path = tmp_path / "big.csv"
+        path.write_text("".join(f"{i},{i % 2}\n" for i in range(20)) + "1e39,1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["crossval", "--dataset", str(path), "--method", "oracle",
+                       "--splits", "2", "--repeats", "1", "--out", str(tmp_path / "r")])
+        assert [str(w.message) for w in caught] == []
+        assert rc == 1
+        assert capsys.readouterr().err == "error: FormatError: features contain NaN or Inf\n"
+
     def test_no_dataset_errors(self, capsys):
         rc = main(["crossval"])
         assert rc == 2
@@ -244,6 +274,27 @@ class TestCrossval:
         assert {a.dest for a in actions if a.type is None} == (
             {"methods", "profile"} if command == "crossval" else set())
         assert all(a.type is PARSERS[a.dest] for a in actions if a.type is not None)
+
+    # the full profile runs DEFAULT_FULL_METHODS unless a methods line or
+    # --method names the methods, whether a flag or the file sets the profile
+    @pytest.mark.parametrize("lines, flags, methods", [
+        (None, ["--full"], DEFAULT_FULL_METHODS),
+        ("profile = full\n", [], DEFAULT_FULL_METHODS),
+        ("seed = 4\n", ["--full"], DEFAULT_FULL_METHODS),
+        ("profile = full\nmethods = " + ",".join(METHOD_ORDER) + "\n", [], METHOD_ORDER),
+        ("profile = full\n", ["--method", "knora_u"], ["knora_u"]),
+    ])
+    def test_full_profile_default_methods(self, csv_path, tmp_path, lines, flags, methods):
+        cfg = tmp_path / "exp.cfg"
+        if lines is None:
+            flags = [*flags, "--dataset", str(csv_path)]
+        else:
+            cfg.write_text(lines + f"forests = 4:3\ndataset.blobs.csv = {csv_path}\n")
+            flags = [*flags, "--config", str(cfg)]
+        rc = main(["crossval", *flags, "--j", "2", "--clusters", "2", "--n-acc", "2",
+                   "--splits", "2", "--repeats", "1", "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert f"methods = {','.join(methods)}\n" in (tmp_path / "r" / "config.txt").read_text()
 
     def test_flags_set_config_fields(self, csv_path, tmp_path):
         rc = main(["crossval", "--dataset", str(csv_path), "--name", "blobs", "--full",

@@ -275,6 +275,35 @@ class TestBuildCompetenceModel:
                 if which[a] == which[b] and b in ensemble:
                     assert a in ensemble
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 3), m=st.integers(1, 8))
+    def test_top_of_the_deepest_ranking_is_each_j(self, data, n_rows, m):
+        # copies of a few correctness rows tie on accuracy and double-fault;
+        # a far centroid leaves its cluster empty
+        rows = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                           min_size=n_rows, max_size=n_rows)))
+        which = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=7))
+        dsel = dsel_from_correctness(rows[which])
+        centres = data.draw(st.lists(st.integers(-2, m + 2), min_size=1, max_size=3,
+                                     unique=True))
+        centres += [m + 50] if data.draw(st.booleans()) else []
+        km = KMeansModel(np.array(centres, np.float32)[:, None], len(centres), 0.0, 0)
+        n_acc = data.draw(st.one_of(st.just(1), st.just(len(which)),
+                                    st.integers(1, len(which))))
+        deepest = build_competence_model(dsel, km, n_acc, n_acc)
+        for j in range(1, n_acc + 1):
+            alone, top = build_competence_model(dsel, km, n_acc, j), deepest.top(j)
+            assert top.j == j
+            np.testing.assert_array_equal(top.ranking, alone.ranking)
+            np.testing.assert_array_equal(top.per_cluster_ensemble, alone.per_cluster_ensemble)
+            np.testing.assert_array_equal(top.per_cluster_accuracy, alone.per_cluster_accuracy)
+            np.testing.assert_array_equal(top.per_cluster_ensemble,
+                                          brute_force_competence(dsel, km, n_acc, j))
+        for j in (0, n_acc + 1):
+            with pytest.raises(SelectionError, match=f"J {j} outside 1..{n_acc}"):
+                deepest.top(j)
+        assert not deepest.per_cluster_ensemble.flags.writeable
+
     def test_row_shape_and_distinctness(self, pipeline):
         cm = pipeline["cm"]
         for row in cm.per_cluster_ensemble:
@@ -314,7 +343,7 @@ class TestDesClusteringPredict:
     def test_unanimous(self):
         km = KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0)
         pool = constant_pool([3, 3, 3], n_classes=8)
-        cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16), 3)
+        cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16))
         res = des_clustering_predict(cm, pool, [0.0])
         assert res.label == 3 and res.votes[3] == 3
         assert res.cost == 3 + 1  # three leaf visits + one centroid
@@ -322,14 +351,14 @@ class TestDesClusteringPredict:
     def test_vote_tie_smallest_class(self):
         km = KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0)
         pool = constant_pool([0, 0, 1, 1, 3], n_classes=4)
-        cm = CompetenceModel(km, np.ones((1, 5)), np.array([[0, 1, 2, 3, 4]], np.uint16), 5)
+        cm = CompetenceModel(km, np.ones((1, 5)), np.array([[0, 1, 2, 3, 4]], np.uint16))
         assert des_clustering_predict(cm, pool, [0.0]).label == 0
 
     def test_cluster_routing(self):
         # two clusters with disjoint ensembles: the query's cell decides
         km = KMeansModel(np.array([[-5.0], [5.0]], np.float32), 2, 0.0, 0)
         pool = constant_pool([0, 1], n_classes=2)
-        cm = CompetenceModel(km, np.ones((2, 2)), np.array([[0], [1]], np.uint16), 1)
+        cm = CompetenceModel(km, np.ones((2, 2)), np.array([[0], [1]], np.uint16))
         res = des_clustering_predict(cm, pool, [5.0])
         np.testing.assert_array_equal(res.ensemble_used, [1])
         assert res.label == 1
@@ -446,11 +475,8 @@ class TestBatchEquivalence:
     def test_precomputed_cluster_ids(self, monkeypatch, pipeline):
         dsel, pool, km = pipeline["dsel"], pipeline["pool"], pipeline["kmeans"]
         probes = dsel.samples[:40]
-        member_of = assign_batch(km, dsel.samples)
+        dsel_ids = assign_batch(km, dsel.samples)
         cm = build_competence_model(dsel, km, 6, 3)
-        shared = build_competence_model(dsel, km, 6, 3, member_of)
-        np.testing.assert_array_equal(cm.per_cluster_ensemble, shared.per_cluster_ensemble)
-        np.testing.assert_array_equal(cm.per_cluster_accuracy, shared.per_cluster_accuracy)
         preds, visits, clusters = shared_inputs(pool, probes, kmeans=km)
         expect = des_clustering_batch(cm, pool, probes, preds, visits, clusters)
         # the batch path reads the walk and the cluster ids it is given
@@ -460,9 +486,7 @@ class TestBatchEquivalence:
                         expect):
             np.testing.assert_array_equal(a, b)
         with pytest.raises(ShapeError, match="cluster ids shape"):
-            build_competence_model(dsel, km, 6, 3, member_of[:-1])
-        with pytest.raises(ShapeError, match="cluster ids shape"):
-            des_clustering_batch(cm, pool, probes, preds, visits, member_of)
+            des_clustering_batch(cm, pool, probes, preds, visits, dsel_ids)
 
     def test_cost_monotone_in_j(self, pipeline):
         dsel, pool, km = pipeline["dsel"], pipeline["pool"], pipeline["kmeans"]

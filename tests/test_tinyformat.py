@@ -26,7 +26,7 @@ def minimal_model():
     s = Standardizer(np.array([1.0, 2.0], np.float32), np.array([0.5, 0.25], np.float32))
     pool = pool_of([leaf(3)], 4)
     km = KMeansModel(np.array([[0.5, -1.5]], np.float32), 1, 0.0, 1)
-    cm = CompetenceModel(km, np.ones((1, 1)), np.array([[0]], np.uint16), 1)
+    cm = CompetenceModel(km, np.ones((1, 1)), np.array([[0]], np.uint16))
     return s, cm, pool
 
 
@@ -66,7 +66,7 @@ class TestExport:
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
         pool = pool_of([leaf(c % 3) for c in range(5)], 3)
         km = KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0)
-        cm = CompetenceModel(km, np.ones((1, 5)), np.array([[1, 4]], np.uint16), 2)
+        cm = CompetenceModel(km, np.ones((1, 5)), np.array([[1, 4]], np.uint16))
         blob, manifest = export_tiny(s, cm, pool)
         e = load_tiny(blob)
         assert e.pool_size == 2
@@ -92,7 +92,7 @@ class TestExport:
     def test_capacity_error_many_classifiers(self):
         s, cm, pool = minimal_model()
         big = CompetenceModel(cm.kmeans, cm.per_cluster_accuracy,
-                              np.array([[70000]], np.uint32).astype(np.uint32), 1)
+                              np.array([[70000]], np.uint32).astype(np.uint32))
         with pytest.raises((CapacityError, ModelCorruptError)):
             export_tiny(s, big, pool)
 
@@ -131,7 +131,7 @@ class TestLoad:
         centroids = rng.randn(k, nf).astype(np.float32)
         ensembles = np.sort(rng.randint(0, pool_size, (k, j)), axis=1).astype(np.uint16)
         cm = CompetenceModel(KMeansModel(centroids, k, 0.0, 0), np.ones((k, pool_size)),
-                             ensembles, j)
+                             ensembles)
         blob, manifest = export_tiny(s, cm, pool)
         # the same inputs, and the same trees built into a second pool, give
         # the same bytes
@@ -227,7 +227,7 @@ def three_tree_model():
               ([-1], [0], [1]))
     pool = pool_of(shapes, 3)
     km = KMeansModel(np.zeros((1, 2), np.float32), 1, 0.0, 0)
-    cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16), 3)
+    cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16))
     return s, cm, pool
 
 
@@ -301,7 +301,7 @@ def directory_pool(blob):
     trees = [(nodes["feature"][o : o + c], nodes["threshold"][o : o + c],
               nodes["right_jump"][o : o + c]) for o, c in directory.tolist()]
     km = KMeansModel(e.centroids, e.k, 0.0, 0)
-    cm = CompetenceModel(km, np.ones((e.k, e.pool_size)), e.ensembles, e.j)
+    cm = CompetenceModel(km, np.ones((e.k, e.pool_size)), e.ensembles)
     return e, cm, pool_of(trees, e.n_classes)
 
 
@@ -477,7 +477,7 @@ class TestU16Edges:
         alone, after checking its node section and answers."""
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
         cm = CompetenceModel(KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0),
-                             np.ones((1, pool.pool_size)), np.array([[tree]], np.uint16), 1)
+                             np.ones((1, pool.pool_size)), np.array([[tree]], np.uint16))
         engine = load_tiny(export_tiny(s, cm, pool)[0])
         for name, col in zip(("feature", "threshold", "jump"), pool.tree(tree)):
             np.testing.assert_array_equal(getattr(engine, "walk_" + name), col)
@@ -512,7 +512,7 @@ class TestU16Edges:
         ensembles = np.minimum(np.arange(k * j), retained - 1).reshape(k, j)
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
         cm = CompetenceModel(KMeansModel(np.array([[-1.0], [1.0]], np.float32), k, 0.0, 0),
-                             np.ones((k, retained)), ensembles.astype(np.uint16), j)
+                             np.ones((k, retained)), ensembles.astype(np.uint16))
         if retained == 65536:
             with pytest.raises(CapacityError,
                                match="^65536 retained classifiers exceed the u16 limit$"):
@@ -609,7 +609,7 @@ class TestTinyPredict:
         centroids = (rng.randint(-8, 9, (k, nf)) / 4).astype(np.float32)
         ensembles = np.sort(rng.randint(0, pool_size, (k, j)), axis=1).astype(np.uint16)
         cm = CompetenceModel(KMeansModel(centroids, k, 0.0, 0), np.ones((k, pool_size)),
-                             ensembles, j)
+                             ensembles)
         engine = load_tiny(export_tiny(s, cm, pool)[0])
         grid = np.unique(np.concatenate([t.threshold for t in trees] + [centroids.ravel()]))
         exact = [rng.choice(grid, nf).astype(np.float32) for _ in range(12)]  # on thresholds
