@@ -20,9 +20,13 @@
 #                   n=60, uint16, m=8        66 us                    74 us
 #                   n=300, uint8, m=28      283 us                   336 us
 #                   n=300, uint16, m=8      120 us                   140 us
-#   rank_codes      1250x784 pixels          43 ms   once per pool
+#   rank_codes      1250x784 pixels          27 ms   once per pool; argsort and
+#                                                    a second sort: 39 ms
 #   sample_sorted_rows  128 x (28 of 784)   0.36 ms  128 per-node draws: 4.6 ms
 #   generate_pool   1250x784 pixel fold     650 ms   put-scatter form: 734 ms
+#   fit_kmeans      1250x784 pixel fold      27 ms   k=5, 3 iterations; every
+#                                                    distance in every
+#                                                    assignment: 41 ms
 #   tree_walk       one 2^16-pair block      21 ms   45-tree pool, 784 features
 #   pool_predictions  45 trees x 30000     343 ms   every (tree, row) pair, in
 #                                                    2^16-pair blocks
@@ -45,6 +49,9 @@
 # and the put-scatter form in turn (a put in place of the third sort, int64
 # prefix sums, aranges built per node): 2000 calls on one small node, five
 # on a 30000-row node, three pools. The
+# rank_codes and fit_kmeans rows are medians of nine rounds in one process,
+# each round timing the kernel and its previous form in turn (an argsort and
+# a second full sort; ``tests/kmeans_oracle.py``). The
 # assign_clusters and tiny_infer rows were timed back to back with the
 # previous kernel on the same host, two runs of each, averaged. The
 # knora_regions and load_csv rows are medians of six runs of each form,
@@ -61,6 +68,7 @@ import numpy as np
 from tinydes._kernels import (assign_clusters, best_split, pairwise_sqdist, rank_codes,
                               split_constants, tree_walk)
 from tinydes._rng import SplitMix64
+from tinydes.cluster import fit_kmeans
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer, load_csv
 from tinydes.selection import (REGION_CHUNK_CELLS, WALK_BLOCK_PAIRS, Dsel, _k_nearest,
                                knora_regions, pool_predictions)
@@ -138,6 +146,8 @@ stream = SplitMix64(5)
 bench("sample_sorted_rows", lambda: stream.sample_sorted_rows(784, 28, 128))
 fold = pixel_fold(srng, 1250, 784, classes)
 bench("generate_pool (45 trees, pixel fold)", lambda: generate_pool(fold, seed=7), reps=3)
+# one fold's DES-Clustering regions, on a DSEL of the same shape
+bench("fit_kmeans (pixel fold, k=5)", lambda: fit_kmeans(fold.features, 5, seed=2), reps=3)
 
 # One default pool (25 trees of depth 10, 20 of depth 5) walked over every
 # (tree, row) pair: one block of pairs, and all of them as pool_predictions
@@ -182,7 +192,6 @@ with tempfile.TemporaryDirectory() as tmp:
         ",".join("%.9g" % v for v in row) + f",{i % 10}\n" for i, row in enumerate(Xc.tolist())))
     bench("load_csv", lambda: load_csv(csv_path, "label"), reps=3)
 
-from tinydes.cluster import fit_kmeans
 from tinydes.selection import build_competence_model, build_dsel
 
 small = Dataset(X[:2000], y[:2000].astype(np.uint16), classes)

@@ -9,7 +9,11 @@ one arithmetic contract:
     the kernel scores all candidate columns at once from the class totals
     they share, in the order of integer rank codes (see "Split search");
   * tree walks compare float32 values against float32 thresholds;
-  * distances square float32 differences and accumulate in float64.
+  * distances square float32 differences and accumulate in float64
+    (``sqdist_rows``). A computed distance lies within a relative
+    2^-22 + (n + 2) 2^-52 plus an absolute n 2^-149 of the exact one, for
+    n features in any summation order; k-means' bounded assignment skips
+    a distance only by that margin (see ``cluster``).
 
 Every consumer breaks distance ties by explicit index rules, never by
 accumulation order. ``benchmarks/kernel_bench.py`` times the kernels.
@@ -110,20 +114,33 @@ BACKEND = "numpy"
 
 
 def rank_codes(X):
-    """Per-column dense ranks of the 2-D matrix ``X``.
+    """Per-column dense ranks of the float32 2-D matrix ``X``.
 
     Equal values share a code, and codes order like the values. The dtype is
     the smallest unsigned type that holds the largest code. The result is the
     transpose of a C-contiguous (features, samples) array, so ``.T`` gives
     each feature's codes as one contiguous row.
     """
-    xt = np.ascontiguousarray(np.asarray(X).T)
-    order = np.argsort(xt, axis=1)
-    sv = np.sort(xt, axis=1)  # equals xt along order: only tie order differs
-    ranks = np.zeros(xt.shape, dtype=np.int64)
-    np.cumsum(sv[:, 1:] != sv[:, :-1], axis=1, out=ranks[:, 1:])
+    n = X.shape[0]
+    xt = np.empty((X.shape[1], n), dtype=np.float32)
+    np.add(X.T, np.float32(0.0), out=xt)  # -0.0 + 0.0 is 0.0
+    # an int32 key that orders like the float32: negatives flip their
+    # magnitude bits, so a larger magnitude gives a smaller key
+    key = xt.view(np.int32)
+    key ^= (key >> 31) & 0x7FFFFFFF
+    b = (n - 1).bit_length()  # position bits
+    comp = key.astype(np.int64)
+    comp <<= b
+    comp |= np.arange(n, dtype=np.int64)
+    comp.sort(axis=1)  # composites are distinct: keys, then positions
+    cells = comp & ((1 << b) - 1)  # positions in key order, then flat cells
+    cells += np.arange(0, xt.size, n, dtype=np.int64)[:, None]
+    comp >>= b  # the sorted keys
+    ranks = np.zeros(xt.shape, dtype=np.int32)
+    np.cumsum(comp[:, 1:] != comp[:, :-1], axis=1, dtype=np.int32, out=ranks[:, 1:])
     codes = np.empty(xt.shape, dtype=np.min_scalar_type(int(ranks[:, -1].max())))
-    np.put_along_axis(codes, order, ranks, axis=1)
+    # a scatter of values already in the codes' dtype is the cheap one
+    codes.reshape(-1)[cells.reshape(-1)] = ranks.astype(codes.dtype).reshape(-1)
     return codes.T
 
 
@@ -283,8 +300,25 @@ def tree_walk(feat, thr, jump, roots, rows, X):
 
 # ---------------------------------------------------------------------------
 # Squared-L2 cluster assignment: float32 differences/squares, float64
-# accumulation, ties to the smallest cluster id.
+# accumulation, ties to the smallest cluster id. ``sqdist_rows`` is the one
+# per-row arithmetic; ``assign_clusters`` and k-means' bounded Lloyd steps
+# both call it, in blocks of ``block_rows`` rows.
 # ---------------------------------------------------------------------------
+
+
+def block_rows(n_features):
+    """Rows per block of a distance pass: a float32 block of 2^22 cells."""
+    return max(1, (1 << 22) // max(1, n_features))
+
+
+def sqdist_rows(X, c, out):
+    """float64 squared distances of the rows of ``X`` to the centroid ``c``.
+    The float32 differences and squares go into ``out``, an array of X's
+    shape that may be ``X`` itself."""
+    with np.errstate(over="ignore"):
+        np.subtract(X, c, out=out)
+        np.square(out, out=out)
+    return out.sum(axis=1, dtype=np.float64)
 
 
 def assign_clusters(X, C):
@@ -292,21 +326,18 @@ def assign_clusters(X, C):
     k = C.shape[0]
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
-    step = max(1, (1 << 22) // max(1, X.shape[1]))
+    step = block_rows(X.shape[1])
     # one difference buffer per call, reused for every block and cluster
     buf = np.empty((min(n, step), X.shape[1]), dtype=np.result_type(X, C))
-    with np.errstate(over="ignore"):
-        for s in range(0, n, step):
-            xb = X[s : s + step]
-            d = buf[: xb.shape[0]]
-            dm = np.empty((xb.shape[0], k), dtype=np.float64)
-            for c in range(k):
-                np.subtract(xb, C[c], out=d)
-                np.square(d, out=d)
-                dm[:, c] = d.sum(axis=1, dtype=np.float64)
-            lb = np.argmin(dm, axis=1)
-            labels[s : s + step] = lb
-            dists[s : s + step] = dm[np.arange(xb.shape[0]), lb]
+    for s in range(0, n, step):
+        xb = X[s : s + step]
+        d = buf[: xb.shape[0]]
+        dm = np.empty((xb.shape[0], k), dtype=np.float64)
+        for c in range(k):
+            dm[:, c] = sqdist_rows(xb, C[c], d)
+        lb = np.argmin(dm, axis=1)
+        labels[s : s + step] = lb
+        dists[s : s + step] = dm[np.arange(xb.shape[0]), lb]
     return labels, dists
 
 

@@ -4,11 +4,19 @@ k-means++ seeding, Lloyd iterations, empty clusters repaired by seizing the
 point currently farthest from its own centroid. Distances square float32
 differences and accumulate in float64 everywhere, matching the compact
 inference engine.
+
+Lloyd assignments after the first are bounded (Elkan, ICML 2003): each point
+keeps a float64 lower bound on its Euclidean distance to each centroid,
+lowered by the centroid's shift, and a distance other than its own is
+computed only where the bound, less a rounding margin (``_margin``), cannot
+show that it exceeds the own one. A skipped distance can neither win nor
+tie, so every bit matches an assignment against every centroid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,14 +47,15 @@ def _sqdist_to(points: np.ndarray, centroid: np.ndarray) -> np.ndarray:
     return d
 
 
-def _plusplus_init(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
+def _plusplus_init(points: np.ndarray, k: int, rng: SplitMix64):
+    """(centroids, float64 [k, n] distances of every point to each)."""
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float32)
+    dists = np.empty((k, n), dtype=np.float64)
     first = rng.bounded(n)
     centroids[0] = points[first]
-    if k == 1:
-        return centroids
-    d2 = _sqdist_to(points, centroids[0])
+    dists[0] = _sqdist_to(points, centroids[0])
+    d2 = dists[0].copy()
     for c in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -56,8 +65,9 @@ def _plusplus_init(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             idx = min(idx, n - 1)
         centroids[c] = points[idx]
-        d2 = np.minimum(d2, _sqdist_to(points, centroids[c]))
-    return centroids
+        dists[c] = _sqdist_to(points, centroids[c])
+        np.minimum(d2, dists[c], out=d2)
+    return centroids, dists
 
 
 def _repair_empty(points, centroids, labels, dists, counts):
@@ -74,6 +84,89 @@ def _repair_empty(points, centroids, labels, dists, counts):
         counts[c] = 1
 
 
+# The lower bound of a distance whose computed square is +inf: sqrt(float32
+# max), rounded down. A square is +inf only when some float32 difference
+# squares past float32 max, so the points are at least this far apart.
+_INF_DISTANCE = float(np.sqrt(np.finfo(np.float32).max)) * (1.0 - 2.0**-20)
+
+
+class _Margin(NamedTuple):
+    lo: float  # computed >= exact * lo - tiny
+    hi: float  # computed <= exact * hi + tiny
+    tiny: float
+    drift: float  # inflates a float64 shift to an upper bound
+
+
+def _margin(n_features: int) -> _Margin:
+    """Rounding bounds of a computed squared distance over ``n_features``.
+
+    Each term is (1 + d1)^2 (1 + d2) times its exact square, |d| <= 2^-24,
+    from the float32 difference and square, plus at most 2^-150 where the
+    square underflows; any float64 sum of n terms adds gamma_(n-1) <=
+    (n - 1) 2^-52. The relative part 2^-22 + (n + 2) 2^-52 covers both with
+    room for the float64 roundings of the bound arithmetic, and n 2^-149
+    covers the underflows.
+    """
+    rel = 2.0**-22 + (n_features + 2) * 2.0**-52
+    return _Margin(1.0 - rel, 1.0 + rel, n_features * 2.0**-149,
+                   1.0 + (n_features + 8) * 2.0**-52)
+
+
+def _lower_bounds(dists, margin: _Margin):
+    """Lower bounds on the Euclidean distances whose computed squares are
+    ``dists``."""
+    # the last factor rounds the float64 arithmetic downwards
+    low = np.sqrt(np.maximum(dists - margin.tiny, 0.0) / margin.hi) * (1.0 - 2.0**-50)
+    return np.minimum(low, _INF_DISTANCE, out=low)
+
+
+def _drift(lower, moves, margin: _Margin):
+    """Lower each centroid's bounds by its shift ``moves``, rounding
+    downwards; a bound never goes below zero."""
+    lower -= (moves * margin.drift)[:, None]
+    lower *= 1.0 - 2.0**-51
+    np.maximum(lower, 0.0, out=lower)
+
+
+def _fill(dm, points, centroids, todo):
+    """Compute ``dm[c, i]``, point i's distance to centroid c, wherever
+    ``todo`` is set."""
+    step = _kernels.block_rows(points.shape[1])
+    for c in range(centroids.shape[0]):
+        rows = np.flatnonzero(todo[c])
+        for s in range(0, rows.size, step):
+            part = rows[s : s + step]
+            xb = points.take(part, axis=0)
+            dm[c, part] = _kernels.sqdist_rows(xb, centroids[c], xb)
+
+
+def _nearest(dm):
+    """Each point's nearest centroid in the (k, n) distances ``dm``, ties to
+    the smallest id, and its distance."""
+    labels = dm.argmin(axis=0)
+    return labels, dm[labels, np.arange(dm.shape[1])]
+
+
+def _bounded_assign(points, centroids, labels, lower, margin: _Margin):
+    """``assign_clusters(points, centroids)`` from the previous ``labels`` and
+    the (k, n) ``lower`` bounds; refreshes the bound of every distance it
+    computes."""
+    k, n = lower.shape
+    cols = np.arange(n)
+    own = np.zeros((k, n), dtype=bool)
+    own[labels, cols] = True
+    dm = np.full((k, n), np.inf)
+    _fill(dm, points, centroids, own)
+    # a skipped distance provably exceeds the own one: it can neither win
+    # nor tie, and +inf in its cell keeps it from being the nearest
+    todo = lower * lower * margin.lo - margin.tiny <= dm[labels, cols]
+    todo &= ~own
+    _fill(dm, points, centroids, todo)
+    todo |= own
+    np.copyto(lower, _lower_bounds(dm, margin), where=todo)
+    return _nearest(dm)
+
+
 def fit_kmeans(points, k: int, seed: int, max_iter: int = 300, tol: float = 1e-4) -> KMeansModel:
     """Lloyd's algorithm with k-means++ seeding; stops when the largest
     centroid shift drops below ``tol`` or after ``max_iter`` iterations."""
@@ -85,15 +178,21 @@ def fit_kmeans(points, k: int, seed: int, max_iter: int = 300, tol: float = 1e-4
         raise ClusterError(f"k must be >= 1, got {k}")
     if n < k:
         raise ClusterError(f"cannot fit {k} clusters on {n} points")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ClusterError(f"point {int(np.argmin(finite))} has a non-finite value")
     rng = SplitMix64(seed)
-    centroids = _plusplus_init(pts, k, rng)
+    centroids, seed_dists = _plusplus_init(pts, k, rng)
+    margin = _margin(pts.shape[1])
+    lower = _lower_bounds(seed_dists, margin)
+    labels, dists = _nearest(seed_dists)
     prev_inertia = np.inf
     iterations = 0
     for _ in range(max_iter):
-        labels, dists = _kernels.assign_clusters(pts, centroids)
         counts = np.bincount(labels, minlength=k)
         if (counts == 0).any():
             _repair_empty(pts, centroids, labels, dists, counts)
+            lower.fill(0.0)  # the next assignment computes every distance
         inertia = float(dists.sum())
         # float32 centroid rounding allows microscopic upticks; anything larger
         # is a genuine Lloyd violation.
@@ -101,14 +200,16 @@ def fit_kmeans(points, k: int, seed: int, max_iter: int = 300, tol: float = 1e-4
             raise ClusterError(f"inertia increased from {prev_inertia!r} to {inertia!r}")
         prev_inertia = inertia
         new_centroids, _ = _kernels.cluster_means(pts, labels, k)
-        shift = float(np.sqrt(np.square(new_centroids.astype(np.float64) -
-                                        centroids.astype(np.float64)).sum(axis=1)).max())
+        moves = np.sqrt(np.square(new_centroids.astype(np.float64) -
+                                  centroids.astype(np.float64)).sum(axis=1))
+        shift = float(moves.max())
+        _drift(lower, moves, margin)
         centroids = new_centroids
         iterations += 1
+        labels, dists = _bounded_assign(pts, centroids, labels, lower, margin)
         if shift < tol:
             break
-    # final assignment; keep seizing points until no cluster is empty
-    labels, dists = _kernels.assign_clusters(pts, centroids)
+    # keep seizing points until no cluster is empty
     for _ in range(k):
         counts = np.bincount(labels, minlength=k)
         if (counts > 0).all():

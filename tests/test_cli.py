@@ -30,6 +30,18 @@ def model_dir(csv_path, tmp_path_factory):
     return out
 
 
+def write_tiny_column_csv(path):
+    """Column ``a`` spans [0, 1e-15] except one row at 1e25, which
+    standardizes to +inf; seed 2 puts that row in the DSEL."""
+    rng = np.random.RandomState(0)
+    lines = ["a,b,c,label"]
+    for i in range(120):
+        a = 1e25 if i == 7 else rng.uniform(0, 1e-15)
+        lines.append(f"{a!r},{rng.randn()!r},{rng.randn()!r},{i % 3}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestTrain:
     def test_model_bytes_pinned(self, model_dir):
         # crc32 of each file without its trailer, which is itself the crc32
@@ -81,6 +93,16 @@ class TestTrain:
         assert capsys.readouterr().err == (
             f"error: IoError: dsel_fraction must be a float in (0, 1), got {float(fraction)!r}\n")
         assert not (tmp_path / "m" / "model_j2.tdes").exists()
+
+    def test_non_finite_dsel_row_rejected(self, tmp_path, capsys):
+        # no model whose centroids load_tiny would reject is written
+        path = write_tiny_column_csv(tmp_path / "tiny.csv")
+        rc = main(["train", "--dataset", str(path), "--seed", "2", "--j", "3",
+                   "--clusters", "2", "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert re.fullmatch(r"error: ClusterError: point \d+ has a non-finite value\n",
+                            capsys.readouterr().err)
+        assert not (tmp_path / "m" / "model_j3.tdes").exists()
 
     def test_idx_mode(self, tmp_path):
         from test_data import write_idx_pair
@@ -203,6 +225,15 @@ class TestCrossval:
                    "--repeats", "1", "--out", str(tmp_path / "r")])
         assert rc == 0, capsys.readouterr().err
         assert "FAILED" not in capsys.readouterr().out
+
+    def test_non_finite_dsel_row_fails_des_clustering(self, tmp_path, capsys):
+        path = write_tiny_column_csv(tmp_path / "tiny.csv")
+        rc = main(["crossval", "--dataset", str(path), "--method", "des_clustering",
+                   "--method", "oracle", "--j", "3", "--clusters", "2", "--seed", "2",
+                   "--splits", "2", "--repeats", "1", "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert re.search(r"des_clustering J=3 +FAILED: ClusterError: point \d+ has a "
+                         r"non-finite value", capsys.readouterr().out)
 
     def test_cell_beyond_float32_range(self, tmp_path, capsys):
         # a typed error, and no RuntimeWarning on the way

@@ -1,8 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kmeans_oracle
 from tinydes import cluster
 from tinydes.cluster import KMeansModel, assign, assign_batch, fit_kmeans
 from tinydes.errors import ClusterError, ShapeError
@@ -108,18 +112,119 @@ class TestFitKmeans:
 
     def test_inertia_increase_raises_typed_error(self, monkeypatch):
         # the check must survive `python -O`, so it is an exception, not an assert
-        real = cluster._kernels.assign_clusters
+        real = cluster._kernels.sqdist_rows
         calls = []
 
-        def growing(pts, centroids):
-            labels, dists = real(pts, centroids)
+        def growing(X, c, out):
             calls.append(None)
-            return labels, dists + 1e3 * len(calls)
+            return real(X, c, out) + 1e3 * len(calls)
 
-        monkeypatch.setattr(cluster._kernels, "assign_clusters", growing)
+        monkeypatch.setattr(cluster._kernels, "sqdist_rows", growing)
         rng = np.random.RandomState(3)
         with pytest.raises(ClusterError, match="inertia increased"):
             fit_kmeans(rng.rand(60, 3).astype(np.float32), 3, seed=1)
+
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_point_raises_typed_error(self, bad):
+        # a DSEL row that standardizes to +-inf would give non-finite centroids
+        pts = np.random.RandomState(0).rand(20, 3).astype(np.float32)
+        pts[7, 1] = pts[12, 0] = bad
+        with pytest.raises(ClusterError, match="^point 7 has a non-finite value$"):
+            fit_kmeans(pts, 2, seed=0)
+
+
+def outcome(fit, points, k, seed, max_iter):
+    """A fit's centroid, inertia and iteration-count bits, or its error."""
+    try:
+        m = fit(points, k, seed, max_iter=max_iter)
+    except ClusterError as exc:
+        return str(exc)
+    return m.centroids.tobytes(), np.float64(m.inertia).tobytes(), m.iterations_run
+
+
+# 1e-30 and 1e-19 give float32 squares that underflow (to zero or to
+# subnormals); 1e19 and 1e20 give squares that overflow to +inf
+MAGNITUDES = (1.0, 1e-30, 1e-19, 1e19, 1e20)
+
+
+def exact_sqdist(x, c):
+    return sum((Fraction(float(a)) - Fraction(float(b))) ** 2 for a, b in zip(x, c))
+
+
+class TestBoundMargin:
+    """The rounding margin and the bounds against exact rational distances."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_features=st.integers(1, 40))
+    def test_bounds_hold_exactly(self, data, n_features):
+        # any finite float32, or only values whose squares underflow
+        bound = data.draw(st.sampled_from([None, 2.0**-70]))
+        vec = st.lists(st.floats(-bound if bound else None, bound, width=32,
+                                 allow_nan=False, allow_infinity=False),
+                       min_size=n_features, max_size=n_features)
+        x, c, c2 = (np.array(data.draw(vec), np.float32) for _ in range(3))
+        margin = cluster._margin(n_features)
+        d = float(cluster._kernels.sqdist_rows(x[None], c, np.empty((1, n_features),
+                                                                   np.float32))[0])
+        exact = exact_sqdist(x, c)
+        if d != np.inf:
+            assert exact * Fraction(margin.lo) - Fraction(margin.tiny) <= Fraction(d)
+            assert Fraction(d) <= exact * Fraction(margin.hi) + Fraction(margin.tiny)
+        lower = cluster._lower_bounds(np.array([[d]]), margin)
+        assert Fraction(float(lower[0, 0])) ** 2 <= exact
+        # fit_kmeans' shift of a centroid that moves from c to c2
+        move = np.sqrt(np.square(c2.astype(np.float64) - c.astype(np.float64)).sum(keepdims=True))
+        cluster._drift(lower, move, margin)
+        assert Fraction(float(lower[0, 0])) ** 2 <= exact_sqdist(x, c2)
+
+
+class TestBoundedLloyd:
+    """The bounded fit against the unbounded oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 8), n_features=st.integers(1, 6),
+           n_distinct=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           max_iter=st.sampled_from([0, 1, 2, 5, 300]))
+    def test_same_bits_as_oracle(self, data, k, n_features, n_distinct, seed, max_iter):
+        # rows repeat a few distinct points, so k often exceeds the distinct
+        # count and empty clusters must be repaired
+        distinct = np.array(data.draw(st.lists(
+            st.floats(-8, 8, width=32), min_size=n_distinct * n_features,
+            max_size=n_distinct * n_features)), np.float32).reshape(n_distinct, n_features)
+        scale = np.array(data.draw(st.lists(st.sampled_from(MAGNITUDES), min_size=n_features,
+                                            max_size=n_features)), np.float32)
+        rows = data.draw(st.lists(st.integers(0, n_distinct - 1), min_size=k, max_size=40))
+        points = distinct[rows] * scale
+        assert outcome(fit_kmeans, points, k, seed, max_iter) == \
+            outcome(kmeans_oracle.fit_kmeans, points, k, seed, max_iter)
+
+    @pytest.mark.parametrize("n, n_features, k", [(300, 784, 5), (500, 64, 8), (200, 130, 3)])
+    def test_same_bits_on_wide_rows(self, n, n_features, k):
+        # pixel-like rows: most cells zero, wide enough for pairwise sums
+        rng = np.random.RandomState(n_features)
+        ink = rng.rand(n, n_features) < 0.2
+        points = np.where(ink, rng.randn(n, n_features), 0).astype(np.float32)
+        for seed in range(3):
+            assert outcome(fit_kmeans, points, k, seed, 300) == \
+                outcome(kmeans_oracle.fit_kmeans, points, k, seed, 300)
+
+    def test_skips_distances(self, monkeypatch):
+        # the bounds must rule out some distances: on separated blobs the fit
+        # computes well under the k per point per assignment of the oracle
+        real = cluster._kernels.sqdist_rows
+        rows = []
+
+        def counting(X, c, out):
+            rows.append(X.shape[0])
+            return real(X, c, out)
+
+        monkeypatch.setattr(cluster._kernels, "sqdist_rows", counting)
+        rng = np.random.RandomState(4)
+        points = (rng.randn(400, 6) + 6 * rng.randint(0, 4, (400, 1))).astype(np.float32)
+        m = fit_kmeans(points, 4, seed=2)
+        assert m.iterations_run > 1
+        assert sum(rows) < 0.6 * 4 * 400 * (m.iterations_run + 1)
 
 
 class TestAssign:

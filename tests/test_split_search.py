@@ -322,7 +322,34 @@ class TestSortPaths:
         assert bits(got) == bits(value_best_split(values, labels, n_classes, codes))
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+# signed zeros, the smallest subnormals and normals, infinities, the float32 extremes
+SPECIAL_VALUES = [0.0, -0.0, 1e-45, -1e-45, 2e-45, 1.1754944e-38, -1.1754944e-38,
+                  np.inf, -np.inf, F32_MAX, -F32_MAX, 1.0, -1.0]
+
+
 class TestRankCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60), m=st.integers(1, 4))
+    def test_matches_unique_inverse(self, data, n, m):
+        # a few values per matrix, so ties are heavy
+        palette = data.draw(st.lists(st.one_of(
+            st.sampled_from(SPECIAL_VALUES),
+            st.floats(width=32, allow_nan=False)), min_size=1, max_size=8))
+        # and each value's float32 neighbours, which differ in the last bit
+        palette = np.array(palette, np.float32)
+        with np.errstate(over="ignore", under="ignore"):  # max steps to inf
+            palette = np.concatenate([palette, np.nextafter(palette, np.float32(np.inf)),
+                                      np.nextafter(palette, np.float32(-np.inf))])
+        cells = data.draw(st.lists(st.integers(0, palette.size - 1), min_size=n * m,
+                                   max_size=n * m))
+        values = palette[np.array(cells)].reshape(n, m)
+        want = np.stack([np.unique(values[:, j], return_inverse=True)[1].ravel()
+                         for j in range(m)], axis=1)
+        got = rank_codes(values)
+        assert got.dtype == np.min_scalar_type(int(want.max()))
+        np.testing.assert_array_equal(got, want)
+
     def test_dense_ranks_per_column(self):
         values = np.array([[2.5, 7], [-1, 7], [2.5, -3], [9, 0]], np.float32)
         np.testing.assert_array_equal(rank_codes(values), [[1, 2], [0, 2], [1, 0], [2, 1]])
