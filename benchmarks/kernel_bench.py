@@ -12,18 +12,19 @@
 #   best_split      30000x28, uint16 keys    31 ms   put-scatter form: 40 ms
 #                   30000x28, uint32 keys    51 ms   int64 composites; 54 ms
 #   best_split      30000x28 pixels, uint8   37 ms   put-scatter form: 44 ms
-#   best_split      n=10, uint8, m=28        56 us   put-scatter form: 62 us
-#                   n=10, uint16, m=8        29 us                    31 us
-#                   n=26, uint8, m=28        57 us                    62 us
-#                   n=26, uint16, m=8        33 us                    35 us
-#                   n=60, uint8, m=28        90 us                   100 us
+#   best_split      n=10, uint8, m=28        43 us   int32 argsort rule: 40 us
+#                   n=10, uint16, m=8        36 us                       30 us
+#                   n=26, uint8, m=28        48 us                       50 us
+#                   n=26, uint16, m=8        42 us                       36 us
+#   best_split      n=60, uint8, m=28        90 us   put-scatter form: 100 us
 #                   n=60, uint16, m=8        66 us                    74 us
 #                   n=300, uint8, m=28      283 us                   336 us
 #                   n=300, uint16, m=8      120 us                   140 us
 #   rank_codes      1250x784 pixels          27 ms   once per pool; argsort and
 #                                                    a second sort: 39 ms
 #   sample_sorted_rows  128 x (28 of 784)   0.36 ms  128 per-node draws: 4.6 ms
-#   generate_pool   1250x784 pixel fold     650 ms   put-scatter form: 734 ms
+#   generate_pool   1250x784 pixel fold     408 ms   int32 argsort rule below
+#                                                    32 rows: 408 ms
 #   fit_kmeans      1250x784 pixel fold      27 ms   k=5, 3 iterations; every
 #                                                    distance in every
 #                                                    assignment: 41 ms
@@ -45,19 +46,51 @@
 #
 # The best_split and generate_pool rows time this script's inputs with
 # split_constants built once, as train_tree builds them once per tree. They
-# are medians of nine rounds in one process, each round timing this kernel
-# and the put-scatter form in turn (a put in place of the third sort, int64
-# prefix sums, aranges built per node): 2000 calls on one small node, five
-# on a 30000-row node, three pools. The
-# rank_codes and fit_kmeans rows are medians of nine rounds in one process,
-# each round timing the kernel and its previous form in turn (an argsort and
-# a second full sort; ``tests/kmeans_oracle.py``). The
+# are medians of rounds in one process, each round timing this kernel and
+# an earlier form in turn: 2000 calls on one small node, five on a
+# 30000-row node, three pools. The 30000-row, n=60 and n=300 rows are nine
+# rounds against the put-scatter form (a put in place of the third sort,
+# int64 prefix sums, aranges built per node). The n=10, n=26 and
+# generate_pool rows are eleven rounds, timed later in one process, against
+# the kernel that sorted nodes below 32 rows by a stable int32 argsort of
+# keys and labels and scattered 2r+1 back with one put; the single composite
+# rule won 2, 4, 7 and 2 of 11 rounds on the four small nodes and 5 of 11
+# pools.
+#
+# Each rule forced at every node size, before that small-node rule was
+# removed: microseconds per call, the fastest of repeated calls on each of
+# three random nodes per size (70 % zero codes for uint8), averaged, the
+# rules taking turns call by call; "composite + put" is the composite rule
+# with the put in place of the third sort. m = 28 and 8 are the candidate
+# counts of 784 and 64 features.
+#
+#   rows                 10    26    32    60   100   300  1000  3000  30000
+#   uint8,  m = 28
+#     int32 argsort      53    72   100   158   244   846
+#     composite          58    63    74    85   115   279  1225  3811  39955
+#     composite + put    56    64    78    92   124   305  1398  4303  43264
+#   uint16, m = 8
+#     int32 argsort      40    48    55    78   115   329
+#     composite          48    51    53    60    70   120   274   858   8224
+#     composite + put    47    51    54    61    72   122   303   943   8825
+#
+# The rank_codes and fit_kmeans rows are medians of nine rounds in one
+# process, each round timing the kernel and its previous form in turn (an
+# argsort and a second full sort; ``tests/kmeans_oracle.py``). The
 # assign_clusters and tiny_infer rows were timed back to back with the
 # previous kernel on the same host, two runs of each, averaged. The
 # knora_regions and load_csv rows are medians of six runs of each form,
 # alternated in one process. pool_predictions against one walk per tree on
 # the same pool, three alternated processes each: medians 251 and 483 ms,
 # with the host's speed varying 1.7x between those runs.
+#
+# Block sizes of selection.py, one BLAS thread. WALK_BLOCK_PAIRS: 45 trees
+# over 6 000 rows of 64 features took 33 ms in blocks of 2^16 pairs, 36 ms
+# in one pass and 97 ms one tree at a time. REGION_CHUNK_CELLS (k = 7):
+# 6 000 queries against 3 000 samples of 64 features took a median 226 ms
+# at 2^20 cells against 438 ms at 2^24 (128 MiB), and 2 500 against 1 250
+# of 784 features took 154 and 155 ms; 2^18-2^22 were swept and 2^20 was
+# fastest on the first shape.
 
 import tempfile
 import time
@@ -108,7 +141,7 @@ sub = np.ascontiguousarray(X[:, :28])
 keys = rank_codes(sub)  # (n, m) view of C-contiguous (m, n) codes, as train_tree gathers
 totals = np.bincount(y, minlength=classes)
 total_sq = int(totals @ totals)
-consts = split_constants(n, 28)  # as train_tree builds them, once per tree
+consts = split_constants(n)  # as train_tree builds them, once per tree
 
 print("== split search (30000 samples x 28 candidate features) ==")
 bench("best_split (uint16 keys)", lambda: best_split(keys, y, classes, totals, total_sq, consts))
@@ -130,11 +163,11 @@ for n_rows in (10, 26, 60, 300):
     k8 = np.where(srng.rand(28, n_rows) < 0.7, 0, srng.randint(1, 256, (28, n_rows)))
     k8 = k8.astype(np.uint8)
     k16 = srng.randint(0, 3000, (8, n_rows)).astype(np.uint16)
-    c28, c8 = split_constants(n_rows, 28), split_constants(n_rows, 8)
+    cn = split_constants(n_rows)
     bench(f"best_split n={n_rows}, uint8 keys, m=28",
-          lambda: best_split(k8.T, yn, classes, tn, tn_sq, c28), reps=2000)
+          lambda: best_split(k8.T, yn, classes, tn, tn_sq, cn), reps=2000)
     bench(f"best_split n={n_rows}, uint16 keys, m=8",
-          lambda: best_split(k16.T, yn, classes, tn, tn_sq, c8), reps=2000)
+          lambda: best_split(k16.T, yn, classes, tn, tn_sq, cn), reps=2000)
 
 # One pixels784 pool's training rows, one block of train_tree's candidate
 # feature subsets, and the default 45-tree pool grown on a pixel-like fold

@@ -46,15 +46,11 @@ BACKEND = "numpy"
 # node's rows. The kernel returns the node positions of the two rows around
 # the cut, and ``split_threshold`` turns their two values into the threshold.
 #
-# Comparison sort. Nodes below SMALL_NODE_ROWS rows cast keys and labels to
-# int32 and take their stable argsort, a timsort (insertion sort on short
-# rows): cheapest on a few rows, far dearer on many. Codes are below the
-# sample count, itself below 2^31, so the cast is exact. Every other node
-# sorts composites ``key << b | position`` (b position bits). Composites of
-# one row are distinct, so numpy's plain sort, a SIMD quicksort on x86, puts
-# them in exactly the order a stable argsort of the keys gives; ``& low``
-# recovers the positions and ``>> b`` the keys. The node's labels sort the
-# same way.
+# Comparison sort. Every node sorts composites ``key << b | position`` (b
+# position bits). Composites of one row are distinct, so numpy's plain sort,
+# a SIMD quicksort on x86, puts them in exactly the order a stable argsort of
+# the keys gives; ``& low`` recovers the positions and ``>> b`` the keys. The
+# node's labels sort the same way.
 #
 # It scores every candidate column in one vectorized pass. All columns
 # partition the same rows, so they share the class totals T. Walk a column
@@ -66,50 +62,27 @@ BACKEND = "numpy"
 #   sum_c (T_c-L_c)^2 = sum_c T_c^2 - 2 cumsum(T[y]) + sum_c L_c^2
 #
 # Both are exact integer identities, so every score equals, bit for bit, the
-# one a per-column class-count loop computes. For r, stably sort each
-# column's key-ordered labels (as composites, or by argsort). Class c starts
-# at start_c = cumsum(T)_c - T_c in every column, so the row at class-sorted
-# position k has r = k - start[class]. Small nodes scatter 2r+1 back to key
-# order with one ``put``. Larger nodes sort a third composite instead,
-# ``position << (b+1) | 2r+1`` in class order: sorted, its low bits are
-# 2r+1 in key order. The put reads its n values cyclically for m columns and
-# is the slowest step of mid-size and large nodes; a sort of distinct
-# integers is cheaper there. Prefixes that end inside a run of equal keys
-# are masked.
+# one a per-column class-count loop computes. For r, sort each column's
+# key-ordered labels as composites. Class c starts at start_c = cumsum(T)_c
+# - T_c in every column, so the row at class-sorted position k has
+# r = k - start[class]. A third composite, ``position << (b+1) | 2r+1`` in
+# class order, sorts back to key order, and its low bits are then 2r+1.
+# Prefixes that end inside a run of equal keys are masked.
 #
 # Node dtype. Composites and prefix sums share one dtype: int32 when
-# n <= INT32_NODE_ROWS and the key (or label) bits plus b fit in 31, and
-# always below SMALL_NODE_ROWS; int64 otherwise. sum_c L_c^2 <= n^2, and the
-# largest intermediate, cumsum(2 T[y]), reaches 2 sum_c T_c^2 <= 2 n^2 < 2^31
-# for n <= 32 767; there b <= 15, so the 2b + 1 bits of the rank composite
-# fit too. With uint8 or uint16 keys and at most 65 536 classes, every node
-# up to 32 767 rows is int32. Each score is still exact integers divided
-# once in float64, so the dtype never changes a bit. Memory is a few (m, n)
-# arrays of that dtype and numpy's intp indices for ``take``, with no
-# (n, m, classes) one-hot.
+# n <= INT32_NODE_ROWS and the key (or label) bits plus b fit in 31; int64
+# otherwise. sum_c L_c^2 <= n^2, and the largest intermediate,
+# cumsum(2 T[y]), reaches 2 sum_c T_c^2 <= 2 n^2 < 2^31 for n <= 32 767;
+# there b <= 15, so the 2b + 1 bits of the rank composite fit too. With
+# uint8 or uint16 keys and at most 65 536 classes, every node up to 32 767
+# rows is int32. Each score is still exact integers divided once in float64,
+# so the dtype never changes a bit. Memory is a few (m, n) arrays of that
+# dtype and numpy's intp indices for ``take``, with no (n, m, classes)
+# one-hot.
 #
-# Per-size constants. The odd numbers 2k+1, the positions, the prefix sizes
-# n_l, n - n_l and the column offsets of the small path are views of
-# ``split_constants`` arrays, which ``train_tree`` builds once per tree for
-# its largest node.
-#
-# On a 2-vCPU AVX-512 Xeon (numpy 2.4), microseconds per call with each
-# rule forced at every size, and the composite rule with the put in place
-# of the third sort: the fastest of repeated calls on each of three random
-# nodes per size (70 % zero codes for uint8), averaged, the rules taking
-# turns call by call:
-#
-#   rows                 10    26    32    60   100   300  1000  3000  30000
-#   uint8,  m = 28
-#     int32 argsort      53    72   100   158   244   846
-#     composite          58    63    74    85   115   279  1225  3811  39955
-#     composite + put    56    64    78    92   124   305  1398  4303  43264
-#   uint16, m = 8
-#     int32 argsort      40    48    55    78   115   329
-#     composite          48    51    53    60    70   120   274   858   8224
-#     composite + put    47    51    54    61    72   122   303   943   8825
-#
-# (m = 28 and 8 are the candidate counts of 784 and 64 features.)
+# Per-size constants. The odd numbers 2k+1, the positions and the prefix
+# sizes n_l, n - n_l are views of ``split_constants`` arrays, which
+# ``train_tree`` builds once per tree for its largest node.
 # ---------------------------------------------------------------------------
 
 
@@ -144,30 +117,25 @@ def rank_codes(X):
     return codes.T
 
 
-# Nodes below this many rows sort by a stable int32 argsort rather than as
-# composites; see "Comparison sort" above.
-SMALL_NODE_ROWS = 32
 # The largest node whose prefix sums fit int32; see "Node dtype" above.
 INT32_NODE_ROWS = 32767
 
 
 class SplitConstants(NamedTuple):
-    """Per-size arrays of split search, for nodes of up to ``n`` rows and
-    ``m`` candidate columns (see ``split_constants``)."""
+    """Per-size arrays of split search, for nodes of up to ``n`` rows (see
+    ``split_constants``)."""
 
     ints32: np.ndarray  # int32 0, 1, ..., 2 min(n, INT32_NODE_ROWS) - 1
     ints64: np.ndarray  # int64 0, 1, ..., 2n - 1
     sizes: np.ndarray  # float64 1, 2, ..., n - 1: the left prefix sizes
-    offsets: np.ndarray  # int64 0, 1, ..., m SMALL_NODE_ROWS - 1
 
 
-def split_constants(n: int, m: int) -> SplitConstants:
+def split_constants(n: int) -> SplitConstants:
     """The arrays that ``best_split`` takes views of, for every node of up to
-    ``n`` rows and ``m`` candidate columns."""
+    ``n`` rows."""
     return SplitConstants(np.arange(2 * min(n, INT32_NODE_ROWS), dtype=np.int32),
                           np.arange(2 * n, dtype=np.int64),
-                          np.arange(1, n, dtype=np.float64),
-                          np.arange(m * SMALL_NODE_ROWS, dtype=np.int64))
+                          np.arange(1, n, dtype=np.float64))
 
 
 def node_dtype(n: int, key_dtype, n_classes: int):
@@ -175,8 +143,6 @@ def node_dtype(n: int, key_dtype, n_classes: int):
     every value provably fits (see "Node dtype" above), int64 otherwise."""
     if n > INT32_NODE_ROWS:
         return np.int64
-    if n < SMALL_NODE_ROWS:  # keys sort by argsort, not as composites
-        return np.int32
     bits = max(8 * np.dtype(key_dtype).itemsize, (n_classes - 1).bit_length())
     return np.int32 if (n - 1).bit_length() + bits <= 31 else np.int64
 
@@ -187,54 +153,44 @@ def best_split(keys, labels, n_classes, totals, total_sq, consts=None):
 
     ``labels`` are the node's class ids, ``totals`` their int64 class
     counts and ``total_sq`` the int ``totals @ totals``. ``consts`` are
-    ``split_constants`` for at least n rows and m columns, built here when
-    None. Returns ``(col, (p0, p1), score, found)``: p0 and p1 are the node
-    positions of the last row left of the cut and the first row right of it
-    in column ``col``'s key order. Pass ``keys`` as the transpose of a
+    ``split_constants`` for at least n rows, built here when None. Returns
+    ``(col, (p0, p1), score, found)``: p0 and p1 are the node positions of
+    the last row left of the cut and the first row right of it in column
+    ``col``'s key order. Pass ``keys`` as the transpose of a
     C-contiguous (m, n) array to avoid a copy.
     """
-    n, m = keys.shape
+    n = keys.shape[0]
     if n < 2:
         return -1, (-1, -1), -1.0, False
     if consts is None:
-        consts = split_constants(n, m)
+        consts = split_constants(n)
     total = totals if totals.dtype == np.int64 else totals.astype(np.int64)
     ct = node_dtype(n, keys.dtype, n_classes)
     ints = consts.ints32 if ct is np.int32 else consts.ints64
     start = total.cumsum() - total
     start <<= 1
     odd = ints[1:2 * n:2] - start.astype(ct).repeat(total)  # 2r+1 in class order
-    if n < SMALL_NODE_ROWS:
-        # stable timsorts of int32 keys and labels
-        kt = keys.T.astype(np.int32)
-        order = kt.argsort(axis=1, kind="stable")
-        off = consts.offsets[:m * n:n, None]  # each column's first flat cell
-        sk = kt.take(order + off)
-        ys = labels.astype(np.int32).take(order)
-        sl = np.empty((m, n), dtype=ct)
-        sl.put(ys.argsort(axis=1, kind="stable") + off, odd)
-    else:
-        # key << b | position is distinct per row, so an unstable sort of
-        # the composites orders rows as a stable argsort of the keys does
-        b = (n - 1).bit_length()  # position bits
-        low = (1 << b) - 1
-        pos = ints[:n]
-        sk = keys.T.astype(ct)
-        sk <<= b
-        sk |= pos
-        sk.sort(axis=1)
-        order = sk & low
-        sk >>= b
-        ys = labels.take(order)
-        sl = ys.astype(ct)
-        sl <<= b
-        sl |= pos
-        sl.sort(axis=1)  # class order
-        sl &= low
-        sl <<= b + 1
-        sl |= odd
-        sl.sort(axis=1)  # key order again
-        sl &= (2 << b) - 1
+    # key << b | position is distinct per row, so an unstable sort of the
+    # composites orders rows as a stable argsort of the keys does
+    b = (n - 1).bit_length()  # position bits
+    low = (1 << b) - 1
+    pos = ints[:n]
+    sk = keys.T.astype(ct)
+    sk <<= b
+    sk |= pos
+    sk.sort(axis=1)
+    order = sk & low
+    sk >>= b
+    ys = labels.take(order)
+    sl = ys.astype(ct)
+    sl <<= b
+    sl |= pos
+    sl.sort(axis=1)  # class order
+    sl &= low
+    sl <<= b + 1
+    sl |= odd
+    sl.sort(axis=1)  # key order again
+    sl &= (2 << b) - 1
     np.add.accumulate(sl, axis=1, dtype=ct, out=sl)
     sr = (2 * total).astype(ct).take(ys)
     np.add.accumulate(sr, axis=1, dtype=ct, out=sr)

@@ -26,7 +26,7 @@ from .selection import (build_competence_model, build_dsel, des_clustering_batch
                         knora_e_batch, knora_regions, knora_u_batch,
                         pool_predictions, single_best, static_selection,
                         vote_batch)
-from .tinyformat import export_tiny
+from .tinyformat import NODE_DTYPE, export_tiny
 from .trees import DEFAULT_FORESTS, generate_pool
 
 METHOD_ORDER = ["single_best", "static_selection", "knora_u", "knora_e",
@@ -308,7 +308,7 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
     preds, visits = pool_predictions(pool, test_std)
 
     dsel_bytes = dsel.samples.nbytes + dsel.labels.nbytes
-    std_bytes = 8 * s.n_features
+    std_bytes = s.mean.nbytes + s.inv_std.nbytes
     outcomes: dict[tuple[str, str], _FoldOutcome] = {}
 
     def run(method: str, params: str, fn, stage=lambda: None):
@@ -343,7 +343,7 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
         labels, costs = batch_fn(dsel, pool, test_std, cfg.k_neighbors, preds, visits,
                                  regions())
         return (float((labels == target).mean()), float(costs.mean()),
-                8 * pool.n_nodes + std_bytes + dsel_bytes)
+                NODE_DTYPE.itemsize * pool.n_nodes + std_bytes + dsel_bytes)
 
     def _chosen(select, *args):
         """Every test row's vote of the train-time pick ``select(*args)``."""
@@ -352,7 +352,7 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
         weights[:, sel] = 1.0
         labels, costs = vote_batch(pool, preds, visits, weights)
         return (float((labels == target).mean()), float(costs.mean()),
-                8 * int(pool.count[sel].sum()) + std_bytes)
+                NODE_DTYPE.itemsize * int(pool.count[sel].sum()) + std_bytes)
 
     for method in cfg.methods:
         if method == "single_best":

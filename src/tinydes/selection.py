@@ -157,8 +157,8 @@ def des_clustering_predict(cm: CompetenceModel, pool: ClassifierPool, x) -> Sele
 
 
 # (tree, row) pairs per tree walk, so each of the walk's arrays is 512 KiB at
-# most. On a 2-vCPU Xeon, 45 trees over 6 000 rows of 64 features took 33 ms
-# in blocks of 2^16 pairs, 36 ms in one pass and 97 ms one tree at a time.
+# most and a block's arrays stay in cache; the header of
+# ``benchmarks/kernel_bench.py`` has the timings.
 WALK_BLOCK_PAIRS = 1 << 16
 
 
@@ -229,11 +229,7 @@ def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
 # Cells of one query-to-selection-set distance block: bounds the float64
 # matrix that ``knora_regions`` holds at once to 8 MiB, plus an index array
 # of the same size inside ``_k_nearest``. Blocks that fit in cache beat
-# larger ones: on a 2-vCPU Xeon (one BLAS thread, k = 7), 6 000 queries
-# against 3 000 samples of 64 features took a median 226 ms at 2^20 cells
-# against 438 ms at 2^24 (128 MiB), and 2 500 against 1 250 of 784 features
-# took 154 and 155 ms; 2^18-2^22 were swept and 2^20 was fastest on the
-# first shape.
+# larger ones; the header of ``benchmarks/kernel_bench.py`` has the timings.
 REGION_CHUNK_CELLS = 1 << 20
 
 
@@ -243,7 +239,9 @@ def knora_regions(dsel: Dsel, X, k: int) -> np.ndarray:
 
     Distances are computed a block of rows at a time and never kept; both
     KNORA rules read the same regions, so a caller running both computes
-    them once and passes them to each."""
+    them once and passes them to each. A NaN or an infinity in a selection
+    sample or a query leaves no distance to rank, so it raises
+    ``SelectionError``."""
     if dsel.n_samples < k:
         raise SelectionError(f"region size {k} exceeds {dsel.n_samples} selection samples")
     mat = np.ascontiguousarray(X, dtype=np.float32)
@@ -252,6 +250,14 @@ def knora_regions(dsel: Dsel, X, k: int) -> np.ndarray:
     chunk = max(1, REGION_CHUNK_CELLS // max(1, dsel.n_samples))
     ref = dsel.samples.astype(np.float64)  # cast and summed once for every block
     norms = _kernels.sq_norms(ref)
+    # a finite float32 row's float64 norm is finite, so only a NaN or an
+    # infinity in the row makes it non-finite
+    finite = np.isfinite(norms)
+    if not finite.all():
+        raise SelectionError(f"selection sample {int(np.argmin(finite))} has a non-finite value")
+    finite = np.isfinite(mat).all(axis=1)
+    if not finite.all():
+        raise SelectionError(f"query {int(np.argmin(finite))} has a non-finite value")
     for s in range(0, n, chunk):
         d2 = _kernels.pairwise_sqdist(mat[s:s + chunk], ref, norms)
         regions[s:s + chunk] = _k_nearest(d2, k)

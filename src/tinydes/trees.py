@@ -205,7 +205,7 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
             yield from zip(rows, rows * n_samples)
 
     candidates = candidate_rows()
-    consts = _kernels.split_constants(idx0.size, min(max_features, data.n_features))
+    consts = _kernels.split_constants(idx0.size)
 
     feature: list[int] = []
     jump: list[int] = []

@@ -229,11 +229,16 @@ class TestCrossval:
     def test_non_finite_dsel_row_fails_des_clustering(self, tmp_path, capsys):
         path = write_tiny_column_csv(tmp_path / "tiny.csv")
         rc = main(["crossval", "--dataset", str(path), "--method", "des_clustering",
-                   "--method", "oracle", "--j", "3", "--clusters", "2", "--seed", "2",
+                   "--method", "knora_u", "--method", "knora_e", "--method", "oracle",
+                   "--j", "3", "--clusters", "2", "--seed", "2",
                    "--splits", "2", "--repeats", "1", "--out", str(tmp_path / "r")])
         assert rc == 0
+        out = capsys.readouterr().out
         assert re.search(r"des_clustering J=3 +FAILED: ClusterError: point \d+ has a "
-                         r"non-finite value", capsys.readouterr().out)
+                         r"non-finite value", out)
+        for method in ("knora_u", "knora_e"):
+            assert re.search(method + r" k=\d+ +FAILED: SelectionError: selection sample "
+                             r"\d+ has a non-finite value", out)
 
     def test_cell_beyond_float32_range(self, tmp_path, capsys):
         # a typed error, and no RuntimeWarning on the way

@@ -173,6 +173,19 @@ class TestKnoraU:
         with pytest.raises(SelectionError, match="region size 4 exceeds 3 selection samples"):
             knora_regions(dsel, np.zeros((2, 1), np.float32), 4)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rows_raise(self, bad):
+        # a typed error before any distance, not regions ranked from NaNs
+        corr = np.ones((2, 3), bool)
+        samples = np.zeros((3, 1), np.float32)
+        samples[1, 0] = bad
+        queries = np.zeros((2, 1), np.float32)
+        with pytest.raises(SelectionError, match="selection sample 1 has a non-finite value"):
+            knora_regions(dsel_from_correctness(corr, samples), queries, 2)
+        queries[1, 0] = bad
+        with pytest.raises(SelectionError, match="query 1 has a non-finite value"):
+            knora_regions(dsel_from_correctness(corr), queries, 2)
+
 
 class TestKnoraE:
     def test_local_oracle_exists(self):

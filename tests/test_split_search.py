@@ -215,16 +215,15 @@ class TestAgainstValueOracle:
                                           values[:, col] <= np.float32(thr))
 
 
-SMALL = _kernels.SMALL_NODE_ROWS
+SMALL = 32  # sizes around 32 rows, where two sort rules once met, are sampled densely
 INT32_ROWS = _kernels.INT32_NODE_ROWS
 
 
 class TestSortPaths:
-    """Keys sort as int32 below ``SMALL_NODE_ROWS`` rows and as composites
-    from there. Composites and prefix sums are int32 up to
-    ``INT32_NODE_ROWS`` rows while the key or label bits plus the position
-    bits fit in 31, int64 otherwise. Each rule against the value-reading
-    kernel."""
+    """Keys sort as composites at every node size. Composites and prefix
+    sums are int32 up to ``INT32_NODE_ROWS`` rows while the key or label
+    bits plus the position bits fit in 31, int64 otherwise. Each dtype
+    against the value-reading kernel."""
 
     @settings(max_examples=250, deadline=None)
     @given(n=st.one_of(st.integers(SMALL - 3, SMALL + 3), st.integers(2, 2 * SMALL),
@@ -269,7 +268,7 @@ class TestSortPaths:
         (70000, 70000, 10, np.uint32),  # uint32 codes: 32 key bits
         (40000, 40000, 10, np.uint16),  # 16 key and 16 position bits
         (33000, 200, 65537, np.uint8),  # 17 label and 16 position bits
-        (20, 20, 10, np.uint32),  # uint32 codes below SMALL_NODE_ROWS
+        (20, 20, 10, np.uint32),  # uint32 codes on a small node
     ])
     def test_int64_composites(self, n, distinct, n_classes, dtype):
         rng = np.random.RandomState(n)
@@ -277,14 +276,13 @@ class TestSortPaths:
                           axis=1).astype(np.float32)
         labels = rng.randint(0, 4, n) * (n_classes // 4)
         codes = rank_codes(values)
-        assert codes.dtype == (dtype if n >= _kernels.SMALL_NODE_ROWS else np.uint8)
+        assert codes.dtype == np.min_scalar_type(distinct - 1)
         codes = np.ascontiguousarray(codes.T, dtype=dtype).T
         got = split(values, labels, n_classes, codes)
         assert got[3]
         assert bits(got) == bits(value_best_split(values, labels, n_classes, codes))
 
     @pytest.mark.parametrize("n, key_dtype, n_classes, dtype", [
-        (SMALL - 1, np.uint32, 2, np.int32),  # argsort rule: keys are cast to int32
         (SMALL, np.uint32, 2, np.int64),
         (INT32_ROWS, np.uint8, 2, np.int32),
         (INT32_ROWS, np.uint16, 65536, np.int32),  # 16 label and 15 position bits
