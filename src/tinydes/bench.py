@@ -219,15 +219,20 @@ def config_settings(text: str) -> dict:
 
 @dataclass
 class FoldRecord:
-    dataset: str
+    """One method's result on one fold. ``_evaluate_fold`` fills the
+    method's fields and ``run_experiment`` the fold's place; a method that
+    failed has its error, NaN accuracy and cost, and no time or bytes."""
     method: str
     params: str
-    repeat: int
-    fold: int
     accuracy: float
     mean_cost: float
     wall_per_inference_s: float
+    model_bytes: int
     pool_fingerprint: int
+    error: str = ""
+    dataset: str = ""
+    repeat: int = 0
+    fold: int = 0
 
 
 @dataclass
@@ -262,15 +267,6 @@ def desk_scale_subset(d: Dataset, limit: int | None, seed: int) -> Dataset:
     return d if rows is None else d.subset(rows)
 
 
-@dataclass
-class _FoldOutcome:
-    accuracy: float
-    mean_cost: float
-    wall_s: float
-    model_bytes: int
-    error: str = ""
-
-
 def fit_pool(train: Dataset, dsel_fraction: float, forests, seed: int):
     """Split ``train`` into pool-training rows and a DSEL, standardize on the
     pool rows, grow the forests' ``(n_trees, max_depth)`` pairs and build
@@ -299,7 +295,7 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
                    fold_seed: int):
     """Train one pool and run every configured method on it.
 
-    Returns (per-method outcomes dict, pool fingerprint).
+    Returns one FoldRecord per (method, params), in run order.
     """
     s, pool, dsel = fit_pool(train, cfg.dsel_fraction, cfg.forests, fold_seed)
     test_std = np.ascontiguousarray(apply_standardizer(s, test.features), dtype=np.float32)
@@ -309,23 +305,23 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
 
     dsel_bytes = dsel.samples.nbytes + dsel.labels.nbytes
     std_bytes = s.mean.nbytes + s.inv_std.nbytes
-    outcomes: dict[tuple[str, str], _FoldOutcome] = {}
+    fingerprint = pool.fingerprint()
+    records: list[FoldRecord] = []
 
     def run(method: str, params: str, fn, stage=lambda: None):
         """Time ``fn`` per test row. A ``stage`` is shared work that ``fn``
         reads from a cache; it runs first, outside the method's time, but
         its failure fails the method as one of ``fn`` would."""
-        key = (method, params)
         try:
             stage()
             t0 = time.perf_counter()
             acc, cost, model_bytes = fn()
         except TinyDesError as exc:
-            outcomes[key] = _FoldOutcome(np.nan, np.nan, 0.0, 0,
-                                         error=f"{type(exc).__name__}: {exc}")
+            records.append(FoldRecord(method, params, np.nan, np.nan, 0.0, 0, fingerprint,
+                                      error=f"{type(exc).__name__}: {exc}"))
             return
         wall = (time.perf_counter() - t0) / max(1, n_test)
-        outcomes[key] = _FoldOutcome(acc, cost, wall, model_bytes)
+        records.append(FoldRecord(method, params, acc, cost, wall, model_bytes, fingerprint))
 
     # KNORA-U and KNORA-E share one region search, made by whichever runs
     # first; a search that fails caches nothing, so each fails alike.
@@ -380,7 +376,7 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
                 return (float((preds == target).any(axis=0).mean()),
                         float(visits.sum(axis=0).mean()), 0)
             run(method, "", _or)
-    return outcomes, pool.fingerprint()
+    return records
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
@@ -396,23 +392,23 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         limit = DESK_SCALE_LIMIT if cfg.profile == "desk-scale" else None
         data = spec.load(limit, derive_seed(ds_seed, 999))
         plan = make_fold_plan(data, cfg.n_splits, cfg.n_repeats, derive_seed(ds_seed, 0))
-        per_method: dict[tuple[str, str], list[FoldRecord]] = {}
-        model_bytes: dict[tuple[str, str], int] = {}
-        errors: dict[tuple[str, str], str] = {}
+        by_key: dict[tuple[str, str], list[FoldRecord]] = {}
         for repeat, fold, train_idx, test_idx in plan.iter_folds():
             fold_seed = derive_seed(ds_seed, 1 + repeat * cfg.n_splits + fold)
-            outcomes, fingerprint = _evaluate_fold(
-                cfg, data.subset(train_idx), data.subset(test_idx), fold_seed)
-            for key, oc in outcomes.items():
-                if oc.error:
-                    errors[key] = oc.error
-                    continue
-                per_method.setdefault(key, []).append(FoldRecord(
-                    spec.name, *key, repeat, fold,
-                    oc.accuracy, oc.mean_cost, oc.wall_s, fingerprint))
-                model_bytes[key] = oc.model_bytes
-        for key in sorted(per_method, key=_method_sort_key):
-            records = per_method[key]
+            for r in _evaluate_fold(cfg, data.subset(train_idx), data.subset(test_idx),
+                                    fold_seed):
+                r.dataset, r.repeat, r.fold = spec.name, repeat, fold
+                by_key.setdefault((r.method, r.params), []).append(r)
+        # one row per key: a method that failed on any fold is one failed
+        # row with its last error, and none of its folds are reported
+        for key in sorted(by_key, key=_method_sort_key):
+            records = by_key[key]
+            errors = [r.error for r in records if r.error]
+            if errors:
+                table.rows.append(ResultRow(spec.name, *key, float("nan"), float("nan"),
+                                            float("nan"), 0, 0, status="failed",
+                                            error=errors[-1]))
+                continue
             method, params = key
             accs = np.array([r.accuracy for r in records])
             table.rows.append(ResultRow(
@@ -420,12 +416,9 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
                 mean_accuracy=float(accs.mean()),
                 std_accuracy=float(accs.std()),  # population std, like the tables
                 mean_cost=float(np.mean([r.mean_cost for r in records])),
-                model_bytes=model_bytes[key],
+                model_bytes=records[-1].model_bytes,
                 n_folds=len(records)))
             table.fold_records.extend(records)
-        for key, err in sorted(errors.items()):
-            table.rows.append(ResultRow(spec.name, *key, float("nan"), float("nan"),
-                                        float("nan"), 0, 0, status="failed", error=err))
     return table
 
 

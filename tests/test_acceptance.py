@@ -180,8 +180,8 @@ class TestCriterion5OracleDominance:
         train = make_blobs(n_per_class=50, n_features=5, n_classes=4, seed=21)
         test = make_blobs(n_per_class=30, n_features=5, n_classes=4, seed=22)
         one = replace(cfg, methods=("oracle",))
-        outcomes, _ = bench._evaluate_fold(one, train, test, 9)
-        orc = outcomes[("oracle", "")].accuracy
+        [record] = bench._evaluate_fold(one, train, test, 9)
+        orc = record.accuracy
         s, pool, _ = bench.fit_pool(train, one.dsel_fraction, one.forests, 9)
         equivalent = orc == oracle_accuracy(pool, test, s)
         record_criterion(

@@ -14,7 +14,7 @@ from tinydes.bench import (DatasetSpec, ExperimentConfig, config_from_text,
                            config_to_text, desk_scale_subset, emit_report,
                            measure_inference, run_experiment)
 from tinydes.data import Dataset
-from tinydes.errors import IoError, NondeterminismError
+from tinydes.errors import IoError, NondeterminismError, SelectionError
 from tinydes.tinyformat import export_tiny, load_tiny
 
 from conftest import build_pipeline, make_blobs, shared_inputs
@@ -273,6 +273,55 @@ class TestRunExperiment:
                         want.label_values))
 
 
+class TestRowRule:
+    @settings(max_examples=12, deadline=None)
+    @given(failing=st.sets(st.integers(0, 2)))
+    def test_a_method_failing_on_any_fold_is_one_failed_row(self, csv_path,
+                                                             tmp_path_factory, failing):
+        # Single Best fails on the drawn folds of a 3-fold run, each with an
+        # error naming its fold seed; Oracle runs on every fold
+        seeds = []
+        real_fold, real_single_best = bench._evaluate_fold, bench.single_best
+
+        def fold_spy(cfg, train, test, fold_seed):
+            seeds.append(fold_seed)
+            return real_fold(cfg, train, test, fold_seed)
+
+        def failing_single_best(dsel):
+            if len(seeds) - 1 in failing:
+                raise SelectionError(f"fold seed {seeds[-1]}")
+            return real_single_best(dsel)
+
+        out = tmp_path_factory.mktemp("rule")
+        cfg = small_config(csv_path, out, methods=("single_best", "oracle"), n_splits=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench, "_evaluate_fold", fold_spy)
+            mp.setattr(bench, "single_best", failing_single_best)
+            t = run_experiment(cfg)
+        paths = emit_report(t, out)
+
+        assert sorted((r.method, r.params) for r in t.rows) == [("oracle", ""),
+                                                                 ("single_best", "")]
+        rows = {r.method: r for r in t.rows}
+        assert rows["oracle"].status == "ok" and rows["oracle"].n_folds == 3
+        sb = rows["single_best"]
+        assert (sb.status == "failed") == bool(failing)
+        if failing:
+            assert sb.error == f"SelectionError: fold seed {seeds[max(failing)]}"
+            assert (sb.n_folds, sb.model_bytes) == (0, 0)
+        else:
+            assert (sb.error, sb.n_folds) == ("", 3)
+        ok_methods = sorted(m for m, r in rows.items() if r.status == "ok")
+        for name in ("folds.csv", "timings.csv"):
+            lines = Path(paths[name]).read_text().splitlines()[1:]
+            assert sorted(line.split(",")[1] for line in lines) == [
+                m for m in ok_methods for _ in range(3)]
+        for name in ("accuracy_table.txt", "cost_table.txt"):
+            [line] = [line for line in Path(paths[name]).read_text().splitlines()
+                      if line.startswith("Single Best")]
+            assert line.endswith(" failed") == bool(failing)
+
+
 def count_distance_calls(monkeypatch):
     calls = []
     real = _kernels.pairwise_sqdist
@@ -304,14 +353,14 @@ class TestSharedKnoraRegions:
                                           methods, searches):
         cfg = small_config("unused.csv", tmp_path, methods=methods)
         calls = count_distance_calls(monkeypatch)
-        outcomes, _ = bench._evaluate_fold(cfg, *fold_data, 11)
+        records = bench._evaluate_fold(cfg, *fold_data, 11)
         assert len(calls) == searches
-        for key, oc in outcomes.items():
-            assert not oc.error, key
-            alone, _ = bench._evaluate_fold(
-                small_config("unused.csv", tmp_path, methods=(key[0],)),
-                *fold_data, 11)
-            assert (oc.accuracy, oc.mean_cost) == (alone[key].accuracy, alone[key].mean_cost)
+        for r in records:
+            assert not r.error, (r.method, r.params)
+            [alone] = [a for a in bench._evaluate_fold(
+                small_config("unused.csv", tmp_path, methods=(r.method,)),
+                *fold_data, 11) if a.params == r.params]
+            assert (r.accuracy, r.mean_cost) == (alone.accuracy, alone.mean_cost)
 
     def test_region_failure_fails_both_methods(self, monkeypatch, csv_path, tmp_path):
         cfg = small_config(csv_path, tmp_path, methods=("knora_u", "knora_e", "oracle"),
@@ -342,10 +391,11 @@ class TestFoldTimings:
         monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
         monkeypatch.setattr(bench, "knora_regions", ticking(bench.knora_regions))
         monkeypatch.setattr(bench, "fit_kmeans", ticking(bench.fit_kmeans))
-        outcomes, _ = bench._evaluate_fold(small_config("unused.csv", tmp_path), *fold_data, 11)
+        records = bench._evaluate_fold(small_config("unused.csv", tmp_path), *fold_data, 11)
         assert clock[0] == 2.0
-        assert len(outcomes) == 7
-        assert {key: oc.wall_s for key, oc in outcomes.items() if oc.wall_s or oc.error} == {}
+        assert len(records) == 7
+        assert {(r.method, r.params): r.wall_per_inference_s for r in records
+                if r.wall_per_inference_s or r.error} == {}
 
 
 class TestClusterIdsOncePerFold:
@@ -395,10 +445,10 @@ class TestClusterIdsOncePerFold:
             seen.clear()
             cfg = small_config("unused.csv", tmp_path, methods=("des_clustering",),
                                j_values=j_values)
-            outcomes, _ = bench._evaluate_fold(cfg, *fold_data, 11)
+            records = bench._evaluate_fold(cfg, *fold_data, 11)
             assert [j for *_, j in builds] == [max(j_values)]
             assert seen == list(j_values)
-            assert not any(oc.error for oc in outcomes.values())
+            assert not any(r.error for r in records)
 
 
 class TestEmitReport:

@@ -239,6 +239,27 @@ class TestCrossval:
         for method in ("knora_u", "knora_e"):
             assert re.search(method + r" k=\d+ +FAILED: SelectionError: selection sample "
                              r"\d+ has a non-finite value", out)
+        # des_clustering ran on the other fold, but a method that fails on
+        # any fold reports no mean
+        assert not re.search(r"des_clustering J=3 +acc", out)
+
+    def test_non_finite_test_row_fails_knora_only(self, tmp_path, capsys):
+        # seed 0 holds the row that standardizes to +inf as a test row in one
+        # fold and as a pool row in the other. DES-Clustering sends it to
+        # cluster 0, as the engine and the emitted C do (every centroid
+        # distance is +inf), and scores both folds; KNORA cannot rank it.
+        path = write_tiny_column_csv(tmp_path / "tiny.csv")
+        rc = main(["crossval", "--dataset", str(path), "--method", "des_clustering",
+                   "--method", "knora_u", "--j", "3", "--clusters", "2", "--seed", "0",
+                   "--splits", "2", "--repeats", "1", "--out", str(tmp_path / "r")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert not re.search(r"knora_u k=\d+ +acc", out)
+        results = (tmp_path / "r" / "results.csv").read_text().splitlines()
+        knora_u, des_clustering = (line.split(",") for line in results[1:])
+        assert knora_u[1:3] + knora_u[7:9] == ["knora_u", "k=7", "0", "failed"]
+        assert re.fullmatch(r"SelectionError: query \d+ has a non-finite value", knora_u[9])
+        assert des_clustering[1:3] + des_clustering[7:9] == ["des_clustering", "J=3", "2", "ok"]
 
     def test_cell_beyond_float32_range(self, tmp_path, capsys):
         # a typed error, and no RuntimeWarning on the way
