@@ -144,13 +144,13 @@ total_sq = int(totals @ totals)
 consts = split_constants(n)  # as train_tree builds them, once per tree
 
 print("== split search (30000 samples x 28 candidate features) ==")
-bench("best_split (uint16 keys)", lambda: best_split(keys, y, classes, totals, total_sq, consts))
+bench("best_split (uint16 keys)", lambda: best_split(keys, y, totals, total_sq, consts))
 wide = np.ascontiguousarray(keys.T, dtype=np.uint32).T  # int64 composites
-bench("best_split (uint32 keys)", lambda: best_split(wide, y, classes, totals, total_sq, consts))
+bench("best_split (uint32 keys)", lambda: best_split(wide, y, totals, total_sq, consts))
 px = rng.randint(0, 256, (30000, 28)).astype(np.float32)
 px_keys = rank_codes(px)
 bench("best_split, pixels (uint8 keys)",
-      lambda: best_split(px_keys, y, classes, totals, total_sq, consts))
+      lambda: best_split(px_keys, y, totals, total_sq, consts))
 
 # Small nodes, where most split searches fall: pixel codes (mostly the zero
 # code) at pixels784's 28 candidates, continuous codes at float64's 8.
@@ -165,9 +165,9 @@ for n_rows in (10, 26, 60, 300):
     k16 = srng.randint(0, 3000, (8, n_rows)).astype(np.uint16)
     cn = split_constants(n_rows)
     bench(f"best_split n={n_rows}, uint8 keys, m=28",
-          lambda: best_split(k8.T, yn, classes, tn, tn_sq, cn), reps=2000)
+          lambda: best_split(k8.T, yn, tn, tn_sq, cn), reps=2000)
     bench(f"best_split n={n_rows}, uint16 keys, m=8",
-          lambda: best_split(k16.T, yn, classes, tn, tn_sq, cn), reps=2000)
+          lambda: best_split(k16.T, yn, tn, tn_sq, cn), reps=2000)
 
 # One pixels784 pool's training rows, one block of train_tree's candidate
 # feature subsets, and the default 45-tree pool grown on a pixel-like fold

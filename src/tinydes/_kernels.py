@@ -147,12 +147,12 @@ def node_dtype(n: int, key_dtype, n_classes: int):
     return np.int32 if (n - 1).bit_length() + bits <= 31 else np.int64
 
 
-def best_split(keys, labels, n_classes, totals, total_sq, consts=None):
+def best_split(keys, labels, totals, total_sq, consts=None):
     """Best split of a node over its (n, m) candidate ``keys``, unsigned
     integer codes of at most 32 bits.
 
-    ``labels`` are the node's class ids, ``totals`` their int64 class
-    counts and ``total_sq`` the int ``totals @ totals``. ``consts`` are
+    ``labels`` are the node's class ids, ``totals`` their int64 counts of
+    every class and ``total_sq`` the int ``totals @ totals``. ``consts`` are
     ``split_constants`` for at least n rows, built here when None. Returns
     ``(col, (p0, p1), score, found)``: p0 and p1 are the node positions of
     the last row left of the cut and the first row right of it in column
@@ -165,7 +165,7 @@ def best_split(keys, labels, n_classes, totals, total_sq, consts=None):
     if consts is None:
         consts = split_constants(n)
     total = totals if totals.dtype == np.int64 else totals.astype(np.int64)
-    ct = node_dtype(n, keys.dtype, n_classes)
+    ct = node_dtype(n, keys.dtype, total.shape[0])
     ints = consts.ints32 if ct is np.int32 else consts.ints64
     start = total.cumsum() - total
     start <<= 1
@@ -298,16 +298,13 @@ def assign_clusters(X, C):
 
 
 def cluster_means(X, labels, k):
-    nf = X.shape[1]
-    out = np.zeros((k, nf), dtype=np.float32)
-    counts = np.zeros(k, dtype=np.int64)
+    out = np.zeros((k, X.shape[1]), dtype=np.float32)
     for c in range(k):
         mask = labels == c
         cnt = int(mask.sum())
-        counts[c] = cnt
         if cnt > 0:
             out[c] = (X[mask].sum(axis=0, dtype=np.float64) / cnt).astype(np.float32)
-    return out, counts
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,10 @@ class DatasetSpec:
         """The dataset, or with a ``limit`` its class-stratified subset of
         about ``limit`` rows (``desk_scale_rows``). A CSV is parsed whole and
         then subset; an IDX pair's rows are picked from its label file, and
-        only those rows are converted and checked."""
+        only those rows are converted and checked. The spec names one
+        source, as ``ExperimentConfig.validate`` checks."""
         if self.csv is not None:
             return desk_scale_subset(load_csv(self.csv, self.label_column), limit, seed)
-        if self.images is None or self.labels is None:
-            raise IoError(f"dataset {self.name!r} needs either csv= or images=+labels=")
         return load_idx(self.images, self.labels, limit, seed)
 
 
@@ -97,11 +96,17 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise IoError for the first setting outside its SETTINGS rule, then
-        for an N_acc outside 1..pool size or a J above N_acc."""
+        for a dataset that does not name exactly one source, then for an
+        N_acc outside 1..pool size or a J above N_acc."""
         for s in SETTINGS:
             value = getattr(self, s.name)
             if not s.check(value):
                 raise IoError(f"{s.name} must be {s.rule}, got {s.show(value)}")
+        for ds in self.datasets:
+            given = [f for f in ("csv", "images", "labels") if getattr(ds, f) is not None]
+            if given not in (["csv"], ["images", "labels"]):
+                raise IoError(f"dataset {ds.name!r} needs either csv= or images=+labels=, "
+                              f"got {'+'.join(f + '=' for f in given) or 'neither'}")
         n_acc = self.resolve_n_acc()
         if not 1 <= n_acc <= self.pool_size:
             raise IoError(f"n_acc must be from 1 to the pool size {self.pool_size}, "
@@ -155,10 +160,11 @@ SETTINGS = (
     Setting("seed", int, str, lambda v: True, "an integer"),
     Setting("profile", nonempty, str, lambda v: v in PROFILES, " or ".join(PROFILES)),
     Setting("methods", lambda t: _items(t, str), ",".join,
-            lambda v: len(v) > 0 and all(m in METHOD_ORDER for m in v),
-            "comma-separated names among " + ", ".join(METHOD_ORDER)),
+            lambda v: 0 < len(v) == len(set(v)) and all(m in METHOD_ORDER for m in v),
+            "comma-separated distinct names among " + ", ".join(METHOD_ORDER)),
     Setting("j_values", parse_ints, lambda v: ",".join(map(str, v)),
-            lambda v: len(v) > 0 and min(v) >= 1, "comma-separated integers >= 1"),
+            lambda v: 0 < len(v) == len(set(v)) and min(v) >= 1,
+            "comma-separated distinct integers >= 1"),
     Setting("k_clusters", int, str, lambda v: v >= 1, "an integer >= 1"),
     Setting("k_neighbors", int, str, lambda v: v >= 1, "an integer >= 1"),
     Setting("n_acc", int_or_auto, _auto_text, lambda v: True,
@@ -336,8 +342,7 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
         return ranked, assign_batch(ranked.kmeans, test_std)
 
     def _knora(batch_fn):
-        labels, costs = batch_fn(dsel, pool, test_std, cfg.k_neighbors, preds, visits,
-                                 regions())
+        labels, costs = batch_fn(dsel, pool, regions(), preds, visits)
         return (float((labels == target).mean()), float(costs.mean()),
                 NODE_DTYPE.itemsize * pool.n_nodes + std_bytes + dsel_bytes)
 
@@ -365,8 +370,7 @@ def _evaluate_fold(cfg: ExperimentConfig, train: Dataset, test: Dataset,
                 def _dc(j=j):
                     ranked, clusters = clustering()
                     cm = ranked.top(j)
-                    labels, costs = des_clustering_batch(cm, pool, test_std, preds, visits,
-                                                         clusters)
+                    labels, costs = des_clustering_batch(cm, pool, clusters, preds, visits)
                     blob, _ = export_tiny(s, cm, pool)
                     return (float((labels == target).mean()), float(costs.mean()),
                             len(blob))

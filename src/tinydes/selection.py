@@ -149,8 +149,10 @@ def des_clustering_predict(cm: CompetenceModel, pool: ClassifierPool, x) -> Sele
 # Batched evaluation paths used by the benchmark harness. The caller walks
 # the pool once (``pool_predictions``) and computes the KNORA regions
 # (``knora_regions``) and the test rows' cluster ids (``assign_batch``) once;
-# every method reads those, and none recomputes them. ``vote_batch`` is the
-# one rule that votes and charges the visits of the trees that vote. The
+# every method reads those, and none recomputes them. The batch calls take
+# no query matrix: the regions or the cluster ids, their third argument, give
+# the query axis, and ``vote_batch``, the one rule that votes and charges the
+# visits of the trees that vote, rejects a walk of other queries. The
 # clustering path matches ``des_clustering_predict``; the KNORA paths are
 # checked against a per-query oracle kept with the tests.
 # ---------------------------------------------------------------------------
@@ -264,56 +266,43 @@ def knora_regions(dsel: Dsel, X, k: int) -> np.ndarray:
     return regions
 
 
-def _region(dsel: Dsel, X, k: int, regions) -> np.ndarray:
-    """bool [pool_size, n_queries, k]: [c, q, i] = classifier c correct on
-    query q's i-th nearest selection sample."""
-    if regions.shape != (len(X), k):
-        raise ShapeError(f"regions shape {regions.shape} != {(len(X), k)}")
-    return dsel.correctness[:, regions]
-
-
-def knora_u_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
-                  pool_preds, pool_visits, regions):
-    """KNORA-U (union rule) over a query matrix. Returns (labels, costs).
+def knora_u_batch(dsel: Dsel, pool: ClassifierPool, regions, pool_preds, pool_visits):
+    """KNORA-U (union rule), one answer per row of ``regions``: (labels, costs).
 
     Every classifier correct on at least one of a query's k nearest
     selection samples votes with weight equal to its number of correct
     region samples; if none qualifies, the whole pool votes with weight 1.
     Votes are whole numbers, so totals are exact and ties go to the smaller
-    class id. The caller passes ``pool_predictions(pool, X)`` as
-    ``pool_preds, pool_visits`` and ``knora_regions(dsel, X, k)`` as
-    ``regions``; X itself is read only for its row count."""
-    counts = _region(dsel, X, k, regions).sum(axis=2).T.astype(np.float64)
+    class id. The caller passes ``knora_regions(dsel, X, k)`` as
+    ``regions`` and ``pool_predictions(pool, X)`` as ``pool_preds,
+    pool_visits``."""
+    counts = dsel.correctness[:, regions].sum(axis=2).T.astype(np.float64)
     counts[~counts.any(axis=1)] = 1.0
     return vote_batch(pool, pool_preds, pool_visits, counts)
 
 
-def knora_e_batch(dsel: Dsel, pool: ClassifierPool, X, k: int,
-                  pool_preds, pool_visits, regions):
-    """KNORA-E (eliminate rule) over a query matrix. Returns (labels, costs).
+def knora_e_batch(dsel: Dsel, pool: ClassifierPool, regions, pool_preds, pool_visits):
+    """KNORA-E (eliminate rule), one answer per row of ``regions``: (labels, costs).
 
     The local oracles, classifiers correct on the whole region, each vote 1.
     While there are none, the region drops its farthest sample; if it
     empties, the whole pool votes. Ties go to the smaller class id. The
-    caller passes the same ``pool_preds``, ``pool_visits`` and ``regions``
+    caller passes the same ``regions``, ``pool_preds`` and ``pool_visits``
     as to ``knora_u_batch``."""
     # lead[c, q] = how many of q's nearest neighbours c gets right before its
     # first miss. The largest region with a local oracle has max(lead) samples
     # and its oracles are the classifiers that reach it; when that size is 0,
     # every classifier does, which is the whole-pool fallback.
-    lead = np.logical_and.accumulate(_region(dsel, X, k, regions), axis=2).sum(axis=2)
+    lead = np.logical_and.accumulate(dsel.correctness[:, regions], axis=2).sum(axis=2)
     return vote_batch(pool, pool_preds, pool_visits, (lead == lead.max(axis=0)).T)
 
 
-def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, X,
-                         pool_preds, pool_visits, clusters):
-    """Vectorized clustering-method prediction. Returns (labels, costs).
+def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, clusters,
+                         pool_preds, pool_visits):
+    """Clustering-method prediction per entry of ``clusters``: (labels, costs).
 
-    The caller passes ``pool_predictions(pool, X)`` as ``pool_preds,
-    pool_visits`` and ``assign_batch(cm.kmeans, X)`` as ``clusters``; X
-    itself is read only for its row count."""
-    if clusters.shape != (len(X),):
-        raise ShapeError(f"cluster ids shape {clusters.shape} != {(len(X),)}")
+    The caller passes ``assign_batch(cm.kmeans, X)`` as ``clusters`` and
+    ``pool_predictions(pool, X)`` as ``pool_preds, pool_visits``."""
     member = np.zeros((cm.kmeans.k, pool.pool_size), dtype=bool)
     np.put_along_axis(member, cm.ranking.astype(np.intp), True, axis=1)
     labels, costs = vote_batch(pool, pool_preds, pool_visits, member[clusters])

@@ -223,8 +223,7 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
             cands, cells = next(candidates)
             kt = codes_flat.take(cells[:, None] + idx)  # one candidate per row
             total_sq = int(counts @ counts)
-            col, (p0, p1), score, found = _kernels.best_split(kt.T, y, n_classes, counts,
-                                                              total_sq, consts)
+            col, (p0, p1), score, found = _kernels.best_split(kt.T, y, counts, total_sq, consts)
             if found and score > total_sq / idx.size:
                 f = int(cands[col])
                 feature.append(f)

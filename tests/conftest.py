@@ -59,18 +59,14 @@ def per_tree_predictions(pool, X):
 
 
 def shared_inputs(pool, X, dsel=None, k=None, kmeans=None):
-    """What crossval computes once per fold and passes to the batch paths:
-    ``(pool_preds, pool_visits)`` of the pool walk, then, when k is given,
-    ``knora_regions(dsel, X, k)``, and when kmeans is given, the cluster ids
-    ``assign_batch(kmeans, X)``. Splat it after a batch call's leading
-    arguments."""
+    """What crossval computes once per fold and passes to a batch path, in
+    the path's argument order: ``knora_regions(dsel, X, k)`` when k is
+    given, else the cluster ids ``assign_batch(kmeans, X)``, then
+    ``(pool_preds, pool_visits)`` of the pool walk. Splat it after a batch
+    call's two leading arguments."""
     mat = np.ascontiguousarray(X, dtype=np.float32)
-    out = pool_predictions(pool, mat)
-    if k is not None:
-        out += (knora_regions(dsel, mat, k),)
-    if kmeans is not None:
-        out += (assign_batch(kmeans, mat),)
-    return out
+    queries = knora_regions(dsel, mat, k) if k is not None else assign_batch(kmeans, mat)
+    return (queries, *pool_predictions(pool, mat))
 
 
 @pytest.fixture(scope="session")

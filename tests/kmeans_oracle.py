@@ -78,7 +78,7 @@ def fit_kmeans(points, k, seed, max_iter=300, tol=1e-4):
         if inertia > prev_inertia * (1 + 1e-6) + 1e-9:
             raise ClusterError(f"inertia increased from {prev_inertia!r} to {inertia!r}")
         prev_inertia = inertia
-        new_centroids, _ = _kernels.cluster_means(pts, labels, k)
+        new_centroids = _kernels.cluster_means(pts, labels, k)
         shift = float(np.sqrt(np.square(new_centroids.astype(np.float64) -
                                         centroids.astype(np.float64)).sum(axis=1)).max())
         centroids = new_centroids

@@ -240,10 +240,10 @@ class TestCriterion8KnoraESemantics:
             cost spells out the selected set in binary."""
             pool = constant_pool(classes)
             x = np.zeros((1, 1), np.float32)
-            preds, visits, regions = shared_inputs(pool, x, dsel, k)
-            labels, costs = knora_e_batch(dsel, pool, x, k, preds, visits, regions)
+            regions, preds, visits = shared_inputs(pool, x, dsel, k)
+            labels, costs = knora_e_batch(dsel, pool, regions, preds, visits)
             bits = (1 << np.arange(pool.pool_size, dtype=np.int64))[:, None]
-            _, mask = knora_e_batch(dsel, pool, x, k, preds, bits, regions)
+            _, mask = knora_e_batch(dsel, pool, regions, preds, bits)
             chosen = [c for c in range(pool.pool_size) if int(mask[0]) >> c & 1]
             return int(labels[0]), int(costs[0]), chosen
 

@@ -150,7 +150,9 @@ class TestConfigSerialization:
         ("k_neighbors", -1, "-1"), ("pct_static", 0.0, "0.0"), ("pct_static", 1.5, "1.5"),
         ("n_splits", 1, "1"), ("n_repeats", 0, "0"), ("dsel_fraction", 1.0, "1.0"),
         ("forests", ((2, 3), (0, 3)), "2:3,0:3"), ("forests", ((2, -1),), "2:-1"),
-        ("forests", (), ""), ("out_dir", "", "")])
+        ("forests", (), ""), ("out_dir", "", ""),
+        ("methods", ("des_clustering", "des_clustering", "oracle"),
+         "des_clustering,des_clustering,oracle"), ("j_values", (3, 3), "3,3")])
     def test_setting_out_of_range(self, name, value, shown):
         # the message is the setting's rule, with the value as config.txt prints it
         rule = next(s.rule for s in bench.SETTINGS if s.name == name)
@@ -165,6 +167,20 @@ class TestConfigSerialization:
                                           f"N_acc={n_acc}$"):
             ExperimentConfig(**over).validate()
         ExperimentConfig(**over, methods=("oracle",)).validate()
+
+    @pytest.mark.parametrize("fields, given", [
+        (dict(csv="b.csv", images="b.idx"), "csv=+images="),
+        (dict(csv="b.csv", images="b.idx", labels="b.lab"), "csv=+images=+labels="),
+        (dict(csv="b.csv", labels="b.lab"), "csv=+labels="),
+        (dict(images="b.idx"), "images="), (dict(labels="b.lab"), "labels="), ({}, "neither")])
+    def test_dataset_names_one_source(self, fields, given):
+        # a valid dataset named first does not hide the bad one
+        cfg = ExperimentConfig(datasets=(DatasetSpec("a", csv="a.csv"), DatasetSpec("b", **fields)))
+        with pytest.raises(IoError) as exc:
+            cfg.validate()
+        assert str(exc.value) == f"dataset 'b' needs either csv= or images=+labels=, got {given}"
+        ExperimentConfig(datasets=(DatasetSpec("a", csv="a.csv"),
+                                   DatasetSpec("b", images="b.idx", labels="b.lab"))).validate()
 
     def test_readme_table_lists_every_setting(self):
         # README's settings table: one row per SETTINGS row, in config.txt
@@ -419,25 +435,33 @@ class TestClusterIdsOncePerFold:
     def test_answers_equal_per_j_calls(self, monkeypatch, tmp_path, fold_data):
         # one ranking per fold, built at the largest J, serves every J: each
         # J's model and answers equal those of a model built at that J alone,
-        # with the walk and the cluster ids computed afresh
+        # with the walk and the cluster ids computed afresh from the fold's
+        # test rows, which the fold's one pool walk receives
         real_cm, real_dc = bench.build_competence_model, bench.des_clustering_batch
-        builds, seen = [], []
+        real_walk = bench.pool_predictions
+        builds, seen, test_rows = [], [], []
+
+        def walk_spy(pool, X):
+            test_rows.append(X)
+            return real_walk(pool, X)
 
         def cm_spy(dsel, km, n_acc, j):
             builds.append((dsel, km, n_acc, j))
             return real_cm(dsel, km, n_acc, j)
 
-        def dc_spy(cm, pool, X, preds, visits, clusters):
+        def dc_spy(cm, pool, clusters, preds, visits):
             dsel, km, n_acc, _ = builds[-1]
             alone = real_cm(dsel, km, n_acc, cm.j)
             np.testing.assert_array_equal(cm.ranking, alone.ranking)
             np.testing.assert_array_equal(cm.per_cluster_accuracy, alone.per_cluster_accuracy)
-            got = real_dc(cm, pool, X, preds, visits, clusters)
-            for a, b in zip(got, real_dc(alone, pool, X, *shared_inputs(pool, X, kmeans=km))):
+            got = real_dc(cm, pool, clusters, preds, visits)
+            X = test_rows[-1]
+            for a, b in zip(got, real_dc(alone, pool, *shared_inputs(pool, X, kmeans=km))):
                 np.testing.assert_array_equal(a, b)
             seen.append(cm.j)
             return got
 
+        monkeypatch.setattr(bench, "pool_predictions", walk_spy)
         monkeypatch.setattr(bench, "build_competence_model", cm_spy)
         monkeypatch.setattr(bench, "des_clustering_batch", dc_spy)
         for j_values in ((2,), (2, 4), (2, 4, 5)):

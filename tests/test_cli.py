@@ -303,6 +303,43 @@ class TestCrossval:
                          capsys.readouterr().err)
         assert not (tmp_path / "r").exists()
 
+    # a method or a J given twice would score each fold twice under one key
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "des_clustering", "--method", "des_clustering", "--method", "oracle",
+          "--j", "3,3"], "methods must be comma-separated distinct names among "
+         + ", ".join(METHOD_ORDER) + ", got des_clustering,des_clustering,oracle"),
+        (["--method", "des_clustering", "--method", "oracle", "--j", "3,3"],
+         "j_values must be comma-separated distinct integers >= 1, got 3,3")])
+    def test_repeated_values_rejected(self, csv_path, tmp_path, monkeypatch, capsys,
+                                      flags, message):
+        loads = []
+        monkeypatch.setattr(bench, "load_csv", lambda *a: loads.append(a))
+        rc = main(["crossval", "--dataset", str(csv_path), *flags, "--clusters", "2",
+                   "--splits", "2", "--repeats", "1", "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: IoError: {message}\n"
+        assert loads == [] and not (tmp_path / "r").exists()
+
+    # a dataset that gives two sources, or half of one, stops the run before
+    # any dataset loads, even when an earlier dataset is valid
+    @pytest.mark.parametrize("lines, given", [
+        ("dataset.a.images = a.idx\n", "csv=+images="),
+        ("dataset.b.labels = b.lab\n", "labels=")])
+    def test_dataset_source_rejected(self, csv_path, tmp_path, monkeypatch, capsys,
+                                     lines, given):
+        loads = []
+        monkeypatch.setattr(bench, "load_csv", lambda *a: loads.append(a))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset.a.csv = {csv_path}\n" + lines)
+        rc = main(["crossval", "--config", str(cfg), "--method", "oracle", "--splits", "2",
+                   "--repeats", "1", "--out", str(tmp_path / "r")])
+        assert rc == 1
+        name = lines.split(".")[1]
+        assert capsys.readouterr().err == (
+            f"error: IoError: dataset '{name}' needs either csv= or images=+labels=, "
+            f"got {given}\n")
+        assert loads == [] and not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("flag", ["--j", "--out"])
     def test_empty_value_rejected(self, csv_path, tmp_path, monkeypatch, capsys, flag):
         monkeypatch.chdir(tmp_path)

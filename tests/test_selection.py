@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinydes import _kernels
-from tinydes.cluster import KMeansModel, assign_batch, fit_kmeans
+from tinydes.cluster import KMeansModel, fit_kmeans
 from tinydes.data import Dataset, apply_standardizer
 from tinydes import selection
 from tinydes.errors import SelectionError, ShapeError
@@ -416,7 +416,7 @@ class TestOracle:
         orc = oracle_accuracy(pool, test, s)
         std = apply_standardizer(s, test.features)
         target = test.labels.astype(np.int64)
-        preds, visits, regions = shared_inputs(pool, std, dsel, 5)
+        regions, preds, visits = shared_inputs(pool, std, dsel, 5)
         assert orc == pytest.approx((preds == target).any(axis=0).mean())
 
         accs = {}
@@ -425,11 +425,11 @@ class TestOracle:
         sel = static_selection(dsel, 0.5)
         lab = vote_rows(preds[sel].T, np.ones((test.n_samples, sel.size)), pool.n_classes)
         accs["static"] = (lab == target).mean()
-        lab, _ = knora_u_batch(dsel, pool, std, 5, preds, visits, regions)
+        lab, _ = knora_u_batch(dsel, pool, regions, preds, visits)
         accs["knora_u"] = (lab == target).mean()
-        lab, _ = knora_e_batch(dsel, pool, std, 5, preds, visits, regions)
+        lab, _ = knora_e_batch(dsel, pool, regions, preds, visits)
         accs["knora_e"] = (lab == target).mean()
-        lab, _ = des_clustering_batch(cm, pool, std, *shared_inputs(pool, std, kmeans=cm.kmeans))
+        lab, _ = des_clustering_batch(cm, pool, *shared_inputs(pool, std, kmeans=cm.kmeans))
         accs["des_clustering"] = (lab == target).mean()
         for name, acc in accs.items():
             assert orc >= acc, f"oracle beaten by {name}"
@@ -471,7 +471,7 @@ class TestBatchEquivalence:
         test = make_blobs(n_per_class=15, seed=31)
         std = np.ascontiguousarray(apply_standardizer(s, test.features))
         for batch_fn, single_fn in ((knora_u_batch, knora_u), (knora_e_batch, knora_e)):
-            labels, costs = batch_fn(dsel, pool, std, 5, *shared_inputs(pool, std, dsel, 5))
+            labels, costs = batch_fn(dsel, pool, *shared_inputs(pool, std, dsel, 5))
             for i in range(std.shape[0]):
                 res = single_fn(dsel, pool, std[i], 5)
                 assert labels[i] == res.label
@@ -480,7 +480,7 @@ class TestBatchEquivalence:
     def test_des_clustering_batch_matches_per_query(self, pipeline):
         cm, pool, dsel = pipeline["cm"], pipeline["pool"], pipeline["dsel"]
         labels, costs = des_clustering_batch(
-            cm, pool, dsel.samples, *shared_inputs(pool, dsel.samples, kmeans=cm.kmeans))
+            cm, pool, *shared_inputs(pool, dsel.samples, kmeans=cm.kmeans))
         for i in range(0, dsel.n_samples, 3):
             res = des_clustering_predict(cm, pool, dsel.samples[i])
             assert labels[i] == res.label and costs[i] == res.cost
@@ -488,18 +488,14 @@ class TestBatchEquivalence:
     def test_precomputed_cluster_ids(self, monkeypatch, pipeline):
         dsel, pool, km = pipeline["dsel"], pipeline["pool"], pipeline["kmeans"]
         probes = dsel.samples[:40]
-        dsel_ids = assign_batch(km, dsel.samples)
         cm = build_competence_model(dsel, km, 6, 3)
-        preds, visits, clusters = shared_inputs(pool, probes, kmeans=km)
-        expect = des_clustering_batch(cm, pool, probes, preds, visits, clusters)
+        clusters, preds, visits = shared_inputs(pool, probes, kmeans=km)
+        expect = des_clustering_batch(cm, pool, clusters, preds, visits)
         # the batch path reads the walk and the cluster ids it is given
         for name in ("assign_clusters", "tree_walk"):
             monkeypatch.setattr(_kernels, name, None)
-        for a, b in zip(des_clustering_batch(cm, pool, probes, preds, visits, clusters),
-                        expect):
+        for a, b in zip(des_clustering_batch(cm, pool, clusters, preds, visits), expect):
             np.testing.assert_array_equal(a, b)
-        with pytest.raises(ShapeError, match="cluster ids shape"):
-            des_clustering_batch(cm, pool, probes, preds, visits, dsel_ids)
 
     def test_cost_monotone_in_j(self, pipeline):
         dsel, pool, km = pipeline["dsel"], pipeline["pool"], pipeline["kmeans"]
@@ -507,8 +503,7 @@ class TestBatchEquivalence:
         prev = -np.inf
         for j in (1, 2, 4, 6):
             cm = build_competence_model(dsel, km, 6, j)
-            _, costs = des_clustering_batch(cm, pool, probes,
-                                            *shared_inputs(pool, probes, kmeans=km))
+            _, costs = des_clustering_batch(cm, pool, *shared_inputs(pool, probes, kmeans=km))
             mean = costs.mean()
             assert mean > prev
             prev = mean
@@ -568,8 +563,7 @@ class TestKnoraBatchTies:
                 # full-sort branch of _k_nearest
                 assert ((d2 <= kth[:, None]).sum(axis=1) > k).any()
             for batch_fn, single_fn in ((knora_u_batch, knora_u), (knora_e_batch, knora_e)):
-                labels, costs = batch_fn(dsel, pool, queries, k,
-                                         *shared_inputs(pool, queries, dsel, k))
+                labels, costs = batch_fn(dsel, pool, *shared_inputs(pool, queries, dsel, k))
                 for i in range(queries.shape[0]):
                     res = single_fn(dsel, pool, queries[i], k)
                     assert (labels[i], costs[i]) == (res.label, res.cost), (batch_fn, k, i)
@@ -577,8 +571,7 @@ class TestKnoraBatchTies:
     @pytest.mark.parametrize("batch_fn", [knora_u_batch, knora_e_batch])
     def test_zero_queries(self, batch_fn):
         dsel, pool, queries = tie_heavy_case()
-        labels, costs = batch_fn(dsel, pool, queries[:0], 7,
-                                 *shared_inputs(pool, queries[:0], dsel, 7))
+        labels, costs = batch_fn(dsel, pool, *shared_inputs(pool, queries[:0], dsel, 7))
         assert labels.shape == (0,) and costs.shape == (0,)
 
     # crc32 of the little-endian int64 labels and costs, recorded from the
@@ -595,7 +588,7 @@ class TestKnoraBatchTies:
     ])
     def test_golden(self, batch_fn, k, label_crc, cost_crc):
         dsel, pool, queries = tie_heavy_case()
-        labels, costs = batch_fn(dsel, pool, queries, k, *shared_inputs(pool, queries, dsel, k))
+        labels, costs = batch_fn(dsel, pool, *shared_inputs(pool, queries, dsel, k))
         assert zlib.crc32(labels.astype("<i8").tobytes()) == label_crc
         assert zlib.crc32(costs.astype("<i8").tobytes()) == cost_crc
 
@@ -653,17 +646,13 @@ class TestKnoraRegions:
     @pytest.mark.parametrize("batch_fn", [knora_u_batch, knora_e_batch])
     def test_precomputed_regions(self, monkeypatch, batch_fn):
         dsel, pool, queries = tie_heavy_case()
-        preds, visits, regions = shared_inputs(pool, queries, dsel, 7)
-        expect = batch_fn(dsel, pool, queries, 7, preds, visits, regions)
+        regions, preds, visits = shared_inputs(pool, queries, dsel, 7)
+        expect = batch_fn(dsel, pool, regions, preds, visits)
         # the batch path reads the walk and the regions it is given
         for name in ("pairwise_sqdist", "tree_walk"):
             monkeypatch.setattr(_kernels, name, None)
-        for a, b in zip(batch_fn(dsel, pool, queries, 7, preds, visits, regions), expect):
+        for a, b in zip(batch_fn(dsel, pool, regions, preds, visits), expect):
             np.testing.assert_array_equal(a, b)
-        with pytest.raises(ShapeError, match="regions shape"):
-            batch_fn(dsel, pool, queries, 6, preds, visits, regions)
-        with pytest.raises(ShapeError, match="regions shape"):
-            batch_fn(dsel, pool, queries[:-1], 7, preds, visits, regions)
 
 
 class TestWalkShape:
@@ -672,24 +661,24 @@ class TestWalkShape:
     @pytest.mark.parametrize("batch_fn", [knora_u_batch, knora_e_batch])
     def test_knora(self, batch_fn):
         dsel, pool, queries = tie_heavy_case()
-        preds, visits, regions = shared_inputs(pool, queries, dsel, 7)
+        regions, preds, visits = shared_inputs(pool, queries, dsel, 7)
         with pytest.raises(ShapeError, match=r"pool_preds shape \(9, 90\) != \(9, 89\)"):
-            batch_fn(dsel, pool, queries[:-1], 7, preds, visits, regions[:-1])
+            batch_fn(dsel, pool, regions[:-1], preds, visits)
         with pytest.raises(ShapeError, match=r"pool_visits shape \(9, 89\) != \(9, 90\)"):
-            batch_fn(dsel, pool, queries, 7, preds, visits[:, :-1], regions)
+            batch_fn(dsel, pool, regions, preds, visits[:, :-1])
         with pytest.raises(ShapeError, match=r"pool_preds shape \(8, 90\)"):
-            batch_fn(dsel, pool, queries, 7, preds[:-1], visits[:-1], regions)
+            batch_fn(dsel, pool, regions, preds[:-1], visits[:-1])
 
     def test_des_clustering(self):
         dsel, pool, queries = tie_heavy_case()
         cm = build_competence_model(dsel, fit_kmeans(dsel.samples, 3, seed=1), 4, 2)
-        preds, visits, clusters = shared_inputs(pool, queries, kmeans=cm.kmeans)
+        clusters, preds, visits = shared_inputs(pool, queries, kmeans=cm.kmeans)
         with pytest.raises(ShapeError, match=r"pool_preds shape \(9, 90\) != \(9, 89\)"):
-            des_clustering_batch(cm, pool, queries[:-1], preds, visits, clusters[:-1])
+            des_clustering_batch(cm, pool, clusters[:-1], preds, visits)
         with pytest.raises(ShapeError, match=r"pool_preds shape \(9, 89\) != \(9, 90\)"):
-            des_clustering_batch(cm, pool, queries, preds[:, :-1], visits[:, :-1], clusters)
+            des_clustering_batch(cm, pool, clusters, preds[:, :-1], visits[:, :-1])
         with pytest.raises(ShapeError, match=r"pool_visits shape \(9, 89\) != \(9, 90\)"):
-            des_clustering_batch(cm, pool, queries, preds, visits[:, :-1], clusters)
+            des_clustering_batch(cm, pool, clusters, preds, visits[:, :-1])
 
 
 class TestVoteRows:

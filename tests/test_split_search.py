@@ -30,8 +30,7 @@ def split(values, labels, n_classes, keys=None):
     """(col, threshold, score, found) as ``train_tree`` derives them."""
     keys = rank_codes(values) if keys is None else keys
     totals = np.bincount(labels, minlength=n_classes)
-    col, (p0, p1), score, found = best_split(keys, labels, n_classes, totals,
-                                             int(totals @ totals))
+    col, (p0, p1), score, found = best_split(keys, labels, totals, int(totals @ totals))
     if not found:
         return NOT_FOUND
     return col, split_threshold(values[p0, col], values[p1, col]), score, True
@@ -204,8 +203,7 @@ class TestAgainstValueOracle:
         values, y = pool[idx], pool_labels[idx]
         kt = np.ascontiguousarray(codes.T[:, idx])  # train_tree's gather
         totals = np.bincount(y, minlength=n_classes)
-        col, (p0, p1), score, found = best_split(kt.T, y, n_classes, totals,
-                                                 int(totals @ totals))
+        col, (p0, p1), score, found = best_split(kt.T, y, totals, int(totals @ totals))
         thr = split_threshold(values[p0, col], values[p1, col]) if found else 0.0
         got = (col, thr, score, found) if found else NOT_FOUND
         assert bits(got) == bits(value_best_split(values, y, n_classes, kt.T))

@@ -1,0 +1,59 @@
+"""The tracer contract: the names ``perfbench/spans.py`` wraps exist, and
+its counters read the arguments they mean to.
+
+perfbench wraps functions where their callers look them up and counts
+``selection.queries`` from the third argument of the KNORA batch calls. A
+renamed function, or a signature that moves the query axis off the third
+argument, would otherwise show only in a traced benchmark run, or not at
+all: a pool walk in that place would count pool rows. This file reads
+perfbench and changes nothing in it.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+from tinydes import bench
+
+from conftest import shared_inputs
+from test_bench import fold_data, small_config  # noqa: F401 (fold_data is a fixture)
+from test_selection import tie_heavy_case
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    import spans  # imports perfbench's calib, so perfbench is on the path until then
+finally:
+    sys.path.remove(PERFBENCH)
+
+
+def test_every_wrap_target_resolves():
+    missing = [f"{module}.{attr}" for module, attr, *_ in spans.WRAPS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+
+
+def test_knora_pair_counts_its_queries():
+    dsel, pool, queries = tie_heavy_case()
+    inputs = shared_inputs(pool, queries, dsel, 7)
+    assert queries.shape[0] != pool.pool_size  # a count of pool rows would differ
+    with spans.Tracer() as tracer:
+        bench.knora_u_batch(dsel, pool, *inputs)
+        bench.knora_e_batch(dsel, pool, *inputs)
+    assert tracer.missing == []
+    assert tracer.counts["selection.queries"] == 2 * queries.shape[0]
+    assert [s[0] for s in tracer.spans] == ["selection.knora_u", "selection.knora_e"]
+
+
+def test_fold_calls_every_batch_wrapper(tmp_path, fold_data):
+    # one crossval fold: each batch call is called where the tracer wraps it,
+    # and the KNORA pair counts the fold's test rows
+    train, test = fold_data
+    cfg = small_config("unused.csv", tmp_path, methods=("knora_u", "knora_e", "des_clustering"))
+    with spans.Tracer() as tracer:
+        records = bench._evaluate_fold(cfg, train, test, 11)
+    assert not any(r.error for r in records)
+    assert tracer.missing == []
+    called = {s[0] for s in tracer.spans}
+    assert {"selection.knora_u", "selection.knora_e", "selection.des_clustering"} <= called
+    assert tracer.counts["selection.queries"] == 2 * test.n_samples
