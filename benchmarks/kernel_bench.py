@@ -31,8 +31,11 @@
 #   tree_walk       one 2^16-pair block      21 ms   45-tree pool, 784 features
 #   pool_predictions  45 trees x 30000     343 ms   every (tree, row) pair, in
 #                                                    2^16-pair blocks
-#   assign_clusters 24000x784, k=5          204 ms   fresh temporaries per
-#                                                    cluster: 380 ms
+#   assign_clusters 24000x784, k=5          153 ms   one sliced row block per
+#                                                    (rows, k) matrix, no
+#                                                    copy of the rows: 120 ms
+#   sqdist_table    1250x784, k=5, 35 % of  2.2 ms   cluster._fill, the loop
+#                   the cells (bounded step)         it replaced: 2.2 ms
 #   pairwise_sqdist 349x3000x64             6.1 ms   one KNORA distance block
 #   k_nearest       k=7 of 3000, 349 rows   6.1 ms   stable argsort top-7: 85 ms
 #   knora_regions   6000 queries, k=7       197 ms   one float64 fold, 18 blocks
@@ -77,8 +80,12 @@
 # The rank_codes and fit_kmeans rows are medians of nine rounds in one
 # process, each round timing the kernel and its previous form in turn (an
 # argsort and a second full sort; ``tests/kmeans_oracle.py``). The
-# assign_clusters and tiny_infer rows were timed back to back with the
-# previous kernel on the same host, two runs of each, averaged. The
+# tiny_infer row was timed back to back with the previous kernel on the
+# same host, two runs of each, averaged. The assign_clusters and
+# sqdist_table rows are medians of five processes per form, the forms
+# alternating, each process the median of 7 and 41 calls; the row copy that
+# sqdist_table takes of every block costs the first its 28 %, and fit_kmeans
+# on the pixel fold stayed within 1 % (57.5 and 58.1 ms). The
 # knora_regions and load_csv rows are medians of six runs of each form,
 # alternated in one process. pool_predictions against one walk per tree on
 # the same pool, three alternated processes each: medians 251 and 483 ms,
@@ -99,7 +106,7 @@ from pathlib import Path
 import numpy as np
 
 from tinydes._kernels import (assign_clusters, best_split, pairwise_sqdist, rank_codes,
-                              split_constants, tree_walk)
+                              split_constants, sqdist_table, tree_walk)
 from tinydes._rng import SplitMix64
 from tinydes.cluster import fit_kmeans
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer, load_csv
@@ -198,6 +205,11 @@ print("== cluster assignment (24000 x 784, k=5) ==")
 C = rng.rand(5, f).astype(np.float32)
 Xa = X[:24000]
 bench("assign_clusters", lambda: assign_clusters(Xa, C))
+# A bounded Lloyd step's second table on a pixel fold: 35 % of the cells.
+todo = np.random.RandomState(2).rand(5, 1250) < 0.35
+table = np.full((5, 1250), np.inf)
+bench("sqdist_table (1250 x 784, k=5, 35 % of cells)",
+      lambda: sqdist_table(fold.features, fold.features[:5], todo, table))
 
 # One block of crossval-float64's KNORA search: REGION_CHUNK_CELLS // 3000
 # query rows; knora_regions runs one fold's 6000 test rows, in 18 blocks.

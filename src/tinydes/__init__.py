@@ -5,7 +5,7 @@ Numeric hot paths are vectorized numpy kernels; ``BACKEND`` names them.
 """
 
 from ._kernels import BACKEND
-from .cluster import KMeansModel, assign, fit_kmeans
+from .cluster import KMeansModel, fit_kmeans
 from .data import (Dataset, FoldPlan, Standardizer, apply_standardizer,
                    fit_standardizer, load_csv, load_idx, make_fold_plan,
                    stratified_split)
@@ -30,7 +30,7 @@ __all__ = [
     "FormatError", "IoError", "KMeansModel", "ModelCorruptError",
     "NondeterminismError", "SelectionError", "SelectionResult",
     "ShapeError", "Standardizer", "StratificationError", "TinyDesError",
-    "TinyEngine", "apply_standardizer", "assign", "build_competence_model",
+    "TinyEngine", "apply_standardizer", "build_competence_model",
     "build_dsel", "des_clustering_predict", "emit_static_source",
     "export_tiny", "fit_kmeans", "fit_standardizer", "generate_pool",
     "load_csv", "load_idx", "load_tiny", "make_fold_plan", "predict_tree",

@@ -257,8 +257,9 @@ def tree_walk(feat, thr, jump, roots, rows, X):
 # ---------------------------------------------------------------------------
 # Squared-L2 cluster assignment: float32 differences/squares, float64
 # accumulation, ties to the smallest cluster id. ``sqdist_rows`` is the one
-# per-row arithmetic; ``assign_clusters`` and k-means' bounded Lloyd steps
-# both call it, in blocks of ``block_rows`` rows.
+# per-row arithmetic, ``sqdist_table`` the one (k, n) table built from it in
+# blocks of ``block_rows`` rows, and ``nearest`` the one assignment rule;
+# k-means seeding, bounded Lloyd steps and ``assign_clusters`` all use them.
 # ---------------------------------------------------------------------------
 
 
@@ -277,24 +278,33 @@ def sqdist_rows(X, c, out):
     return out.sum(axis=1, dtype=np.float64)
 
 
-def assign_clusters(X, C):
-    n = X.shape[0]
-    k = C.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    dists = np.empty(n, dtype=np.float64)
+def sqdist_table(X, C, todo=None, out=None):
+    """The float64 (k, n) table whose cell (c, i) is row i of ``X``'s squared
+    distance to centroid c of ``C``. With a bool (k, n) ``todo``, only its
+    cells are computed and ``out`` keeps the others."""
+    if out is None:
+        out = np.empty((C.shape[0], X.shape[0]), dtype=np.float64)
     step = block_rows(X.shape[1])
-    # one difference buffer per call, reused for every block and cluster
-    buf = np.empty((min(n, step), X.shape[1]), dtype=np.result_type(X, C))
-    for s in range(0, n, step):
-        xb = X[s : s + step]
-        d = buf[: xb.shape[0]]
-        dm = np.empty((xb.shape[0], k), dtype=np.float64)
-        for c in range(k):
-            dm[:, c] = sqdist_rows(xb, C[c], d)
-        lb = np.argmin(dm, axis=1)
-        labels[s : s + step] = lb
-        dists[s : s + step] = dm[np.arange(xb.shape[0]), lb]
-    return labels, dists
+    every = np.arange(X.shape[0])
+    for c in range(C.shape[0]):
+        rows = every if todo is None else np.flatnonzero(todo[c])
+        for s in range(0, rows.size, step):
+            part = rows[s : s + step]
+            xb = X.take(part, axis=0)
+            out[c, part] = sqdist_rows(xb, C[c], xb)
+    return out
+
+
+def nearest(dm):
+    """Each column's nearest centroid in the (k, n) distances ``dm``, ties to
+    the smallest id, and its distance."""
+    labels = dm.argmin(axis=0)
+    return labels, dm[labels, np.arange(dm.shape[1])]
+
+
+def assign_clusters(X, C):
+    """(labels, squared distances) of each row of ``X``'s nearest centroid."""
+    return nearest(sqdist_table(X, C))
 
 
 def cluster_means(X, labels, k):

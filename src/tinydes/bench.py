@@ -96,15 +96,16 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise IoError for the first setting outside its SETTINGS rule, then
-        for a dataset that does not name exactly one source, then for an
-        N_acc outside 1..pool size or a J above N_acc."""
+        for a dataset that does not name exactly one source (a label column
+        is a CSV's), then for an N_acc outside 1..pool size or a J over N_acc."""
         for s in SETTINGS:
             value = getattr(self, s.name)
             if not s.check(value):
                 raise IoError(f"{s.name} must be {s.rule}, got {s.show(value)}")
         for ds in self.datasets:
-            given = [f for f in ("csv", "images", "labels") if getattr(ds, f) is not None]
-            if given not in (["csv"], ["images", "labels"]):
+            # a label column is a CSV's; -1, the default, is no field at all
+            given = [f for f in _SPEC_FIELDS if getattr(ds, f) not in (None, -1)]
+            if given not in (["csv"], ["csv", "label_column"], ["images", "labels"]):
                 raise IoError(f"dataset {ds.name!r} needs either csv= or images=+labels=, "
                               f"got {'+'.join(f + '=' for f in given) or 'neither'}")
         n_acc = self.resolve_n_acc()

@@ -1,9 +1,10 @@
 """k-means over the standardized selection set; clusters are the competence regions.
 
 k-means++ seeding, Lloyd iterations, empty clusters repaired by seizing the
-point currently farthest from its own centroid. Distances square float32
-differences and accumulate in float64 everywhere, matching the compact
-inference engine.
+point currently farthest from its own centroid. Every distance is a cell of
+``_kernels.sqdist_table`` (float32 squares summed in float64, as in the
+compact inference engine): seeding fills it a centroid's row at a time,
+bounded Lloyd steps cell by cell, the final repair and ``assign_batch`` whole.
 
 Lloyd assignments after the first are bounded (Elkan, ICML 2003): each point
 keeps a float64 lower bound on its Euclidean distance to each centroid,
@@ -28,7 +29,6 @@ from .errors import ClusterError, ShapeError
 @dataclass(frozen=True)
 class KMeansModel:
     centroids: np.ndarray  # float32 [k, n_features]
-    k: int
     inertia: float
     iterations_run: int
 
@@ -38,13 +38,12 @@ class KMeansModel:
         object.__setattr__(self, "centroids", c)
 
     @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
+
+    @property
     def n_features(self) -> int:
         return self.centroids.shape[1]
-
-
-def _sqdist_to(points: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    _, d = _kernels.assign_clusters(points, centroid.reshape(1, -1))
-    return d
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: SplitMix64):
@@ -54,7 +53,7 @@ def _plusplus_init(points: np.ndarray, k: int, rng: SplitMix64):
     dists = np.empty((k, n), dtype=np.float64)
     first = rng.bounded(n)
     centroids[0] = points[first]
-    dists[0] = _sqdist_to(points, centroids[0])
+    _kernels.sqdist_table(points, centroids[:1], out=dists[:1])
     d2 = dists[0].copy()
     for c in range(1, k):
         total = float(d2.sum())
@@ -65,7 +64,7 @@ def _plusplus_init(points: np.ndarray, k: int, rng: SplitMix64):
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             idx = min(idx, n - 1)
         centroids[c] = points[idx]
-        dists[c] = _sqdist_to(points, centroids[c])
+        _kernels.sqdist_table(points, centroids[c : c + 1], out=dists[c : c + 1])
         np.minimum(d2, dists[c], out=d2)
     return centroids, dists
 
@@ -128,25 +127,6 @@ def _drift(lower, moves, margin: _Margin):
     np.maximum(lower, 0.0, out=lower)
 
 
-def _fill(dm, points, centroids, todo):
-    """Compute ``dm[c, i]``, point i's distance to centroid c, wherever
-    ``todo`` is set."""
-    step = _kernels.block_rows(points.shape[1])
-    for c in range(centroids.shape[0]):
-        rows = np.flatnonzero(todo[c])
-        for s in range(0, rows.size, step):
-            part = rows[s : s + step]
-            xb = points.take(part, axis=0)
-            dm[c, part] = _kernels.sqdist_rows(xb, centroids[c], xb)
-
-
-def _nearest(dm):
-    """Each point's nearest centroid in the (k, n) distances ``dm``, ties to
-    the smallest id, and its distance."""
-    labels = dm.argmin(axis=0)
-    return labels, dm[labels, np.arange(dm.shape[1])]
-
-
 def _bounded_assign(points, centroids, labels, lower, margin: _Margin):
     """``assign_clusters(points, centroids)`` from the previous ``labels`` and
     the (k, n) ``lower`` bounds; refreshes the bound of every distance it
@@ -155,16 +135,15 @@ def _bounded_assign(points, centroids, labels, lower, margin: _Margin):
     cols = np.arange(n)
     own = np.zeros((k, n), dtype=bool)
     own[labels, cols] = True
-    dm = np.full((k, n), np.inf)
-    _fill(dm, points, centroids, own)
+    dm = _kernels.sqdist_table(points, centroids, own, np.full((k, n), np.inf))
     # a skipped distance provably exceeds the own one: it can neither win
     # nor tie, and +inf in its cell keeps it from being the nearest
     todo = lower * lower * margin.lo - margin.tiny <= dm[labels, cols]
     todo &= ~own
-    _fill(dm, points, centroids, todo)
+    _kernels.sqdist_table(points, centroids, todo, dm)
     todo |= own
     np.copyto(lower, _lower_bounds(dm, margin), where=todo)
-    return _nearest(dm)
+    return _kernels.nearest(dm)
 
 
 def fit_kmeans(points, k: int, seed: int, max_iter: int = 300, tol: float = 1e-4) -> KMeansModel:
@@ -185,7 +164,7 @@ def fit_kmeans(points, k: int, seed: int, max_iter: int = 300, tol: float = 1e-4
     centroids, seed_dists = _plusplus_init(pts, k, rng)
     margin = _margin(pts.shape[1])
     lower = _lower_bounds(seed_dists, margin)
-    labels, dists = _nearest(seed_dists)
+    labels, dists = _kernels.nearest(seed_dists)
     prev_inertia = np.inf
     iterations = 0
     for _ in range(max_iter):
@@ -217,17 +196,7 @@ def fit_kmeans(points, k: int, seed: int, max_iter: int = 300, tol: float = 1e-4
         centroids = centroids.copy()
         _repair_empty(pts, centroids, labels, dists, counts)
         labels, dists = _kernels.assign_clusters(pts, centroids)
-    return KMeansModel(centroids, k, float(dists.sum()), iterations)
-
-
-def assign(m: KMeansModel, x) -> tuple[int, float]:
-    """Nearest centroid by squared L2; ties go to the smaller cluster id.
-    Returns (cluster id, squared distance)."""
-    vec = np.asarray(x, dtype=np.float32).ravel()
-    if vec.shape[0] != m.n_features:
-        raise ShapeError(f"expected {m.n_features} features, got {vec.shape[0]}")
-    labels, dists = _kernels.assign_clusters(vec.reshape(1, -1), m.centroids)
-    return int(labels[0]), float(dists[0])
+    return KMeansModel(centroids, float(dists.sum()), iterations)
 
 
 def assign_batch(m: KMeansModel, X) -> np.ndarray:

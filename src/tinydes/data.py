@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._rng import SplitMix64, derive_seed
-from .errors import FormatError, IoError, ShapeError, StratificationError
+from .errors import CapacityError, FormatError, IoError, ShapeError, StratificationError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -215,7 +215,8 @@ def load_csv(path, label_column) -> Dataset:
     header row is detected by non-numeric cells in the first row. Rows are
     split as ``csv.reader`` splits them and feature cells are read as
     ``float()`` reads them; a text without quotes goes through numpy's C
-    reader, which gives the same values (see ``_parse_plain``).
+    reader, which gives the same values (see ``_parse_plain``). More distinct
+    labels than the u16 class count holds raise ``CapacityError``.
     """
     try:
         with open(path, newline="", encoding="utf-8") as f:
@@ -231,6 +232,8 @@ def load_csv(path, label_column) -> Dataset:
                                   if row], path, label_column)
     header, label_idx, feats, raw_labels = parsed
     values = sorted(set(raw_labels), key=_label_key)
+    if len(values) > 65535:
+        raise CapacityError(f"{len(values)} distinct labels exceed the u16 class count limit")
     mapping = {v: i for i, v in enumerate(values)}
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.uint16)
     names = None

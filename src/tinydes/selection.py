@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .cluster import KMeansModel, assign, assign_batch
+from .cluster import KMeansModel, assign_batch
 from .data import Dataset, Standardizer, apply_standardizer
 from .errors import ModelCorruptError, SelectionError, ShapeError
 from .trees import ClassifierPool, predict_tree
@@ -134,7 +134,7 @@ def des_clustering_predict(cm: CompetenceModel, pool: ClassifierPool, x) -> Sele
     """Unweighted majority vote of the precomputed ensemble of x's cluster.
     Cost counts nodes visited plus one unit per centroid distance."""
     vec = np.asarray(x, dtype=np.float32).ravel()
-    cluster, _ = assign(cm.kmeans, vec)
+    cluster = assign_batch(cm.kmeans, vec[None])[0]
     ensemble = cm.per_cluster_ensemble[cluster].astype(np.int64)
     votes = np.zeros(pool.n_classes, dtype=np.float64)
     cost = cm.kmeans.k

@@ -94,4 +94,4 @@ def fit_kmeans(points, k, seed, max_iter=300, tol=1e-4):
         centroids = centroids.copy()
         _repair_empty(pts, centroids, labels, dists, counts)
         labels, dists = _kernels.assign_clusters(pts, centroids)
-    return KMeansModel(centroids, k, float(dists.sum()), iterations)
+    return KMeansModel(centroids, float(dists.sum()), iterations)

@@ -172,7 +172,10 @@ class TestConfigSerialization:
         (dict(csv="b.csv", images="b.idx"), "csv=+images="),
         (dict(csv="b.csv", images="b.idx", labels="b.lab"), "csv=+images=+labels="),
         (dict(csv="b.csv", labels="b.lab"), "csv=+labels="),
-        (dict(images="b.idx"), "images="), (dict(labels="b.lab"), "labels="), ({}, "neither")])
+        (dict(images="b.idx"), "images="), (dict(labels="b.lab"), "labels="), ({}, "neither"),
+        # a label column is a CSV's: config_to_text would drop it from an IDX pair
+        (dict(images="b.idx", labels="b.lab", label_column="3"), "label_column=+images=+labels="),
+        (dict(label_column="y"), "label_column=")])
     def test_dataset_names_one_source(self, fields, given):
         # a valid dataset named first does not hide the bad one
         cfg = ExperimentConfig(datasets=(DatasetSpec("a", csv="a.csv"), DatasetSpec("b", **fields)))
@@ -181,6 +184,9 @@ class TestConfigSerialization:
         assert str(exc.value) == f"dataset 'b' needs either csv= or images=+labels=, got {given}"
         ExperimentConfig(datasets=(DatasetSpec("a", csv="a.csv"),
                                    DatasetSpec("b", images="b.idx", labels="b.lab"))).validate()
+        ExperimentConfig(datasets=(DatasetSpec("a", csv="a.csv", label_column="y"),
+                                   DatasetSpec("b", images="b.idx", labels="b.lab",
+                                               label_column="-1"))).validate()
 
     def test_readme_table_lists_every_setting(self):
         # README's settings table: one row per SETTINGS row, in config.txt

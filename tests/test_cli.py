@@ -324,7 +324,9 @@ class TestCrossval:
     # any dataset loads, even when an earlier dataset is valid
     @pytest.mark.parametrize("lines, given", [
         ("dataset.a.images = a.idx\n", "csv=+images="),
-        ("dataset.b.labels = b.lab\n", "labels=")])
+        ("dataset.b.labels = b.lab\n", "labels="),
+        ("dataset.b.images = b.idx\ndataset.b.labels = b.lab\ndataset.b.label_column = 3\n",
+         "label_column=+images=+labels=")])
     def test_dataset_source_rejected(self, csv_path, tmp_path, monkeypatch, capsys,
                                      lines, given):
         loads = []

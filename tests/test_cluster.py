@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import kmeans_oracle
 from tinydes import cluster
-from tinydes.cluster import KMeansModel, assign, assign_batch, fit_kmeans
+from tinydes.cluster import KMeansModel, assign_batch, fit_kmeans
 from tinydes.errors import ClusterError, ShapeError
 
 
@@ -227,30 +227,38 @@ class TestBoundedLloyd:
         assert sum(rows) < 0.6 * 4 * 400 * (m.iterations_run + 1)
 
 
+class TestModel:
+    def test_k_is_the_centroid_count(self):
+        # k is read off the centroids, so no model can claim another count
+        m = fit_kmeans(FOUR_POINTS, 2, seed=0)
+        assert (m.k, m.n_features) == m.centroids.shape == (2, 2)
+        with pytest.raises(TypeError):
+            KMeansModel(m.centroids, m.k + 1, 0.0, 0)
+
+
 class TestAssign:
     def test_on_centroid(self):
         m = fit_kmeans(FOUR_POINTS, 2, seed=0)
-        for c in range(2):
-            cid, dist = assign(m, m.centroids[c])
-            assert cid == c and dist == 0.0
+        np.testing.assert_array_equal(assign_batch(m, m.centroids), [0, 1])
+        _, dists = cluster._kernels.assign_clusters(m.centroids, m.centroids)
+        np.testing.assert_array_equal(dists, [0.0, 0.0])
 
     def test_equidistant_tie_smallest_id(self):
-        m = KMeansModel(np.array([[1, 0], [0, 0], [2, 0]], np.float32), 3, 0.0, 0)
-        cid, dist = assign(m, [1.0, 0.0])  # exactly on centroid 0
-        assert cid == 0
-        cid, _ = assign(m, [0.5, 3.0])  # tie between 0 and 1 -> 1? no: ids 0<1
-        assert cid == 0
+        m = KMeansModel(np.array([[1, 0], [0, 0], [2, 0]], np.float32), 0.0, 0)
+        # exactly on centroid 0; then equidistant from 0 and 1, tied to 0
+        np.testing.assert_array_equal(assign_batch(m, [[1.0, 0.0], [0.5, 3.0]]), [0, 0])
 
     def test_recomputed_squared_distances(self):
         # x=(9,9) against {(0,0.5),(10,10.5)}: 153.25 vs 3.25
-        m = KMeansModel(np.array([[0, 0.5], [10, 10.5]], np.float32), 2, 0.0, 0)
-        cid, dist = assign(m, [9.0, 9.0])
-        assert cid == 1
-        assert dist == pytest.approx(3.25)
+        m = KMeansModel(np.array([[0, 0.5], [10, 10.5]], np.float32), 0.0, 0)
+        x = np.array([[9.0, 9.0]], np.float32)
+        assert assign_batch(m, x)[0] == 1
+        _, dist = cluster._kernels.assign_clusters(x, m.centroids)
+        assert dist[0] == pytest.approx(3.25)
         other = float(np.square(np.array([9, 9.0]) - np.array([0, 0.5])).sum())
         assert other == pytest.approx(153.25)
 
     def test_shape_error(self):
-        m = KMeansModel(np.zeros((2, 3), np.float32), 2, 0.0, 0)
+        m = KMeansModel(np.zeros((2, 3), np.float32), 0.0, 0)
         with pytest.raises(ShapeError):
-            assign(m, [1.0, 2.0])
+            assign_batch(m, [[1.0, 2.0]])

@@ -26,8 +26,8 @@ from tinydes.bench import desk_scale_subset
 from tinydes.data import (Dataset, Standardizer, apply_standardizer,
                           fit_standardizer, load_csv, load_idx, make_fold_plan,
                           stratified_indices, stratified_split)
-from tinydes.errors import (FormatError, IoError, ShapeError, StratificationError,
-                            TinyDesError)
+from tinydes.errors import (CapacityError, FormatError, IoError, ShapeError,
+                            StratificationError, TinyDesError)
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows, cols, name="t"):
@@ -266,6 +266,14 @@ class TestLoadCsv:
         assert d.n_classes == 2
         np.testing.assert_array_equal(d.labels, [0, 0, 1, 1])
         assert d.label_values == ["7", "9"]
+
+    def test_labels_past_the_u16_class_count(self, tmp_path):
+        # one distinct label per row: 65 537 labels, whose ids overflow u16
+        p = tmp_path / "many.csv"
+        p.write_text("".join(f"{i % 7},{i}\n" for i in range(65537)))
+        with pytest.raises(CapacityError,
+                           match="^65537 distinct labels exceed the u16 class count limit$"):
+            load_csv(p, 1)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"

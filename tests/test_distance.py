@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from tinydes._kernels import assign_clusters, pairwise_sqdist
+from tinydes._kernels import assign_clusters, pairwise_sqdist, sqdist_table
 
 
 def expanded_oracle(Q, D):
@@ -105,3 +105,23 @@ def test_assign_clusters_matches_fresh_temporaries(rows, features, scale):
     np.testing.assert_array_equal(dists.view(np.uint64), want_dists.view(np.uint64))
     if scale > 1.0:
         assert np.isinf(dists).any()
+
+
+@pytest.mark.parametrize("rows, features", [
+    (60, 16),
+    ((1 << 22) // 1000 + 7, 1000),  # one full block and a 7-row tail
+])
+def test_sqdist_table_fills_only_todo(rows, features):
+    rng = np.random.RandomState(rows)
+    X = rng.randn(rows, features).astype(np.float32)
+    C = rng.randn(5, features).astype(np.float32)
+    full = sqdist_table(X, C)
+    for c in range(5):
+        want = np.square(X - C[c]).sum(axis=1, dtype=np.float64)
+        np.testing.assert_array_equal(full[c].view(np.uint64), want.view(np.uint64))
+    todo = rng.rand(5, rows) < 0.35
+    todo[0] = True  # every row of centroid 0: whole blocks and the tail
+    out = np.full((5, rows), np.inf)
+    assert sqdist_table(X, C, todo, out) is out
+    np.testing.assert_array_equal(out[todo].view(np.uint64), full[todo].view(np.uint64))
+    assert np.isposinf(out[~todo]).all()

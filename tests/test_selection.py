@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinydes import _kernels
-from tinydes.cluster import KMeansModel, fit_kmeans
+from tinydes.cluster import KMeansModel, assign_batch, fit_kmeans
 from tinydes.data import Dataset, apply_standardizer
 from tinydes import selection
 from tinydes.errors import SelectionError, ShapeError
@@ -278,7 +278,7 @@ class TestBuildCompetenceModel:
         # centroids on the 1-D sample grid 0..m-1, or off it: a cluster may be empty
         centres = data.draw(st.lists(st.integers(-2, m + 2), min_size=1, max_size=3,
                                      unique=True))
-        km = KMeansModel(np.array(centres, np.float32)[:, None], len(centres), 0.0, 0)
+        km = KMeansModel(np.array(centres, np.float32)[:, None], 0.0, 0)
         n_acc = data.draw(st.integers(1, len(which)))
         j = data.draw(st.integers(1, n_acc))
         got = build_competence_model(dsel, km, n_acc, j).per_cluster_ensemble
@@ -300,7 +300,7 @@ class TestBuildCompetenceModel:
         centres = data.draw(st.lists(st.integers(-2, m + 2), min_size=1, max_size=3,
                                      unique=True))
         centres += [m + 50] if data.draw(st.booleans()) else []
-        km = KMeansModel(np.array(centres, np.float32)[:, None], len(centres), 0.0, 0)
+        km = KMeansModel(np.array(centres, np.float32)[:, None], 0.0, 0)
         n_acc = data.draw(st.one_of(st.just(1), st.just(len(which)),
                                     st.integers(1, len(which))))
         deepest = build_competence_model(dsel, km, n_acc, n_acc)
@@ -335,7 +335,7 @@ class TestBuildCompetenceModel:
 
     def test_parameter_validation(self):
         dsel = dsel_from_correctness(np.ones((4, 5), bool))
-        km = KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0)
+        km = KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0)
         with pytest.raises(SelectionError):
             build_competence_model(dsel, km, 5, 2)  # n_acc > pool
         with pytest.raises(SelectionError):
@@ -346,7 +346,7 @@ class TestBuildCompetenceModel:
         samples = np.zeros((6, 1), np.float32)
         corr = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0]], bool)
         dsel = dsel_from_correctness(corr, samples=samples)
-        km = KMeansModel(np.array([[0.0], [99.0]], np.float32), 2, 0.0, 0)
+        km = KMeansModel(np.array([[0.0], [99.0]], np.float32), 0.0, 0)
         cm = build_competence_model(dsel, km, 2, 1)
         np.testing.assert_allclose(cm.per_cluster_accuracy[1], [4 / 6, 2 / 6])
         assert cm.per_cluster_ensemble[1, 0] == 0
@@ -354,7 +354,7 @@ class TestBuildCompetenceModel:
 
 class TestDesClusteringPredict:
     def test_unanimous(self):
-        km = KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0)
+        km = KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0)
         pool = constant_pool([3, 3, 3], n_classes=8)
         cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16))
         res = des_clustering_predict(cm, pool, [0.0])
@@ -362,14 +362,14 @@ class TestDesClusteringPredict:
         assert res.cost == 3 + 1  # three leaf visits + one centroid
 
     def test_vote_tie_smallest_class(self):
-        km = KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0)
+        km = KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0)
         pool = constant_pool([0, 0, 1, 1, 3], n_classes=4)
         cm = CompetenceModel(km, np.ones((1, 5)), np.array([[0, 1, 2, 3, 4]], np.uint16))
         assert des_clustering_predict(cm, pool, [0.0]).label == 0
 
     def test_cluster_routing(self):
         # two clusters with disjoint ensembles: the query's cell decides
-        km = KMeansModel(np.array([[-5.0], [5.0]], np.float32), 2, 0.0, 0)
+        km = KMeansModel(np.array([[-5.0], [5.0]], np.float32), 0.0, 0)
         pool = constant_pool([0, 1], n_classes=2)
         cm = CompetenceModel(km, np.ones((2, 2)), np.array([[0], [1]], np.uint16))
         res = des_clustering_predict(cm, pool, [5.0])
@@ -381,11 +381,9 @@ class TestDesClusteringPredict:
 
     def test_ensemble_membership_invariant(self, pipeline):
         cm, pool, dsel = pipeline["cm"], pipeline["pool"], pipeline["dsel"]
-        from tinydes.cluster import assign
-        for i in range(0, dsel.n_samples, 7):
-            x = dsel.samples[i]
-            res = des_clustering_predict(cm, pool, x)
-            cluster, _ = assign(cm.kmeans, x)
+        rows = np.arange(0, dsel.n_samples, 7)
+        for i, cluster in zip(rows, assign_batch(cm.kmeans, dsel.samples[rows])):
+            res = des_clustering_predict(cm, pool, dsel.samples[i])
             assert set(res.ensemble_used) == set(cm.per_cluster_ensemble[cluster])
 
 

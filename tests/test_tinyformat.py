@@ -25,7 +25,7 @@ def minimal_model():
     """1 cluster, J=1, single-leaf tree, 2 features: 68 bytes total."""
     s = Standardizer(np.array([1.0, 2.0], np.float32), np.array([0.5, 0.25], np.float32))
     pool = pool_of([leaf(3)], 4)
-    km = KMeansModel(np.array([[0.5, -1.5]], np.float32), 1, 0.0, 1)
+    km = KMeansModel(np.array([[0.5, -1.5]], np.float32), 0.0, 1)
     cm = CompetenceModel(km, np.ones((1, 1)), np.array([[0]], np.uint16))
     return s, cm, pool
 
@@ -65,7 +65,7 @@ class TestExport:
         # 2 of 5 trees referenced: 3 dropped, remap has 2 entries
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
         pool = pool_of([leaf(c % 3) for c in range(5)], 3)
-        km = KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0)
+        km = KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0)
         cm = CompetenceModel(km, np.ones((1, 5)), np.array([[1, 4]], np.uint16))
         blob, manifest = export_tiny(s, cm, pool)
         e = load_tiny(blob)
@@ -130,7 +130,7 @@ class TestLoad:
         s = Standardizer(rng.randn(nf), np.exp(rng.randn(nf)))
         centroids = rng.randn(k, nf).astype(np.float32)
         ensembles = np.sort(rng.randint(0, pool_size, (k, j)), axis=1).astype(np.uint16)
-        cm = CompetenceModel(KMeansModel(centroids, k, 0.0, 0), np.ones((k, pool_size)),
+        cm = CompetenceModel(KMeansModel(centroids, 0.0, 0), np.ones((k, pool_size)),
                              ensembles)
         blob, manifest = export_tiny(s, cm, pool)
         # the same inputs, and the same trees built into a second pool, give
@@ -226,7 +226,7 @@ def three_tree_model():
               ([1, -1, -1], [-1.0, 0, 0], [2, 2, 0]),
               ([-1], [0], [1]))
     pool = pool_of(shapes, 3)
-    km = KMeansModel(np.zeros((1, 2), np.float32), 1, 0.0, 0)
+    km = KMeansModel(np.zeros((1, 2), np.float32), 0.0, 0)
     cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16))
     return s, cm, pool
 
@@ -300,7 +300,7 @@ def directory_pool(blob):
     directory, nodes, _ = sections(blob)
     trees = [(nodes["feature"][o : o + c], nodes["threshold"][o : o + c],
               nodes["right_jump"][o : o + c]) for o, c in directory.tolist()]
-    km = KMeansModel(e.centroids, e.k, 0.0, 0)
+    km = KMeansModel(e.centroids, 0.0, 0)
     cm = CompetenceModel(km, np.ones((e.k, e.pool_size)), e.ensembles)
     return e, cm, pool_of(trees, e.n_classes)
 
@@ -476,7 +476,7 @@ class TestU16Edges:
         """The engine of a one-cluster model whose ensemble is ``tree``
         alone, after checking its node section and answers."""
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
-        cm = CompetenceModel(KMeansModel(np.zeros((1, 1), np.float32), 1, 0.0, 0),
+        cm = CompetenceModel(KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0),
                              np.ones((1, pool.pool_size)), np.array([[tree]], np.uint16))
         engine = load_tiny(export_tiny(s, cm, pool)[0])
         for name, col in zip(("feature", "threshold", "jump"), pool.tree(tree)):
@@ -511,7 +511,7 @@ class TestU16Edges:
         pool = pool_of([leaf(t % 2) for t in range(retained)], 2)
         ensembles = np.minimum(np.arange(k * j), retained - 1).reshape(k, j)
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
-        cm = CompetenceModel(KMeansModel(np.array([[-1.0], [1.0]], np.float32), k, 0.0, 0),
+        cm = CompetenceModel(KMeansModel(np.array([[-1.0], [1.0]], np.float32), 0.0, 0),
                              np.ones((k, retained)), ensembles.astype(np.uint16))
         if retained == 65536:
             with pytest.raises(CapacityError,
@@ -608,7 +608,7 @@ class TestTinyPredict:
         s = Standardizer(rng.randint(-4, 5, nf) / 2, 2.0 ** rng.randint(-2, 3, nf))
         centroids = (rng.randint(-8, 9, (k, nf)) / 4).astype(np.float32)
         ensembles = np.sort(rng.randint(0, pool_size, (k, j)), axis=1).astype(np.uint16)
-        cm = CompetenceModel(KMeansModel(centroids, k, 0.0, 0), np.ones((k, pool_size)),
+        cm = CompetenceModel(KMeansModel(centroids, 0.0, 0), np.ones((k, pool_size)),
                              ensembles)
         engine = load_tiny(export_tiny(s, cm, pool)[0])
         grid = np.unique(np.concatenate([t.threshold for t in trees] + [centroids.ravel()]))
