@@ -43,9 +43,10 @@
 #                                                    2^24 cells: 304 ms
 #   load_csv        12000x64 floats          94 ms   csv.reader and float() per
 #                                                    cell: 352 ms
-#   load_tiny       31 KB model, J=5       0.13 ms
-#   tiny_infer      5000 probes             148 ms   per-probe tolist() of
-#                                                    the features: 239 ms
+#   load_tiny       31 KB model, J=5      0.094 ms   allocating the engine's
+#                                                    scratch buffers: 0.095 ms
+#   tiny_infer      5000 probes              78 ms   writing into buffers
+#                                                    kept on the engine: 75 ms
 #
 # The best_split and generate_pool rows time this script's inputs with
 # split_constants built once, as train_tree builds them once per tree. They
@@ -80,8 +81,13 @@
 # The rank_codes and fit_kmeans rows are medians of nine rounds in one
 # process, each round timing the kernel and its previous form in turn (an
 # argsort and a second full sort; ``tests/kmeans_oracle.py``). The
-# tiny_infer row was timed back to back with the previous kernel on the
-# same host, two runs of each, averaged. The assign_clusters and
+# load_tiny and tiny_infer rows are medians of twelve processes per form,
+# the forms alternating, each process the median of seven rounds; the
+# other form is the engine that kept one probe's standardized copy,
+# centroid differences and votes in buffers allocated by load_tiny. In one
+# process, eleven alternated rounds of 5000 probes through the two kernels
+# gave per-probe p50s of 14.1 and 13.8 us, then 14.8 and 14.8 us: the 3 %
+# between processes is within the host's drift. The assign_clusters and
 # sqdist_table rows are medians of five processes per form, the forms
 # alternating, each process the median of 7 and 41 calls; the row copy that
 # sqdist_table takes of every block costs the first its 28 %, and fit_kmeans

@@ -355,36 +355,36 @@ def both_wrong_counts(wrong):
 
 # ---------------------------------------------------------------------------
 # Compact-engine inference, one probe at a time. The per-probe cost is Python
-# overhead, not arithmetic. numpy writes into buffers that ``load_tiny``
-# allocates once, the node columns are Python lists built once, and the walk
-# reads each feature it visits through a memoryview of the probe buffer, so
-# no per-probe list of all features is built. Indexing the view or a list
-# gives the Python float equal to the float32 value, so each comparison is
-# float32's, and no numpy scalar is indexed per node.
+# overhead, not arithmetic. The model is only read: a probe allocates its
+# standardized copy, centroid differences and votes, so threads may share an
+# engine. The node columns are Python lists built once, and the walk reads
+# the features it visits through a memoryview of the standardized probe
+# rather than a list of all of them. Indexing the view or a list gives the
+# Python float equal to the float32 value, so each comparison is float32's,
+# and no numpy scalar is indexed per node.
 # ---------------------------------------------------------------------------
 
 
-def tiny_infer(x, mean, inv_std, centroids, roots, feat, thr, jump, sx, xs, diff, votes):
-    """Standardize ``x`` into ``sx``, pick the nearest centroid, walk that
-    cluster's trees and vote into ``votes``; returns (label, cost).
+def tiny_infer(x, mean, inv_std, centroids, roots, feat, thr, jump, n_classes):
+    """Standardize ``x``, pick the nearest centroid, walk that cluster's
+    trees and vote among ``n_classes``; returns (label, cost).
 
-    ``xs`` is a memoryview of ``sx``, through which the walk reads features,
-    and ``diff`` is a float32 (k, n_features) buffer for the centroid
-    differences. ``roots[c]`` lists the first node of each tree of cluster
-    c. ``feat``, ``thr`` and ``jump`` are the node columns as lists: a node
-    is a leaf when its feature is negative, and its jump is then the class;
-    otherwise the right child sits ``jump`` nodes after its tree's first
-    node. Distances are float32 squares summed in float64, ties to the
-    smallest cluster (a NaN probe goes to cluster 0); votes tie to the
-    smallest class. Cost = nodes visited + k.
+    ``roots[c]`` lists the first node of each tree of cluster c. ``feat``,
+    ``thr`` and ``jump`` are the node columns as lists: a node is a leaf
+    when its feature is negative, and its jump is then the class; otherwise
+    the right child sits ``jump`` nodes after its tree's first node.
+    Distances are float32 squares summed in float64, ties to the smallest
+    cluster (a NaN probe goes to cluster 0); votes tie to the smallest
+    class. Cost = nodes visited + k.
     """
     with np.errstate(over="ignore"):  # f32 values may saturate to inf, as in C
-        np.subtract(x, mean, out=sx)
+        sx = np.subtract(x, mean)
         np.multiply(sx, inv_std, out=sx)
-        np.subtract(sx, centroids, out=diff)
+        diff = np.subtract(sx, centroids)
         np.square(diff, out=diff)
         cluster = diff.sum(axis=1, dtype=np.float64).argmin()
-    votes[:] = [0] * len(votes)
+    xs = memoryview(sx)
+    votes = [0] * n_classes
     visits = 0
     trees = roots[cluster]
     for base in trees:

@@ -96,13 +96,19 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise IoError for the first setting outside its SETTINGS rule, then
-        for a dataset that does not name exactly one source (a label column
+        for a dataset whose name the reports' CSV rows or a config key could
+        not hold, or that does not name exactly one source (a label column
         is a CSV's), then for an N_acc outside 1..pool size or a J over N_acc."""
         for s in SETTINGS:
             value = getattr(self, s.name)
             if not s.check(value):
                 raise IoError(f"{s.name} must be {s.rule}, got {s.show(value)}")
         for ds in self.datasets:
+            # isprintable rejects CR, LF and every other line break
+            if (not ds.name or ds.name != ds.name.strip() or not ds.name.isprintable()
+                    or set(ds.name) & set('.,="')):
+                raise IoError(f"dataset name {ds.name!r} must be non-empty printable text "
+                              'without surrounding spaces or any of . , = "')
             # a label column is a CSV's; -1, the default, is no field at all
             given = [f for f in _SPEC_FIELDS if getattr(ds, f) not in (None, -1)]
             if given not in (["csv"], ["csv", "label_column"], ["images", "labels"]):

@@ -18,8 +18,8 @@ from .errors import IoError, TinyDesError
 from .tinyformat import emit_static_source, export_tiny, load_tiny
 
 
-def _add_dataset_flags(p):
-    p.add_argument("--dataset", required=True,
+def _add_dataset_flags(p, required=True):
+    p.add_argument("--dataset", required=required,
                    help="IDX image file or CSV file (a .csv suffix, any case, switches modes)")
     p.add_argument("--labels", help="IDX label file (IDX mode)")
     p.add_argument("--label-column", default="-1",
@@ -61,10 +61,10 @@ def cmd_train(args) -> int:
     cfg = ExperimentConfig(**_settings(args))
     cfg.validate()
     data = _spec_from_flags(args).load()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     s, pool, dsel = fit_pool(data, cfg.dsel_fraction, cfg.forests, cfg.seed)
     ranked = fit_competence(dsel, cfg, cfg.seed)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for j in cfg.j_values:
         blob, manifest = export_tiny(s, ranked.top(j), pool)
         model_path = out / f"model_j{j}.tdes"
@@ -157,9 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossval", help="repeated stratified cross-validation benchmark")
     p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--dataset")
-    p.add_argument("--labels")
-    p.add_argument("--label-column", default="-1")
+    _add_dataset_flags(p, required=False)  # a --config file may name the datasets
     p.add_argument("--name", default="dataset", help="dataset name used in reports")
     p.add_argument("--method", dest="methods", action="append", choices=METHOD_ORDER,
                    default=argparse.SUPPRESS,

@@ -111,20 +111,16 @@ def export_tiny(s: Standardizer, cm: CompetenceModel, pool: ClassifierPool):
     return blob, manifest
 
 
-@dataclass
+@dataclass(frozen=True)
 class TinyEngine:
-    """Loaded model view plus preallocated scratch; one engine per thread.
+    """Read-only view of a loaded model; threads may share one engine.
 
     The numpy arrays hold the model's other sections. The node records are
     kept once, as the Python lists that each probe walks: ``walk_feature``,
     ``walk_threshold`` (each float32 as the Python float of equal value) and
     ``walk_jump``; ``emit_static_source`` and ``inspect`` read them too.
     ``load_tiny`` also derives ``cluster_roots``, the first node of each of
-    a cluster's J trees. A probe standardizes into ``scratch_x`` and writes
-    its centroid differences into ``scratch_diff``; the walk reads the
-    features it needs through ``scratch_view``, a memoryview of
-    ``scratch_x``. A probe then indexes no numpy scalar and copies no
-    feature list.
+    a cluster's J trees. Each probe allocates its own temporaries.
     """
 
     n_features: int
@@ -141,10 +137,6 @@ class TinyEngine:
     walk_threshold: list
     walk_jump: list
     cluster_roots: list
-    scratch_x: np.ndarray
-    scratch_view: memoryview
-    scratch_diff: np.ndarray
-    scratch_votes: list
 
     def predict(self, raw_x):
         return tiny_predict(self, raw_x)
@@ -192,30 +184,23 @@ def load_tiny(data: bytes) -> TinyEngine:
     check_nodes(feat, thr, jump, dir_off, directory["cnt"].astype(np.int64), nf, n_classes)
 
     mean, inv_std = standardizer
-    scratch_x = np.empty(nf, dtype=np.float32)
     return TinyEngine(
         n_features=nf, n_classes=n_classes, pool_size=pool_size, k=k, j=j,
         mean=mean, inv_std=inv_std, centroids=centroids, ensembles=ensembles,
         dir_offset=dir_off,
         walk_feature=feat.tolist(), walk_threshold=thr.tolist(), walk_jump=jump.tolist(),
         cluster_roots=dir_off[ensembles].tolist(),
-        scratch_x=scratch_x, scratch_view=memoryview(scratch_x),
-        scratch_diff=np.empty((k, nf), dtype=np.float32),
-        scratch_votes=[0] * n_classes,
     )
 
 
 def tiny_predict(e: TinyEngine, raw_x) -> tuple[int, int]:
-    """Standardize into scratch, pick the nearest centroid, walk that
-    cluster's trees, majority vote. Cost = nodes visited + k."""
+    """Standardize, pick the nearest centroid, walk that cluster's trees,
+    majority vote. Cost = nodes visited + k."""
     vec = np.asarray(raw_x, dtype=np.float32).ravel()
     if vec.shape[0] != e.n_features:
         raise ShapeError(f"expected {e.n_features} features, got {vec.shape[0]}")
-    return _kernels.tiny_infer(
-        vec, e.mean, e.inv_std, e.centroids, e.cluster_roots,
-        e.walk_feature, e.walk_threshold, e.walk_jump,
-        e.scratch_x, e.scratch_view, e.scratch_diff, e.scratch_votes,
-    )
+    return _kernels.tiny_infer(vec, e.mean, e.inv_std, e.centroids, e.cluster_roots,
+                               e.walk_feature, e.walk_threshold, e.walk_jump, e.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +224,8 @@ def _c_array(name: str, ctype: str, values, fmt) -> str:
 def emit_static_source(model_bytes: bytes) -> str:
     """Emit a single self-contained C89 translation unit with the model as
     constant arrays and a ``tinydes_predict(const float* x)`` entry point
-    reproducing the interpreter semantics exactly."""
+    that gives the engine's labels, except at a centroid near-tie, where the
+    C's in-order distance sums and the engine's pairwise ones can differ."""
     e = load_tiny(model_bytes)
     out = []
     out.append("/* Self-contained flat decision-ensemble classifier. */\n")

@@ -188,6 +188,23 @@ class TestConfigSerialization:
                                    DatasetSpec("b", images="b.idx", labels="b.lab",
                                                label_column="-1"))).validate()
 
+    # a name that would add a field to a report's CSV row, split or end a
+    # config.txt line, or not survive the config parser's strip
+    @pytest.mark.parametrize("name", ["", "a,b", "a.b", "a=b", 'a"b', "a\rb", "a\nb", "a\x85b",
+                                      " a", "a ", "\ta"])
+    def test_dataset_name_rejected(self, name):
+        cfg = ExperimentConfig(datasets=(DatasetSpec("a", csv="a.csv"),
+                                         DatasetSpec(name, csv="b.csv")))
+        with pytest.raises(IoError) as exc:
+            cfg.validate()
+        assert str(exc.value) == (f"dataset name {name!r} must be non-empty printable text "
+                                  'without surrounding spaces or any of . , = "')
+
+    def test_dataset_name_with_inner_space_accepted(self):
+        cfg = ExperimentConfig(datasets=(DatasetSpec("my data-1_b", csv="b.csv"),))
+        cfg.validate()
+        assert config_from_text(config_to_text(cfg)) == cfg
+
     def test_readme_table_lists_every_setting(self):
         # README's settings table: one row per SETTINGS row, in config.txt
         # order, whose Value column is the row's rule

@@ -104,6 +104,21 @@ class TestTrain:
                             capsys.readouterr().err)
         assert not (tmp_path / "m" / "model_j3.tdes").exists()
 
+    @pytest.mark.parametrize("rows, flags, err", [
+        # one sample of class y cannot be split between the pool and the DSEL
+        ("1.0,x\n2.0,x\n3.0,y\n", [], "StratificationError: class 1 has 1 sample"),
+        ("1.0,x\n2.0,x\n3.0,y\n4.0,y\n", ["--clusters", "3"],
+         "ClusterError: cannot fit 3 clusters on 2 points"),
+    ])
+    def test_failed_fit_creates_no_output_dir(self, tmp_path, capsys, rows, flags, err):
+        path = tmp_path / "small.csv"
+        path.write_text("a,label\n" + rows)
+        rc = main(["train", "--dataset", str(path), "--label-column", "label", *flags,
+                   "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert err in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_idx_mode(self, tmp_path):
         from test_data import write_idx_pair
         rng = np.random.RandomState(0)
@@ -342,6 +357,18 @@ class TestCrossval:
             f"got {given}\n")
         assert loads == [] and not (tmp_path / "r").exists()
 
+    # "a,b" would add a field to every report row and "a.b" a part to its
+    # config.txt key; either stops the run before the dataset loads
+    @pytest.mark.parametrize("name", ["a,b", "a.b"])
+    def test_bad_dataset_name_rejected(self, csv_path, tmp_path, monkeypatch, capsys, name):
+        loads = []
+        monkeypatch.setattr(bench, "load_csv", lambda *a: loads.append(a))
+        rc = main(["crossval", "--dataset", str(csv_path), "--name", name, "--method", "oracle",
+                   "--splits", "2", "--repeats", "1", "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: IoError: dataset name {name!r} ")
+        assert loads == [] and not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("flag", ["--j", "--out"])
     def test_empty_value_rejected(self, csv_path, tmp_path, monkeypatch, capsys, flag):
         monkeypatch.chdir(tmp_path)
@@ -361,6 +388,15 @@ class TestCrossval:
                    "--repeats", "1", "--n-acc", "auto", "--out", str(tmp_path / "r")])
         assert rc == 0
         assert "n_acc = auto\n" in (tmp_path / "r" / "config.txt").read_text()
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "bench-infer"])
+    def test_dataset_flags_have_help(self, command):
+        # crossval may take its datasets from a --config file instead
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in sub.choices[command]._actions}
+        assert all(actions[dest].help for dest in ("dataset", "labels", "label_column"))
+        assert actions["dataset"].required == (command != "crossval")
 
     @pytest.mark.parametrize("command", ["train", "crossval"])
     def test_setting_flags_use_the_settings_parsers(self, command):

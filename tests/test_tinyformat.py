@@ -1,7 +1,10 @@
+import dataclasses
 import shutil
 import struct
 import subprocess
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +31,24 @@ def minimal_model():
     km = KMeansModel(np.array([[0.5, -1.5]], np.float32), 0.0, 1)
     cm = CompetenceModel(km, np.ones((1, 1)), np.array([[0]], np.uint16))
     return s, cm, pool
+
+
+def near_tie_model():
+    """784 features, identity standardizer, k=2, each cluster's one tree a
+    leaf of its own class; and a probe whose two centroid distances differ
+    by rounding alone. numpy's pairwise row sum gives 1 + 3*2^-52 to
+    centroid 0 and 1 + 2^-52 to centroid 1; summed in feature order they
+    are 1.0 and 1 + 2^-52."""
+    nf, tiny = 784, 2.0 ** -30
+    probe = np.full(nf, tiny, np.float32)
+    probe[0] = 1.0
+    centroids = np.zeros((2, nf), np.float32)
+    centroids[1] = probe
+    centroids[1, :2] = 0.0, tiny - 2.0 ** -26
+    s = Standardizer(np.zeros(nf, np.float32), np.ones(nf, np.float32))
+    cm = CompetenceModel(KMeansModel(centroids, 0.0, 1), np.ones((2, 2)),
+                         np.array([[0], [1]], np.uint16))
+    return s, cm, pool_of([leaf(0), leaf(1)], 2), probe
 
 
 @pytest.fixture(scope="module")
@@ -645,19 +666,26 @@ class TestTinyPredict:
                                          apply_standardizer(p["standardizer"], x))
             assert got == (ref.label, ref.cost)
 
-    def test_scratch_reuse_no_model_reallocation(self, trained):
+    def test_shared_engine_is_safe(self, trained):
+        # the engine is frozen and each probe allocates its own temporaries,
+        # so two threads may share one; a short switch interval makes the
+        # threads interleave inside probes
         p = trained
         engine = load_tiny(export_tiny(p["standardizer"], p["cm"], p["pool"])[0])
-        scratch = ("scratch_x", "scratch_view", "scratch_diff", "scratch_votes")
-        ids = [id(getattr(engine, name)) for name in scratch]
-        assert engine.scratch_view.obj is engine.scratch_x
-        assert engine.scratch_diff.shape == (engine.k, engine.n_features)
-        assert engine.scratch_diff.dtype == np.float32
-        rng = np.random.RandomState(4)
-        for x in rng.randn(50, 8).astype(np.float32):
-            engine.predict(x)
-            assert engine.scratch_view.tolist() == engine.scratch_x.tolist()
-        assert [id(getattr(engine, name)) for name in scratch] == ids
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            engine.k = 1
+        probes = list(pinned_probes()) * 3
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as threads:
+                answers = list(threads.map(engine.predict, probes, timeout=60))
+        finally:
+            sys.setswitchinterval(old)
+        for x, got in zip(probes, answers):
+            ref = des_clustering_predict(p["cm"], p["pool"],
+                                         apply_standardizer(p["standardizer"], x))
+            assert got == (ref.label, ref.cost)
 
     def test_answers_do_not_depend_on_probe_order(self, trained):
         # two engines take the same probes, shuffled and interleaved: an
@@ -672,6 +700,13 @@ class TestTinyPredict:
             ref = des_clustering_predict(models[m], p["pool"],
                                          apply_standardizer(p["standardizer"], probes[i]))
             assert engines[m].predict(probes[i]) == (ref.label, ref.cost)
+
+    def test_centroid_near_tie_matches_reference(self):
+        s, cm, pool, probe = near_tie_model()
+        engine = load_tiny(export_tiny(s, cm, pool)[0])
+        ref = des_clustering_predict(cm, pool, apply_standardizer(s, probe))
+        assert ref.label == 1
+        assert tiny_predict(engine, probe) == (ref.label, ref.cost)
 
     def test_mean_cost_grows_with_j(self, trained):
         p = trained
@@ -747,6 +782,14 @@ class TestEmitStaticSource:
         got = compile_and_run(tmp_path, source, probes)
         want = [tiny_predict(engine, x)[0] for x in probes]
         assert got == want
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the C sums centroid distances "
+                                           "in feature order, the engine pairwise")
+    def test_centroid_near_tie_matches_engine(self, tmp_path):
+        s, cm, pool, probe = near_tie_model()
+        blob, _ = export_tiny(s, cm, pool)
+        got = compile_and_run(tmp_path, emit_static_source(blob), probe[None])
+        assert got == [tiny_predict(load_tiny(blob), probe)[0]]
 
     def test_array_bytes_match_manifest_rom(self, trained):
         p = trained
