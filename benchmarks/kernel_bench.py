@@ -1,4 +1,6 @@
-# Times the numpy kernels on synthetic MNIST-shaped data.
+# Times the numpy kernels on synthetic MNIST-shaped data, with BLAS and
+# OpenMP pinned to one thread before numpy is imported, as perfbench/run.py
+# pins them; the first line printed shows the settings.
 # Run:  PYTHONPATH=src python benchmarks/kernel_bench.py
 #
 # Every figure below is a raw wall time from one session, with no
@@ -31,11 +33,10 @@
 #   tree_walk       one 2^16-pair block      21 ms   45-tree pool, 784 features
 #   pool_predictions  45 trees x 30000     343 ms   every (tree, row) pair, in
 #                                                    2^16-pair blocks
-#   assign_clusters 24000x784, k=5          153 ms   one sliced row block per
-#                                                    (rows, k) matrix, no
-#                                                    copy of the rows: 120 ms
-#   sqdist_table    1250x784, k=5, 35 % of  2.2 ms   cluster._fill, the loop
-#                   the cells (bounded step)         it replaced: 2.2 ms
+#   assign_clusters 24000x784, k=5          115 ms   a gathered copy of every
+#                                                    block of rows: 144 ms
+#   sqdist_table    1250x784, k=5, 35 % of  2.1 ms   a new array per gathered
+#                   the cells (bounded step)         block: 2.3 ms
 #   pairwise_sqdist 349x3000x64             6.1 ms   one KNORA distance block
 #   k_nearest       k=7 of 3000, 349 rows   6.1 ms   stable argsort top-7: 85 ms
 #   knora_regions   6000 queries, k=7       197 ms   one float64 fold, 18 blocks
@@ -87,11 +88,14 @@
 # centroid differences and votes in buffers allocated by load_tiny. In one
 # process, eleven alternated rounds of 5000 probes through the two kernels
 # gave per-probe p50s of 14.1 and 13.8 us, then 14.8 and 14.8 us: the 3 %
-# between processes is within the host's drift. The assign_clusters and
-# sqdist_table rows are medians of five processes per form, the forms
-# alternating, each process the median of 7 and 41 calls; the row copy that
-# sqdist_table takes of every block costs the first its 28 %, and fit_kmeans
-# on the pixel fold stayed within 1 % (57.5 and 58.1 ms). The
+# between processes is within the host's drift. The assign_clusters row
+# is the median of fifteen rounds in one process, each round the median of
+# five calls of each form, the forms taking turns to go first; the form
+# that gathers every block into a new array was slower in all fifteen, and
+# both gave the same bits. The sqdist_table row is fifteen such rounds of
+# 41 calls, where the earlier form gathered each block into a new array and
+# the kernel gathers into its one buffer (take's "raise" mode would fill a
+# temporary and copy it: 3.1 ms). The
 # knora_regions and load_csv rows are medians of six runs of each form,
 # alternated in one process. pool_predictions against one walk per tree on
 # the same pool, three alternated processes each: medians 251 and 483 ms,
@@ -105,9 +109,14 @@
 # of 784 features took 154 and 155 ms; 2^18-2^22 were swept and 2^20 was
 # fastest on the first shape.
 
+import os
 import tempfile
 import time
 from pathlib import Path
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:  # before numpy loads its BLAS
+    os.environ[_var] = "1"
 
 import numpy as np
 
@@ -145,6 +154,7 @@ def pixel_fold(rng, n, f, classes):
     return Dataset(apply_standardizer(fit_standardizer(d), px), d.labels, classes)
 
 
+print("threads: " + " ".join(f"{v}={os.environ[v]}" for v in THREAD_VARS))
 rng = np.random.RandomState(0)
 
 n, f, classes = 30000, 784, 10

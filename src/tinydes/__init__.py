@@ -18,8 +18,7 @@ from .selection import (CompetenceModel, Dsel, SelectionResult,
                         des_clustering_predict, single_best, static_selection)
 from .tinyformat import (TinyEngine, emit_static_source, export_tiny,
                          load_tiny, tiny_predict)
-from .trees import (ClassifierPool, DecisionTree, generate_pool, predict_tree,
-                    train_tree)
+from .trees import ClassifierPool, DecisionTree, generate_pool, train_tree
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,6 @@ __all__ = [
     "TinyEngine", "apply_standardizer", "build_competence_model",
     "build_dsel", "des_clustering_predict", "emit_static_source",
     "export_tiny", "fit_kmeans", "fit_standardizer", "generate_pool",
-    "load_csv", "load_idx", "load_tiny", "make_fold_plan", "predict_tree",
-    "single_best", "static_selection", "stratified_split", "tiny_predict",
-    "train_tree",
+    "load_csv", "load_idx", "load_tiny", "make_fold_plan", "single_best",
+    "static_selection", "stratified_split", "tiny_predict", "train_tree",
 ]

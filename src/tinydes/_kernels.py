@@ -281,17 +281,27 @@ def sqdist_rows(X, c, out):
 def sqdist_table(X, C, todo=None, out=None):
     """The float64 (k, n) table whose cell (c, i) is row i of ``X``'s squared
     distance to centroid c of ``C``. With a bool (k, n) ``todo``, only its
-    cells are computed and ``out`` keeps the others."""
+    cells are computed and ``out`` keeps the others.
+
+    Every block works in one scratch buffer: a block of every row is a
+    contiguous slice of ``X``, read in place; a ``todo`` block is gathered
+    into the buffer first. ``X`` is never written."""
     if out is None:
         out = np.empty((C.shape[0], X.shape[0]), dtype=np.float64)
     step = block_rows(X.shape[1])
-    every = np.arange(X.shape[0])
+    buf = np.empty((min(step, X.shape[0]), X.shape[1]), dtype=X.dtype)
     for c in range(C.shape[0]):
-        rows = every if todo is None else np.flatnonzero(todo[c])
-        for s in range(0, rows.size, step):
-            part = rows[s : s + step]
-            xb = X.take(part, axis=0)
-            out[c, part] = sqdist_rows(xb, C[c], xb)
+        rows = None if todo is None else np.flatnonzero(todo[c])
+        for s in range(0, X.shape[0] if rows is None else rows.size, step):
+            if rows is None:
+                cells = slice(s, s + step)
+                xb = X[cells]
+            else:
+                cells = rows[s : s + step]
+                # the rows are in range; "clip" lets take write into buf
+                # directly, where "raise" would fill a temporary and copy it
+                xb = X.take(cells, axis=0, out=buf[: cells.size], mode="clip")
+            out[c, cells] = sqdist_rows(xb, C[c], buf[: xb.shape[0]])
     return out
 
 

@@ -22,14 +22,15 @@ def _add_dataset_flags(p, required=True):
     p.add_argument("--dataset", required=required,
                    help="IDX image file or CSV file (a .csv suffix, any case, switches modes)")
     p.add_argument("--labels", help="IDX label file (IDX mode)")
-    p.add_argument("--label-column", default="-1",
-                   help="CSV label column name or index (CSV mode)")
+    p.add_argument("--label-column",
+                   help="CSV label column name or index (CSV mode; default -1, the last)")
 
 
 def _spec_from_flags(args, name="cli") -> DatasetSpec:
     path = args.dataset
     if path.lower().endswith(".csv"):
-        return DatasetSpec(name=name, csv=path, label_column=args.label_column)
+        column = "-1" if args.label_column is None else args.label_column
+        return DatasetSpec(name=name, csv=path, label_column=column)
     if not args.labels:
         raise TinyDesError("--labels is required for IDX datasets")
     return DatasetSpec(name=name, images=path, labels=args.labels)
@@ -76,6 +77,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_crossval(args) -> int:
+    stray = [flag for flag, value in (("--name", args.name), ("--labels", args.labels),
+                                      ("--label-column", args.label_column))
+             if value is not None]
+    if stray and not args.dataset:
+        print(f"error: {', '.join(stray)} given without --dataset", file=sys.stderr)
+        return 2
     try:
         settings = (config_settings(Path(args.config).read_text(encoding="utf-8"))
                     if args.config else {})
@@ -83,7 +90,8 @@ def cmd_crossval(args) -> int:
         raise IoError(f"config file is not UTF-8: {args.config}: {exc}") from None
     settings.update(_settings(args))
     if args.dataset:
-        settings["datasets"] = (_spec_from_flags(args, name=args.name),)
+        name = "dataset" if args.name is None else args.name
+        settings["datasets"] = (_spec_from_flags(args, name=name),)
     # methods that neither the file nor --method gives follow the profile
     settings["methods"] = tuple(settings.get(
         "methods", DEFAULT_FULL_METHODS if settings.get("profile") == "full" else METHOD_ORDER))
@@ -158,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossval", help="repeated stratified cross-validation benchmark")
     p.add_argument("--config", help="key=value config file; flags override")
     _add_dataset_flags(p, required=False)  # a --config file may name the datasets
-    p.add_argument("--name", default="dataset", help="dataset name used in reports")
+    p.add_argument("--name", help="name of the --dataset file in reports (default: dataset)")
     p.add_argument("--method", dest="methods", action="append", choices=METHOD_ORDER,
                    default=argparse.SUPPRESS,
                    help="repeatable; default: all six (KNORA excluded with --full)")

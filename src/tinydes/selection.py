@@ -19,7 +19,7 @@ from . import _kernels
 from .cluster import KMeansModel, assign_batch
 from .data import Dataset, Standardizer, apply_standardizer
 from .errors import ModelCorruptError, SelectionError, ShapeError
-from .trees import ClassifierPool, predict_tree
+from .trees import ClassifierPool
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,7 @@ class CompetenceModel:
 @dataclass(frozen=True)
 class SelectionResult:
     label: int
-    votes: np.ndarray  # float64 [n_classes]
-    ensemble_used: np.ndarray  # classifier indices
-    cost: int  # nodes visited (+ one unit per centroid distance where applicable)
+    cost: int  # nodes visited plus one unit per centroid distance
 
 
 def build_dsel(pool: ClassifierPool, dsel_data: Dataset, s: Standardizer) -> Dsel:
@@ -130,21 +128,6 @@ def build_competence_model(dsel: Dsel, kmeans: KMeansModel, n_acc: int, j: int) 
     return CompetenceModel(kmeans, accuracy, ranking)
 
 
-def des_clustering_predict(cm: CompetenceModel, pool: ClassifierPool, x) -> SelectionResult:
-    """Unweighted majority vote of the precomputed ensemble of x's cluster.
-    Cost counts nodes visited plus one unit per centroid distance."""
-    vec = np.asarray(x, dtype=np.float32).ravel()
-    cluster = assign_batch(cm.kmeans, vec[None])[0]
-    ensemble = cm.per_cluster_ensemble[cluster].astype(np.int64)
-    votes = np.zeros(pool.n_classes, dtype=np.float64)
-    cost = cm.kmeans.k
-    for cid in ensemble:
-        label, visits = predict_tree(pool, cid, vec)
-        votes[label] += 1.0
-        cost += visits
-    return SelectionResult(int(np.argmax(votes)), votes, ensemble, cost)
-
-
 # ---------------------------------------------------------------------------
 # Batched evaluation paths used by the benchmark harness. The caller walks
 # the pool once (``pool_predictions``) and computes the KNORA regions
@@ -152,8 +135,8 @@ def des_clustering_predict(cm: CompetenceModel, pool: ClassifierPool, x) -> Sele
 # every method reads those, and none recomputes them. The batch calls take
 # no query matrix: the regions or the cluster ids, their third argument, give
 # the query axis, and ``vote_batch``, the one rule that votes and charges the
-# visits of the trees that vote, rejects a walk of other queries. The
-# clustering path matches ``des_clustering_predict``; the KNORA paths are
+# visits of the trees that vote, rejects a walk of other queries.
+# ``des_clustering_predict`` is the clustering path on one row; every path is
 # checked against a per-query oracle kept with the tests.
 # ---------------------------------------------------------------------------
 
@@ -307,3 +290,13 @@ def des_clustering_batch(cm: CompetenceModel, pool: ClassifierPool, clusters,
     np.put_along_axis(member, cm.ranking.astype(np.intp), True, axis=1)
     labels, costs = vote_batch(pool, pool_preds, pool_visits, member[clusters])
     return labels, cm.kmeans.k + costs
+
+
+def des_clustering_predict(cm: CompetenceModel, pool: ClassifierPool, x) -> SelectionResult:
+    """One probe's ``des_clustering_batch`` answer: the unweighted majority
+    vote of the precomputed ensemble of x's cluster. Cost counts nodes
+    visited plus one unit per centroid distance."""
+    row = np.asarray(x, dtype=np.float32).reshape(1, -1)
+    clusters = assign_batch(cm.kmeans, row)
+    labels, costs = des_clustering_batch(cm, pool, clusters, *pool_predictions(pool, row))
+    return SelectionResult(int(labels[0]), int(costs[0]))

@@ -10,8 +10,8 @@ the exact record the compact binary format stores, so the training graph
 and the embedded interpreter walk identical structures. A pool lays its
 trees end to end in the format's field types, as the node section does, and
 ``ClassifierPool.from_trees`` checks the layout once with ``check_nodes``,
-which ``load_tiny`` shares. Batch prediction walks every (tree, row) pair
-over those columns at once; ``predict_tree`` walks one sample through one tree.
+which ``load_tiny`` shares. Prediction walks every (tree, row) pair over
+those columns at once (``selection.pool_predictions``).
 """
 
 from __future__ import annotations
@@ -146,18 +146,13 @@ class ClassifierPool:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    def tree(self, i: int) -> DecisionTree:
-        """Tree ``i``'s three columns: views into the pool's."""
-        s = slice(self.first[i], self.first[i] + self.count[i])
-        return DecisionTree(self.feature[s], self.threshold[s], self.jump[s])
-
     def fingerprint(self) -> int:
         """CRC32 over each tree's feature, threshold and jump bytes in turn;
         identifies a pool across bench rows."""
         crc = 0
-        for i in range(self.pool_size):
-            for col in self.tree(i):
-                crc = zlib.crc32(col.tobytes(), crc)
+        for first, count in zip(self.first, self.count):
+            for col in (self.feature, self.threshold, self.jump):
+                crc = zlib.crc32(col[first:first + count].tobytes(), crc)
         return crc
 
 
@@ -244,20 +239,6 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
         X = data.features
         threshold[nodes] = _kernels.split_threshold(X[r0, feats], X[r1, feats])
     return DecisionTree(np.array(feature), threshold, np.array(jump))
-
-
-def predict_tree(pool: ClassifierPool, tree: int, x) -> tuple[int, int]:
-    """Walk one sample through tree ``tree``; returns (class id, nodes visited)."""
-    vec = np.asarray(x, dtype=np.float32).ravel()
-    feature, threshold, jump = pool.tree(tree)
-    pos = 0
-    visits = 1
-    while (f := int(feature[pos])) >= 0:
-        if f >= vec.shape[0]:
-            raise ModelCorruptError(f"node {pos} references feature {f} beyond input length")
-        pos = pos + 1 if vec[f] <= threshold[pos] else int(jump[pos])
-        visits += 1
-    return int(jump[pos]), visits
 
 
 def bootstrap_indices(rng: SplitMix64, n: int) -> np.ndarray:

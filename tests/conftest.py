@@ -1,4 +1,6 @@
+import importlib
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,9 @@ from tinydes.cluster import assign_batch, fit_kmeans
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer, stratified_split
 from tinydes.selection import (build_competence_model, build_dsel, knora_regions,
                                pool_predictions)
-from tinydes.trees import ClassifierPool, generate_pool, predict_tree
+from tinydes.trees import ClassifierPool, generate_pool
+
+from tree_oracle import predict_tree
 
 
 def make_blobs(n_per_class=120, n_features=12, n_classes=4, seed=0, spread=1.0):
@@ -95,6 +99,20 @@ def mnist_paths():
             if (base / img).exists() and (base / lab).exists():
                 return str(base / img), str(base / lab)
     return None
+
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+
+
+def import_perfbench(name: str):
+    """A module of the benchmark harness, imported with ``perfbench`` on the
+    path only while it and its own imports load, as
+    ``test_tracer_contract`` imports ``spans``. Nothing in it is changed."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(PERFBENCH)
 
 
 ACCEPTANCE_LINES = []

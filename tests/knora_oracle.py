@@ -10,8 +10,11 @@ import numpy as np
 
 from tinydes import _kernels
 from tinydes.errors import SelectionError
-from tinydes.selection import Dsel, SelectionResult
-from tinydes.trees import ClassifierPool, predict_tree
+from tinydes.selection import Dsel
+from tinydes.trees import ClassifierPool
+
+from selection_oracle import OracleAnswer
+from tree_oracle import predict_tree
 
 
 def _region_indices(dsel: Dsel, x: np.ndarray, k: int) -> np.ndarray:
@@ -35,7 +38,7 @@ def _vote(weights_per_classifier, classifier_ids, pool, x, n_classes):
     return votes, cost
 
 
-def knora_u(dsel: Dsel, pool: ClassifierPool, x, k: int) -> SelectionResult:
+def knora_u(dsel: Dsel, pool: ClassifierPool, x, k: int) -> OracleAnswer:
     """Union rule: every classifier correct on >= 1 region sample votes with
     weight equal to its number of correct region samples. If nobody qualifies,
     the whole pool votes with weight 1."""
@@ -49,10 +52,10 @@ def knora_u(dsel: Dsel, pool: ClassifierPool, x, k: int) -> SelectionResult:
     else:
         weights = counts[selected].astype(np.float64)
     votes, cost = _vote(weights, selected, pool, vec, pool.n_classes)
-    return SelectionResult(int(np.argmax(votes)), votes, selected, cost)
+    return OracleAnswer(int(np.argmax(votes)), votes, selected, cost)
 
 
-def knora_e(dsel: Dsel, pool: ClassifierPool, x, k: int) -> SelectionResult:
+def knora_e(dsel: Dsel, pool: ClassifierPool, x, k: int) -> OracleAnswer:
     """Eliminate rule: select local oracles (correct on the whole region),
     shrinking the region by dropping the farthest neighbor until some
     classifier qualifies; if the region empties, the whole pool votes."""
@@ -69,4 +72,4 @@ def knora_e(dsel: Dsel, pool: ClassifierPool, x, k: int) -> SelectionResult:
         selected = np.arange(pool.pool_size)
     weights = np.ones(selected.size, dtype=np.float64)
     votes, cost = _vote(weights, selected, pool, vec, pool.n_classes)
-    return SelectionResult(int(np.argmax(votes)), votes, selected, cost)
+    return OracleAnswer(int(np.argmax(votes)), votes, selected, cost)

@@ -1,15 +1,17 @@
-"""Reference forms of four selection quantities that production computes
+"""Reference forms of five selection quantities that production computes
 another way: a per-query weighted vote (``vote_rows`` votes every row at
 once), the pairwise double-fault (``build_competence_model`` counts it with
 ``both_wrong_counts``), the per-cluster ensembles (``build_competence_model``
-ranks with lexsorts) and the oracle accuracy (crossval's ``oracle`` row is a
-column-any of the fold's pool walk).
+ranks with lexsorts), the oracle accuracy (crossval's ``oracle`` row is a
+column-any of the fold's pool walk) and the DES-Clustering answer
+(``des_clustering_batch`` votes every query from one pool walk).
 
 Each is written the plain way, one classifier or one query at a time.
 """
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +20,17 @@ from tinydes.data import apply_standardizer
 from tinydes.errors import SelectionError
 
 from conftest import per_tree_predictions
+from tree_oracle import predict_tree
+
+
+class OracleAnswer(NamedTuple):
+    """A per-query oracle's answer, with the vote table and the classifiers
+    that voted, which the batch paths do not return."""
+
+    label: int
+    votes: np.ndarray  # float64 per class id
+    ensemble_used: np.ndarray  # classifier indices
+    cost: int  # nodes visited, plus one unit per centroid distance where applicable
 
 
 def majority_vote(predictions, weights=None) -> tuple[int, np.ndarray]:
@@ -77,3 +90,17 @@ def oracle_accuracy(pool, test, s) -> float:
     std = apply_standardizer(s, test.features)
     correct = per_tree_predictions(pool, std)[0] == test.labels
     return float(correct.any(axis=0).mean())
+
+
+def des_clustering(cm, pool, x) -> OracleAnswer:
+    """DES-Clustering for one query: its cluster from ``assign_batch``, as
+    ``brute_force_competence`` assigns the selection samples, then one
+    ``predict_tree`` walk per member of that cluster's ensemble and a
+    ``majority_vote``. Cost counts the nodes visited plus one unit per
+    centroid distance."""
+    vec = np.asarray(x, dtype=np.float32).ravel()
+    cluster = assign_batch(cm.kmeans, vec[None])[0]
+    ensemble = cm.per_cluster_ensemble[cluster].astype(np.int64)
+    labels, visits = zip(*(predict_tree(pool, t, vec) for t in ensemble))
+    label, votes = majority_vote(labels)
+    return OracleAnswer(label, votes, ensemble, cm.kmeans.k + sum(visits))

@@ -21,8 +21,8 @@ from tinydes.selection import (build_competence_model, des_clustering_predict,
                                knora_e_batch, static_selection)
 from tinydes.tinyformat import emit_static_source, export_tiny, load_tiny, tiny_predict
 
-from conftest import (build_pipeline, make_blobs, mnist_paths, record_criterion,
-                      record_skip, shared_inputs)
+from conftest import (build_pipeline, import_perfbench, make_blobs, mnist_paths,
+                      record_criterion, record_skip, shared_inputs)
 from selection_oracle import brute_force_competence, oracle_accuracy
 from test_selection import constant_pool, dsel_from_correctness
 from test_tinyformat import HAVE_CC, compile_and_run
@@ -118,6 +118,29 @@ class TestCriterion2Monotonicity:
         if MNIST is None:
             record_skip("C2 J monotonicity (full + desk-scale)",
                         "MNIST IDX files not present (set TINYDES_MNIST_DIR)")
+
+
+class TestCriterion2gGeneratedPixels:
+    def test_generated_pixel_j_trend(self, tmp_path):
+        # the paper's claim that a larger ensemble buys accuracy at a higher
+        # cost, on the benchmark's seeded MNIST-shaped pixels at desk scale
+        datagen = import_perfbench("datagen")
+        images, labels = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
+        datagen.write_idx_pair(*datagen.pixel_dataset(1), images, labels)
+        cfg = mnist_config(
+            datasets=(DatasetSpec(name="pixels", images=str(images), labels=str(labels)),),
+            methods=("des_clustering",), n_splits=2, n_repeats=1, profile="desk-scale")
+        table = run_experiment(cfg)
+        params = [f"J={j}" for j in cfg.j_values]
+        accs = [row_acc(table, "des_clustering", p) for p in params]
+        costs = [next(r.mean_cost for r in table.rows if r.params == p) for p in params]
+        ok = all(a < b for a, b in zip(accs, accs[1:])) and \
+            all(a < b for a, b in zip(costs, costs[1:]))
+        record_criterion(
+            "C2g generated-pixel J trend",
+            ok,
+            "DESC accuracies " + " < ".join(f"{a:.4f}" for a in accs)
+            + "; mean cost " + " < ".join(f"{c:.1f}" for c in costs))
 
 
 class TestCriterion3StaticCardinality:

@@ -292,6 +292,22 @@ class TestCrossval:
         rc = main(["crossval"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [("--name", "other"), ("--labels", "b.lab"),
+                                             ("--label-column", "-1")])
+    def test_dataset_flag_without_dataset_is_usage_error(self, tmp_path, csv_path, capsys,
+                                                          flag, value):
+        # the config names the dataset; a flag that would describe a
+        # --dataset file has nothing to describe, so it is an error, even
+        # when its value is the default
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset.blobs.csv = {csv_path}\n")
+        out = tmp_path / "rep"
+        rc = main(["crossval", "--config", str(cfg), flag, value, "--method", "oracle",
+                   "--splits", "2", "--repeats", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} given without --dataset\n"
+        assert not out.exists()
+
     def test_missing_file_typed_error(self, tmp_path, capsys):
         rc = main(["crossval", "--dataset", str(tmp_path / "nope.csv"),
                    "--method", "oracle", "--splits", "2", "--repeats", "1",

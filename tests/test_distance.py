@@ -1,13 +1,16 @@
 """Bit pins of the distance kernels against the expressions they evaluate
 in place."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
-from tinydes._kernels import assign_clusters, pairwise_sqdist, sqdist_table
+from tinydes import _kernels
+from tinydes._kernels import assign_clusters, block_rows, pairwise_sqdist, sqdist_table
 
 
 def expanded_oracle(Q, D):
@@ -125,3 +128,62 @@ def test_sqdist_table_fills_only_todo(rows, features):
     assert sqdist_table(X, C, todo, out) is out
     np.testing.assert_array_equal(out[todo].view(np.uint64), full[todo].view(np.uint64))
     assert np.isposinf(out[~todo]).all()
+
+
+def table_oracle(X, C, todo):
+    """Each cell computed on its own from a fresh difference row, +inf
+    where ``todo`` is False."""
+    out = np.full((C.shape[0], X.shape[0]), np.inf)
+    with np.errstate(over="ignore"):
+        for c, i in zip(*np.nonzero(todo)):
+            out[c, i] = np.square(X[i:i + 1] - C[c]).sum(axis=1, dtype=np.float64)[0]
+    return out
+
+
+def assert_table_bits(X, C, todo):
+    before = X.copy()
+    want = table_oracle(X, C, np.ones((C.shape[0], X.shape[0]), bool) if todo is None else todo)
+    got = sqdist_table(X, C, todo, np.full((C.shape[0], X.shape[0]), np.inf))
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the rows are read, never written: -0.0 stays -0.0
+    np.testing.assert_array_equal(X.view(np.uint32), before.view(np.uint32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 9), f=st.integers(1, 4), k=st.integers(1, 3),
+       step=st.integers(1, 4), masked=st.booleans())
+def test_sqdist_table_across_block_edges(data, n, f, k, step, masked):
+    # few distinct values, so many distances tie; -0.0 beside 0.0, a
+    # subnormal and squares that overflow float32
+    cells = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 3.0, 1e-45, 1e20])
+    X = np.array(data.draw(st.lists(cells, min_size=n * f, max_size=n * f)),
+                 np.float32).reshape(n, f)
+    C = np.array(data.draw(st.lists(cells, min_size=k * f, max_size=k * f)),
+                 np.float32).reshape(k, f)
+    todo = None
+    if masked:
+        todo = np.array(data.draw(st.lists(st.booleans(), min_size=k * n, max_size=k * n)),
+                        bool).reshape(k, n)
+    with mock.patch.object(_kernels, "block_rows", lambda _: step):
+        assert_table_bits(X, C, todo)
+
+
+@pytest.mark.parametrize("rows, features", [
+    (1, 784),  # one row
+    (block_rows(1000), 1000),  # exactly one block
+    (block_rows(1000) + 1, 1000),  # a block plus one row
+])
+def test_sqdist_table_real_blocks(rows, features):
+    rng = np.random.RandomState(rows)
+    X = rng.randn(rows, features).astype(np.float32)
+    X[0, ::3] = -0.0
+    X[-1] = X[0]  # the first and last rows tie
+    C = rng.randn(3, features).astype(np.float32)
+    C[2] = X[0]
+    C[2, ::3] = 0.0  # row 0 less this centroid: -0.0 where row 0 holds -0.0
+    assert_table_bits(X, C, None)
+    todo = np.zeros((3, rows), bool)
+    todo[0] = True
+    todo[1, -1] = True  # the last block's one row alone
+    todo[2, ::2] = True
+    assert_table_bits(X, C, todo)

@@ -1,7 +1,7 @@
 """The pool walk: every (tree, row) pair at once over the pool's flat node
 columns (``ClassifierPool.feature``/``threshold``/``jump`` from
 ``ClassifierPool.from_trees``, walked by ``_kernels.tree_walk``), checked
-against ``predict_tree`` one pair at a time, and the layout faults the pool
+against ``tree_oracle.predict_tree`` one pair at a time, and the layout faults the pool
 rejects when it is built."""
 
 from unittest import mock
@@ -16,6 +16,7 @@ from tinydes.errors import ModelCorruptError, ShapeError
 from tinydes.selection import pool_predictions
 
 from conftest import leaf, per_tree_predictions, pool_of
+from tree_oracle import pool_tree
 from test_tinyformat import random_tree
 
 
@@ -88,7 +89,7 @@ class TestPoolNodes:
             (np.int16, np.float32, np.uint16)
         assert (pool.pool_size, pool.n_nodes, pool.n_classes) == (3, 7, 3)
         assert not any(c.flags.writeable for c in (pool.feature, pool.threshold, pool.jump))
-        assert [t.n_nodes for t in map(pool.tree, range(3))] == [3, 1, 3]
+        assert [pool_tree(pool, i).n_nodes for i in range(3)] == [3, 1, 3]
 
 
 class TestCorruptPoolRaises:

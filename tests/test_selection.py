@@ -22,6 +22,7 @@ from conftest import leaf, make_blobs, per_tree_predictions, pool_of, shared_inp
 from knora_oracle import knora_e, knora_u
 from selection_oracle import (brute_force_competence, double_fault, majority_vote,
                               oracle_accuracy)
+from selection_oracle import des_clustering as des_clustering_oracle
 
 
 def dsel_from_correctness(correctness, samples=None, labels=None):
@@ -352,12 +353,21 @@ class TestBuildCompetenceModel:
         assert cm.per_cluster_ensemble[1, 0] == 0
 
 
+def des_answer(cm, pool, x):
+    """The per-query oracle's answer for x, after checking that
+    ``des_clustering_predict`` gives its (label, cost)."""
+    want = des_clustering_oracle(cm, pool, x)
+    got = des_clustering_predict(cm, pool, x)
+    assert (got.label, got.cost) == (want.label, want.cost)
+    return want
+
+
 class TestDesClusteringPredict:
     def test_unanimous(self):
         km = KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0)
         pool = constant_pool([3, 3, 3], n_classes=8)
         cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16))
-        res = des_clustering_predict(cm, pool, [0.0])
+        res = des_answer(cm, pool, [0.0])
         assert res.label == 3 and res.votes[3] == 3
         assert res.cost == 3 + 1  # three leaf visits + one centroid
 
@@ -365,26 +375,38 @@ class TestDesClusteringPredict:
         km = KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0)
         pool = constant_pool([0, 0, 1, 1, 3], n_classes=4)
         cm = CompetenceModel(km, np.ones((1, 5)), np.array([[0, 1, 2, 3, 4]], np.uint16))
-        assert des_clustering_predict(cm, pool, [0.0]).label == 0
+        assert des_answer(cm, pool, [0.0]).label == 0
 
     def test_cluster_routing(self):
         # two clusters with disjoint ensembles: the query's cell decides
         km = KMeansModel(np.array([[-5.0], [5.0]], np.float32), 0.0, 0)
         pool = constant_pool([0, 1], n_classes=2)
         cm = CompetenceModel(km, np.ones((2, 2)), np.array([[0], [1]], np.uint16))
-        res = des_clustering_predict(cm, pool, [5.0])
+        res = des_answer(cm, pool, [5.0])
         np.testing.assert_array_equal(res.ensemble_used, [1])
         assert res.label == 1
-        res = des_clustering_predict(cm, pool, [-5.0])
+        res = des_answer(cm, pool, [-5.0])
         np.testing.assert_array_equal(res.ensemble_used, [0])
         assert res.label == 0
 
     def test_ensemble_membership_invariant(self, pipeline):
+        # a walk that charges classifier c 2**c visits spells out the trees
+        # each answer charged: exactly its cluster's ensemble
         cm, pool, dsel = pipeline["cm"], pipeline["pool"], pipeline["dsel"]
         rows = np.arange(0, dsel.n_samples, 7)
-        for i, cluster in zip(rows, assign_batch(cm.kmeans, dsel.samples[rows])):
-            res = des_clustering_predict(cm, pool, dsel.samples[i])
-            assert set(res.ensemble_used) == set(cm.per_cluster_ensemble[cluster])
+        clusters, preds, _ = shared_inputs(pool, dsel.samples[rows], kmeans=cm.kmeans)
+        bits = np.repeat(1 << np.arange(pool.pool_size, dtype=np.int64)[:, None], rows.size, 1)
+        _, costs = des_clustering_batch(cm, pool, clusters, preds, bits)
+        for i, cluster, cost in zip(rows, clusters, costs - cm.kmeans.k):
+            charged = [c for c in range(pool.pool_size) if int(cost) >> c & 1]
+            assert charged == cm.per_cluster_ensemble[cluster].tolist()
+            assert set(des_answer(cm, pool, dsel.samples[i]).ensemble_used) == set(charged)
+
+    def test_wrong_width_raises(self, pipeline):
+        cm, pool = pipeline["cm"], pipeline["pool"]
+        width = cm.kmeans.n_features
+        with pytest.raises(ShapeError, match=f"expected {width} features, got {width + 1}"):
+            des_clustering_predict(cm, pool, np.zeros(width + 1, np.float32))
 
 
 class TestOracle:
@@ -476,11 +498,13 @@ class TestBatchEquivalence:
                 assert costs[i] == res.cost
 
     def test_des_clustering_batch_matches_per_query(self, pipeline):
+        # the batch over every row, and the one-row call on every third,
+        # against the per-query oracle
         cm, pool, dsel = pipeline["cm"], pipeline["pool"], pipeline["dsel"]
         labels, costs = des_clustering_batch(
             cm, pool, *shared_inputs(pool, dsel.samples, kmeans=cm.kmeans))
         for i in range(0, dsel.n_samples, 3):
-            res = des_clustering_predict(cm, pool, dsel.samples[i])
+            res = des_answer(cm, pool, dsel.samples[i])
             assert labels[i] == res.label and costs[i] == res.cost
 
     def test_precomputed_cluster_ids(self, monkeypatch, pipeline):

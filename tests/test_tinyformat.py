@@ -22,6 +22,8 @@ from tinydes.tinyformat import (HEADER, NODE_DTYPE, emit_static_source,
 from tinydes.trees import DecisionTree
 
 from conftest import build_pipeline, leaf, make_blobs, pool_of
+from selection_oracle import des_clustering as des_clustering_oracle
+from tree_oracle import pool_tree
 
 
 def minimal_model():
@@ -163,8 +165,10 @@ class TestLoad:
         np.testing.assert_array_equal(engine.mean, s.mean)
         np.testing.assert_array_equal(engine.inv_std, s.inv_std)
         np.testing.assert_array_equal(engine.centroids, centroids)
+        # the ensembles may list a tree more than once; the engine and the
+        # per-query oracle walk it once per listing
         for x in rng.randn(40, nf).astype(np.float32) * 3:
-            ref = des_clustering_predict(cm, pool, apply_standardizer(s, x))
+            ref = des_clustering_oracle(cm, pool, apply_standardizer(s, x))
             assert engine.predict(x) == (ref.label, ref.cost)
 
     def test_truncated(self):
@@ -500,7 +504,7 @@ class TestU16Edges:
         cm = CompetenceModel(KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0),
                              np.ones((1, pool.pool_size)), np.array([[tree]], np.uint16))
         engine = load_tiny(export_tiny(s, cm, pool)[0])
-        for name, col in zip(("feature", "threshold", "jump"), pool.tree(tree)):
+        for name, col in zip(("feature", "threshold", "jump"), pool_tree(pool, tree)):
             np.testing.assert_array_equal(getattr(engine, "walk_" + name), col)
         for x in (-1.0, 0.5, 100.5, 32766.5, 40000.0):
             ref = des_clustering_predict(cm, pool, np.array([x], np.float32))
@@ -541,8 +545,11 @@ class TestU16Edges:
             return
         engine = load_tiny(export_tiny(s, cm, pool)[0])
         assert engine.pool_size == 65535
+        # the second row lists the last tree twice; the engine and the
+        # per-query oracle walk it twice, where the batch rule counts a
+        # classifier once (build_competence_model never repeats one)
         for x in (-1.0, 1.0):
-            ref = des_clustering_predict(cm, pool, np.array([x], np.float32))
+            ref = des_clustering_oracle(cm, pool, np.array([x], np.float32))
             assert engine.predict([x]) == (ref.label, ref.cost)
 
 
@@ -652,8 +659,10 @@ class TestTinyPredict:
             x = probes[0].copy()
             x[col] = value
             probes.append(x)
+        # the ensembles may list a tree more than once; the engine and the
+        # per-query oracle walk it once per listing
         for x in probes:
-            ref = des_clustering_predict(cm, pool, apply_standardizer(s, x))
+            ref = des_clustering_oracle(cm, pool, apply_standardizer(s, x))
             assert engine.predict(x) == (ref.label, ref.cost)
 
     def test_pinned_answers(self, trained):

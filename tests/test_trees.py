@@ -11,10 +11,10 @@ from tinydes._rng import SplitMix64, derive_seed
 from tinydes.data import Dataset
 from tinydes.errors import CapacityError, ModelCorruptError
 from tinydes.selection import pool_predictions
-from tinydes.trees import (DecisionTree, bootstrap_indices, generate_pool, predict_tree,
-                           train_tree)
+from tinydes.trees import DecisionTree, bootstrap_indices, generate_pool, train_tree
 
 from conftest import leaf, make_blobs, pool_of
+from tree_oracle import pool_tree, predict_tree
 from tree_oracle import train_tree as recursive_train_tree
 
 
@@ -90,10 +90,9 @@ class TestTrainTree:
         assert t.n_nodes == 3
         assert t.feature[0] == 0
         assert t.threshold[0] == pytest.approx(2.5)
-        pool = pool_of([t], 2)
-        assert predict_tree(pool, 0, [2.0]) == (0, 2)
-        assert predict_tree(pool, 0, [2.5]) == (0, 2)  # boundary goes left
-        assert predict_tree(pool, 0, [2.6]) == (1, 2)
+        labels, visits = pool_predictions(pool_of([t], 2), [[2.0], [2.5], [2.6]])
+        assert labels.tolist() == [[0, 0, 1]]  # the boundary, 2.5, goes left
+        assert visits.tolist() == [[2, 2, 2]]
 
     def test_depth_zero_majority_stump(self):
         d = dataset_1d([1, 2, 3, 4, 5], [0, 1, 1, 1, 2])
@@ -214,7 +213,8 @@ class TestAgainstRecursiveOracle:
     def test_default_pool_trees(self, blob_data):
         # generate_pool's bootstraps and seeds, depths 10 and 5
         pool = generate_pool(blob_data, ((2, 10), (2, 5)), seed=4)
-        for i, (t, depth) in enumerate(zip(map(pool.tree, range(4)), (10, 10, 5, 5))):
+        for i, depth in enumerate((10, 10, 5, 5)):
+            t = pool_tree(pool, i)
             stream = SplitMix64(derive_seed(4, i))
             boot = bootstrap_indices(stream, blob_data.n_samples)
             same_tree(t, recursive_train_tree(blob_data, boot, depth, 3, stream.next()))
@@ -272,8 +272,13 @@ def observed_depth(t: DecisionTree) -> int:
 
 
 class TestPredictTree:
+    """One tree's answers through the pool walk; the one-sample reference
+    walk, ``tree_oracle.predict_tree``, is checked against it in
+    ``test_pool_walk``."""
+
     def test_single_leaf(self):
-        assert predict_tree(pool_of([leaf(4)], 5), 0, [123.0]) == (4, 1)
+        labels, visits = pool_predictions(pool_of([leaf(4)], 5), [[123.0]])
+        assert (labels.tolist(), visits.tolist()) == ([[4]], [[1]])
 
     def test_corrupt_jump_raises(self):
         # a right child past the tree's end is rejected when the pool is built
@@ -282,9 +287,10 @@ class TestPredictTree:
 
     def test_feature_beyond_input_length(self):
         pool = pool_of([leaf(0), ([1, -1, -1], [0.5, 0, 0], [2, 0, 1])], 2)
-        with pytest.raises(ModelCorruptError, match="^node 0 references feature 1 beyond"):
-            predict_tree(pool, 1, [0.0])
-        assert predict_tree(pool, 1, [0.0, 0.0]) == (0, 2)
+        with pytest.raises(ModelCorruptError, match="^pool reads feature 1; the input has 1$"):
+            pool_predictions(pool, [[0.0]])
+        labels, visits = pool_predictions(pool, [[0.0, 0.0]])
+        assert (labels[1].tolist(), visits[1].tolist()) == ([0], [2])
 
 
 class TestGeneratePool:
@@ -312,7 +318,7 @@ class TestGeneratePool:
     def test_all_trees_structurally_valid(self, blob_data):
         pool = generate_pool(blob_data, ((5, 6), (5, 3)), seed=6)
         for i, depth in enumerate([6] * 5 + [3] * 5):
-            validate_tree(pool.tree(i), depth)
+            validate_tree(pool_tree(pool, i), depth)
 
 
 class TestBootstrap:

@@ -1,5 +1,6 @@
-"""The recursive ``train_tree``: the reference the stack-grown
-``trees.train_tree`` is checked against.
+"""The recursive ``train_tree``, the reference the stack-grown
+``trees.train_tree`` is checked against, and ``predict_tree``, the
+one-sample walk that ``selection.pool_predictions`` is checked against.
 
 ``train_tree`` below grows a tree by recursion, one ``best_split`` call per
 searched node, and turns each split's two rows into its threshold on the
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from tinydes._rng import SplitMix64
-from tinydes.errors import CapacityError
+from tinydes.errors import CapacityError, ModelCorruptError
 from tinydes.trees import DecisionTree
 
 LEAF = -1
@@ -148,3 +149,24 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
         np.array(thr_out, dtype=np.float32),
         np.array(jump_out, dtype=np.uint16),
     )
+
+
+def pool_tree(pool, i: int) -> DecisionTree:
+    """Tree ``i`` of a pool: views into the pool's node columns."""
+    s = slice(pool.first[i], pool.first[i] + pool.count[i])
+    return DecisionTree(pool.feature[s], pool.threshold[s], pool.jump[s])
+
+
+def predict_tree(pool, tree: int, x) -> tuple[int, int]:
+    """Walk one sample through tree ``tree``, one node at a time; returns
+    (class id, nodes visited)."""
+    vec = np.asarray(x, dtype=np.float32).ravel()
+    feature, threshold, jump = pool_tree(pool, tree)
+    pos = 0
+    visits = 1
+    while (f := int(feature[pos])) >= 0:
+        if f >= vec.shape[0]:
+            raise ModelCorruptError(f"node {pos} references feature {f} beyond input length")
+        pos = pos + 1 if vec[f] <= threshold[pos] else int(jump[pos])
+        visits += 1
+    return int(jump[pos]), visits
