@@ -46,6 +46,9 @@
 #                                                    cell: 352 ms
 #   load_tiny       31 KB model, J=5      0.094 ms   allocating the engine's
 #                                                    scratch buffers: 0.095 ms
+#   load_tiny       108 KB pixels784      0.828 ms   check_nodes over
+#                   engine, J=20                     interleaved (start, end)
+#                                                    bounds: 0.835 ms
 #   tiny_infer      5000 probes              78 ms   writing into buffers
 #                                                    kept on the engine: 75 ms
 #
@@ -79,6 +82,17 @@
 #     composite          48    51    53    60    70   120   274   858   8224
 #     composite + put    47    51    54    61    72   122   303   943   8825
 #
+# The pixels784 load_tiny row is the median of five processes, each the
+# median of fifteen rounds, each round the median of 41 loads by each
+# loader, the two taking turns to go first. The other loader, from the
+# commit before the end-to-end directory rule, was imported from a
+# `git archive` of that commit as a second package; its check_nodes
+# accepted overlapping and gapped directories, so it reduced each column
+# over (start, end) bounds with a spare entry and dropped the odd segments.
+# Per-process medians ranged 0.68-0.97 ms against 0.70-1.01 ms, and the
+# current loader was faster in 52 of 75 rounds; check_nodes alone on the
+# model's 10 730 nodes took 68.8 against 81.5 us (14 of 15 rounds).
+#
 # The rank_codes and fit_kmeans rows are medians of nine rounds in one
 # process, each round timing the kernel and its previous form in turn (an
 # argsort and a second full sort; ``tests/kmeans_oracle.py``). The
@@ -110,6 +124,7 @@
 # fastest on the first shape.
 
 import os
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -275,3 +290,18 @@ def run_engine():
 
 bench("load_tiny", lambda: load_tiny(blob), reps=50)
 bench("tiny_infer (5000 probes)", run_engine, reps=3)
+
+# The engine that perfbench's crossval-pixels784 workload serves and loads
+# (45 trees, k=5, J=20), trained as perfbench/workloads.py trains it on the
+# seed-1 pixels.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import datagen
+import workloads
+import tinydes
+
+pixels, pixel_labels = datagen.pixel_dataset(1)
+n_train = workloads.fold_train_rows(workloads.DESK_SCALE_ROWS)
+pixel_rows = pixels[:n_train + workloads.ENGINE_PROBES].astype(np.float32)
+pixel_blob = workloads.train_engine(tinydes, pixel_rows, pixel_labels, n_train, 1)[0]
+print(f"== compact engine, pixels784 workload ({len(pixel_blob)}-byte model) ==")
+bench("load_tiny", lambda: load_tiny(pixel_blob), reps=50)

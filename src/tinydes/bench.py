@@ -199,11 +199,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_from_text(text: str) -> ExperimentConfig:
-    """The config of ``config_settings(text)``; fields not given keep their defaults."""
-    return ExperimentConfig(**config_settings(text))
-
-
 def config_settings(text: str) -> dict:
     """The ExperimentConfig fields that ``key = value`` lines, as
     ``config_to_text`` writes them, set; blank lines and ``#`` comments are

@@ -41,11 +41,17 @@ class Dsel:
 
 @dataclass(frozen=True)
 class CompetenceModel:
-    """Each cluster's ranked ensemble; the model of a smaller J is ``top(j)``."""
+    """Each cluster's ranked ensemble; the model of a smaller J is ``top(j)``.
+    A row that lists a classifier twice raises ``SelectionError``."""
 
     kmeans: KMeansModel
-    per_cluster_accuracy: np.ndarray  # float64 [k, pool_size]
     ranking: np.ndarray  # uint16 [k, J], each cluster's distinct ensemble, best first
+
+    def __post_init__(self):
+        rows = self.per_cluster_ensemble
+        c = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+        if c.size:
+            raise SelectionError(f"cluster {c[0]}'s ensemble lists a classifier twice")
 
     @property
     def j(self) -> int:
@@ -62,7 +68,7 @@ class CompetenceModel:
         """The model of each cluster's j best classifiers."""
         if not 1 <= j <= self.j:
             raise SelectionError(f"J {j} outside 1..{self.j}")
-        return CompetenceModel(self.kmeans, self.per_cluster_accuracy, self.ranking[:, :j])
+        return CompetenceModel(self.kmeans, self.ranking[:, :j])
 
 
 @dataclass(frozen=True)
@@ -110,14 +116,12 @@ def build_competence_model(dsel: Dsel, kmeans: KMeansModel, n_acc: int, j: int) 
     pool_size = dsel.pool_size
     if not (1 <= j <= n_acc <= pool_size):
         raise SelectionError(f"need 1 <= J({j}) <= N_acc({n_acc}) <= pool({pool_size})")
-    k = kmeans.k
     member_of = assign_batch(kmeans, dsel.samples)
-    accuracy = np.empty((k, pool_size), dtype=np.float64)
-    ranking = np.empty((k, j), dtype=np.uint16)
-    for c in range(k):
+    ranking = np.empty((kmeans.k, j), dtype=np.uint16)
+    for c in range(kmeans.k):
         cols = np.nonzero(member_of == c)[0]
         region = cols if cols.size > 0 else np.arange(dsel.n_samples)
-        accuracy[c] = acc = dsel.correctness[:, region].mean(axis=1)
+        acc = dsel.correctness[:, region].mean(axis=1)
         shortlist = _rank_top(acc, n_acc)
         wrong = ~dsel.correctness[np.ix_(shortlist, region)]
         pair_counts = _kernels.both_wrong_counts(np.ascontiguousarray(wrong))
@@ -125,7 +129,7 @@ def build_competence_model(dsel: Dsel, kmeans: KMeansModel, n_acc: int, j: int) 
             region.size * max(1, n_acc - 1))
         # smallest mean double-fault, then highest accuracy, then smallest index
         ranking[c] = shortlist[np.lexsort((shortlist, -acc[shortlist], mean_df))[:j]]
-    return CompetenceModel(kmeans, accuracy, ranking)
+    return CompetenceModel(kmeans, ranking)
 
 
 # ---------------------------------------------------------------------------

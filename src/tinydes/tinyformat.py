@@ -143,7 +143,8 @@ class TinyEngine:
 
 
 def load_tiny(data: bytes) -> TinyEngine:
-    """Validate magic, version, CRC and every index bound; never repairs."""
+    """Validate magic, version, CRC, every index bound and the layout that
+    ``export_tiny`` writes; raises rather than repairs."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise FormatError("model must be a byte buffer")
     buf = bytes(data)
@@ -177,6 +178,8 @@ def load_tiny(data: bytes) -> TinyEngine:
         raise ModelCorruptError("non-finite centroid values")
     if (ensembles >= pool_size).any():
         raise ModelCorruptError("ensemble entry references a missing tree")
+    if (ensembles[:, 1:] <= ensembles[:, :-1]).any():
+        raise ModelCorruptError("ensemble row is not strictly ascending")
     dir_off = directory["off"].astype(np.int64)
     # contiguous copies: check_nodes and tolist on the 8-byte-strided record
     # fields make a load 7-10 % slower

@@ -62,38 +62,32 @@ class DecisionTree(NamedTuple):
 
 def check_nodes(feat, thr, jump, first, count, n_features: int, n_classes: int) -> None:
     """Raise ``ModelCorruptError`` for a tree with no nodes, else a
-    directory range past the node columns, else a non-finite threshold.
-    Then raise for the first tree, in directory order, with a faulty node:
-    an internal node's feature >= n_features, else a right-child jump
-    outside (position in the tree, node count), else a leaf class >= n_classes.
+    directory that does not lay the trees end to end over the node columns
+    in directory order (``first == cumsum(count) - count``, the counts
+    summing to the node count), else a non-finite threshold. Then raise for
+    the first tree, in directory order, with a faulty node: an internal
+    node's feature >= n_features, else a right-child jump outside (position
+    in the tree, node count), else a leaf class >= n_classes.
 
-    Directory ranges may overlap or leave gaps, so each fault is taken as a
-    maximum over each tree's node range: one ``maximum.reduceat`` per column
-    over the (start, end) bounds, in memory proportional to the node pool,
-    whatever the ranges add up to. An internal node g of the tree at
-    ``first`` needs g - first < jump, that is g + 1 - jump <= first.
+    Each fault is taken as a maximum over each tree's node range: one
+    ``maximum.reduceat`` per column over the trees' first nodes. An internal
+    node g of the tree at ``first`` needs g - first < jump, that is
+    g + 1 - jump <= first.
     """
     n = feat.shape[0]
     if (count < 1).any():
         raise ModelCorruptError("empty tree in directory")
-    if (first + count > n).any():
-        raise ModelCorruptError("tree directory points past the node pool")
+    if count.sum() != n or (first != count.cumsum() - count).any():
+        raise ModelCorruptError("tree directory does not lay the trees end to end")
     if not np.isfinite(thr).all():
         raise ModelCorruptError("non-finite node threshold")
     internal = feat >= 0
-    # one spare entry per column: a tree may end at n, and reduceat needs index n
-    code = np.zeros(n + 1, dtype=np.int8)  # 2: feature out of range, 1: leaf class
-    back = np.zeros(n + 1, dtype=np.int64)  # g + 1 - jump at internal nodes
-    fwd = np.zeros(n + 1, dtype=np.int64)  # jump at internal nodes
-    np.multiply(feat >= n_features, 2, out=code[:-1])
-    code[:-1] += (jump >= n_classes) & ~internal
-    np.subtract(np.arange(1, n + 1), jump, out=back[:-1])
-    back[:-1] *= internal
-    np.multiply(jump, internal, out=fwd[:-1])
-    # even segments are the trees; odd ones, from a tree's end to the next
-    # tree's start, are discarded
-    bounds = np.column_stack((first, first + count)).ravel()
-    code, back, fwd = (np.maximum.reduceat(a, bounds)[::2] for a in (code, back, fwd))
+    code = np.multiply(feat >= n_features, 2, dtype=np.int8)  # 2: feature out of range
+    code += (jump >= n_classes) & ~internal  # 1: leaf class out of range
+    back = np.subtract(np.arange(1, n + 1), jump)  # g + 1 - jump at internal nodes
+    back *= internal
+    fwd = np.multiply(jump, internal, dtype=np.int64)  # jump at internal nodes
+    code, back, fwd = (np.maximum.reduceat(a, first) for a in (code, back, fwd))
     bad_jump = (back > first) | (fwd >= count)
     failing = np.flatnonzero(code | bad_jump)
     if failing.size:

@@ -253,8 +253,9 @@ class TestBuildCompetenceModel:
         dsel = dsel_from_correctness(rng.rand(6, 30) > 0.5, samples=samples)
         km = fit_kmeans(samples, 2, seed=3)
         cm = build_competence_model(dsel, km, 4, 4)
+        member_of = assign_batch(km, samples)
         for c in range(2):
-            acc = cm.per_cluster_accuracy[c]
+            acc = dsel.correctness[:, member_of == c].mean(axis=1)
             expect = sorted(sorted(range(6), key=lambda i: (-acc[i], i))[:4])
             np.testing.assert_array_equal(cm.per_cluster_ensemble[c], expect)
 
@@ -310,7 +311,6 @@ class TestBuildCompetenceModel:
             assert top.j == j
             np.testing.assert_array_equal(top.ranking, alone.ranking)
             np.testing.assert_array_equal(top.per_cluster_ensemble, alone.per_cluster_ensemble)
-            np.testing.assert_array_equal(top.per_cluster_accuracy, alone.per_cluster_accuracy)
             np.testing.assert_array_equal(top.per_cluster_ensemble,
                                           brute_force_competence(dsel, km, n_acc, j))
         for j in (0, n_acc + 1):
@@ -349,8 +349,17 @@ class TestBuildCompetenceModel:
         dsel = dsel_from_correctness(corr, samples=samples)
         km = KMeansModel(np.array([[0.0], [99.0]], np.float32), 0.0, 0)
         cm = build_competence_model(dsel, km, 2, 1)
-        np.testing.assert_allclose(cm.per_cluster_accuracy[1], [4 / 6, 2 / 6])
         assert cm.per_cluster_ensemble[1, 0] == 0
+
+    @pytest.mark.parametrize("ranking, cluster", [([[0, 2, 0]], 0), ([[0, 1], [1, 1]], 1),
+                                                  ([[3, 3], [2, 2]], 0)])
+    def test_repeated_classifier_rejected(self, ranking, cluster):
+        # build_competence_model ranks distinct classifiers; a hand-built row
+        # that repeats one would be walked twice by the engine and the C
+        km = KMeansModel(np.zeros((len(ranking), 1), np.float32), 0.0, 0)
+        with pytest.raises(SelectionError,
+                           match=f"^cluster {cluster}'s ensemble lists a classifier twice$"):
+            CompetenceModel(km, np.array(ranking, np.uint16))
 
 
 def des_answer(cm, pool, x):
@@ -366,7 +375,7 @@ class TestDesClusteringPredict:
     def test_unanimous(self):
         km = KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0)
         pool = constant_pool([3, 3, 3], n_classes=8)
-        cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16))
+        cm = CompetenceModel(km, np.array([[0, 1, 2]], np.uint16))
         res = des_answer(cm, pool, [0.0])
         assert res.label == 3 and res.votes[3] == 3
         assert res.cost == 3 + 1  # three leaf visits + one centroid
@@ -374,14 +383,14 @@ class TestDesClusteringPredict:
     def test_vote_tie_smallest_class(self):
         km = KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0)
         pool = constant_pool([0, 0, 1, 1, 3], n_classes=4)
-        cm = CompetenceModel(km, np.ones((1, 5)), np.array([[0, 1, 2, 3, 4]], np.uint16))
+        cm = CompetenceModel(km, np.array([[0, 1, 2, 3, 4]], np.uint16))
         assert des_answer(cm, pool, [0.0]).label == 0
 
     def test_cluster_routing(self):
         # two clusters with disjoint ensembles: the query's cell decides
         km = KMeansModel(np.array([[-5.0], [5.0]], np.float32), 0.0, 0)
         pool = constant_pool([0, 1], n_classes=2)
-        cm = CompetenceModel(km, np.ones((2, 2)), np.array([[0], [1]], np.uint16))
+        cm = CompetenceModel(km, np.array([[0], [1]], np.uint16))
         res = des_answer(cm, pool, [5.0])
         np.testing.assert_array_equal(res.ensemble_used, [1])
         assert res.label == 1

@@ -1,10 +1,12 @@
 import dataclasses
+import re
 import shutil
 import struct
 import subprocess
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ def minimal_model():
     s = Standardizer(np.array([1.0, 2.0], np.float32), np.array([0.5, 0.25], np.float32))
     pool = pool_of([leaf(3)], 4)
     km = KMeansModel(np.array([[0.5, -1.5]], np.float32), 0.0, 1)
-    cm = CompetenceModel(km, np.ones((1, 1)), np.array([[0]], np.uint16))
+    cm = CompetenceModel(km, np.array([[0]], np.uint16))
     return s, cm, pool
 
 
@@ -48,8 +50,7 @@ def near_tie_model():
     centroids[1] = probe
     centroids[1, :2] = 0.0, tiny - 2.0 ** -26
     s = Standardizer(np.zeros(nf, np.float32), np.ones(nf, np.float32))
-    cm = CompetenceModel(KMeansModel(centroids, 0.0, 1), np.ones((2, 2)),
-                         np.array([[0], [1]], np.uint16))
+    cm = CompetenceModel(KMeansModel(centroids, 0.0, 1), np.array([[0], [1]], np.uint16))
     return s, cm, pool_of([leaf(0), leaf(1)], 2), probe
 
 
@@ -89,7 +90,7 @@ class TestExport:
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
         pool = pool_of([leaf(c % 3) for c in range(5)], 3)
         km = KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0)
-        cm = CompetenceModel(km, np.ones((1, 5)), np.array([[1, 4]], np.uint16))
+        cm = CompetenceModel(km, np.array([[1, 4]], np.uint16))
         blob, manifest = export_tiny(s, cm, pool)
         e = load_tiny(blob)
         assert e.pool_size == 2
@@ -112,10 +113,21 @@ class TestExport:
                                          apply_standardizer(p["standardizer"], x))
             assert tiny_predict(engine, x)[0] == ref.label
 
+    def test_format_doc_hex_dump(self):
+        # the worked example's dump in docs/FORMAT.md, offsets checked line by line
+        doc = Path(__file__).resolve().parents[1] / "docs" / "FORMAT.md"
+        dump = b""
+        for offset, hexbytes in re.findall(r"^([0-9a-f]{4})  ((?:[0-9a-f]{2} )*[0-9a-f]{2})",
+                                           doc.read_text(encoding="utf-8"), re.MULTILINE):
+            assert int(offset, 16) == len(dump)
+            dump += bytes.fromhex(hexbytes)
+        assert dump == export_tiny(*minimal_model())[0]
+        assert len(dump) == 68 and struct.unpack("<I", dump[-4:]) == (0x10DFCA98,)
+        assert load_tiny(dump).predict([0.25, -7.0]) == (3, 2)
+
     def test_capacity_error_many_classifiers(self):
         s, cm, pool = minimal_model()
-        big = CompetenceModel(cm.kmeans, cm.per_cluster_accuracy,
-                              np.array([[70000]], np.uint32).astype(np.uint32))
+        big = CompetenceModel(cm.kmeans, np.array([[70000]], np.uint32))
         with pytest.raises((CapacityError, ModelCorruptError)):
             export_tiny(s, big, pool)
 
@@ -152,9 +164,8 @@ class TestLoad:
         pool = pool_of(trees, n_classes)
         s = Standardizer(rng.randn(nf), np.exp(rng.randn(nf)))
         centroids = rng.randn(k, nf).astype(np.float32)
-        ensembles = np.sort(rng.randint(0, pool_size, (k, j)), axis=1).astype(np.uint16)
-        cm = CompetenceModel(KMeansModel(centroids, 0.0, 0), np.ones((k, pool_size)),
-                             ensembles)
+        ensembles = distinct_rows(rng, k, min(j, pool_size), pool_size)
+        cm = CompetenceModel(KMeansModel(centroids, 0.0, 0), ensembles)
         blob, manifest = export_tiny(s, cm, pool)
         # the same inputs, and the same trees built into a second pool, give
         # the same bytes
@@ -165,11 +176,8 @@ class TestLoad:
         np.testing.assert_array_equal(engine.mean, s.mean)
         np.testing.assert_array_equal(engine.inv_std, s.inv_std)
         np.testing.assert_array_equal(engine.centroids, centroids)
-        # the ensembles may list a tree more than once; the engine and the
-        # per-query oracle walk it once per listing
         for x in rng.randn(40, nf).astype(np.float32) * 3:
-            ref = des_clustering_oracle(cm, pool, apply_standardizer(s, x))
-            assert engine.predict(x) == (ref.label, ref.cost)
+            assert engine.predict(x) == des_answer(cm, pool, apply_standardizer(s, x))
 
     def test_truncated(self):
         s, cm, pool = minimal_model()
@@ -207,6 +215,17 @@ class TestLoad:
         struct.pack_into("<H", bad, 48, 9)
         body = bytes(bad[:-4])
         with pytest.raises(ModelCorruptError):
+            load_tiny(body + struct.pack("<I", zlib.crc32(body)))
+
+    @pytest.mark.parametrize("row", [(0, 0, 2), (0, 2, 2), (1, 0, 2), (0, 2, 1)])
+    def test_ensemble_row_not_strictly_ascending(self, row):
+        # export writes each ensemble row's distinct trees in ascending order
+        blob, _ = export_tiny(*three_tree_model())
+        bad = bytearray(blob)
+        # ensemble section at 24 + 16 + 8: one cluster's three u16 ids
+        struct.pack_into("<3H", bad, 48, *row)
+        body = bytes(bad[:-4])
+        with pytest.raises(ModelCorruptError, match="^ensemble row is not strictly ascending$"):
             load_tiny(body + struct.pack("<I", zlib.crc32(body)))
 
     def test_jump_out_of_range(self):
@@ -252,7 +271,7 @@ def three_tree_model():
               ([-1], [0], [1]))
     pool = pool_of(shapes, 3)
     km = KMeansModel(np.zeros((1, 2), np.float32), 0.0, 0)
-    cm = CompetenceModel(km, np.ones((1, 3)), np.array([[0, 1, 2]], np.uint16))
+    cm = CompetenceModel(km, np.array([[0, 1, 2]], np.uint16))
     return s, cm, pool
 
 
@@ -275,9 +294,9 @@ def with_sections(blob, directory, nodes):
 
 
 def loop_oracle(blob):
-    """The per-tree validation loop that ``load_tiny`` ran before its checks
-    were vectorized, from the directory checks on. Returns the (type,
-    message) it raises, or None when the model is accepted."""
+    """The per-tree validation loop of ``load_tiny``'s layout checks, from
+    the directory checks on. Returns the (type, message) it raises, or None
+    when the model is accepted."""
     _, _, nf, n_classes, *_ = HEADER.unpack_from(blob, 0)
     directory, nodes, _ = sections(blob)
     return directory_loop(directory, nodes, nf, n_classes)
@@ -290,8 +309,13 @@ def directory_loop(directory, nodes, nf, n_classes):
     dir_cnt = directory["cnt"].astype(np.int64)
     if (dir_cnt < 1).any():
         return ModelCorruptError, "empty tree in directory"
-    if ((dir_off + dir_cnt) > n_nodes).any():
-        return ModelCorruptError, "tree directory points past the node pool"
+    end = 0  # each tree starts where the one before it ends
+    for lo, cnt in zip(dir_off.tolist(), dir_cnt.tolist()):
+        if lo != end:
+            return ModelCorruptError, "tree directory does not lay the trees end to end"
+        end += cnt
+    if end != n_nodes:
+        return ModelCorruptError, "tree directory does not lay the trees end to end"
     feat, jump = nodes["feature"], nodes["right_jump"]
     if not np.isfinite(nodes["threshold"]).all():
         return ModelCorruptError, "non-finite node threshold"
@@ -319,14 +343,14 @@ def load_outcome(blob):
 
 
 def directory_pool(blob):
-    """A pool holding, per directory entry, the trees its node range spells
-    out, overlaps and all: the reference reading of any accepted model."""
+    """A pool holding, per directory entry, the tree its node range spells
+    out: the reference reading of any accepted model."""
     e = load_tiny(blob)
     directory, nodes, _ = sections(blob)
     trees = [(nodes["feature"][o : o + c], nodes["threshold"][o : o + c],
               nodes["right_jump"][o : o + c]) for o, c in directory.tolist()]
     km = KMeansModel(e.centroids, 0.0, 0)
-    cm = CompetenceModel(km, np.ones((e.k, e.pool_size)), e.ensembles)
+    cm = CompetenceModel(km, e.ensembles)
     return e, cm, pool_of(trees, e.n_classes)
 
 
@@ -367,7 +391,7 @@ class TestNodeChecks:
 
     def test_directory_past_node_pool(self):
         self.expect(self.corrupt(entry=2, off_cnt=(8, 2)),
-                    "tree directory points past the node pool")
+                    "tree directory does not lay the trees end to end")
 
     def test_first_tree_and_first_fault_win(self):
         blob = self.corrupt(node=8, field="right_jump", value=9)  # tree 2 leaf
@@ -381,17 +405,15 @@ class TestNodeChecks:
         [(0, 5), (0, 5), (5, 3)],
         [(8, 1), (5, 3), (0, 5)],
         [(0, 5), (8, 1), (8, 1)],  # nodes 5-7 belong to no tree
+        [(0, 5), (5, 2), (7, 1)],  # end to end, but node 8 belongs to no tree
     ])
     def test_overlapping_and_gapped_directories(self, directory):
+        # export lays the trees end to end and the loader accepts nothing else
         blob, _ = export_tiny(*three_tree_model())
         table, nodes, _ = sections(blob)
         table[:] = directory
-        blob = with_sections(blob, table, nodes)
-        assert load_outcome(blob) is None and loop_oracle(blob) is None
-        e, cm, pool = directory_pool(blob)
-        for x in [(a, b) for a in (-1.0, 0.0, 2.0) for b in (-2.0, 0.5, 1.0)]:
-            ref = des_clustering_predict(cm, pool, np.array(x, np.float32))
-            assert e.predict(x) == (ref.label, ref.cost)
+        self.expect(with_sections(blob, table, nodes),
+                    "tree directory does not lay the trees end to end")
 
     @settings(max_examples=400, deadline=None)
     @given(edits=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(["feature", "right_jump"]),
@@ -502,7 +524,7 @@ class TestU16Edges:
         alone, after checking its node section and answers."""
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
         cm = CompetenceModel(KMeansModel(np.zeros((1, 1), np.float32), 0.0, 0),
-                             np.ones((1, pool.pool_size)), np.array([[tree]], np.uint16))
+                             np.array([[tree]], np.uint16))
         engine = load_tiny(export_tiny(s, cm, pool)[0])
         for name, col in zip(("feature", "threshold", "jump"), pool_tree(pool, tree)):
             np.testing.assert_array_equal(getattr(engine, "walk_" + name), col)
@@ -530,14 +552,14 @@ class TestU16Edges:
 
     @pytest.mark.parametrize("retained", [65535, 65536])
     def test_retained_classifiers(self, retained):
-        # k = 2 clusters of J = 32 768 single-leaf trees; at 65 535 the last
-        # tree fills the last two places of the second row
-        k, j = 2, 32768
+        # k = 2 clusters of J = 32 768 distinct single-leaf trees: at 65 535
+        # the rows are trees 0..32 767 and 32 767..65 534, sharing one
+        j = 32768
         pool = pool_of([leaf(t % 2) for t in range(retained)], 2)
-        ensembles = np.minimum(np.arange(k * j), retained - 1).reshape(k, j)
+        ensembles = np.arange(j) + np.array([[0], [retained - j]])
         s = Standardizer(np.zeros(1, np.float32), np.ones(1, np.float32))
         cm = CompetenceModel(KMeansModel(np.array([[-1.0], [1.0]], np.float32), 0.0, 0),
-                             np.ones((k, retained)), ensembles.astype(np.uint16))
+                             ensembles.astype(np.uint16))
         if retained == 65536:
             with pytest.raises(CapacityError,
                                match="^65536 retained classifiers exceed the u16 limit$"):
@@ -545,11 +567,8 @@ class TestU16Edges:
             return
         engine = load_tiny(export_tiny(s, cm, pool)[0])
         assert engine.pool_size == 65535
-        # the second row lists the last tree twice; the engine and the
-        # per-query oracle walk it twice, where the batch rule counts a
-        # classifier once (build_competence_model never repeats one)
         for x in (-1.0, 1.0):
-            ref = des_clustering_oracle(cm, pool, np.array([x], np.float32))
+            ref = des_clustering_predict(cm, pool, np.array([x], np.float32))
             assert engine.predict([x]) == (ref.label, ref.cost)
 
 
@@ -574,6 +593,20 @@ def random_tree(rng, nf, n_classes, depth):
     grow(depth)
     return DecisionTree(np.array(feat, np.int16), np.array(thr, np.float32),
                         np.array(jump, np.uint16))
+
+
+def distinct_rows(rng, k, j, pool_size):
+    """k random ensembles of j distinct trees each, as export writes them."""
+    rows = [np.sort(rng.permutation(pool_size)[:j]) for _ in range(k)]
+    return np.array(rows, np.uint16)
+
+
+def des_answer(cm, pool, x):
+    """``des_clustering_predict``'s (label, cost) for the standardized x,
+    after checking that the per-query oracle gives the same."""
+    got, want = des_clustering_predict(cm, pool, x), des_clustering_oracle(cm, pool, x)
+    assert (got.label, got.cost) == (want.label, want.cost)
+    return got.label, got.cost
 
 
 def pinned_probes():
@@ -635,9 +668,8 @@ class TestTinyPredict:
         # every probe below standardizes exactly: dyadic means, power-of-two scales
         s = Standardizer(rng.randint(-4, 5, nf) / 2, 2.0 ** rng.randint(-2, 3, nf))
         centroids = (rng.randint(-8, 9, (k, nf)) / 4).astype(np.float32)
-        ensembles = np.sort(rng.randint(0, pool_size, (k, j)), axis=1).astype(np.uint16)
-        cm = CompetenceModel(KMeansModel(centroids, 0.0, 0), np.ones((k, pool_size)),
-                             ensembles)
+        ensembles = distinct_rows(rng, k, min(j, pool_size), pool_size)
+        cm = CompetenceModel(KMeansModel(centroids, 0.0, 0), ensembles)
         engine = load_tiny(export_tiny(s, cm, pool)[0])
         grid = np.unique(np.concatenate([t.threshold for t in trees] + [centroids.ravel()]))
         exact = [rng.choice(grid, nf).astype(np.float32) for _ in range(12)]  # on thresholds
@@ -659,11 +691,8 @@ class TestTinyPredict:
             x = probes[0].copy()
             x[col] = value
             probes.append(x)
-        # the ensembles may list a tree more than once; the engine and the
-        # per-query oracle walk it once per listing
         for x in probes:
-            ref = des_clustering_oracle(cm, pool, apply_standardizer(s, x))
-            assert engine.predict(x) == (ref.label, ref.cost)
+            assert engine.predict(x) == des_answer(cm, pool, apply_standardizer(s, x))
 
     def test_pinned_answers(self, trained):
         p = trained

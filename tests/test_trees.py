@@ -183,8 +183,9 @@ def same_tree(a: DecisionTree, b: DecisionTree) -> None:
 
 class TestAgainstRecursiveOracle:
     """The stack-grown tree against the recursive ``train_tree`` it replaced
-    (``tests/tree_oracle.py``, with that version's kernels): the same
-    feature, threshold-bit and jump arrays."""
+    (``tests/tree_oracle.py``, which searches splits with
+    ``split_oracle.value_best_split``): the same feature, threshold-bit and
+    jump arrays."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n_base=st.integers(1, 12), n_rows=st.integers(1, 40),
