@@ -25,8 +25,9 @@
 #   rank_codes      1250x784 pixels          27 ms   once per pool; argsort and
 #                                                    a second sort: 39 ms
 #   sample_sorted_rows  128 x (28 of 784)   0.36 ms  128 per-node draws: 4.6 ms
-#   generate_pool   1250x784 pixel fold     408 ms   int32 argsort rule below
-#                                                    32 rows: 408 ms
+#   generate_pool   1250x784 pixel fold     455 ms   grown trees as a second
+#                                                    record, checked only in
+#                                                    the pool: 441 ms
 #   fit_kmeans      1250x784 pixel fold      27 ms   k=5, 3 iterations; every
 #                                                    distance in every
 #                                                    assignment: 41 ms
@@ -58,12 +59,21 @@
 # an earlier form in turn: 2000 calls on one small node, five on a
 # 30000-row node, three pools. The 30000-row, n=60 and n=300 rows are nine
 # rounds against the put-scatter form (a put in place of the third sort,
-# int64 prefix sums, aranges built per node). The n=10, n=26 and
-# generate_pool rows are eleven rounds, timed later in one process, against
-# the kernel that sorted nodes below 32 rows by a stable int32 argsort of
-# keys and labels and scattered 2r+1 back with one put; the single composite
-# rule won 2, 4, 7 and 2 of 11 rounds on the four small nodes and 5 of 11
-# pools.
+# int64 prefix sums, aranges built per node). The n=10 and n=26 rows are
+# eleven rounds, timed later in one process, against the kernel that sorted
+# nodes below 32 rows by a stable int32 argsort of keys and labels and
+# scattered 2r+1 back with one put; the single composite rule won 2, 4, 7
+# and 2 of 11 rounds on the four small nodes, and 5 of 11 pools (408 ms
+# either way in that session).
+#
+# The generate_pool row is the median of three processes of 11, 15 and 15
+# rounds, each round growing this fold's pool with this package and with
+# the commit before ``train_tree`` returned a one-tree pool, imported from a
+# `git archive` as a second package, the two taking turns to go first. Both
+# give the same pool. Each tree now passes ``ClassifierPool.from_trees`` on
+# its own, about 130 us for a 173-node tree, or some 6 ms a pool. Process
+# medians were 455, 490 and 447 ms against 441, 508 and 437 ms, and this
+# package was faster in 10 of 41 rounds.
 #
 # Each rule forced at every node size, before that small-node rule was
 # removed: microseconds per call, the fastest of repeated calls on each of

@@ -227,11 +227,13 @@ def split_threshold(v0, v1):
 # tree's first node. One call walks any (tree, row) pairs at once, each from
 # its tree's first node. Every step moves each pair one node down; a leaf
 # steps to itself, so the walk steps until every pair is at a leaf, and
-# visits count the nodes on each path. The columns must be valid:
-# ``ClassifierPool.from_trees`` checks once that children lie inside their
-# tree and after their parent, which ends every walk, and callers check that
-# every feature id is below the input width. The int16/uint16 columns are
-# widened to intp once per call; index sums of the narrow gathers are slower.
+# visits count the nodes on each path. The columns must be valid: every
+# pool, a grown tree's one-tree pool among them, is built by
+# ``ClassifierPool.from_trees``, whose ``check_nodes`` (shared with
+# ``load_tiny``) requires children to lie inside their tree and after their
+# parent, which ends every walk; callers check that every feature id is
+# below the input width. The int16/uint16 columns are widened to intp once
+# per call; index sums of the narrow gathers are slower.
 # ---------------------------------------------------------------------------
 
 

@@ -399,10 +399,11 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         data = spec.load(limit, derive_seed(ds_seed, 999))
         plan = make_fold_plan(data, cfg.n_splits, cfg.n_repeats, derive_seed(ds_seed, 0))
         by_key: dict[tuple[str, str], list[FoldRecord]] = {}
-        for repeat, fold, train_idx, test_idx in plan.iter_folds():
+        for repeat, fold in np.ndindex(cfg.n_repeats, cfg.n_splits):
+            test = plan[repeat] == fold
             fold_seed = derive_seed(ds_seed, 1 + repeat * cfg.n_splits + fold)
-            for r in _evaluate_fold(cfg, data.subset(train_idx), data.subset(test_idx),
-                                    fold_seed):
+            for r in _evaluate_fold(cfg, data.subset(np.flatnonzero(~test)),
+                                    data.subset(np.flatnonzero(test)), fold_seed):
                 r.dataset, r.repeat, r.fold = spec.name, repeat, fold
                 by_key.setdefault((r.method, r.params), []).append(r)
         # one row per key: a method that failed on any fold is one failed
@@ -445,6 +446,8 @@ def measure_inference(engine, probes: Dataset, warmup: int = 1, reps: int = 3):
     """
     if probes.n_samples == 0:
         raise IoError("no probes to measure")
+    if reps < 1 or warmup < 0:
+        raise IoError(f"reps must be >= 1 and warmup >= 0, got reps={reps}, warmup={warmup}")
     feats = probes.features
     n = probes.n_samples
     for _ in range(warmup):
@@ -452,7 +455,7 @@ def measure_inference(engine, probes: Dataset, warmup: int = 1, reps: int = 3):
             engine.predict(feats[i])
     walls = []
     ref_costs = None
-    for _ in range(max(1, reps)):
+    for _ in range(reps):
         costs = np.empty(n, dtype=np.int64)
         for i in range(n):
             t0 = time.perf_counter()
@@ -474,7 +477,7 @@ def measure_inference(engine, probes: Dataset, warmup: int = 1, reps: int = 3):
         "mean_cost": float(ref_costs.mean()),
         "std_cost": float(ref_costs.std()),
         "n_probes": n,
-        "reps": max(1, reps),
+        "reps": reps,
     }
 
 

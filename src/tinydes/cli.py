@@ -114,6 +114,10 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_bench_infer(args) -> int:
+    if args.reps < 1 or args.warmup < 0:
+        print(f"error: --reps must be >= 1 and --warmup >= 0, got {args.reps} and "
+              f"{args.warmup}", file=sys.stderr)
+        return 2
     engine = load_tiny(Path(args.model).read_bytes())
     probes = _spec_from_flags(args).load()
     stats = measure_inference(engine, probes, warmup=args.warmup, reps=args.reps)
@@ -186,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-infer", help="time a .tdes engine on probe data")
     p.add_argument("--model", required=True)
     _add_dataset_flags(p)
-    p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--warmup", type=int, default=1, help="untimed passes, >= 0 (default 1)")
+    p.add_argument("--reps", type=int, default=3, help="timed passes, >= 1 (default 3)")
     p.set_defaults(fn=cmd_bench_infer)
 
     p = sub.add_parser("export-src", help="emit the C89 source form of a .tdes model")
@@ -195,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_export_src)
 
-    p = sub.add_parser("inspect", help="validate a .tdes file and dump its manifest")
+    p = sub.add_parser("inspect", help="validate a .tdes file and print its counts and sizes")
     p.add_argument("--model", required=True)
     p.set_defaults(fn=cmd_inspect)
     return ap

@@ -97,27 +97,6 @@ class Standardizer:
         return self.mean.shape[0]
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Stratified repeated k-fold assignments, one fold id per sample per repeat."""
-
-    n_splits: int
-    n_repeats: int
-    assignments: np.ndarray  # uint16 [n_repeats, n_samples]
-
-    def train_test_indices(self, repeat: int, fold: int):
-        a = self.assignments[repeat]
-        test = np.nonzero(a == fold)[0]
-        train = np.nonzero(a != fold)[0]
-        return train, test
-
-    def iter_folds(self):
-        for r in range(self.n_repeats):
-            for f in range(self.n_splits):
-                train, test = self.train_test_indices(r, f)
-                yield r, f, train, test
-
-
 IDX_READ_CHUNK = 1 << 20
 
 
@@ -436,8 +415,10 @@ def stratified_split(d: Dataset, fraction: float, seed: int):
     return d.subset(first), d.subset(second)
 
 
-def make_fold_plan(d: Dataset, n_splits: int, n_repeats: int, seed: int) -> FoldPlan:
-    """Repeated stratified k-fold assignment.
+def make_fold_plan(d: Dataset, n_splits: int, n_repeats: int, seed: int) -> np.ndarray:
+    """Repeated stratified k-fold assignment: the uint16 [n_repeats,
+    n_samples] table of each sample's fold per repeat. Fold f of repeat r
+    tests the rows where ``plan[r] == f`` and trains on the rest.
 
     Per repeat, each class is dealt base = count // n_splits samples per fold
     and the remainder goes to the currently lightest folds, so per-class and
@@ -474,4 +455,4 @@ def make_fold_plan(d: Dataset, n_splits: int, n_repeats: int, seed: int) -> Fold
                 assignments[r, perm[start : start + quota[fold]]] = fold
                 start += quota[fold]
             loads += quota
-    return FoldPlan(n_splits, n_repeats, assignments)
+    return assignments

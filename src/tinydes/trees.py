@@ -8,10 +8,12 @@ Node layout: ``feature[i] < 0`` marks a leaf whose class id sits in
 and everything else to node ``jump[i]`` (an index within the tree). This is
 the exact record the compact binary format stores, so the training graph
 and the embedded interpreter walk identical structures. A pool lays its
-trees end to end in the format's field types, as the node section does, and
-``ClassifierPool.from_trees`` checks the layout once with ``check_nodes``,
-which ``load_tiny`` shares. Prediction walks every (tree, row) pair over
-those columns at once (``selection.pool_predictions``).
+trees end to end in the format's field types, as the node section does.
+``ClassifierPool.from_trees`` builds every pool and checks its layout with
+``check_nodes``, which ``load_tiny`` shares: ``train_tree`` returns a
+one-tree pool, and ``generate_pool`` lays those trees end to end.
+Prediction walks every (tree, row) pair over those columns at once
+(``selection.pool_predictions``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,18 +47,6 @@ def _field(values, dtype, what: str) -> np.ndarray:
     if bad.size:
         raise CapacityError(f"{what} {bad[0]} outside the {info.dtype} field")
     return a.astype(dtype)
-
-
-class DecisionTree(NamedTuple):
-    """One tree's preorder node columns, as ``train_tree`` grows them."""
-
-    feature: np.ndarray  # -1 marks a leaf
-    threshold: np.ndarray  # 0 for leaves
-    jump: np.ndarray  # right child index, or class id at leaves
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
 
 
 def check_nodes(feat, thr, jump, first, count, n_features: int, n_classes: int) -> None:
@@ -156,8 +145,9 @@ def _majority(counts: np.ndarray) -> int:
 
 
 def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
-               rng_seed: int) -> DecisionTree:
-    """Greedy CART growth over the given (possibly repeated) sample indices.
+               rng_seed: int) -> ClassifierPool:
+    """Greedy CART growth over the given (possibly repeated) sample indices,
+    as a one-tree pool.
 
     At each node ``max_features`` (at least 1; every feature when it is the
     feature count or more) distinct candidate features are drawn from a
@@ -232,7 +222,7 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
         nodes, feats, r0, r1 = np.array(splits, dtype=np.int64).T
         X = data.features
         threshold[nodes] = _kernels.split_threshold(X[r0, feats], X[r1, feats])
-    return DecisionTree(np.array(feature), threshold, np.array(jump))
+    return ClassifierPool.from_trees([(feature, threshold, jump)], n_classes)
 
 
 def bootstrap_indices(rng: SplitMix64, n: int) -> np.ndarray:
@@ -254,6 +244,6 @@ def generate_pool(train: Dataset, forests=DEFAULT_FORESTS, seed: int = 0) -> Cla
         for _ in range(n_trees):
             stream = SplitMix64(derive_seed(seed, len(trees)))
             boot = bootstrap_indices(stream, train.n_samples)
-            grow_seed = stream.next()
-            trees.append(train_tree(train, boot, max_depth, max_features, grow_seed))
+            t = train_tree(train, boot, max_depth, max_features, stream.next())
+            trees.append((t.feature, t.threshold, t.jump))
     return ClassifierPool.from_trees(trees, train.n_classes)

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinydes import _kernels, bench
+from tinydes._rng import derive_seed
 from tinydes.bench import (DatasetSpec, ExperimentConfig, config_settings,
                            config_to_text, desk_scale_subset, emit_report,
                            measure_inference, run_experiment)
-from tinydes.data import Dataset
+from tinydes.data import Dataset, make_fold_plan
 from tinydes.errors import IoError, NondeterminismError, SelectionError
 from tinydes.tinyformat import export_tiny, load_tiny
 
@@ -283,6 +284,33 @@ class TestRunExperiment:
         rows2 = [(fr.repeat, fr.fold, fr.accuracy, fr.pool_fingerprint)
                  for fr in t2.fold_records if fr.dataset == "blobs"]
         assert rows1 == rows2
+
+    def test_folds_split_by_the_plan(self, tmp_path, monkeypatch):
+        # one feature holding the row id, so each part's features name its
+        # rows; fold (repeat, fold) tests the rows where plan[repeat] == fold
+        # and trains on the rest, in row order, with its own derived seed
+        n, n_splits, n_repeats = 47, 3, 2
+        labels = np.arange(n) % 3
+        path = tmp_path / "rows.csv"
+        path.write_text("".join(f"{i},{c}\n" for i, c in enumerate(labels)))
+        cfg = small_config(path, tmp_path / "r", n_splits=n_splits, n_repeats=n_repeats)
+        calls = []
+        monkeypatch.setattr(bench, "_evaluate_fold",
+                            lambda cfg, train, test, seed: calls.append((train, test, seed)) or [])
+        run_experiment(cfg)
+        ds_seed = bench._dataset_seed(cfg.seed, "blobs")
+        plan = make_fold_plan(cfg.datasets[0].load(), n_splits, n_repeats,
+                              derive_seed(ds_seed, 0))
+        assert len(calls) == n_repeats * n_splits
+        for (repeat, fold), (train, test, seed) in zip(np.ndindex(n_repeats, n_splits), calls):
+            assert seed == derive_seed(ds_seed, 1 + repeat * n_splits + fold)
+            train_rows, test_rows = (part.features[:, 0].astype(np.int64) for part in (train, test))
+            np.testing.assert_array_equal(test_rows, np.flatnonzero(plan[repeat] == fold))
+            assert (np.diff(train_rows) > 0).all()
+            np.testing.assert_array_equal(np.union1d(train_rows, test_rows), np.arange(n))
+            assert train_rows.size + test_rows.size == n
+            np.testing.assert_array_equal(train.labels, labels[train_rows])
+            np.testing.assert_array_equal(test.labels, labels[test_rows])
 
     def test_desk_scale_subset_stratified(self):
         data = make_blobs(n_per_class=300, n_features=4, n_classes=3, seed=4)
@@ -587,6 +615,22 @@ class TestMeasureInference:
         probes = make_blobs(n_per_class=5, n_features=2, n_classes=4, seed=1)
         stats = measure_inference(engine, probes, warmup=0, reps=2)
         assert stats["mean_cost"] == 2.0 and stats["std_cost"] == 0.0
+
+    @pytest.mark.parametrize("warmup, reps", [(1, 0), (1, -4), (-2, 3)])
+    def test_bad_counts_raise_before_any_probe(self, warmup, reps):
+        class CountingEngine:
+            calls = 0
+
+            def predict(self, x):
+                self.calls += 1
+                return 0, 1
+
+        engine = CountingEngine()
+        probes = make_blobs(n_per_class=3, n_features=2, n_classes=2, seed=1)
+        with pytest.raises(IoError, match=f"^reps must be >= 1 and warmup >= 0, "
+                                          f"got reps={reps}, warmup={warmup}$"):
+            measure_inference(engine, probes, warmup=warmup, reps=reps)
+        assert engine.calls == 0
 
     def test_varying_cost_raises_typed_error(self):
         class DriftingEngine:

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from tinydes import bench
+from tinydes import bench, cli
 from tinydes.bench import DEFAULT_FULL_METHODS, METHOD_ORDER, PARSERS
 from tinydes.cli import build_parser, main
 from tinydes.tinyformat import load_tiny
@@ -184,6 +184,25 @@ class TestBenchInfer:
         assert "mean cost per probe" in out
         assert "p50 / p99 per probe" in out
         assert re.search(r"throughput +: [1-9][0-9]* probes/s", out)
+
+
+    @pytest.mark.parametrize("warmup, reps", [("1", "0"), ("1", "-4"), ("-1", "3"), ("-2", "3")])
+    def test_bad_count_is_usage_error(self, model_dir, csv_path, monkeypatch, capsys,
+                                      warmup, reps):
+        # rejected before the model or the probes load
+        loads = []
+        monkeypatch.setattr(cli, "load_tiny", lambda blob: loads.append(blob))
+        rc = main(["bench-infer", "--model", str(model_dir / "model_j2.tdes"),
+                   "--dataset", str(csv_path), "--warmup", warmup, "--reps", reps])
+        assert rc == 2 and loads == []
+        assert capsys.readouterr().err == (f"error: --reps must be >= 1 and --warmup >= 0, "
+                                           f"got {reps} and {warmup}\n")
+
+    def test_least_counts_run(self, model_dir, csv_path, capsys):
+        rc = main(["bench-infer", "--model", str(model_dir / "model_j2.tdes"),
+                   "--dataset", str(csv_path), "--warmup", "0", "--reps", "1"])
+        assert rc == 0
+        assert re.search(r"^reps +: 1$", capsys.readouterr().out, re.M)
 
 
 class TestCrossval:

@@ -649,7 +649,7 @@ class TestFoldPlan:
                     np.array([0] * 50 + [1] * 50, np.uint16), 2)
         plan = make_fold_plan(d, 5, 1, 4)
         for f in range(5):
-            mask = plan.assignments[0] == f
+            mask = plan[0] == f
             assert mask.sum() == 20
             assert np.bincount(d.labels[mask]).tolist() == [10, 10]
 
@@ -657,8 +657,8 @@ class TestFoldPlan:
         d = Dataset(np.random.RandomState(0).rand(60, 2).astype(np.float32),
                     (np.arange(60) % 3).astype(np.uint16), 3)
         plan = make_fold_plan(d, 5, 2, 11)
-        assert plan.assignments.shape == (2, 60)
-        assert not np.array_equal(plan.assignments[0], plan.assignments[1])
+        assert plan.shape == (2, 60)
+        assert not np.array_equal(plan[0], plan[1])
 
     def test_unbalanced_allocation(self):
         # 6+4 samples over 4 folds: totals stay within one of 10/4, class
@@ -666,26 +666,23 @@ class TestFoldPlan:
         d = Dataset(np.arange(10, dtype=np.float32).reshape(10, 1),
                     np.array([0] * 6 + [1] * 4, np.uint16), 2)
         plan = make_fold_plan(d, 4, 1, 123)
-        totals = np.bincount(plan.assignments[0], minlength=4)
+        totals = np.bincount(plan[0], minlength=4)
         assert sorted(totals.tolist()) == [2, 2, 3, 3]
         for f in range(4):
-            counts = np.bincount(d.labels[plan.assignments[0] == f], minlength=2)
+            counts = np.bincount(d.labels[plan[0] == f], minlength=2)
             assert abs(counts[0] - 6 / 4) <= 1 and abs(counts[1] - 4 / 4) <= 1
 
     def test_partition_exact(self):
+        # one fold id per row per repeat, every fold tested in every repeat:
+        # the folds' test rows partition the rows (run_experiment's split of
+        # each fold is checked in test_bench's TestRunExperiment)
         rng = np.random.RandomState(9)
         d = Dataset(rng.rand(83, 2).astype(np.float32),
                     rng.randint(0, 4, 83).astype(np.uint16), 4)
         plan = make_fold_plan(d, 4, 3, 5)
+        assert (plan.shape, plan.dtype) == ((3, 83), np.uint16)
         for r in range(3):
-            union = set()
-            for f in range(4):
-                train, test = plan.train_test_indices(r, f)
-                assert set(train) & set(test) == set()
-                assert len(train) + len(test) == 83
-                assert union & set(test) == set()
-                union |= set(test)
-            assert union == set(range(83))
+            assert np.bincount(plan[r]).size == 4 and np.bincount(plan[r]).all()
 
     def test_stratification_bound(self):
         rng = np.random.RandomState(3)
@@ -696,7 +693,7 @@ class TestFoldPlan:
         class_counts = np.bincount(labels, minlength=5)
         for r in range(2):
             for f in range(5):
-                cnt = np.bincount(labels[plan.assignments[r] == f], minlength=5)
+                cnt = np.bincount(labels[plan[r] == f], minlength=5)
                 assert (np.abs(cnt - class_counts / 5) <= 1).all()
 
     def test_small_class_rejected(self):
@@ -710,7 +707,7 @@ class TestFoldPlan:
                     (np.arange(40) % 2).astype(np.uint16), 2)
         p1 = make_fold_plan(d, 4, 2, 21)
         p2 = make_fold_plan(d, 4, 2, 21)
-        np.testing.assert_array_equal(p1.assignments, p2.assignments)
+        np.testing.assert_array_equal(p1, p2)
 
 
 class TestDatasetInvariants:
@@ -783,17 +780,15 @@ class TestSplitProperties:
         plan = make_fold_plan(d, n_splits, n_repeats, seed)
         counts = np.bincount(d.labels, minlength=n_classes)
         n = len(labels)
+        assert (plan.shape, plan.dtype) == ((n_repeats, n), np.uint16)
         for r in range(n_repeats):
-            a = plan.assignments[r]
+            a = plan[r]
             assert a.max() < n_splits
             sizes = np.bincount(a, minlength=n_splits)
             assert sizes.sum() == n and sizes.max() - sizes.min() <= 1
             assert (np.abs(sizes - n / n_splits) < 1).all()
             for f in range(n_splits):
-                train, test = plan.train_test_indices(r, f)
-                assert np.union1d(train, test).tolist() == list(range(n))
-                assert train.size + test.size == n
-                per_class = np.bincount(d.labels[test], minlength=n_classes)
+                per_class = np.bincount(d.labels[a == f], minlength=n_classes)
                 assert (np.abs(per_class - counts / n_splits) < 1).all()
 
 
@@ -828,4 +823,4 @@ class TestGoldenIndices:
     ])
     def test_fold_plan(self, n, n_classes, seed, n_splits, n_repeats, plan_seed, pin):
         plan = make_fold_plan(labelled_rows(n, n_classes, seed), n_splits, n_repeats, plan_seed)
-        assert crc(plan.assignments) == pin
+        assert crc(plan) == pin

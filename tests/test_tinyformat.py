@@ -21,11 +21,10 @@ from tinydes.selection import (CompetenceModel, build_competence_model,
                                des_clustering_predict)
 from tinydes.tinyformat import (HEADER, NODE_DTYPE, emit_static_source,
                                 export_tiny, load_tiny, tiny_predict)
-from tinydes.trees import DecisionTree
 
 from conftest import build_pipeline, leaf, make_blobs, pool_of
 from selection_oracle import des_clustering as des_clustering_oracle
-from tree_oracle import pool_tree
+from tree_oracle import Tree, pool_tree
 
 
 def minimal_model():
@@ -591,8 +590,7 @@ def random_tree(rng, nf, n_classes, depth):
         grow(d - 1)
 
     grow(depth)
-    return DecisionTree(np.array(feat, np.int16), np.array(thr, np.float32),
-                        np.array(jump, np.uint16))
+    return Tree(np.array(feat, np.int16), np.array(thr, np.float32), np.array(jump, np.uint16))
 
 
 def distinct_rows(rng, k, j, pool_size):

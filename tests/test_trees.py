@@ -11,7 +11,7 @@ from tinydes._rng import SplitMix64, derive_seed
 from tinydes.data import Dataset
 from tinydes.errors import CapacityError, ModelCorruptError
 from tinydes.selection import pool_predictions
-from tinydes.trees import DecisionTree, bootstrap_indices, generate_pool, train_tree
+from tinydes.trees import ClassifierPool, bootstrap_indices, generate_pool, train_tree
 
 from conftest import leaf, make_blobs, pool_of
 from tree_oracle import pool_tree, predict_tree
@@ -45,10 +45,11 @@ def exhaustive_best_split(X, y, n_classes):
     return best
 
 
-def validate_tree(t: DecisionTree, depth: int) -> None:
-    """Full traversal check of the preorder/jump invariants: every node is
-    reached once, right children come after their parent inside the tree,
-    and no path is deeper than ``depth``."""
+def validate_tree(t, depth: int) -> None:
+    """Full traversal check of the preorder/jump invariants of one tree's
+    columns, a one-tree pool's among them: every node is reached once, right
+    children come after their parent inside the tree, and no path is deeper
+    than ``depth``."""
     n = t.n_nodes
     seen = np.zeros(n, dtype=bool)
     stack = [(0, 0)]
@@ -68,7 +69,7 @@ def validate_tree(t: DecisionTree, depth: int) -> None:
     assert max_depth <= depth, f"observed depth {max_depth} exceeds {depth}"
 
 
-def recursive_predict(tree: DecisionTree, x, pos=0):
+def recursive_predict(tree, x, pos=0):
     if tree.feature[pos] < 0:
         return int(tree.jump[pos])
     if x[tree.feature[pos]] <= tree.threshold[pos]:
@@ -77,6 +78,19 @@ def recursive_predict(tree: DecisionTree, x, pos=0):
 
 
 class TestTrainTree:
+    def test_returns_one_tree_pool(self):
+        # the grown tree is a pool of one, in the node fields, checked and
+        # read-only like every pool
+        data = make_blobs(n_per_class=30, n_features=4, n_classes=3, seed=7)
+        t = train_tree(data, np.arange(data.n_samples), 5, 2, rng_seed=3)
+        assert isinstance(t, ClassifierPool)
+        assert (t.pool_size, t.n_classes) == (1, 3) and t.n_nodes > 1
+        assert (t.first.tolist(), t.count.tolist()) == ([0], [t.n_nodes])
+        assert (t.feature.dtype, t.threshold.dtype, t.jump.dtype) == (
+            np.int16, np.float32, np.uint16)
+        with pytest.raises(ValueError):
+            t.jump[0] = 0
+
     def test_pure_input_single_leaf(self):
         d = dataset_1d([1, 2, 3], [1, 1, 1])
         t = train_tree(d, [0, 1, 2], max_depth=4, max_features=1, rng_seed=0)
@@ -90,7 +104,7 @@ class TestTrainTree:
         assert t.n_nodes == 3
         assert t.feature[0] == 0
         assert t.threshold[0] == pytest.approx(2.5)
-        labels, visits = pool_predictions(pool_of([t], 2), [[2.0], [2.5], [2.6]])
+        labels, visits = pool_predictions(t, [[2.0], [2.5], [2.6]])
         assert labels.tolist() == [[0, 0, 1]]  # the boundary, 2.5, goes left
         assert visits.tolist() == [[2, 2, 2]]
 
@@ -158,11 +172,10 @@ class TestTrainTree:
 
     def test_brute_force_prediction_equivalence(self):
         data = make_blobs(n_per_class=50, n_features=5, n_classes=3, seed=4)
-        t = train_tree(data, np.arange(data.n_samples), 6, 2, rng_seed=9)
-        pool = pool_of([t], data.n_classes)
+        pool = train_tree(data, np.arange(data.n_samples), 6, 2, rng_seed=9)
         labels, visits = pool_predictions(pool, data.features)
         for i in range(data.n_samples):
-            assert labels[0, i] == recursive_predict(t, data.features[i])
+            assert labels[0, i] == recursive_predict(pool, data.features[i])
             lab, vis = predict_tree(pool, 0, data.features[i])
             assert (lab, vis) == (labels[0, i], visits[0, i])
 
@@ -175,7 +188,7 @@ PALETTE = np.array([-0.0, 0.0, _V0, np.nextafter(_V0, np.float32(2)), 3.0,
                    np.float32)
 
 
-def same_tree(a: DecisionTree, b: DecisionTree) -> None:
+def same_tree(a, b) -> None:
     np.testing.assert_array_equal(a.feature, b.feature)
     np.testing.assert_array_equal(a.threshold.view(np.uint32), b.threshold.view(np.uint32))
     np.testing.assert_array_equal(a.jump, b.jump)
@@ -260,7 +273,7 @@ class TestNodeFieldCapacity:
         assert t.feature.tolist() == [32767, -1, -1]
 
 
-def observed_depth(t: DecisionTree) -> int:
+def observed_depth(t) -> int:
     stack = [(0, 0)]
     deepest = 0
     while stack:

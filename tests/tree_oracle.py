@@ -7,21 +7,36 @@ calls ``split_oracle.value_best_split`` on the node's float values of the
 candidate features, ordered by their rank codes, and sends the rows whose
 value is at most the returned threshold left. Given the same data, sample
 indices, depth, candidate count and seed, the production ``train_tree``
-must give the same feature, threshold bits and jump arrays.
+must give the same feature, threshold bits and jump arrays. The reference
+keeps its own record of a tree's columns, ``Tree``, rather than
+production's pool.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from tinydes._rng import SplitMix64
 from tinydes.errors import CapacityError, ModelCorruptError
-from tinydes.trees import DecisionTree
 
 from split_oracle import value_best_split
 
 LEAF = -1
 _CAND_BLOCK = 128  # candidate feature subsets drawn per block
+
+
+class Tree(NamedTuple):
+    """One tree's preorder node columns."""
+
+    feature: np.ndarray  # int16; -1 marks a leaf
+    threshold: np.ndarray  # float32; 0 for leaves
+    jump: np.ndarray  # uint16; right child index, or class id at leaves
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.feature)
 
 
 def _majority(counts: np.ndarray) -> int:
@@ -30,7 +45,7 @@ def _majority(counts: np.ndarray) -> int:
 
 
 def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
-               rng_seed: int) -> DecisionTree:
+               rng_seed: int) -> Tree:
     """Greedy CART growth over the given (possibly repeated) sample indices.
 
     At each node ``max_features`` distinct candidate features are drawn from a
@@ -87,17 +102,17 @@ def train_tree(data: Dataset, sample_indices, max_depth: int, max_features: int,
     grow(idx0, y0, np.bincount(y0, minlength=n_classes), 0)
     if len(feat_out) > 65535:
         raise CapacityError(f"tree grew {len(feat_out)} nodes; the 16-bit node index caps at 65535")
-    return DecisionTree(
+    return Tree(
         np.array(feat_out, dtype=np.int16),
         np.array(thr_out, dtype=np.float32),
         np.array(jump_out, dtype=np.uint16),
     )
 
 
-def pool_tree(pool, i: int) -> DecisionTree:
+def pool_tree(pool, i: int) -> Tree:
     """Tree ``i`` of a pool: views into the pool's node columns."""
     s = slice(pool.first[i], pool.first[i] + pool.count[i])
-    return DecisionTree(pool.feature[s], pool.threshold[s], pool.jump[s])
+    return Tree(pool.feature[s], pool.threshold[s], pool.jump[s])
 
 
 def predict_tree(pool, tree: int, x) -> tuple[int, int]:
