@@ -45,6 +45,9 @@
 #                                                    2^24 cells: 304 ms
 #   load_csv        12000x64 floats          94 ms   csv.reader and float() per
 #                                                    cell: 352 ms
+#   load_idx        60000x784 plain IDX      96 ms   the pixel file read whole
+#                   pair, image mapped               into a buffer: 119 ms
+#   load_idx        its 5000-row limit       11 ms   mapped before too: 11 ms
 #   load_tiny       31 KB model, J=5      0.094 ms   allocating the engine's
 #                                                    scratch buffers: 0.095 ms
 #   load_tiny       108 KB pixels784      0.828 ms   check_nodes over
@@ -125,6 +128,15 @@
 # the same pool, three alternated processes each: medians 251 and 483 ms,
 # with the host's speed varying 1.7x between those runs.
 #
+# The load_idx rows load datagen.pixel_dataset(1) written as a plain IDX
+# pair. They are the medians of three processes of 15 rounds, each round
+# loading with this package and with the commit before a full load mapped
+# the image file, imported from a `git archive` as a second package, the
+# two taking turns to go first; both give the same bits. Process medians
+# were 105, 96 and 96 ms against 126, 122 and 119 ms for the full load,
+# this package faster in 42 of 45 rounds; with the limit, where both map,
+# 13.5, 11.2 and 10.9 ms against 13.0, 11.1 and 11.3 ms (25 of 45).
+#
 # Block sizes of selection.py, one BLAS thread. WALK_BLOCK_PAIRS: 45 trees
 # over 6 000 rows of 64 features took 33 ms in blocks of 2^16 pairs, 36 ms
 # in one pass and 97 ms one tree at a time. REGION_CHUNK_CELLS (k = 7):
@@ -146,10 +158,10 @@ for _var in THREAD_VARS:  # before numpy loads its BLAS
 import numpy as np
 
 from tinydes._kernels import (assign_clusters, best_split, pairwise_sqdist, rank_codes,
-                              split_constants, sqdist_table, tree_walk)
+                              split_constants, sq_norms, sqdist_table, tree_walk)
 from tinydes._rng import SplitMix64
 from tinydes.cluster import fit_kmeans
-from tinydes.data import Dataset, apply_standardizer, fit_standardizer, load_csv
+from tinydes.data import Dataset, apply_standardizer, fit_standardizer, load_csv, load_idx
 from tinydes.selection import (REGION_CHUNK_CELLS, WALK_BLOCK_PAIRS, Dsel, _k_nearest,
                                knora_regions, pool_predictions)
 from tinydes.tinyformat import export_tiny, load_tiny
@@ -258,8 +270,9 @@ block = REGION_CHUNK_CELLS // 3000
 print(f"== KNORA region search ({block} x 3000 x 64, k=7) ==")
 Qk = rng.randn(block, 64).astype(np.float32)
 Dk = rng.randn(3000, 64).astype(np.float32)
-d2 = pairwise_sqdist(Qk, Dk)
-bench("pairwise_sqdist", lambda: pairwise_sqdist(Qk, Dk), reps=3)
+ddk = sq_norms(Dk.astype(np.float64))  # as knora_regions sums them, once per search
+d2 = pairwise_sqdist(Qk, Dk, ddk)
+bench("pairwise_sqdist", lambda: pairwise_sqdist(Qk, Dk, ddk), reps=3)
 bench("k_nearest (k=7)", lambda: _k_nearest(d2, 7), reps=3)
 bench("stable argsort top-7 (full sort)",
       lambda: np.argsort(d2, axis=1, kind="stable")[:, :7], reps=3)
@@ -315,3 +328,13 @@ pixel_rows = pixels[:n_train + workloads.ENGINE_PROBES].astype(np.float32)
 pixel_blob = workloads.train_engine(tinydes, pixel_rows, pixel_labels, n_train, 1)[0]
 print(f"== compact engine, pixels784 workload ({len(pixel_blob)}-byte model) ==")
 bench("load_tiny", lambda: load_tiny(pixel_blob), reps=50)
+
+# pixels784's source file: the same 60 000 seed-1 pixels written as a plain
+# IDX pair, loaded whole and with the desk-scale limit. Both map the image.
+print("== IDX ingestion (60000 x 784 pixels, plain files) ==")
+with tempfile.TemporaryDirectory() as tmp:
+    images, label_file = Path(tmp) / "images-idx3-ubyte", Path(tmp) / "labels-idx1-ubyte"
+    datagen.write_idx_pair(pixels, pixel_labels, images, label_file)
+    bench("load_idx (60000 rows)", lambda: load_idx(images, label_file), reps=3)
+    bench("load_idx (5000-row limit)",
+          lambda: load_idx(images, label_file, workloads.DESK_SCALE_ROWS, seed=1), reps=3)

@@ -147,13 +147,13 @@ def node_dtype(n: int, key_dtype, n_classes: int):
     return np.int32 if (n - 1).bit_length() + bits <= 31 else np.int64
 
 
-def best_split(keys, labels, totals, total_sq, consts=None):
+def best_split(keys, labels, totals, total_sq, consts):
     """Best split of a node over its (n, m) candidate ``keys``, unsigned
     integer codes of at most 32 bits.
 
     ``labels`` are the node's class ids, ``totals`` their int64 counts of
     every class and ``total_sq`` the int ``totals @ totals``. ``consts`` are
-    ``split_constants`` for at least n rows, built here when None. Returns
+    ``split_constants`` for at least n rows. Returns
     ``(col, (p0, p1), score, found)``: p0 and p1 are the node positions of
     the last row left of the cut and the first row right of it in column
     ``col``'s key order. Pass ``keys`` as the transpose of a
@@ -162,8 +162,6 @@ def best_split(keys, labels, totals, total_sq, consts=None):
     n = keys.shape[0]
     if n < 2:
         return -1, (-1, -1), -1.0, False
-    if consts is None:
-        consts = split_constants(n)
     total = totals if totals.dtype == np.int64 else totals.astype(np.int64)
     ct = node_dtype(n, keys.dtype, total.shape[0])
     ints = consts.ints32 if ct is np.int32 else consts.ints64
@@ -339,17 +337,17 @@ def sq_norms(A):
     return np.square(A).sum(axis=1)
 
 
-def pairwise_sqdist(Q, D, dd=None):
+def pairwise_sqdist(Q, D, dd):
     # qq - 2 Q.D + dd, evaluated in the product's buffer. Bit-identical to
     # the expression: scaling by -2 is exact and qq + (-x) is qq - x. A
-    # float64 D is not copied, and dd, when given, is sq_norms of it: a
-    # caller with many query blocks casts and sums the reference rows once.
+    # float64 D is not copied, and dd is sq_norms of it: a caller with many
+    # query blocks casts and sums the reference rows once.
     Qd = Q.astype(np.float64)
     Dd = np.asarray(D, dtype=np.float64)
     out = Qd @ Dd.T
     out *= -2.0
     out += sq_norms(Qd)[:, None]
-    out += (sq_norms(Dd) if dd is None else dd)[None, :]
+    out += dd[None, :]
     np.maximum(out, 0.0, out=out)
     return out
 

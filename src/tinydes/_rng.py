@@ -46,11 +46,9 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next(self) -> int:
-        self.state = (self.state + _GOLDEN) & MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return (z ^ (z >> 31)) & MASK64
+        self.state = (z + _GOLDEN) & MASK64
+        return mix64(z)
 
     def next_block(self, n: int):
         """n consecutive outputs as a uint64 array; identical to n next() calls."""

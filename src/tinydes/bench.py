@@ -13,14 +13,14 @@ import re
 import time
 import zlib
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._rng import derive_seed
 from .cluster import assign_batch, fit_kmeans
-from .data import (Dataset, apply_standardizer, desk_scale_rows, fit_standardizer,
-                   load_csv, load_idx, make_fold_plan, stratified_split)
+from .data import (Dataset, apply_standardizer, fit_standardizer, load_csv, load_idx,
+                   make_fold_plan, stratified_split)
 from .errors import IoError, NondeterminismError, TinyDesError
 from .selection import (build_competence_model, build_dsel, des_clustering_batch,
                         knora_e_batch, knora_regions, knora_u_batch,
@@ -29,12 +29,12 @@ from .selection import (build_competence_model, build_dsel, des_clustering_batch
 from .tinyformat import NODE_DTYPE, export_tiny
 from .trees import DEFAULT_FORESTS, generate_pool
 
-METHOD_ORDER = ["single_best", "static_selection", "knora_u", "knora_e",
-                "des_clustering", "oracle"]
-# report labels, formatted with the value of the method's "name=value" params
+# report labels, formatted with the value of the method's "name=value"
+# params, in report order
 METHOD_LABELS = {"single_best": "Single Best", "static_selection": "Static Selection",
                  "knora_u": "KNORA-U (k={})", "knora_e": "KNORA-E (k={})",
                  "des_clustering": "DES-Clustering_{}", "oracle": "Oracle"}
+METHOD_ORDER = list(METHOD_LABELS)
 
 # KNORA-U and KNORA-E share one query-to-DSEL distance matrix per fold,
 # which is still out of budget for the full-size image datasets; they stay
@@ -58,12 +58,11 @@ class DatasetSpec:
 
     def load(self, limit: int | None = None, seed: int = 0) -> Dataset:
         """The dataset, or with a ``limit`` its class-stratified subset of
-        about ``limit`` rows (``desk_scale_rows``). A CSV is parsed whole and
-        then subset; an IDX pair's rows are picked from its label file, and
-        only those rows are converted and checked. The spec names one
-        source, as ``ExperimentConfig.validate`` checks."""
+        about ``limit`` rows, from the loader of the one source the spec
+        names (``ExperimentConfig.validate`` checks that); each loader
+        picks its own rows."""
         if self.csv is not None:
-            return desk_scale_subset(load_csv(self.csv, self.label_column), limit, seed)
+            return load_csv(self.csv, self.label_column, limit, seed)
         return load_idx(self.images, self.labels, limit, seed)
 
 
@@ -202,16 +201,20 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 def config_settings(text: str) -> dict:
     """The ExperimentConfig fields that ``key = value`` lines, as
     ``config_to_text`` writes them, set; blank lines and ``#`` comments are
-    skipped. A line without "=", with an unknown key or with a value its
-    parser rejects raises IoError."""
+    skipped. A line without "=", with an unknown key, with a key an earlier
+    line gave or with a value its parser rejects raises IoError."""
     settings = {}
     specs: dict[str, dict[str, str]] = {}
+    given = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             key, val = (part.strip() for part in line.split("=", 1))
+            if key in given:
+                raise KeyError(key)
+            given.add(key)
             if key.startswith("dataset."):
                 _, name, fieldname = key.split(".")
                 if fieldname not in _SPEC_FIELDS:
@@ -259,20 +262,13 @@ class ResultRow:
 
 @dataclass
 class ResultTable:
+    config: ExperimentConfig
     rows: list[ResultRow] = field(default_factory=list)
     fold_records: list[FoldRecord] = field(default_factory=list)
-    config: ExperimentConfig | None = None
 
 
 def _dataset_seed(master: int, name: str) -> int:
     return derive_seed(master, zlib.crc32(name.encode("utf-8")))
-
-
-def desk_scale_subset(d: Dataset, limit: int | None, seed: int) -> Dataset:
-    """Class-stratified subset of about `limit` samples (``d`` itself when
-    it fits or there is no limit)."""
-    rows = desk_scale_rows(d.labels, d.n_classes, limit, seed)
-    return d if rows is None else d.subset(rows)
 
 
 def fit_pool(train: Dataset, dsel_fraction: float, forests, seed: int):
@@ -481,10 +477,6 @@ def measure_inference(engine, probes: Dataset, warmup: int = 1, reps: int = 3):
     }
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def emit_report(table: ResultTable, out_dir) -> dict[str, str]:
     """Write results.csv, folds.csv, rendered accuracy/cost tables, the config
     snapshot, and (separately, as it is nondeterministic) timings.csv.
@@ -509,29 +501,25 @@ def emit_report(table: ResultTable, out_dir) -> dict[str, str]:
             raise IoError(f"cannot write {p}: {exc}") from exc
         paths[name] = str(p)
 
-    rows = sorted(table.rows, key=lambda r: (r.dataset, _method_sort_key((r.method, r.params))))
-    lines = ["dataset,method,params,mean_accuracy,std_accuracy,mean_cost,model_bytes,n_folds,status,error"]
-    for r in rows:
-        lines.append(",".join([
-            r.dataset, r.method, r.params, _fmt(r.mean_accuracy), _fmt(r.std_accuracy),
-            _fmt(r.mean_cost), str(r.model_bytes), str(r.n_folds), r.status, r.error]))
-    write("results.csv", "\n".join(lines) + "\n")
+    def write_csv(name: str, records, columns):
+        """One line per record of its ``columns`` attributes, under a header
+        of their names: a fingerprint as 8 hex digits, a float as its repr,
+        anything else as str."""
+        def cell(column: str, v) -> str:
+            if column == "pool_fingerprint":
+                return f"{v:08x}"
+            return repr(float(v)) if isinstance(v, float) else str(v)
+        lines = [columns] + [[cell(c, getattr(r, c)) for c in columns] for r in records]
+        write(name, "".join(",".join(line) + "\n" for line in lines))
 
+    rows = sorted(table.rows, key=lambda r: (r.dataset, _method_sort_key((r.method, r.params))))
+    write_csv("results.csv", rows, [f.name for f in fields(ResultRow)])
     frecs = sorted(table.fold_records,
                    key=lambda r: (r.dataset, _method_sort_key((r.method, r.params)),
                                   r.repeat, r.fold))
-    lines = ["dataset,method,params,repeat,fold,accuracy,mean_cost,pool_fingerprint"]
-    for r in frecs:
-        lines.append(",".join([
-            r.dataset, r.method, r.params, str(r.repeat), str(r.fold),
-            _fmt(r.accuracy), _fmt(r.mean_cost), f"{r.pool_fingerprint:08x}"]))
-    write("folds.csv", "\n".join(lines) + "\n")
-
-    lines = ["dataset,method,params,repeat,fold,wall_per_inference_s"]
-    for r in frecs:
-        lines.append(",".join([r.dataset, r.method, r.params, str(r.repeat), str(r.fold),
-                               _fmt(r.wall_per_inference_s)]))
-    write("timings.csv", "\n".join(lines) + "\n")
+    place = ["dataset", "method", "params", "repeat", "fold"]
+    write_csv("folds.csv", frecs, place + ["accuracy", "mean_cost", "pool_fingerprint"])
+    write_csv("timings.csv", frecs, place + ["wall_per_inference_s"])
 
     datasets = sorted({r.dataset for r in rows})
     label_of = {(r.method, r.params): METHOD_LABELS[r.method].format(r.params.partition("=")[2])
@@ -558,6 +546,5 @@ def emit_report(table: ResultTable, out_dir) -> dict[str, str]:
     write("cost_table.txt", grid(
         lambda r: "failed" if r.status != "ok" else f"{r.mean_cost:.1f}",
         "Mean inference cost (node visits + centroid distances) by dataset and method"))
-    if table.config is not None:
-        write("config.txt", config_to_text(table.config))
+    write("config.txt", config_to_text(table.config))
     return paths

@@ -142,21 +142,20 @@ def load_idx(images_path, labels_path, limit: int | None = None, seed: int = 0) 
     Both headers are checked first, and the label file is read whole. With
     a ``limit``, the rows of :func:`desk_scale_rows` are picked from the
     label file, and only those rows are converted to float32 and checked by
-    ``Dataset``: the result of ``desk_scale_subset`` on the full load,
-    without its float32 matrix. A plain image file loaded with a limit has
-    its length checked against its header, and only the kept rows are
-    read; otherwise, and always when gzipped or a pipe, the image file is
-    read and checked whole. Either way a short file fails with the same
-    message."""
+    ``Dataset``. A plain image file is mapped, with or without a limit: its
+    length is checked against its header and only the kept rows are read.
+    A gzip stream or a pipe is read and checked whole. Either way the rows
+    are those of the full load's subset, and a short file fails with the
+    same message."""
     with _open_maybe_gz(images_path) as f:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
         if magic != IDX_IMAGE_MAGIC:
             raise FormatError(f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
         size = count * rows * cols
-        # a regular file can be mapped; a gzip stream or a pipe is read whole
-        st = None if limit is None or isinstance(f, gzip.GzipFile) else os.fstat(f.fileno())
-        rows_only = st is not None and stat.S_ISREG(st.st_mode)
-        if rows_only:
+        # a regular file is mapped; a gzip stream or a pipe is read whole
+        st = None if isinstance(f, gzip.GzipFile) else os.fstat(f.fileno())
+        mapped = st is not None and stat.S_ISREG(st.st_mode)
+        if mapped:
             have = st.st_size - 16
             if have < size:
                 raise FormatError(f"truncated IDX file: expected {size} bytes for pixel data, "
@@ -178,7 +177,7 @@ def load_idx(images_path, labels_path, limit: int | None = None, seed: int = 0) 
         keep = desk_scale_rows(labels, n_classes, limit, seed)
         if keep is not None:
             labels = labels[keep]
-        if rows_only:
+        if mapped:
             images = _read_rows(f, 16, count, rows * cols, keep)
         else:
             images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
@@ -187,7 +186,7 @@ def load_idx(images_path, labels_path, limit: int | None = None, seed: int = 0) 
     return Dataset(images.astype(np.float32), labels, n_classes)
 
 
-def load_csv(path, label_column) -> Dataset:
+def load_csv(path, label_column, limit: int | None = None, seed: int = 0) -> Dataset:
     """Load a rectangular numeric CSV; labels re-encoded to contiguous ids.
 
     ``label_column`` is a header name or a 0-based column index. An optional
@@ -195,7 +194,10 @@ def load_csv(path, label_column) -> Dataset:
     split as ``csv.reader`` splits them and feature cells are read as
     ``float()`` reads them; a text without quotes goes through numpy's C
     reader, which gives the same values (see ``_parse_plain``). More distinct
-    labels than the u16 class count holds raise ``CapacityError``.
+    labels than the u16 class count holds raise ``CapacityError``. With a
+    ``limit``, the whole text is parsed and checked, and the rows of
+    :func:`desk_scale_rows` are kept, so the load fails where and as the
+    full load fails.
     """
     try:
         with open(path, newline="", encoding="utf-8") as f:
@@ -218,7 +220,9 @@ def load_csv(path, label_column) -> Dataset:
     names = None
     if header is not None:
         names = [h for j, h in enumerate(header) if j != label_idx]
-    return Dataset(feats, labels, len(values), names, list(values))
+    d = Dataset(feats, labels, len(values), names, list(values))
+    keep = desk_scale_rows(labels, d.n_classes, limit, seed)
+    return d if keep is None else d.subset(keep)
 
 
 def _numeric(cell: str) -> bool:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from tinydes.cluster import assign_batch, fit_kmeans
-from tinydes.data import Dataset, apply_standardizer, fit_standardizer, stratified_split
+from tinydes.data import (Dataset, apply_standardizer, desk_scale_rows, fit_standardizer,
+                          stratified_split)
 from tinydes.selection import (build_competence_model, build_dsel, knora_regions,
                                pool_predictions)
 from tinydes.trees import ClassifierPool, generate_pool
@@ -26,6 +27,13 @@ def make_blobs(n_per_class=120, n_features=12, n_classes=4, seed=0, spread=1.0):
     labels = np.repeat(np.arange(n_classes), n_per_class).astype(np.uint16)
     perm = rng.permutation(feats.shape[0])
     return Dataset(feats[perm], labels[perm], n_classes)
+
+
+def desk_scale_subset(d, limit, seed):
+    """The subset of the full load ``d`` that a load with ``limit`` and
+    ``seed`` must give: ``d`` itself when there is no limit or ``d`` fits."""
+    rows = desk_scale_rows(d.labels, d.n_classes, limit, seed)
+    return d if rows is None else d.subset(rows)
 
 
 def build_pipeline(data, forests=((6, 6), (4, 3)), k=3, n_acc=6, j=3, seed=17,

@@ -22,7 +22,8 @@ def _region_indices(dsel: Dsel, x: np.ndarray, k: int) -> np.ndarray:
     if dsel.n_samples < k:
         raise SelectionError(f"region size {k} exceeds {dsel.n_samples} selection samples")
     q = x.reshape(1, -1)
-    d2 = _kernels.pairwise_sqdist(q, dsel.samples)[0]
+    ref = dsel.samples.astype(np.float64)
+    d2 = _kernels.pairwise_sqdist(q, ref, _kernels.sq_norms(ref))[0]
     order = np.lexsort((np.arange(d2.shape[0]), d2))
     return order[:k]
 

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from tinydes import _kernels, bench
 from tinydes._rng import derive_seed
-from tinydes.bench import (DatasetSpec, ExperimentConfig, config_settings,
-                           config_to_text, desk_scale_subset, emit_report,
+from tinydes.bench import (DatasetSpec, ExperimentConfig, FoldRecord, ResultRow,
+                           ResultTable, config_settings, config_to_text, emit_report,
                            measure_inference, run_experiment)
-from tinydes.data import Dataset, make_fold_plan
+from tinydes.data import Dataset, load_csv, make_fold_plan
 from tinydes.errors import IoError, NondeterminismError, SelectionError
 from tinydes.tinyformat import export_tiny, load_tiny
 
-from conftest import build_pipeline, make_blobs, shared_inputs
+from conftest import build_pipeline, desk_scale_subset, make_blobs, shared_inputs
 
 
 def write_blob_csv(path, n_per_class=60, n_features=6, n_classes=3, seed=0):
@@ -127,10 +127,16 @@ class TestConfigSerialization:
         with pytest.raises(IoError):
             config_settings("not a config line\n")
 
-    @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+    # the last four repeat a key, which may be given once: the line that
+    # repeats it fails, whatever value it gives and whatever lies between
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES + [
+        "seed=3", "seed = 4",
+        "dataset.a.csv = x.csv\n# dataset.a.csv = y.csv\n\ndataset.a.csv = y.csv",
+        "dataset.a.label_column = 0\nk_clusters = 3\n dataset.a.label_column = 0"])
     def test_rejected_line(self, line):
-        with pytest.raises(IoError, match="bad config line"):
+        with pytest.raises(IoError) as exc:
             config_settings(f"seed = 3\n{line}\n")
+        assert str(exc.value) == f"bad config line: {line.splitlines()[-1]!r}"
 
     def test_label_column_digits_are_an_index(self):
         assert DatasetSpec("a", csv="a.csv", label_column="-2").label_column == -2
@@ -312,17 +318,18 @@ class TestRunExperiment:
             np.testing.assert_array_equal(train.labels, labels[train_rows])
             np.testing.assert_array_equal(test.labels, labels[test_rows])
 
-    def test_desk_scale_subset_stratified(self):
-        data = make_blobs(n_per_class=300, n_features=4, n_classes=3, seed=4)
-        sub = desk_scale_subset(data, 90, seed=1)
+    def test_desk_scale_subset_stratified(self, tmp_path):
+        path = write_blob_csv(tmp_path / "big.csv", n_per_class=300, n_features=4, seed=4)
+        sub = load_csv(path, -1, 90, seed=1)
         assert sub.n_samples == 90
         assert np.bincount(sub.labels).tolist() == [30, 30, 30]
-        assert desk_scale_subset(data, 5000, seed=1) is data
+        assert load_csv(path, -1, 5000, seed=1).n_samples == 900
 
     @pytest.mark.parametrize("limit", [None, 50, 180, 500])
     def test_spec_load_takes_the_desk_scale_subset(self, csv_path, tmp_path, limit):
-        # a CSV is subset after parsing, an IDX pair before its pixels are
-        # converted; both must give the subset of the full load
+        # each loader picks its own rows, a CSV's after parsing, an IDX
+        # pair's before its pixels are converted; both must give the subset
+        # of the full load
         rng = np.random.RandomState(2)
         img, lab = tmp_path / "i", tmp_path / "l"
         img.write_bytes(struct.pack(">IIII", 0x803, 180, 2, 3)
@@ -563,9 +570,28 @@ class TestEmitReport:
             assert "wall_per_inference_s" in f.readline()
 
     def test_empty_table_rejected(self, tmp_path):
-        from tinydes.bench import ResultTable
         with pytest.raises(IoError):
-            emit_report(ResultTable(), tmp_path)
+            emit_report(ResultTable(ExperimentConfig()), tmp_path)
+
+    def test_cells_the_pinned_runs_never_write(self, tmp_path):
+        # a failed row's NaN cells, no bytes and no folds; a fingerprint
+        # below 2^28 zero-padded to 8 hex digits
+        failed = ResultRow("d", "knora_e", "k=7", float("nan"), float("nan"), float("nan"),
+                           0, 0, status="failed", error="SelectionError: no region")
+        ok = ResultRow("d", "oracle", "", 0.75, 0.25, 3.5, 0, 1)
+        record = FoldRecord("oracle", "", 0.75, 3.5, 1e-06, 0, 42, dataset="d", repeat=1)
+        paths = emit_report(ResultTable(ExperimentConfig(), [ok, failed], [record]), tmp_path)
+        assert Path(paths["results.csv"]).read_bytes() == (
+            b"dataset,method,params,mean_accuracy,std_accuracy,mean_cost,model_bytes,"
+            b"n_folds,status,error\n"
+            b"d,knora_e,k=7,nan,nan,nan,0,0,failed,SelectionError: no region\n"
+            b"d,oracle,,0.75,0.25,3.5,0,1,ok,\n")
+        assert Path(paths["folds.csv"]).read_bytes() == (
+            b"dataset,method,params,repeat,fold,accuracy,mean_cost,pool_fingerprint\n"
+            b"d,oracle,,1,0,0.75,3.5,0000002a\n")
+        assert Path(paths["timings.csv"]).read_bytes() == (
+            b"dataset,method,params,repeat,fold,wall_per_inference_s\n"
+            b"d,oracle,,1,0,1e-06\n")
 
     def test_rerun_identical(self, table, tmp_path):
         t, _, _ = table

@@ -334,10 +334,13 @@ class TestCrossval:
         assert rc == 1
 
     # "limit" is no longer a setting, so its lines are unknown keys; the
-    # bytes line is not UTF-8
+    # bytes line is not UTF-8; the file also sets n_splits and the dataset's
+    # csv, so the last four repeat a key, which a config file may give once
     @pytest.mark.parametrize("line", BAD_CONFIG_LINES + [
         "profile = fulll", "limit = 0", "limit = -5", "forests = 2:-1", "forests = 0:3",
-        "n_acc = 100", b"seed = \xff\xfe"])
+        "n_acc = 100", b"seed = \xff\xfe", "n_splits = 3", "seed = 1\nseed = 2",
+        "dataset.blobs.csv = other.csv",
+        "dataset.blobs.label_column = -1\ndataset.blobs.label_column = 0"])
     def test_bad_config_file_typed_error(self, csv_path, tmp_path, capsys, line):
         cfg = tmp_path / "exp.cfg"
         line = line if isinstance(line, bytes) else line.encode("utf-8")

@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 import csv_oracle
 import tinydes
 from tinydes import data
-from tinydes.bench import desk_scale_subset
-from tinydes.data import (Dataset, Standardizer, apply_standardizer,
+from tinydes.data import (Dataset, Standardizer, apply_standardizer, desk_scale_rows,
                           fit_standardizer, load_csv, load_idx, make_fold_plan,
                           stratified_indices, stratified_split)
 from tinydes.errors import (CapacityError, FormatError, IoError, ShapeError,
                             StratificationError, TinyDesError)
+
+from conftest import desk_scale_subset
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows, cols, name="t"):
@@ -201,10 +202,12 @@ class TestLoadIdxLimit:
             load_idx(img, lab, 1, seed=5)
         assert str(limited.value) == str(full.value)
 
-    @pytest.mark.parametrize("gz", [False, True])
-    def test_plain_file_reads_kept_rows_only(self, tmp_path, monkeypatch, gz):
-        # a plain image file is mapped, its kept rows copied out and the map
-        # closed; a gzipped one still streams whole
+    @pytest.mark.parametrize("gz, limit", [
+        pytest.param(False, 20, id="False"), pytest.param(True, 20, id="True"),
+        pytest.param(False, None, id="False-full"), pytest.param(True, None, id="True-full")])
+    def test_plain_file_reads_kept_rows_only(self, tmp_path, monkeypatch, gz, limit):
+        # a plain image file is mapped, with or without a limit, its kept
+        # rows copied out and the map closed; a gzipped one streams whole
         img, lab = write_idx_pair(tmp_path, np.arange(200, dtype=np.uint8),
                                   np.arange(50, dtype=np.uint8) % 5, 2, 2)
         if gz:
@@ -223,8 +226,8 @@ class TestLoadIdxLimit:
 
         monkeypatch.setattr(data, "_read_exact", reading)
         monkeypatch.setattr(data.mmap, "mmap", mapping)
-        got = load_idx(img, lab, 20, seed=4)
-        assert idx_outcome(lambda: got) == idx_outcome(lambda: desk_scale_subset(full, 20, 4))
+        got = load_idx(img, lab, limit, seed=4)
+        assert idx_outcome(lambda: got) == idx_outcome(lambda: desk_scale_subset(full, limit, 4))
         assert ("pixel data" in reads) == gz and len(maps) == (not gz)
         assert all(m.closed for m in maps)
 
@@ -292,6 +295,21 @@ class TestLoadCsv:
         d = load_csv(p, "species")
         assert d.n_samples == 150 and d.n_features == 4 and d.n_classes == 3
         assert d.feature_names == ["sl", "sw", "pl", "pw"]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e39"])
+    def test_limit_fails_as_the_full_load(self, tmp_path, cell):
+        # every row is parsed and checked before the limit picks rows, so a
+        # bad cell fails the load even in a row the limit drops
+        labels = np.arange(60) % 3
+        dropped = np.setdiff1d(np.arange(60), desk_scale_rows(labels, 3, 30, seed=2))[0]
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(f"{cell if i == dropped else i},{c}\n"
+                                for i, c in enumerate(labels)))
+        with pytest.raises(FormatError) as whole:
+            load_csv(path, -1)
+        with pytest.raises(FormatError) as limited:
+            load_csv(path, -1, 30, seed=2)
+        assert str(limited.value) == str(whole.value)
 
     @pytest.mark.parametrize("cell", ["1e39", "-1e39", '"1e39"'])
     def test_cell_beyond_float32_range(self, tmp_path, cell):

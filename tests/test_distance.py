@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import pytest
 
 from tinydes import _kernels
-from tinydes._kernels import assign_clusters, block_rows, pairwise_sqdist, sqdist_table
+from tinydes._kernels import (assign_clusters, block_rows, pairwise_sqdist, sq_norms,
+                              sqdist_table)
 
 
 def expanded_oracle(Q, D):
@@ -25,7 +26,7 @@ def expanded_oracle(Q, D):
 
 
 def assert_same_bits(Q, D):
-    got = pairwise_sqdist(Q, D)
+    got = pairwise_sqdist(Q, D, sq_norms(D.astype(np.float64)))
     want = expanded_oracle(Q, D)
     assert got.dtype == np.float64 and got.shape == want.shape == (Q.shape[0], D.shape[0])
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -53,7 +54,7 @@ def test_identical_rows_clamp():
     residue = np.diag(qq[:, None] - 2.0 * (Qd @ Qd.T) + qq[None, :])
     assert (residue < 0).any()
     assert_same_bits(Q, Q)
-    assert (np.diag(pairwise_sqdist(Q, Q))[residue < 0] == 0.0).all()
+    assert (np.diag(pairwise_sqdist(Q, Q, qq))[residue < 0] == 0.0).all()
 
 
 def test_empty_queries():

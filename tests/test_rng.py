@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinydes._rng import MASK64, SplitMix64
+from tinydes._rng import MASK64, SplitMix64, mix64
 
 seeds = st.integers(0, MASK64)
 
@@ -42,6 +42,8 @@ class TestSampleSortedRows:
         assert rows.shape == (count, min(m, n)) and rows.dtype == np.int64
         assert rows.tolist() == [sample_sorted(ref, n, m) for _ in range(count)]
         assert bulk.state == ref.state
+        # a scalar draw is the splitmix64 output of the state it steps from
+        assert SplitMix64(seed).next() == mix64(seed)
 
     @pytest.mark.parametrize("n, m, count", [(1, 1, 3), (5, 1, 4), (784, 28, 128),
                                              (64, 8, 7), (4, 4, 2), (3, 9, 2), (9, 3, 0)])

@@ -586,7 +586,8 @@ class TestKNearest:
 class TestKnoraBatchTies:
     def test_batch_matches_per_query_with_ties(self):
         dsel, pool, queries = tie_heavy_case()
-        d2 = _kernels.pairwise_sqdist(queries, dsel.samples)
+        ref = dsel.samples.astype(np.float64)
+        d2 = _kernels.pairwise_sqdist(queries, ref, _kernels.sq_norms(ref))
         for k in (1, 2, 4, 7, dsel.n_samples):
             kth = np.sort(d2, axis=1)[:, k - 1]
             if k < dsel.n_samples:
@@ -632,7 +633,8 @@ class TestKnoraRegions:
     @pytest.mark.parametrize("k", [1, 4, 7, 60])
     def test_equals_stable_argsort_top_k(self, monkeypatch, cells, blocks, k):
         dsel, _, queries = tie_heavy_case()
-        d2 = _kernels.pairwise_sqdist(queries, dsel.samples)
+        ref = dsel.samples.astype(np.float64)
+        d2 = _kernels.pairwise_sqdist(queries, ref, _kernels.sq_norms(ref))
         expect = np.argsort(d2, axis=1, kind="stable")[:, :k]
         seen = []
         real = _kernels.pairwise_sqdist
@@ -670,7 +672,8 @@ class TestKnoraRegions:
         np.testing.assert_array_equal(D, dsel.samples)
         assert all(d is D and n is dd for d, n in seen)
         np.testing.assert_array_equal(got, expect)
-        whole = real(queries, dsel.samples)
+        ref = dsel.samples.astype(np.float64)
+        whole = real(queries, ref, _kernels.sq_norms(ref))
         blocks = np.concatenate([real(queries[s:s + 7], D, dd) for s in range(0, len(queries), 7)])
         np.testing.assert_array_equal(blocks.view(np.uint64), whole.view(np.uint64))
 

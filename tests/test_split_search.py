@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinydes import _kernels
-from tinydes._kernels import best_split, rank_codes, split_threshold
+from tinydes._kernels import best_split, rank_codes, split_constants, split_threshold
 from tinydes.data import Dataset, apply_standardizer, fit_standardizer
 from tinydes.trees import generate_pool
 
@@ -30,7 +30,8 @@ def split(values, labels, n_classes, keys=None):
     """(col, threshold, score, found) as ``train_tree`` derives them."""
     keys = rank_codes(values) if keys is None else keys
     totals = np.bincount(labels, minlength=n_classes)
-    col, (p0, p1), score, found = best_split(keys, labels, totals, int(totals @ totals))
+    col, (p0, p1), score, found = best_split(keys, labels, totals, int(totals @ totals),
+                                             split_constants(labels.size))
     if not found:
         return NOT_FOUND
     return col, split_threshold(values[p0, col], values[p1, col]), score, True
@@ -203,7 +204,8 @@ class TestAgainstValueOracle:
         values, y = pool[idx], pool_labels[idx]
         kt = np.ascontiguousarray(codes.T[:, idx])  # train_tree's gather
         totals = np.bincount(y, minlength=n_classes)
-        col, (p0, p1), score, found = best_split(kt.T, y, totals, int(totals @ totals))
+        col, (p0, p1), score, found = best_split(kt.T, y, totals, int(totals @ totals),
+                                                 split_constants(y.size))
         thr = split_threshold(values[p0, col], values[p1, col]) if found else 0.0
         got = (col, thr, score, found) if found else NOT_FOUND
         assert bits(got) == bits(value_best_split(values, y, n_classes, kt.T))
